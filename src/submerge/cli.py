@@ -41,6 +41,8 @@ TA_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 DARE_DROP_GRID = [0.6, 0.7, 0.8, 0.9]
 DARE_ALPHA_GRID = [0.6, 0.8, 1.0]
 LEVEL_NAMES = [g.value for g in Granularity]
+# Options that are switches on the command line; the config file must give them as JSON booleans.
+BOOL_KEYS = ("normalized", "strict")
 
 FIXTURE_MODEL_DEFAULTS = {
     "d_model": 32,
@@ -84,6 +86,9 @@ class Options:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
             if not isinstance(payload, dict):
                 raise ConfigError("config file must hold a JSON object")
+            for key in BOOL_KEYS:
+                if key in payload and not isinstance(payload[key], bool):
+                    raise ConfigError(f"config key {key!r} must be true or false, got {payload[key]!r}")
             self.file = payload
 
     def get(self, key: str, default=None):
@@ -117,6 +122,8 @@ class Options:
     def load_inputs(self):
         base_path = Path(self.require("base", "--base"))
         model_paths = [Path(p) for p in self.require("models", "--model")]
+        if not model_paths:
+            raise ConfigError("need at least one --model (config key 'models' is empty)")
         base = read_archive(base_path)
         models = [read_archive(p) for p in model_paths]
         return base, models, base_path, model_paths
@@ -295,7 +302,7 @@ def cmd_solve(opts: Options) -> bool:
     level = Granularity.parse(str(opts.get("level", "layer")))
     sample_n = int(opts.get("samples_per_task", 30))
     seed = int(opts.get("seed", 0))
-    normalized = bool(opts.get("normalized", True))
+    normalized = opts.get("normalized", True)
     plan = plan_decomposition(config, level)
     store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n, seed=seed)
     deltas = compute_delta_outputs(store, base, models, plan)
@@ -315,7 +322,7 @@ def cmd_merge(opts: Options) -> bool:
     base, models, base_path, model_paths = opts.load_inputs()
     seed = int(opts.get("seed", 0))
     alpha = float(opts.get("alpha", 1.0 / len(models)))
-    normalized = bool(opts.get("normalized", True))
+    normalized = opts.get("normalized", True)
     sample_n = int(opts.get("samples_per_task", 30))
     out = opts.out_dir()
     degraded = False
@@ -425,7 +432,7 @@ def cmd_compare(opts: Options) -> bool:
     level = Granularity.parse(str(opts.get("level", "attn_mlp")))
     seed = int(opts.get("seed", 0))
     sample_n = int(opts.get("samples_per_task", 30))
-    normalized = bool(opts.get("normalized", True))
+    normalized = opts.get("normalized", True)
     tasks = [f"task{i}" for i in range(len(datasets))]
     degraded = False
 

@@ -1,10 +1,12 @@
 """Collect submodule input features from the base model and apply groups.
 
-The base model runs once per sampled sequence; every group's input is read
-off that single trace (base-input discipline: fine-tuned and interpolated
-groups are always evaluated on the base model's features, never on their
-own forward pass). Group outputs are recomputed through the same code path
-used for base outputs, so identical parameters reproduce identical bytes.
+The base model runs once over the sampled sequences, one batched forward
+pass per sequence length; every group's input is read off that single trace
+(base-input discipline: fine-tuned and interpolated groups are always
+evaluated on the base model's features, never on their own forward pass).
+Group functions are the `model` blocks themselves, evaluated on all stored
+sequences of one length in a single call, so identical parameters reproduce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from .archive import TensorArchive, shape_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup
 from .errors import CompatError, InputError, SampleError
-from .model import BoundModel, ModelConfig, causal_attention, forward_pass, rms_norm, rope_rotate, swiglu
+from .model import BoundModel, ModelConfig, attention_block, forward_pass, mlp_block
+from .model import output_block, validated_tokens
 
 
 @dataclass
@@ -30,9 +33,6 @@ class FeatureStore:
     inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
     base_outputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
-
-    def rows(self, group_id: str, task: int) -> int:
-        return sum(arr.shape[0] for arr in self.inputs[(group_id, task)])
 
     def stacked_base(self, group_id: str, task: int) -> np.ndarray:
         return np.concatenate(self.base_outputs[(group_id, task)], axis=0)
@@ -65,72 +65,37 @@ class DeltaStore:
         ]
 
 
-def _expect_width(group: SubmoduleGroup, inputs: Sequence[np.ndarray], width: int) -> None:
-    for arr in inputs:
-        if arr.ndim != 2 or arr.shape[1] != width:
-            raise InputError(
-                f"group {group.id!r} expects [seq x {width}] inputs, got {arr.shape}"
-            )
+def _length_buckets(seqs: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
+    """Sequences grouped by length: (positions in `seqs`, stacked batch) per length."""
+    by_length: dict[int, list[int]] = {}
+    for index, seq in enumerate(seqs):
+        by_length.setdefault(len(seq), []).append(index)
+    return [(pos, np.stack([seqs[i] for i in pos])) for pos in by_length.values()]
 
 
-def _to64(params: Mapping[str, np.ndarray], name: str) -> np.ndarray:
-    return np.asarray(params[name], dtype=np.float64)
-
-
-def _attn_branch(
-    x: np.ndarray, params: Mapping[str, np.ndarray], layer: int, config: ModelConfig
+def _evaluate(
+    group: SubmoduleGroup, params: Mapping[str, np.ndarray], batch: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
-    pre = f"layers.{layer}"
-    seq = x.shape[0]
-    normed = rms_norm(x, _to64(params, f"{pre}.norm1"), config.norm_eps)
-    q = rope_rotate(
-        (normed @ _to64(params, f"{pre}.attn.q_proj").T).reshape(seq, config.n_heads, config.head_dim),
-        config.rope_theta,
-    )
-    k = rope_rotate(
-        (normed @ _to64(params, f"{pre}.attn.k_proj").T).reshape(seq, config.n_heads, config.head_dim),
-        config.rope_theta,
-    )
-    v = (normed @ _to64(params, f"{pre}.attn.v_proj").T).reshape(seq, config.n_heads, config.head_dim)
-    concat = causal_attention(q, k, v).reshape(seq, config.d_model)
-    return concat @ _to64(params, f"{pre}.attn.o_proj").T
-
-
-def _head_branch(
-    x: np.ndarray,
-    params: Mapping[str, np.ndarray],
-    layer: int,
-    head: int,
-    config: ModelConfig,
-) -> np.ndarray:
-    pre = f"layers.{layer}"
-    seq = x.shape[0]
-    lo, hi = head * config.head_dim, (head + 1) * config.head_dim
-    normed = rms_norm(x, _to64(params, f"{pre}.norm1"), config.norm_eps)
-    q = rope_rotate(
-        (normed @ _to64(params, f"{pre}.attn.q_proj")[lo:hi].T).reshape(seq, 1, config.head_dim),
-        config.rope_theta,
-    )
-    k = rope_rotate(
-        (normed @ _to64(params, f"{pre}.attn.k_proj")[lo:hi].T).reshape(seq, 1, config.head_dim),
-        config.rope_theta,
-    )
-    v = (normed @ _to64(params, f"{pre}.attn.v_proj")[lo:hi].T).reshape(seq, 1, config.head_dim)
-    ctx = causal_attention(q, k, v).reshape(seq, config.head_dim)
-    return ctx @ _to64(params, f"{pre}.attn.o_proj")[:, lo:hi].T
-
-
-def _mlp_branch(
-    x: np.ndarray, params: Mapping[str, np.ndarray], layer: int, config: ModelConfig
-) -> np.ndarray:
-    pre = f"layers.{layer}"
-    normed = rms_norm(x, _to64(params, f"{pre}.norm2"), config.norm_eps)
-    return swiglu(
-        normed,
-        _to64(params, f"{pre}.mlp.gate_proj"),
-        _to64(params, f"{pre}.mlp.up_proj"),
-        _to64(params, f"{pre}.mlp.down_proj"),
-    )
+    """One group's function on a batch [..., seq] of tokens or [..., seq, d_model] features."""
+    kind, layer = group.output_kind, group.layer
+    if kind == "model_logits":
+        return forward_pass(config, params, batch.astype(np.int64))["logits"]
+    if kind == "embed_rows":
+        return params["embed"][batch.astype(np.int64)]
+    x = batch.astype(np.float64)
+    if kind == "logits":
+        return output_block(x, params, config)[0]
+    if kind == "attn_branch":
+        return attention_block(x, params, config, layer)[0]
+    if kind == "head_branch":
+        lo = group.head_index * config.head_dim
+        return attention_block(x, params, config, layer, slice(lo, lo + config.head_dim))[0]
+    if kind == "mlp_branch":
+        return mlp_block(x, params, config, layer)[0]
+    if kind == "layer_out":
+        x = x + attention_block(x, params, config, layer)[0]
+        return x + mlp_block(x, params, config, layer)[0]
+    raise InputError(f"unknown output kind {kind!r}")
 
 
 def apply_group(
@@ -139,38 +104,22 @@ def apply_group(
     inputs: Sequence[np.ndarray],
     config: ModelConfig,
 ) -> list[np.ndarray]:
-    """Evaluate one group's function on stored inputs; returns f32 matrices."""
-    kind = group.output_kind
-    outputs: list[np.ndarray] = []
-    if kind in ("layer_out", "attn_branch", "mlp_branch", "head_branch"):
-        _expect_width(group, inputs, config.d_model)
-    for arr in inputs:
-        if kind == "model_logits":
-            out = forward_pass(config, params, np.asarray(arr, dtype=np.int64))["logits"]
-        elif kind == "embed_rows":
-            out = _to64(params, "embed")[np.asarray(arr, dtype=np.int64)]
-        elif kind == "logits":
+    """Evaluate one group's function on stored inputs; returns f32 matrices.
+
+    Inputs of one length are stacked and evaluated in one call. The outputs
+    come back one per input, in input order.
+    """
+    if group.output_kind not in ("model_logits", "embed_rows"):
+        for arr in inputs:
             if arr.ndim != 2 or arr.shape[1] != config.d_model:
-                raise InputError(f"group {group.id!r} expects [seq x d_model] inputs")
-            hidden = rms_norm(
-                np.asarray(arr, dtype=np.float64), _to64(params, "norm_final"), config.norm_eps
-            )
-            out = hidden @ _to64(params, "lm_head").T
-        elif kind == "layer_out":
-            x = np.asarray(arr, dtype=np.float64)
-            a = x + _attn_branch(x, params, group.layer, config)
-            out = a + _mlp_branch(a, params, group.layer, config)
-        elif kind == "attn_branch":
-            out = _attn_branch(np.asarray(arr, dtype=np.float64), params, group.layer, config)
-        elif kind == "mlp_branch":
-            out = _mlp_branch(np.asarray(arr, dtype=np.float64), params, group.layer, config)
-        elif kind == "head_branch":
-            out = _head_branch(
-                np.asarray(arr, dtype=np.float64), params, group.layer, group.head_index, config
-            )
-        else:
-            raise InputError(f"unknown output kind {kind!r}")
-        outputs.append(np.asarray(out, dtype=np.float32))
+                raise InputError(
+                    f"group {group.id!r} expects [seq x {config.d_model}] inputs, got {arr.shape}"
+                )
+    outputs: list[np.ndarray] = [np.empty(0)] * len(inputs)
+    for positions, batch in _length_buckets(inputs):
+        stacked = _evaluate(group, params, batch, config).astype(np.float32)
+        for position, out in zip(positions, stacked):
+            outputs[position] = out
     return outputs
 
 
@@ -211,8 +160,12 @@ def collect_base_features(
     sample_n: int,
     seed: int = 0,
 ) -> FeatureStore:
-    """Sample sequences per task, trace the base model, store group inputs."""
+    """Sample sequences per task, trace the base model, store group inputs.
+
+    Groups that read the same tap share its stored arrays.
+    """
     store = FeatureStore(plan=plan, config=base.config, n_tasks=len(datasets))
+    taps = {group.input_tap for group in plan.groups}
     for task, dataset in enumerate(datasets):
         if len(dataset) < sample_n:
             raise SampleError(
@@ -221,18 +174,21 @@ def collect_base_features(
         rng = np.random.default_rng([seed, task])
         picked = sorted(rng.choice(len(dataset), size=sample_n, replace=False).tolist())
         store.sampled[task] = picked
-        for gid in plan.group_ids():
-            store.inputs[(gid, task)] = []
+        sequences = []
         for index in picked:
-            tokens = np.asarray(dataset[index], dtype=np.int64)
-            trace = forward_pass(base.config, base.weights, tokens)
-            for group in plan.groups:
-                if group.input_tap == "tokens":
-                    value: np.ndarray = tokens.copy()
-                else:
-                    value = np.asarray(trace[group.input_tap], dtype=np.float32)
-                store.inputs[(group.id, task)].append(value)
+            try:
+                sequences.append(validated_tokens(base.config, dataset[index]))
+            except InputError as exc:
+                raise InputError(f"task {task} sequence {index}: {exc}") from None
+        values = {tap: [np.empty(0)] * len(sequences) for tap in taps}
+        for positions, batch in _length_buckets(sequences):
+            trace = forward_pass(base.config, base.weights, batch)
+            for tap in taps:
+                stacked = batch if tap == "tokens" else trace[tap].astype(np.float32)
+                for position, value in zip(positions, stacked):
+                    values[tap][position] = value
         for group in plan.groups:
+            store.inputs[(group.id, task)] = list(values[group.input_tap])
             store.base_outputs[(group.id, task)] = apply_group(
                 group, base.weights, store.inputs[(group.id, task)], base.config
             )

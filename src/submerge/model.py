@@ -3,17 +3,19 @@
 Pre-norm residual blocks: RMSNorm, multi-head causal attention with rotary
 position embeddings on q/k, and a SwiGLU MLP. No biases, no dropout.
 Weights are stored as [out x in] matrices applied as y = W @ x; checkpoint
-values are f32 and upcast to float64 for the actual arithmetic.
+values are f32 and upcast to float64 for the actual arithmetic. Kernels and
+blocks take any number of leading batch axes before [seq, ...].
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp, softmax
+from scipy.special import expit, logsumexp
 
 from .archive import TensorArchive
 from .errors import BindError, InputError
@@ -129,14 +131,28 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
     return x / scale * weight
 
 
+@functools.lru_cache(maxsize=64)
+def _rope_tables(seq: int, head_dim: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos and sin of every rotary angle, shaped [seq, 1, head_dim / 2]."""
+    inv_freq = theta ** (-2.0 * np.arange(head_dim // 2) / head_dim)
+    angles = np.arange(seq)[:, None, None] * inv_freq[None, None, :]
+    tables = np.cos(angles), np.sin(angles)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=64)
+def _causal_bias(seq: int) -> np.ndarray:
+    """Read-only [seq, seq] additive mask: 0 on and below the diagonal, -inf above."""
+    bias = np.triu(np.full((seq, seq), -np.inf), k=1)
+    bias.setflags(write=False)
+    return bias
+
+
 def rope_rotate(x: np.ndarray, theta: float) -> np.ndarray:
-    """Rotary embedding over interleaved pairs; x is [seq, heads, head_dim]."""
-    seq, _, head_dim = x.shape
-    half = head_dim // 2
-    inv_freq = theta ** (-2.0 * np.arange(half) / head_dim)
-    angles = np.arange(seq)[:, None] * inv_freq[None, :]
-    cos = np.cos(angles)[:, None, :]
-    sin = np.sin(angles)[:, None, :]
+    """Rotary embedding over interleaved pairs; x is [..., seq, heads, head_dim]."""
+    cos, sin = _rope_tables(x.shape[-3], x.shape[-1], theta)
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin
@@ -145,58 +161,94 @@ def rope_rotate(x: np.ndarray, theta: float) -> np.ndarray:
 
 
 def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """q/k/v are [seq, heads, head_dim]; returns the same layout."""
-    seq, _, head_dim = q.shape
-    scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(head_dim)
-    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-    scores = np.where(mask[None, :, :], -np.inf, scores)
-    probs = softmax(scores, axis=-1)
-    return np.einsum("hij,jhd->ihd", probs, v)
+    """q/k/v are [..., seq, heads, head_dim]; returns the same layout."""
+    q, k, v = (np.swapaxes(a, -3, -2) for a in (q, k, v))
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= np.sqrt(q.shape[-1])
+    scores += _causal_bias(q.shape[-2])
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return np.swapaxes(scores @ v, -3, -2)
 
 
-def swiglu(x: np.ndarray, gate: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+def swiglu(
+    x: np.ndarray, gate: np.ndarray, up: np.ndarray, down: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """SwiGLU on [..., d]; returns (output, hidden activation fed to down)."""
     pre = x @ gate.T
-    return (pre * expit(pre) * (x @ up.T)) @ down.T
+    hidden = pre * expit(pre) * (x @ up.T)
+    return hidden @ down.T, hidden
+
+
+def attention_block(
+    x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int,
+    rows: slice = slice(None),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attention branch of one layer on [..., seq, d_model] inputs.
+
+    `rows` picks whole heads: rows of q/k/v_proj and the same columns of
+    o_proj. Returns (branch output, o_proj input).
+    """
+    pre = f"layers.{layer}.attn"
+    normed = rms_norm(x, weights[f"layers.{layer}.norm1"], config.norm_eps)
+
+    def project(name: str) -> np.ndarray:
+        out = normed @ weights[f"{pre}.{name}"][rows].T
+        return out.reshape(*out.shape[:-1], -1, config.head_dim)
+
+    q = rope_rotate(project("q_proj"), config.rope_theta)
+    k = rope_rotate(project("k_proj"), config.rope_theta)
+    ctx = causal_attention(q, k, project("v_proj"))
+    ctx = ctx.reshape(*ctx.shape[:-2], -1)
+    return ctx @ weights[f"{pre}.o_proj"][:, rows].T, ctx
+
+
+def mlp_block(
+    x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """MLP branch of one layer on [..., seq, d_model]; returns (output, down_proj input)."""
+    pre = f"layers.{layer}"
+    normed = rms_norm(x, weights[f"{pre}.norm2"], config.norm_eps)
+    gate, up, down = (weights[f"{pre}.mlp.{name}_proj"] for name in ("gate", "up", "down"))
+    return swiglu(normed, gate, up, down)
+
+
+def output_block(
+    x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final norm and LM head on [..., seq, d_model]; returns (logits, normed hidden)."""
+    hidden = rms_norm(x, weights["norm_final"], config.norm_eps)
+    return hidden @ np.asarray(weights["lm_head"], dtype=np.float64).T, hidden
 
 
 def forward_pass(
     config: ModelConfig, weights: Mapping[str, np.ndarray], tokens: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Full forward computing every tap; weights may be any float dtype."""
-    heads, head_dim = config.n_heads, config.head_dim
-    seq = len(tokens)
+    """Full forward computing every tap; weights may be any float dtype.
+
+    Tokens are [seq] or [batch, seq]; every tap keeps those leading axes and
+    adds a feature axis.
+    """
     taps: dict[str, np.ndarray] = {}
     x = np.asarray(weights["embed"], dtype=np.float64)[tokens]
     for i in range(config.n_layers):
-        pre = f"layers.{i}"
-        taps[f"layer_in.{i}"] = x
-        taps[f"attn_in.{i}"] = x
-        normed = rms_norm(x, weights[f"{pre}.norm1"], config.norm_eps)
-        q = rope_rotate((normed @ weights[f"{pre}.attn.q_proj"].T).reshape(seq, heads, head_dim), config.rope_theta)
-        k = rope_rotate((normed @ weights[f"{pre}.attn.k_proj"].T).reshape(seq, heads, head_dim), config.rope_theta)
-        v = (normed @ weights[f"{pre}.attn.v_proj"].T).reshape(seq, heads, head_dim)
-        concat = causal_attention(q, k, v).reshape(seq, config.d_model)
-        taps[f"oproj_in.{i}"] = concat
-        attn_out = concat @ weights[f"{pre}.attn.o_proj"].T
+        taps[f"layer_in.{i}"] = taps[f"attn_in.{i}"] = x
+        attn_out, taps[f"oproj_in.{i}"] = attention_block(x, weights, config, i)
         taps[f"attn_out.{i}"] = attn_out
-        x = x + attn_out
-        taps[f"mlp_in.{i}"] = x
-        normed2 = rms_norm(x, weights[f"{pre}.norm2"], config.norm_eps)
-        gate_pre = normed2 @ weights[f"{pre}.mlp.gate_proj"].T
-        hidden = gate_pre * expit(gate_pre) * (normed2 @ weights[f"{pre}.mlp.up_proj"].T)
-        taps[f"dproj_in.{i}"] = hidden
-        mlp_out = hidden @ weights[f"{pre}.mlp.down_proj"].T
+        x = taps[f"mlp_in.{i}"] = x + attn_out
+        mlp_out, taps[f"dproj_in.{i}"] = mlp_block(x, weights, config, i)
         taps[f"mlp_out.{i}"] = mlp_out
-        x = x + mlp_out
-        taps[f"layer_out.{i}"] = x
-    final_hidden = rms_norm(x, weights["norm_final"], config.norm_eps)
-    taps["final_hidden"] = final_hidden
-    taps["logits"] = final_hidden @ np.asarray(weights["lm_head"], dtype=np.float64).T
+        x = taps[f"layer_out.{i}"] = x + mlp_out
+    taps["logits"], taps["final_hidden"] = output_block(x, weights, config)
     return taps
 
 
-def _validated_tokens(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(tokens, dtype=np.int64)
+def validated_tokens(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
+    try:
+        arr = np.asarray(tokens, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        raise InputError("tokens must be integers in int64 range") from None
     if arr.ndim != 1 or arr.size < 1:
         raise InputError("tokens must be a non-empty 1-D sequence")
     if arr.size > config.max_seq:
@@ -209,7 +261,7 @@ def _validated_tokens(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
 def forward_with_taps(
     model: BoundModel, tokens: Sequence[int], taps: Iterable[str] | None = None
 ) -> ForwardTrace:
-    arr = _validated_tokens(model.config, tokens)
+    arr = validated_tokens(model.config, tokens)
     wanted = set(model.config.tap_names()) if taps is None else set(taps)
     invalid = wanted - set(model.config.tap_names())
     if invalid:
@@ -228,7 +280,7 @@ def eval_cross_entropy(model: BoundModel, dataset: Sequence[Sequence[int]]) -> f
     total = 0.0
     count = 0
     for seq in dataset:
-        arr = _validated_tokens(model.config, seq)
+        arr = validated_tokens(model.config, seq)
         if arr.size < 2:
             raise InputError("sequences must have length >= 2 to score next tokens")
         logits = forward_pass(model.config, model.weights, arr)["logits"][:-1]

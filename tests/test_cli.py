@@ -161,6 +161,58 @@ class TestSolve:
         assert main([*args, "--strict"]) == 3
 
 
+def assert_input_error(rc, capsys):
+    """Exit code 2 with one `error:` line on stderr, not a crash."""
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "tokens",
+        [[3, -1, 4], [3, 99, 4], list(range(16)) + [1], [3, 2**70, 4]],  # vocab 17, max_seq 16
+        ids=["negative_id", "id_past_vocab", "longer_than_max_seq", "id_past_int64"],
+    )
+    def test_bad_sampled_tokens_exit_2(self, fixture_dir, tmp_path, capsys, tokens):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"task": 0, "tokens": tokens}) + "\n")
+        rc = main(
+            [
+                "solve",
+                "--base", str(fixture_dir / "base.ta"),
+                "--model", str(fixture_dir / "task0.ta"),
+                "--dataset", str(bad),
+                "--samples-per-task", "1",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert_input_error(rc, capsys)
+
+    def test_empty_model_list_exits_2(self, fixture_dir, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"base": str(fixture_dir / "base.ta"), "models": []}))
+        rc = main(
+            ["merge", "--config", str(config_path), "--method", "task_arithmetic", "--out", str(tmp_path)]
+        )
+        assert_input_error(rc, capsys)
+
+    @pytest.mark.parametrize("key", ["normalized", "strict"])
+    def test_string_boolean_in_config_exits_2(self, fixture_dir, tmp_path, capsys, key):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({key: "false", "samples_per_task": 4}))
+        rc = main(["solve", *io_flags(fixture_dir), "--config", str(config_path), "--out", str(tmp_path)])
+        assert_input_error(rc, capsys)
+
+    def test_boolean_in_config_is_used(self, fixture_dir, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"normalized": False, "samples_per_task": 4}))
+        rc = main(["solve", *io_flags(fixture_dir), "--config", str(config_path), "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "weights.json").read_text())["normalized"] is False
+
+
 class TestMerge:
     def test_weight_avg_outputs(self, fixture_dir, tmp_path):
         rc = main(

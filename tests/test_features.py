@@ -14,7 +14,7 @@ from submerge.features import (
     group_parameters,
     interpolated_outputs,
 )
-from submerge.model import bind_weights
+from submerge.model import bind_weights, forward_pass
 
 from conftest import random_checkpoint
 
@@ -93,6 +93,28 @@ class TestApplyGroup:
                 )
                 for got, expected in zip(outs, store.base_outputs[(group.id, task)]):
                     assert np.array_equal(got, expected), (group.id, task)
+
+    @pytest.mark.parametrize("level", list(Granularity))
+    def test_ragged_inputs_match_per_sequence_evaluation(self, tiny_config, setup, level):
+        model, _, fine_tuned = setup
+        lengths = [5, 3, 7, 3, 1, 5, 7]
+        dataset = [[(3 * i + j) % 11 for j in range(n)] for i, n in enumerate(lengths)]
+        plan = plan_decomposition(tiny_config, level)
+        store = collect_base_features(model, [dataset], plan, sample_n=len(dataset), seed=0)
+        params = {k: v.astype(np.float64) for k, v in fine_tuned[0].tensors.items()}
+        for group in plan.groups:
+            inputs = store.inputs[(group.id, 0)]
+            assert [len(arr) for arr in inputs] == lengths
+            if group.input_tap != "tokens":
+                for arr, tokens in zip(inputs, dataset):
+                    trace = forward_pass(tiny_config, model.weights, np.array(tokens))
+                    assert np.array_equal(arr, trace[group.input_tap].astype(np.float32))
+            batched = apply_group(group, params, inputs, tiny_config)
+            assert len(batched) == len(inputs)
+            for arr, got in zip(inputs, batched):
+                expected = apply_group(group, params, [arr], tiny_config)[0]
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected), group.id
 
     def test_head_outputs_sum_to_attention_branch(self, tiny_config, setup):
         model, datasets, _ = setup

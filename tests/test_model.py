@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from submerge import BindError, InputError, TensorArchive
-from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_with_taps
+from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, forward_with_taps
 
 from conftest import random_checkpoint
 from reference_forward import reference_forward
@@ -21,26 +21,43 @@ def bound(tiny_config, tiny_checkpoint):
     return bind_weights(tiny_checkpoint, tiny_config)
 
 
+def reference_config(config: ModelConfig) -> dict:
+    return {
+        "d_model": config.d_model,
+        "n_heads": config.n_heads,
+        "n_layers": config.n_layers,
+        "d_ff": config.d_ff,
+        "vocab_size": config.vocab_size,
+        "norm_eps": config.norm_eps,
+        "rope_theta": config.rope_theta,
+    }
+
+
 class TestOracle:
     def test_matches_straight_line_reference(self, tiny_config, tiny_checkpoint, bound):
         trace = forward_with_taps(bound, TOKENS)
         weights = {k: v.astype(np.float64) for k, v in tiny_checkpoint.tensors.items()}
-        cfg = {
-            "d_model": tiny_config.d_model,
-            "n_heads": tiny_config.n_heads,
-            "n_layers": tiny_config.n_layers,
-            "d_ff": tiny_config.d_ff,
-            "vocab_size": tiny_config.vocab_size,
-            "norm_eps": tiny_config.norm_eps,
-            "rope_theta": tiny_config.rope_theta,
-        }
-        ref = reference_forward(weights, cfg, TOKENS)
+        ref = reference_forward(weights, reference_config(tiny_config), TOKENS)
         np.testing.assert_allclose(trace.logits, ref["logits"], atol=1e-5)
         assert set(ref["taps"]) == set(trace.taps)
         for tap, expected in ref["taps"].items():
             np.testing.assert_allclose(
                 trace.taps[tap], expected, atol=1e-5, err_msg=f"tap {tap}"
             )
+
+    def test_batched_tokens_match_rows_and_reference(self, tiny_config, tiny_checkpoint, bound):
+        batch = np.array([TOKENS, TOKENS[::-1], [0] * len(TOKENS)])
+        taps = forward_pass(tiny_config, bound.weights, batch)
+        weights = {k: v.astype(np.float64) for k, v in tiny_checkpoint.tensors.items()}
+        for row, tokens in enumerate(batch):
+            single = forward_pass(tiny_config, bound.weights, tokens)
+            ref = reference_forward(weights, reference_config(tiny_config), tokens.tolist())
+            assert set(taps) == set(single) == set(ref["taps"])
+            for tap, value in taps.items():
+                np.testing.assert_array_equal(value[row], single[tap], err_msg=f"tap {tap}")
+                np.testing.assert_allclose(
+                    value[row], ref["taps"][tap], atol=1e-5, err_msg=f"tap {tap}"
+                )
 
     def test_single_token_single_layer_shapes(self):
         config = ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, vocab_size=11, max_seq=4)
