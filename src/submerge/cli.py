@@ -41,8 +41,47 @@ TA_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 DARE_DROP_GRID = [0.6, 0.7, 0.8, 0.9]
 DARE_ALPHA_GRID = [0.6, 0.8, 1.0]
 LEVEL_NAMES = [g.value for g in Granularity]
-# Options that are switches on the command line; the config file must give them as JSON booleans.
-BOOL_KEYS = ("normalized", "strict")
+# The JSON type each config-file key must have. Flags are typed by argparse;
+# a config value of another type (a string number, a float seed, a single
+# string for a list) exits 2 instead of being cast or iterated.
+CONFIG_TYPES = {
+    "normalized": "a boolean",
+    "strict": "a boolean",
+    "seed": "an integer",
+    "samples_per_task": "an integer",
+    "n_points": "an integer",
+    "n_tasks": "an integer",
+    "dataset_size": "an integer",
+    "seq_len": "an integer",
+    "alpha": "a number",
+    "drop_p": "a number",
+    "tau_scale": "a number",
+    "level": "a string",
+    "method": "a string",
+    "out": "a string",
+    "base": "a string",
+    "archive": "a string",
+    "levels": "a string or a list of strings",
+    "models": "a list of strings",
+    "datasets": "a list of strings",
+    "config": "an object",
+    "model_config": "an object",
+}
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+JSON_TYPE_CHECKS = {
+    "a boolean": lambda v: isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or a list of strings": lambda v: isinstance(v, str) or _is_string_list(v),
+    "a list of strings": _is_string_list,
+    "an object": lambda v: isinstance(v, dict),
+}
 
 FIXTURE_MODEL_DEFAULTS = {
     "d_model": 32,
@@ -86,9 +125,9 @@ class Options:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
             if not isinstance(payload, dict):
                 raise ConfigError("config file must hold a JSON object")
-            for key in BOOL_KEYS:
-                if key in payload and not isinstance(payload[key], bool):
-                    raise ConfigError(f"config key {key!r} must be true or false, got {payload[key]!r}")
+            for key, kind in CONFIG_TYPES.items():
+                if key in payload and not JSON_TYPE_CHECKS[kind](payload[key]):
+                    raise ConfigError(f"config key {key!r} must be {kind}, got {payload[key]!r}")
             self.file = payload
 
     def get(self, key: str, default=None):
@@ -190,9 +229,9 @@ def cmd_analyze(opts: Options) -> bool:
     datasets, _ = opts.load_datasets()
     config = opts.model_config(base)
     levels = _parse_levels(opts)
-    sample_n = int(opts.get("samples_per_task", 30))
-    seed = int(opts.get("seed", 0))
-    n_points = int(opts.get("n_points", 10))
+    sample_n = opts.get("samples_per_task", 30)
+    seed = opts.get("seed", 0)
+    n_points = opts.get("n_points", 10)
     out = opts.out_dir()
     bound = bind_weights(base, config)
     taus = [task_vector(model, base) for model in models]
@@ -299,9 +338,9 @@ def cmd_solve(opts: Options) -> bool:
             f"{len(models)} models need {len(models)} datasets, got {len(datasets)}"
         )
     config = opts.model_config(base)
-    level = Granularity.parse(str(opts.get("level", "layer")))
-    sample_n = int(opts.get("samples_per_task", 30))
-    seed = int(opts.get("seed", 0))
+    level = Granularity.parse(opts.get("level", "layer"))
+    sample_n = opts.get("samples_per_task", 30)
+    seed = opts.get("seed", 0)
     normalized = opts.get("normalized", True)
     plan = plan_decomposition(config, level)
     store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n, seed=seed)
@@ -318,12 +357,12 @@ def cmd_solve(opts: Options) -> bool:
 
 
 def cmd_merge(opts: Options) -> bool:
-    method = str(opts.require("method", "--method"))
+    method = opts.require("method", "--method")
     base, models, base_path, model_paths = opts.load_inputs()
-    seed = int(opts.get("seed", 0))
+    seed = opts.get("seed", 0)
     alpha = float(opts.get("alpha", 1.0 / len(models)))
     normalized = opts.get("normalized", True)
-    sample_n = int(opts.get("samples_per_task", 30))
+    sample_n = opts.get("samples_per_task", 30)
     out = opts.out_dir()
     degraded = False
     weights = None
@@ -340,7 +379,7 @@ def cmd_merge(opts: Options) -> bool:
         params.update({"alpha": alpha, "drop_p": drop_p, "seed": seed})
     elif method == "linear_solve":
         datasets, dataset_paths = opts.load_datasets()
-        level = Granularity.parse(str(opts.get("level", "layer")))
+        level = Granularity.parse(opts.get("level", "layer"))
         config = opts.model_config(base)
         merged, weights = merge_linear_solve(
             base,
@@ -429,9 +468,9 @@ def cmd_compare(opts: Options) -> bool:
             f"{len(models)} models need {len(models)} datasets, got {len(datasets)}"
         )
     config = opts.model_config(base)
-    level = Granularity.parse(str(opts.get("level", "attn_mlp")))
-    seed = int(opts.get("seed", 0))
-    sample_n = int(opts.get("samples_per_task", 30))
+    level = Granularity.parse(opts.get("level", "attn_mlp"))
+    seed = opts.get("seed", 0)
+    sample_n = opts.get("samples_per_task", 30)
     normalized = opts.get("normalized", True)
     tasks = [f"task{i}" for i in range(len(datasets))]
     degraded = False

@@ -6,7 +6,9 @@ pass per sequence length; every group's input is read off that single trace
 evaluated on the base model's features, never on their own forward pass).
 Group functions are the `model` blocks themselves, evaluated on all stored
 sequences of one length in a single call, so identical parameters reproduce
-identical bytes.
+identical bytes. Output deltas are computed one group at a time, when the
+solver or a metric first asks for that group, so only one group's deltas are
+held at once.
 """
 
 from __future__ import annotations
@@ -40,14 +42,49 @@ class FeatureStore:
 
 @dataclass
 class DeltaStore:
-    """Output deltas per (group id, data task, model index), token rows stacked."""
+    """Output deltas per (group id, data task, model index), token rows stacked.
+
+    A group's deltas (every data task and model) are computed the first time
+    `get`, `grouped` or `pooled` asks for that group, and replace the group
+    held before: `deltas` holds one group's entries at a time.
+    """
 
     plan: DecompositionPlan
-    n_tasks: int
-    n_models: int
-    deltas: dict[tuple[str, int, int], np.ndarray] = field(default_factory=dict)
+    features: FeatureStore
+    base: TensorArchive
+    fine_tuned: Sequence[TensorArchive]
+    deltas: dict[tuple[str, int, int], np.ndarray] = field(default_factory=dict, init=False)
+    held: str | None = field(default=None, init=False)
+
+    @property
+    def n_tasks(self) -> int:
+        return self.features.n_tasks
+
+    @property
+    def n_models(self) -> int:
+        return len(self.fine_tuned)
+
+    def _load(self, group_id: str) -> None:
+        if self.held == group_id:
+            return
+        group = self.plan.group(group_id)
+        self.deltas.clear()
+        self.held = None
+        store = self.features
+        params = [
+            group_parameters(group, self.base.tensors, source=archive.tensors)
+            for archive in self.fine_tuned
+        ]
+        for task in range(store.n_tasks):
+            inputs = store.inputs[(group_id, task)]
+            base_rows = store.stacked_base(group_id, task)
+            for t, model_params in enumerate(params):
+                rows = np.concatenate(apply_group(group, model_params, inputs, store.config))
+                self.deltas[(group_id, task, t)] = rows - base_rows
+        self.held = group_id
 
     def get(self, group_id: str, data_task: int, model: int) -> np.ndarray:
+        self._load(group_id)
         return self.deltas[(group_id, data_task, model)]
 
     def grouped(self, group_id: str) -> list[np.ndarray]:
@@ -201,20 +238,14 @@ def compute_delta_outputs(
     fine_tuned: Sequence[TensorArchive],
     plan: DecompositionPlan,
 ) -> DeltaStore:
-    """Delta of every group's output when its parameters come from each model."""
+    """Store of every group's output delta when its parameters come from each model.
+
+    Shapes are checked here; each group's deltas are computed when first read.
+    """
     for t, archive in enumerate(fine_tuned):
         if not shape_compatible(archive, base):
             raise CompatError(f"fine-tuned archive {t} is not shape-compatible with the base")
-    deltas = DeltaStore(plan=plan, n_tasks=store.n_tasks, n_models=len(fine_tuned))
-    for group in plan.groups:
-        for task in range(store.n_tasks):
-            base_rows = store.stacked_base(group.id, task)
-            inputs = store.inputs[(group.id, task)]
-            for t, archive in enumerate(fine_tuned):
-                params = group_parameters(group, base.tensors, source=archive.tensors)
-                rows = np.concatenate(apply_group(group, params, inputs, store.config))
-                deltas.deltas[(group.id, task, t)] = rows - base_rows
-    return deltas
+    return DeltaStore(plan=plan, features=store, base=base, fine_tuned=fine_tuned)
 
 
 def interpolated_outputs(

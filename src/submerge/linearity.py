@@ -65,7 +65,11 @@ def interpolation_scores(
         raise InputError("need at least three interpolation points (N >= 2)")
     stacked = np.stack([np.asarray(o, dtype=np.float64) for o in outputs])
     steps = stacked.shape[0]
-    distances = np.linalg.norm(stacked[:, None] - stacked[None, :], axis=-1)
+    # One pair at a time: a [steps, steps, rows, width] difference tensor would
+    # set the analysis' peak memory. b - a is the exact negation of a - b.
+    distances = np.zeros((steps, steps, stacked.shape[1]))
+    for i, j in itertools.combinations(range(steps), 2):
+        distances[i, j] = distances[j, i] = np.linalg.norm(stacked[i] - stacked[j], axis=-1)
     endpoint = distances[0, -1]
     keep = endpoint >= NORM_FLOOR
     skipped = int(keep.size - keep.sum())

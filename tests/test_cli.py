@@ -167,6 +167,7 @@ def assert_input_error(rc, capsys):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    return err
 
 
 class TestBadInputs:
@@ -204,6 +205,24 @@ class TestBadInputs:
         config_path.write_text(json.dumps({key: "false", "samples_per_task": 4}))
         rc = main(["solve", *io_flags(fixture_dir), "--config", str(config_path), "--out", str(tmp_path)])
         assert_input_error(rc, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["solve"], {"samples_per_task": "abc"}),
+            (["analyze"], {"n_points": "x"}),
+            (["solve"], {"seed": 1.5}),
+            (["merge", "--method", "task_arithmetic"], {"models": "task0.ta"}),
+        ],
+        ids=["string_samples_per_task", "string_n_points", "float_seed", "string_models"],
+    )
+    def test_mistyped_config_value_exits_2(self, fixture_dir, tmp_path, capsys, argv, payload):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"samples_per_task": 4, **payload}))
+        flags = ["--base", str(fixture_dir / "base.ta")] if "models" in payload else io_flags(fixture_dir)
+        rc = main([*argv, *flags, "--config", str(config_path), "--out", str(tmp_path)])
+        key = next(iter(payload))
+        assert f"config key {key!r}" in assert_input_error(rc, capsys)
 
     def test_boolean_in_config_is_used(self, fixture_dir, tmp_path):
         config_path = tmp_path / "run.json"

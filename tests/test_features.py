@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import submerge.features
 from submerge import SampleError, TensorArchive, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import (
@@ -14,7 +15,9 @@ from submerge.features import (
     group_parameters,
     interpolated_outputs,
 )
+from submerge.linearity import metric_sweep
 from submerge.model import bind_weights, forward_pass
+from submerge.solver import solve_plan
 
 from conftest import random_checkpoint
 
@@ -164,6 +167,73 @@ class TestDeltas:
                 rows = {deltas.get(group.id, task, t).shape for t in range(2)}
                 assert len(rows) == 1
                 assert rows.pop()[1] == width
+
+    @pytest.mark.parametrize("level", list(Granularity))
+    def test_ragged_deltas_match_direct_evaluation(self, tiny_config, tiny_checkpoint, setup, level):
+        model, _, fine_tuned = setup
+        datasets = [
+            [[(3 * i + j) % 11 for j in range(n)] for i, n in enumerate([5, 3, 7, 3])],
+            [[(5 * i + j) % 11 for j in range(n)] for i, n in enumerate([2, 6, 2])],
+        ]
+        plan = plan_decomposition(tiny_config, level)
+        store = collect_base_features(model, datasets, plan, sample_n=3, seed=0)
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        # Reverse order so every group is loaded after a different one was held.
+        for group in reversed(plan.groups):
+            for t, archive in enumerate(fine_tuned):
+                params = group_parameters(group, tiny_checkpoint.tensors, source=archive.tensors)
+                for task in range(2):
+                    inputs = store.inputs[(group.id, task)]
+                    rows = np.concatenate(apply_group(group, params, inputs, tiny_config))
+                    expected = rows - np.concatenate(store.base_outputs[(group.id, task)])
+                    got = deltas.get(group.id, task, t)
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected), (group.id, task, t)
+
+    def test_store_holds_one_group_after_solve_and_sweep(self, tiny_config, tiny_checkpoint, setup):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        assert not deltas.deltas
+        limit = store.n_tasks * len(fine_tuned)
+
+        def assert_one_group():
+            assert 0 < len(deltas.deltas) <= limit
+            assert len({key[0] for key in deltas.deltas}) == 1
+
+        solve_plan(plan, deltas)
+        assert_one_group()
+        taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
+        for group in plan.groups:
+            metric_sweep(store, deltas, tiny_checkpoint, taus, group, grid=[[0.5, 0.5]])
+            assert_one_group()
+            assert deltas.held == group.id
+
+    def test_group_parameters_built_once_per_group_and_model(
+        self, tiny_config, tiny_checkpoint, setup, monkeypatch
+    ):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        calls: dict[tuple[str, int], int] = {}
+        original = submerge.features.group_parameters
+
+        def counting(group, base, source=None, **kwargs):
+            key = (group.id, next(t for t, ft in enumerate(fine_tuned) if ft.tensors is source))
+            calls[key] = calls.get(key, 0) + 1
+            return original(group, base, source=source, **kwargs)
+
+        monkeypatch.setattr(submerge.features, "group_parameters", counting)
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        solve_plan(plan, deltas)
+        expected = {(g.id, t) for g in plan.groups for t in range(len(fine_tuned))}
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
+        # Reading the held group again computes nothing.
+        deltas.pooled(plan.groups[-1].id)
+        deltas.get(plan.groups[-1].id, 1, 0)
+        assert set(calls.values()) == {1}
 
     def test_embed_delta_is_exact_row_gather(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup

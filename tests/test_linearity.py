@@ -76,6 +76,22 @@ class TestInterpolationScore:
         with pytest.raises(DegenerateError):
             interpolation_scores(outputs)
 
+    def test_pairwise_distances_match_broadcast_formula(self):
+        rng = np.random.default_rng(7)
+        outputs = [rng.normal(size=(6, 9)) for _ in range(11)]
+        outputs[-1][2] = outputs[0][2]  # sample 2's endpoints coincide
+        stacked = np.stack(outputs)
+        distances = np.linalg.norm(stacked[:, None] - stacked[None, :], axis=-1)
+        keep = distances[0, -1] >= 1e-12
+        ratios = distances[:, :, keep] / distances[0, -1][keep]
+        grid = np.arange(11, dtype=np.float64)
+        target = np.abs(grid[:, None] - grid[None, :]) / 10
+        expected = ((ratios - target[:, :, None]) ** 2).sum(axis=(0, 1))
+        scores, skipped, ratio_matrix = interpolation_scores(outputs)
+        assert skipped == 1
+        assert np.array_equal(scores, expected)
+        assert np.array_equal(ratio_matrix, ratios.mean(axis=2))
+
     def test_embed_group_is_exactly_linear(self, tiny_config, tiny_checkpoint, pipeline):
         plan, store, taus, _ = pipeline
         value, aux = non_linearity_score(
