@@ -23,7 +23,7 @@ import numpy as np
 
 from .archive import TensorArchive, read_archive, task_vector, write_archive
 from .decompose import Granularity, plan_decomposition
-from .errors import ConfigError, SubmergeError
+from .errors import ConfigError, DegenerateError, SubmergeError
 from .features import collect_base_features, compute_delta_outputs
 from .fixtures import FixtureSpec, gen_fixture, read_dataset
 from .linearity import metric_sweep, non_linearity_score
@@ -129,6 +129,9 @@ class Options:
                 if key in payload and not JSON_TYPE_CHECKS[kind](payload[key]):
                     raise ConfigError(f"config key {key!r} must be {kind}, got {payload[key]!r}")
             self.file = payload
+        seed = self.get("seed")
+        if seed is not None and seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
 
     def get(self, key: str, default=None):
         value = getattr(self.args, key, None)
@@ -257,7 +260,7 @@ def cmd_analyze(opts: Options) -> bool:
                     value, _ = non_linearity_score(
                         store, base, taus[task], group, task=task, n_points=n_points
                     )
-                except SubmergeError:
+                except DegenerateError:
                     value = float("nan")
                     degraded = True
                 per_task.append(value)

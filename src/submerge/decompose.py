@@ -28,7 +28,7 @@ class Granularity(enum.Enum):
             return cls(text)
         except ValueError:
             options = ", ".join(g.value for g in cls)
-            raise ValueError(f"unknown granularity {text!r} (expected one of: {options})") from None
+            raise PlanError(f"unknown granularity {text!r} (expected one of: {options})") from None
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ class BindError(SubmergeError):
 
 
 class InputError(SubmergeError):
-    """Invalid tokens, sequence lengths, datasets, or tap requests."""
+    """Invalid tokens, sequence lengths, datasets, or metric arguments."""
 
 
 class PlanError(SubmergeError):

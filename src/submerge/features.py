@@ -6,9 +6,10 @@ pass per sequence length; every group's input is read off that single trace
 evaluated on the base model's features, never on their own forward pass).
 Group functions are the `model` blocks themselves, evaluated on all stored
 sequences of one length in a single call, so identical parameters reproduce
-identical bytes. Output deltas are computed one group at a time, when the
-solver or a metric first asks for that group, so only one group's deltas are
-held at once.
+identical bytes. A group's outputs on one task are one f32 [rows, width]
+matrix, every sequence's token rows in input order. Output deltas are held
+one group at a time, as the [n_models, rows, width] block per data task that
+the solver reads.
 """
 
 from __future__ import annotations
@@ -27,33 +28,38 @@ from .model import output_block, validated_tokens
 
 @dataclass
 class FeatureStore:
-    """Per (group id, task): input matrices and base outputs, one per sequence."""
+    """Per (group id, task): input matrices, one per sequence, and the base
+    output rows of every sequence stacked in input order."""
 
     plan: DecompositionPlan
     config: ModelConfig
     n_tasks: int
     inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
-    base_outputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
+    base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
 
-    def stacked_base(self, group_id: str, task: int) -> np.ndarray:
-        return np.concatenate(self.base_outputs[(group_id, task)], axis=0)
+    def delta_rows(
+        self, group: SubmoduleGroup, task: int, params: Mapping[str, np.ndarray]
+    ) -> np.ndarray:
+        """The group's output rows on one task's inputs under `params`, minus the base rows."""
+        key = (group.id, task)
+        return apply_group(group, params, self.inputs[key], self.config) - self.base_outputs[key]
 
 
 @dataclass
 class DeltaStore:
-    """Output deltas per (group id, data task, model index), token rows stacked.
+    """Output deltas of one group at a time, laid out as the solver reads them.
 
-    A group's deltas (every data task and model) are computed the first time
-    `get`, `grouped` or `pooled` asks for that group, and replace the group
-    held before: `deltas` holds one group's entries at a time.
+    `grouped` or `pooled` computes a group's deltas the first time that group
+    is asked for, replacing the group held before: `deltas[(group id, data
+    task)]` is an [n_models, rows, width] block for the held group.
     """
 
     plan: DecompositionPlan
     features: FeatureStore
     base: TensorArchive
     fine_tuned: Sequence[TensorArchive]
-    deltas: dict[tuple[str, int, int], np.ndarray] = field(default_factory=dict, init=False)
+    deltas: dict[tuple[str, int], np.ndarray] = field(default_factory=dict, init=False)
     held: str | None = field(default=None, init=False)
 
     @property
@@ -64,42 +70,26 @@ class DeltaStore:
     def n_models(self) -> int:
         return len(self.fine_tuned)
 
-    def _load(self, group_id: str) -> None:
-        if self.held == group_id:
-            return
-        group = self.plan.group(group_id)
-        self.deltas.clear()
-        self.held = None
-        store = self.features
-        params = [
-            group_parameters(group, self.base.tensors, source=archive.tensors)
-            for archive in self.fine_tuned
-        ]
-        for task in range(store.n_tasks):
-            inputs = store.inputs[(group_id, task)]
-            base_rows = store.stacked_base(group_id, task)
-            for t, model_params in enumerate(params):
-                rows = np.concatenate(apply_group(group, model_params, inputs, store.config))
-                self.deltas[(group_id, task, t)] = rows - base_rows
-        self.held = group_id
-
-    def get(self, group_id: str, data_task: int, model: int) -> np.ndarray:
-        self._load(group_id)
-        return self.deltas[(group_id, data_task, model)]
-
     def grouped(self, group_id: str) -> list[np.ndarray]:
         """Per data task, an array [n_models, rows, width]."""
-        return [
-            np.stack([self.get(group_id, a, t) for t in range(self.n_models)])
-            for a in range(self.n_tasks)
-        ]
+        if self.held != group_id:
+            group = self.plan.group(group_id)
+            self.deltas.clear()
+            self.held = None
+            params = [
+                group_parameters(group, self.base.tensors, source=archive.tensors)
+                for archive in self.fine_tuned
+            ]
+            for task in range(self.n_tasks):
+                self.deltas[(group_id, task)] = np.stack(
+                    [self.features.delta_rows(group, task, p) for p in params]
+                )
+            self.held = group_id
+        return [self.deltas[(group_id, task)] for task in range(self.n_tasks)]
 
-    def pooled(self, group_id: str) -> list[np.ndarray]:
-        """Per model, rows pooled across all data tasks."""
-        return [
-            np.concatenate([self.get(group_id, a, t) for a in range(self.n_tasks)])
-            for t in range(self.n_models)
-        ]
+    def pooled(self, group_id: str) -> np.ndarray:
+        """[n_models, rows of every data task, width]."""
+        return np.concatenate(self.grouped(group_id), axis=1)
 
 
 def _length_buckets(seqs: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
@@ -140,11 +130,11 @@ def apply_group(
     params: Mapping[str, np.ndarray],
     inputs: Sequence[np.ndarray],
     config: ModelConfig,
-) -> list[np.ndarray]:
-    """Evaluate one group's function on stored inputs; returns f32 matrices.
+) -> np.ndarray:
+    """Evaluate one group's function on stored inputs; returns an f32 [rows, width].
 
-    Inputs of one length are stacked and evaluated in one call. The outputs
-    come back one per input, in input order.
+    Inputs of one length are stacked and evaluated in one call. Each input's
+    rows come out in input order.
     """
     if group.output_kind not in ("model_logits", "embed_rows"):
         for arr in inputs:
@@ -157,7 +147,7 @@ def apply_group(
         stacked = _evaluate(group, params, batch, config).astype(np.float32)
         for position, out in zip(positions, stacked):
             outputs[position] = out
-    return outputs
+    return np.concatenate(outputs)
 
 
 def group_parameters(
@@ -201,6 +191,8 @@ def collect_base_features(
 
     Groups that read the same tap share its stored arrays.
     """
+    if sample_n < 1:
+        raise SampleError(f"sample count must be >= 1, got {sample_n}")
     store = FeatureStore(plan=plan, config=base.config, n_tasks=len(datasets))
     taps = {group.input_tap for group in plan.groups}
     for task, dataset in enumerate(datasets):
@@ -261,5 +253,5 @@ def interpolated_outputs(
     outputs = []
     for coeff in coeffs:
         params = group_parameters(group, base.tensors, taus=[tau.tensors], coeffs=[coeff])
-        outputs.append(np.concatenate(apply_group(group, params, inputs, store.config)))
+        outputs.append(apply_group(group, params, inputs, store.config))
     return outputs

@@ -24,7 +24,7 @@ import numpy as np
 
 from .archive import TensorArchive, write_archive
 from .errors import DataError, IoError, ParamError
-from .model import ModelConfig, bind_weights
+from .model import ModelConfig, bind_weights, forward_pass
 
 DIRICHLET_CONC = 0.5
 
@@ -135,15 +135,13 @@ def _branch_input_means(
     """Per layer, the mean o_proj input row and mean down_proj input row
     of the base model on the task's data, each normalized."""
     bound = bind_weights(base, config)
-    taps = [f"oproj_in.{i}" for i in range(config.n_layers)]
-    taps += [f"dproj_in.{i}" for i in range(config.n_layers)]
     attn_means = [np.zeros(config.d_model) for _ in range(config.n_layers)]
     mlp_means = [np.zeros(config.d_ff) for _ in range(config.n_layers)]
     for tokens in dataset[:STATS_SEQUENCES]:
-        trace = bound.forward(tokens, taps=taps)
+        trace = forward_pass(config, bound.weights, np.asarray(tokens, dtype=np.int64))
         for i in range(config.n_layers):
-            attn_means[i] += trace.taps[f"oproj_in.{i}"].mean(axis=0)
-            mlp_means[i] += trace.taps[f"dproj_in.{i}"].mean(axis=0)
+            attn_means[i] += trace[f"oproj_in.{i}"].mean(axis=0)
+            mlp_means[i] += trace[f"dproj_in.{i}"].mean(axis=0)
     return (
         [_unit_frobenius(row) for row in attn_means],
         [_unit_frobenius(row) for row in mlp_means],

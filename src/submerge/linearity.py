@@ -23,7 +23,7 @@ import numpy as np
 from .archive import TensorArchive
 from .decompose import SubmoduleGroup
 from .errors import DegenerateError, InputError
-from .features import DeltaStore, FeatureStore, apply_group, group_parameters, interpolated_outputs
+from .features import DeltaStore, FeatureStore, group_parameters, interpolated_outputs
 
 NORM_FLOOR = 1e-12
 
@@ -195,13 +195,7 @@ def merged_group_deltas(
     params = group_parameters(
         group, base.tensors, taus=[tau.tensors for tau in taus], coeffs=alpha
     )
-    blocks = []
-    for task in range(store.n_tasks):
-        rows = np.concatenate(
-            apply_group(group, params, store.inputs[(group.id, task)], store.config)
-        )
-        blocks.append(rows - store.stacked_base(group.id, task))
-    return np.concatenate(blocks)
+    return np.concatenate([store.delta_rows(group, task, params) for task in range(store.n_tasks)])
 
 
 def metric_sweep(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -65,14 +65,6 @@ class ModelConfig:
         shapes["lm_head"] = (self.vocab_size, self.d_model)
         return shapes
 
-    def tap_names(self) -> tuple[str, ...]:
-        per_layer = (
-            "layer_in", "attn_in", "attn_out", "oproj_in",
-            "mlp_in", "dproj_in", "mlp_out", "layer_out",
-        )
-        names = [f"{kind}.{i}" for i in range(self.n_layers) for kind in per_layer]
-        return tuple(names) + ("final_hidden", "logits")
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -94,18 +86,9 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class ForwardTrace:
-    logits: np.ndarray
-    taps: dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
 class BoundModel:
     config: ModelConfig
     weights: Mapping[str, np.ndarray]
-
-    def forward(self, tokens: Sequence[int], taps: Iterable[str] | None = None) -> ForwardTrace:
-        return forward_with_taps(self, tokens, taps)
 
 
 def bind_weights(archive: TensorArchive, config: ModelConfig) -> BoundModel:
@@ -256,21 +239,6 @@ def validated_tokens(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= config.vocab_size:
         raise InputError("token id out of range")
     return arr
-
-
-def forward_with_taps(
-    model: BoundModel, tokens: Sequence[int], taps: Iterable[str] | None = None
-) -> ForwardTrace:
-    arr = validated_tokens(model.config, tokens)
-    wanted = set(model.config.tap_names()) if taps is None else set(taps)
-    invalid = wanted - set(model.config.tap_names())
-    if invalid:
-        raise InputError(f"unknown tap id {sorted(invalid)[0]!r}")
-    everything = forward_pass(model.config, model.weights, arr)
-    return ForwardTrace(
-        logits=everything["logits"],
-        taps={name: everything[name] for name in sorted(wanted)},
-    )
 
 
 def eval_cross_entropy(model: BoundModel, dataset: Sequence[Sequence[int]]) -> float:

@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from submerge import TensorArchive, read_archive, write_archive
-from submerge.cli import main
+from submerge import ConfigError, TensorArchive, read_archive, write_archive
+from submerge.cli import CONFIG_TYPES, JSON_TYPE_CHECKS, Options, build_parser, main
 from submerge.model import ModelConfig
 
 FIXTURE_FLAGS = [
@@ -223,6 +225,51 @@ class TestBadInputs:
         rc = main([*argv, *flags, "--config", str(config_path), "--out", str(tmp_path)])
         key = next(iter(payload))
         assert f"config key {key!r}" in assert_input_error(rc, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--levels", "bogus"], ["analyze", "--levels", "model,bogus"], ["solve"]],
+        ids=["levels_flag", "levels_flag_list", "level_config_key"],
+    )
+    def test_unknown_level_name_exits_2(self, fixture_dir, tmp_path, capsys, argv):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"level": "bogus", "samples_per_task": 4}))
+        rc = main([*argv, *io_flags(fixture_dir), "--config", str(config_path), "--out", str(tmp_path)])
+        assert "unknown granularity 'bogus'" in assert_input_error(rc, capsys)
+
+    @pytest.mark.parametrize("n_points", ["1", "0"])
+    def test_n_points_below_two_exits_2(self, fixture_dir, tmp_path, capsys, n_points):
+        rc = main(
+            [
+                "analyze", *io_flags(fixture_dir),
+                "--levels", "layer",
+                "--samples-per-task", "4",
+                "--n-points", n_points,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert "n_points must be >= 2" in assert_input_error(rc, capsys)
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--samples-per-task=0", "--samples-per-task=-1"])
+    def test_sample_count_below_one_exits_2(self, fixture_dir, tmp_path, capsys, flag):
+        rc = main(["solve", *io_flags(fixture_dir), flag, "--out", str(tmp_path)])
+        assert "sample count must be >= 1" in assert_input_error(rc, capsys)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["merge", "--method", "dare"], ["gen-fixture"]],
+        ids=["solve", "merge_dare", "gen_fixture"],
+    )
+    def test_negative_seed_exits_2(self, fixture_dir, tmp_path, capsys, command, source):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"seed": -1, "samples_per_task": 4}))
+        seed = ["--seed=-1"] if source == "flag" else ["--config", str(config_path)]
+        inputs = [] if command[0] == "gen-fixture" else io_flags(fixture_dir)
+        rc = main([*command, *inputs, *seed, "--out", str(tmp_path / "out")])
+        assert "seed must be >= 0" in assert_input_error(rc, capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_boolean_in_config_is_used(self, fixture_dir, tmp_path):
         config_path = tmp_path / "run.json"
@@ -451,3 +498,40 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", *io_flags(fixture_dir), "--level", "bogus"])
         assert excinfo.value.code == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "run.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.sampled_from(sorted(CONFIG_TYPES)),
+    value=JSON_VALUES | st.lists(st.text(max_size=8), max_size=3),
+)
+def test_config_value_is_of_declared_kind_or_config_error(config_path, key, value):
+    """Options takes a config value of the key's declared JSON kind, or raises
+    ConfigError; no other exception escapes."""
+    config_path.write_text(json.dumps({key: value}))
+    args = build_parser().parse_args(["solve", "--config", str(config_path)])
+    well_typed = JSON_TYPE_CHECKS[CONFIG_TYPES[key]](value)
+    try:
+        opts = Options(args)
+    except ConfigError:
+        assert not well_typed or (key == "seed" and value < 0)
+    else:
+        assert well_typed
+        assert opts.file == {key: value}

@@ -149,5 +149,5 @@ class TestSerialization:
 
     def test_granularity_parse(self):
         assert Granularity.parse("attn_mlp") is Granularity.ATTN_MLP
-        with pytest.raises(ValueError):
+        with pytest.raises(PlanError):
             Granularity.parse("nope")

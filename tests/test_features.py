@@ -72,6 +72,13 @@ class TestCollect:
         with pytest.raises(SampleError):
             collect_base_features(model, datasets, plan, sample_n=9, seed=0)
 
+    @pytest.mark.parametrize("sample_n", [0, -1])
+    def test_non_positive_sample_count(self, tiny_config, setup, sample_n):
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        with pytest.raises(SampleError, match=">= 1"):
+            collect_base_features(model, datasets, plan, sample_n=sample_n, seed=0)
+
     def test_row_counts_flatten_tokens(self, tiny_config, setup):
         model, _, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
@@ -80,7 +87,7 @@ class TestCollect:
         deltas = compute_delta_outputs(
             store, random_checkpoint(tiny_config, 42), fine_tuned[:1], plan
         )
-        assert deltas.get("layer.0", data_task=0, model=0).shape[0] == 8
+        assert deltas.grouped("layer.0")[0].shape[1] == 8
 
 
 class TestApplyGroup:
@@ -94,8 +101,7 @@ class TestApplyGroup:
                 outs = apply_group(
                     group, model.weights, store.inputs[(group.id, task)], tiny_config
                 )
-                for got, expected in zip(outs, store.base_outputs[(group.id, task)]):
-                    assert np.array_equal(got, expected), (group.id, task)
+                assert np.array_equal(outs, store.base_outputs[(group.id, task)]), (group.id, task)
 
     @pytest.mark.parametrize("level", list(Granularity))
     def test_ragged_inputs_match_per_sequence_evaluation(self, tiny_config, setup, level):
@@ -113,11 +119,13 @@ class TestApplyGroup:
                     trace = forward_pass(tiny_config, model.weights, np.array(tokens))
                     assert np.array_equal(arr, trace[group.input_tap].astype(np.float32))
             batched = apply_group(group, params, inputs, tiny_config)
-            assert len(batched) == len(inputs)
-            for arr, got in zip(inputs, batched):
-                expected = apply_group(group, params, [arr], tiny_config)[0]
-                assert got.shape == expected.shape
-                assert np.array_equal(got, expected), group.id
+            assert batched.dtype == np.float32
+            assert len(batched) == sum(lengths)
+            expected = np.concatenate(
+                [apply_group(group, params, [arr], tiny_config) for arr in inputs]
+            )
+            assert batched.shape == expected.shape
+            assert np.array_equal(batched, expected), group.id
 
     def test_head_outputs_sum_to_attention_branch(self, tiny_config, setup):
         model, datasets, _ = setup
@@ -130,9 +138,8 @@ class TestApplyGroup:
                 total = None
                 for h in range(tiny_config.n_heads):
                     outs = store_h.base_outputs[(f"head.{layer}.{h}", task)]
-                    stacked = np.concatenate([o for o in outs])
-                    total = stacked if total is None else total + stacked
-                branch = np.concatenate(store_a.base_outputs[(f"attn.{layer}", task)])
+                    total = outs if total is None else total + outs
+                branch = store_a.base_outputs[(f"attn.{layer}", task)]
                 np.testing.assert_allclose(total, branch, atol=1e-5)
 
     def test_zero_down_proj_zeroes_mlp_branch(self, tiny_config, setup):
@@ -143,7 +150,8 @@ class TestApplyGroup:
         params = {name: np.array(model.weights[name]) for name in group.function_param_names()}
         params["layers.0.mlp.down_proj"] = np.zeros_like(params["layers.0.mlp.down_proj"])
         outs = apply_group(group, params, store.inputs[("mlp.0", 0)], tiny_config)
-        assert all(not out.any() for out in outs)
+        assert outs.shape == (sum(len(a) for a in store.inputs[("mlp.0", 0)]), tiny_config.d_model)
+        assert not outs.any()
 
 
 class TestDeltas:
@@ -153,8 +161,9 @@ class TestDeltas:
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         deltas = compute_delta_outputs(store, tiny_checkpoint, [tiny_checkpoint], plan)
         for group in plan.groups:
-            for task in range(2):
-                assert not deltas.get(group.id, task, 0).any()
+            for block in deltas.grouped(group.id):
+                assert block.shape[0] == 1
+                assert not block.any()
 
     def test_widths_and_row_alignment(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
@@ -163,10 +172,9 @@ class TestDeltas:
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         for group in plan.groups:
             width = tiny_config.vocab_size if group.id == "lm_head" else tiny_config.d_model
-            for task in range(2):
-                rows = {deltas.get(group.id, task, t).shape for t in range(2)}
-                assert len(rows) == 1
-                assert rows.pop()[1] == width
+            for task, block in enumerate(deltas.grouped(group.id)):
+                rows = sum(len(arr) for arr in store.inputs[(group.id, task)])
+                assert block.shape == (2, rows, width)
 
     @pytest.mark.parametrize("level", list(Granularity))
     def test_ragged_deltas_match_direct_evaluation(self, tiny_config, tiny_checkpoint, setup, level):
@@ -184,9 +192,9 @@ class TestDeltas:
                 params = group_parameters(group, tiny_checkpoint.tensors, source=archive.tensors)
                 for task in range(2):
                     inputs = store.inputs[(group.id, task)]
-                    rows = np.concatenate(apply_group(group, params, inputs, tiny_config))
-                    expected = rows - np.concatenate(store.base_outputs[(group.id, task)])
-                    got = deltas.get(group.id, task, t)
+                    rows = apply_group(group, params, inputs, tiny_config)
+                    expected = rows - store.base_outputs[(group.id, task)]
+                    got = deltas.grouped(group.id)[task][t]
                     assert got.dtype == expected.dtype
                     assert np.array_equal(got, expected), (group.id, task, t)
 
@@ -196,11 +204,10 @@ class TestDeltas:
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         assert not deltas.deltas
-        limit = store.n_tasks * len(fine_tuned)
-
         def assert_one_group():
-            assert 0 < len(deltas.deltas) <= limit
+            assert len(deltas.deltas) == store.n_tasks
             assert len({key[0] for key in deltas.deltas}) == 1
+            assert all(block.shape[0] == len(fine_tuned) for block in deltas.deltas.values())
 
         solve_plan(plan, deltas)
         assert_one_group()
@@ -231,9 +238,11 @@ class TestDeltas:
         assert set(calls) == expected
         assert set(calls.values()) == {1}
         # Reading the held group again computes nothing.
-        deltas.pooled(plan.groups[-1].id)
-        deltas.get(plan.groups[-1].id, 1, 0)
+        pooled = deltas.pooled(plan.groups[-1].id)
+        blocks = deltas.grouped(plan.groups[-1].id)
         assert set(calls.values()) == {1}
+        assert np.array_equal(pooled, np.concatenate(blocks, axis=1))
+        assert blocks[1] is deltas.grouped(plan.groups[-1].id)[1]
 
     def test_embed_delta_is_exact_row_gather(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
@@ -246,7 +255,7 @@ class TestDeltas:
         )
         tokens = np.concatenate(store.inputs[("embed", 0)])
         np.testing.assert_allclose(
-            deltas.get("embed", 0, 0), diff[tokens].astype(np.float32), atol=1e-7
+            deltas.grouped("embed")[0][0], diff[tokens].astype(np.float32), atol=1e-7
         )
 
 
@@ -258,13 +267,11 @@ class TestInterpolation:
         tau = task_vector(fine_tuned[0], tiny_checkpoint)
         group = plan.group("attn.1")
         lo, hi = interpolated_outputs(store, tiny_checkpoint, tau, group, [0.0, 1.0], task=0)
-        base_rows = np.concatenate(store.base_outputs[("attn.1", 0)])
+        base_rows = store.base_outputs[("attn.1", 0)]
         np.testing.assert_array_equal(lo, base_rows)
         # c=1 reproduces the fine-tuned branch up to f32 rounding of tau
         ft_params = group_parameters(group, tiny_checkpoint.tensors, source=fine_tuned[0].tensors)
-        ft_rows = np.concatenate(
-            apply_group(group, ft_params, store.inputs[("attn.1", 0)], tiny_config)
-        )
+        ft_rows = apply_group(group, ft_params, store.inputs[("attn.1", 0)], tiny_config)
         np.testing.assert_allclose(hi, ft_rows, atol=1e-5)
 
     def test_linear_group_midpoint(self, tiny_config, tiny_checkpoint, setup):

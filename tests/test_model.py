@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from submerge import BindError, InputError, TensorArchive
-from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, forward_with_taps
+from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass
+from submerge.model import validated_tokens
 
 from conftest import random_checkpoint
 from reference_forward import reference_forward
@@ -19,6 +20,10 @@ TOKENS = [3, 1, 4, 1, 5, 9, 2, 6]
 @pytest.fixture(scope="module")
 def bound(tiny_config, tiny_checkpoint):
     return bind_weights(tiny_checkpoint, tiny_config)
+
+
+def forward(model, tokens) -> dict[str, np.ndarray]:
+    return forward_pass(model.config, model.weights, np.asarray(tokens))
 
 
 def reference_config(config: ModelConfig) -> dict:
@@ -35,15 +40,13 @@ def reference_config(config: ModelConfig) -> dict:
 
 class TestOracle:
     def test_matches_straight_line_reference(self, tiny_config, tiny_checkpoint, bound):
-        trace = forward_with_taps(bound, TOKENS)
+        taps = forward(bound, TOKENS)
         weights = {k: v.astype(np.float64) for k, v in tiny_checkpoint.tensors.items()}
         ref = reference_forward(weights, reference_config(tiny_config), TOKENS)
-        np.testing.assert_allclose(trace.logits, ref["logits"], atol=1e-5)
-        assert set(ref["taps"]) == set(trace.taps)
+        np.testing.assert_allclose(taps["logits"], ref["logits"], atol=1e-5)
+        assert set(ref["taps"]) == set(taps)
         for tap, expected in ref["taps"].items():
-            np.testing.assert_allclose(
-                trace.taps[tap], expected, atol=1e-5, err_msg=f"tap {tap}"
-            )
+            np.testing.assert_allclose(taps[tap], expected, atol=1e-5, err_msg=f"tap {tap}")
 
     def test_batched_tokens_match_rows_and_reference(self, tiny_config, tiny_checkpoint, bound):
         batch = np.array([TOKENS, TOKENS[::-1], [0] * len(TOKENS)])
@@ -62,10 +65,10 @@ class TestOracle:
     def test_single_token_single_layer_shapes(self):
         config = ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, vocab_size=11, max_seq=4)
         model = bind_weights(random_checkpoint(config, seed=1), config)
-        trace = forward_with_taps(model, [5])
-        assert trace.logits.shape == (1, 11)
+        taps = forward(model, [5])
+        assert taps["logits"].shape == (1, 11)
         for tap in ["layer_in.0", "attn_out.0", "oproj_in.0", "mlp_out.0", "layer_out.0"]:
-            assert trace.taps[tap].shape == (1, 8)
+            assert taps[tap].shape == (1, 8)
 
     def test_zero_weights_give_zero_logits(self, tiny_config):
         zeros = TensorArchive(
@@ -76,8 +79,7 @@ class TestOracle:
             meta={},
         )
         model = bind_weights(zeros, tiny_config)
-        trace = forward_with_taps(model, TOKENS)
-        assert not trace.logits.any()
+        assert not forward(model, TOKENS)["logits"].any()
 
 
 class TestBind:
@@ -102,64 +104,52 @@ class TestBind:
 
 class TestForwardContracts:
     def test_causality(self, bound):
-        base = forward_with_taps(bound, TOKENS).logits
+        base = forward(bound, TOKENS)["logits"]
         for j in range(len(TOKENS)):
             mutated = list(TOKENS)
             mutated[j] = (mutated[j] + 1) % 11
-            changed = forward_with_taps(bound, mutated).logits
+            changed = forward(bound, mutated)["logits"]
             np.testing.assert_array_equal(base[:j], changed[:j])
 
     def test_determinism(self, bound):
-        a = forward_with_taps(bound, TOKENS)
-        b = forward_with_taps(bound, TOKENS)
-        assert np.array_equal(a.logits, b.logits)
-        for tap in a.taps:
-            assert np.array_equal(a.taps[tap], b.taps[tap])
+        a = forward(bound, TOKENS)
+        b = forward(bound, TOKENS)
+        assert set(a) == set(b)
+        for tap in a:
+            assert np.array_equal(a[tap], b[tap])
 
     def test_tap_chaining(self, bound, tiny_config):
-        trace = forward_with_taps(bound, TOKENS)
+        taps = forward(bound, TOKENS)
         for i in range(tiny_config.n_layers - 1):
-            np.testing.assert_array_equal(
-                trace.taps[f"layer_in.{i + 1}"], trace.taps[f"layer_out.{i}"]
-            )
+            np.testing.assert_array_equal(taps[f"layer_in.{i + 1}"], taps[f"layer_out.{i}"])
         for i in range(tiny_config.n_layers):
             np.testing.assert_array_equal(
-                trace.taps[f"mlp_in.{i}"],
-                trace.taps[f"layer_in.{i}"] + trace.taps[f"attn_out.{i}"],
+                taps[f"mlp_in.{i}"], taps[f"layer_in.{i}"] + taps[f"attn_out.{i}"]
             )
 
     def test_per_head_blocks_sum_to_attention_output(self, bound, tiny_config, tiny_checkpoint):
-        trace = forward_with_taps(bound, TOKENS)
+        taps = forward(bound, TOKENS)
         dh = tiny_config.head_dim
         for i in range(tiny_config.n_layers):
             o_proj = tiny_checkpoint.tensors[f"layers.{i}.attn.o_proj"].astype(np.float64)
-            concat = trace.taps[f"oproj_in.{i}"]
-            total = np.zeros_like(trace.taps[f"attn_out.{i}"])
+            concat = taps[f"oproj_in.{i}"]
+            total = np.zeros_like(taps[f"attn_out.{i}"])
             for h in range(tiny_config.n_heads):
                 block = concat[:, h * dh : (h + 1) * dh]
                 total = total + block @ o_proj[:, h * dh : (h + 1) * dh].T
-            np.testing.assert_allclose(total, trace.taps[f"attn_out.{i}"], atol=1e-5)
+            np.testing.assert_allclose(total, taps[f"attn_out.{i}"], atol=1e-5)
 
-    def test_tap_filtering(self, bound):
-        trace = forward_with_taps(bound, TOKENS, taps={"layer_out.0", "final_hidden"})
-        assert set(trace.taps) == {"layer_out.0", "final_hidden"}
-        assert trace.logits.shape == (len(TOKENS), 11)
+    def test_token_out_of_range(self, tiny_config):
+        with pytest.raises(InputError):
+            validated_tokens(tiny_config, [0, 11])
+        with pytest.raises(InputError):
+            validated_tokens(tiny_config, [-1])
 
-    def test_unknown_tap_rejected(self, bound):
+    def test_sequence_length_limits(self, tiny_config):
         with pytest.raises(InputError):
-            forward_with_taps(bound, TOKENS, taps={"layer_out.99"})
-
-    def test_token_out_of_range(self, bound):
+            validated_tokens(tiny_config, [])
         with pytest.raises(InputError):
-            forward_with_taps(bound, [0, 11])
-        with pytest.raises(InputError):
-            forward_with_taps(bound, [-1])
-
-    def test_sequence_length_limits(self, bound):
-        with pytest.raises(InputError):
-            forward_with_taps(bound, [])
-        with pytest.raises(InputError):
-            forward_with_taps(bound, [0] * 17)  # max_seq is 16
+            validated_tokens(tiny_config, [0] * 17)  # max_seq is 16
 
 
 class TestCrossEntropy:
@@ -176,7 +166,7 @@ class TestCrossEntropy:
         assert loss == pytest.approx(math.log(11), abs=1e-9)
 
     def test_length_two_sequence_scores_one_position(self, bound):
-        full = forward_with_taps(bound, [3, 7]).logits[0]
+        full = forward(bound, [3, 7])["logits"][0]
         expected = math.log(np.exp(full - full.max()).sum()) + full.max() - full[7]
         loss = eval_cross_entropy(bound, [[3, 7]])
         assert loss == pytest.approx(expected, rel=1e-9)
