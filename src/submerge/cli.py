@@ -170,8 +170,11 @@ class Options:
         models = [read_archive(p) for p in model_paths]
         return base, models, base_path, model_paths
 
-    def load_datasets(self):
+    def load_datasets(self, n_models: int | None = None):
+        """Read the datasets; with `n_models`, require one dataset per model."""
         paths = [Path(p) for p in self.require("datasets", "--dataset")]
+        if n_models is not None and len(paths) != n_models:
+            raise ConfigError(f"{n_models} models need {n_models} datasets, got {len(paths)}")
         return [read_dataset(p) for p in paths], paths
 
 
@@ -229,7 +232,7 @@ def _finite_stats(values: Sequence[float]) -> dict:
 
 def cmd_analyze(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
-    datasets, _ = opts.load_datasets()
+    datasets, _ = opts.load_datasets(len(models))
     config = opts.model_config(base)
     levels = _parse_levels(opts)
     sample_n = opts.get("samples_per_task", 30)
@@ -335,11 +338,7 @@ def cmd_analyze(opts: Options) -> bool:
 
 def cmd_solve(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
-    datasets, _ = opts.load_datasets()
-    if len(datasets) != len(models):
-        raise ConfigError(
-            f"{len(models)} models need {len(models)} datasets, got {len(datasets)}"
-        )
+    datasets, _ = opts.load_datasets(len(models))
     config = opts.model_config(base)
     level = Granularity.parse(opts.get("level", "layer"))
     sample_n = opts.get("samples_per_task", 30)
@@ -381,7 +380,7 @@ def cmd_merge(opts: Options) -> bool:
         merged = merge_dare(base, models, alpha, drop_p, seed)
         params.update({"alpha": alpha, "drop_p": drop_p, "seed": seed})
     elif method == "linear_solve":
-        datasets, dataset_paths = opts.load_datasets()
+        datasets, dataset_paths = opts.load_datasets(len(models))
         level = Granularity.parse(opts.get("level", "layer"))
         config = opts.model_config(base)
         merged, weights = merge_linear_solve(
@@ -465,11 +464,7 @@ def cmd_eval(opts: Options) -> bool:
 
 def cmd_compare(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
-    datasets, _ = opts.load_datasets()
-    if len(datasets) != len(models):
-        raise ConfigError(
-            f"{len(models)} models need {len(models)} datasets, got {len(datasets)}"
-        )
+    datasets, _ = opts.load_datasets(len(models))
     config = opts.model_config(base)
     level = Granularity.parse(opts.get("level", "attn_mlp"))
     seed = opts.get("seed", 0)

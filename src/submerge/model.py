@@ -5,6 +5,13 @@ position embeddings on q/k, and a SwiGLU MLP. No biases, no dropout.
 Weights are stored as [out x in] matrices applied as y = W @ x; checkpoint
 values are f32 and upcast to float64 for the actual arithmetic. Kernels and
 blocks take any number of leading batch axes before [seq, ...].
+
+The kernels avoid full-size temporaries where they can: `rms_norm` takes the
+sum of squares with one einsum, `rope_rotate` multiplies the interleaved
+pairs viewed as complex numbers by a cached complex table, `swiglu` computes
+pre / (1 + exp(-pre)) in place, and `causal_attention` scales q instead of
+the scores and divides the context by the softmax row sums instead of
+normalizing the [seq, seq] scores.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
 from .archive import TensorArchive
 from .errors import BindError, InputError
@@ -110,19 +117,23 @@ def bind_weights(archive: TensorArchive, config: ModelConfig) -> BoundModel:
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
-    scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
-    return x / scale * weight
+    scale = np.einsum("...i,...i->...", x, x)[..., None]
+    scale /= x.shape[-1]
+    scale += eps
+    np.sqrt(scale, out=scale)
+    out = x / scale
+    out *= weight
+    return out
 
 
 @functools.lru_cache(maxsize=64)
-def _rope_tables(seq: int, head_dim: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only cos and sin of every rotary angle, shaped [seq, 1, head_dim / 2]."""
+def _rope_tables(seq: int, head_dim: int, theta: float) -> np.ndarray:
+    """Read-only complex cos + i*sin of every rotary angle, shaped [seq, 1, head_dim / 2]."""
     inv_freq = theta ** (-2.0 * np.arange(head_dim // 2) / head_dim)
     angles = np.arange(seq)[:, None, None] * inv_freq[None, None, :]
-    tables = np.cos(angles), np.sin(angles)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    table = np.cos(angles) + 1j * np.sin(angles)
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -134,25 +145,26 @@ def _causal_bias(seq: int) -> np.ndarray:
 
 
 def rope_rotate(x: np.ndarray, theta: float) -> np.ndarray:
-    """Rotary embedding over interleaved pairs; x is [..., seq, heads, head_dim]."""
-    cos, sin = _rope_tables(x.shape[-3], x.shape[-1], theta)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    """Rotary embedding over interleaved pairs; x is [..., seq, heads, head_dim].
+
+    Each (even, odd) pair is one complex number even + i*odd, so the rotation
+    is one complex product with the cached table.
+    """
+    table = _rope_tables(x.shape[-3], x.shape[-1], theta)
+    pairs = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
+    return (pairs * table).view(np.float64)
 
 
 def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """q/k/v are [..., seq, heads, head_dim]; returns the same layout."""
     q, k, v = (np.swapaxes(a, -3, -2) for a in (q, k, v))
-    scores = q @ np.swapaxes(k, -1, -2)
-    scores /= np.sqrt(q.shape[-1])
+    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ np.swapaxes(k, -1, -2)
     scores += _causal_bias(q.shape[-2])
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return np.swapaxes(scores @ v, -3, -2)
+    ctx = scores @ v
+    ctx /= scores.sum(axis=-1, keepdims=True)
+    return np.swapaxes(ctx, -3, -2)
 
 
 def swiglu(
@@ -160,7 +172,13 @@ def swiglu(
 ) -> tuple[np.ndarray, np.ndarray]:
     """SwiGLU on [..., d]; returns (output, hidden activation fed to down)."""
     pre = x @ gate.T
-    hidden = pre * expit(pre) * (x @ up.T)
+    hidden = np.negative(pre)
+    # exp overflows to inf for a very negative pre-activation, giving 0 as it should.
+    with np.errstate(over="ignore"):
+        np.exp(hidden, out=hidden)
+    hidden += 1.0
+    np.divide(pre, hidden, out=hidden)
+    hidden *= x @ up.T
     return hidden @ down.T, hidden
 
 

@@ -271,6 +271,22 @@ class TestBadInputs:
         assert "seed must be >= 0" in assert_input_error(rc, capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n_models, n_datasets", [(2, 1), (1, 2)], ids=["more_models", "more_datasets"])
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["solve"], ["merge", "--method", "linear_solve"], ["compare"]],
+        ids=["analyze", "solve", "merge_linear_solve", "compare"],
+    )
+    def test_model_and_dataset_counts_must_match(
+        self, fixture_dir, tmp_path, capsys, command, n_models, n_datasets
+    ):
+        flags = ["--base", str(fixture_dir / "base.ta")]
+        flags += [f for t in range(n_models) for f in ("--model", str(fixture_dir / f"task{t}.ta"))]
+        flags += [f for t in range(n_datasets) for f in ("--dataset", str(fixture_dir / f"task{t}.jsonl"))]
+        rc = main([*command, *flags, "--samples-per-task", "4", "--out", str(tmp_path)])
+        expected = f"{n_models} models need {n_models} datasets, got {n_datasets}"
+        assert expected in assert_input_error(rc, capsys)
+
     def test_boolean_in_config_is_used(self, fixture_dir, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"normalized": False, "samples_per_task": 4}))

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from submerge import BindError, InputError, TensorArchive
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass
-from submerge.model import validated_tokens
+from submerge.model import causal_attention, rms_norm, rope_rotate, swiglu, validated_tokens
 
 from conftest import random_checkpoint
 from reference_forward import reference_forward
@@ -80,6 +82,105 @@ class TestOracle:
         )
         model = bind_weights(zeros, tiny_config)
         assert not forward(model, TOKENS)["logits"].any()
+
+
+# Straight-line formulas the kernels are checked against.
+def reference_rms_norm(x, weight, eps):
+    scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
+    return x / scale * weight
+
+
+def reference_rope(x, theta):
+    seq, head_dim = x.shape[-3], x.shape[-1]
+    inv_freq = theta ** (-2.0 * np.arange(head_dim // 2) / head_dim)
+    angles = np.arange(seq)[:, None, None] * inv_freq[None, None, :]
+    cos, sin = np.cos(angles), np.sin(angles)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+def reference_attention(q, k, v):
+    q, k, v = (np.swapaxes(a, -3, -2) for a in (q, k, v))
+    seq = q.shape[-2]
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= np.sqrt(q.shape[-1])
+    scores += np.triu(np.full((seq, seq), -np.inf), k=1)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return np.swapaxes(scores @ v, -3, -2)
+
+
+def reference_swiglu(x, gate, up, down):
+    pre = x @ gate.T
+    hidden = pre * expit(pre) * (x @ up.T)
+    return hidden @ down.T, hidden
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(7)
+
+
+def assert_close(got, expected):
+    """rtol 1e-12, plus the same bound against the largest entry for entries that cancel to near 0."""
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+class TestKernels:
+    """Each kernel against its straight-line formula, with two leading batch axes."""
+
+    def test_rms_norm(self, rng):
+        x = rng.normal(size=(3, 2, 5, 16))
+        weight = rng.normal(size=16)
+        assert_close(rms_norm(x, weight, 1e-5), reference_rms_norm(x, weight, 1e-5))
+
+    def test_rms_norm_of_zero_row_is_zero(self, rng):
+        x = np.zeros((2, 3, 16))
+        x[0, 1] = rng.normal(size=16)
+        out = rms_norm(x, np.ones(16), 1e-5)
+        np.testing.assert_array_equal(out[1], 0.0)
+        np.testing.assert_array_equal(out[0, 0], 0.0)
+
+    @pytest.mark.parametrize("heads", [1, 8])
+    def test_rope_rotate(self, heads, rng):
+        x = rng.normal(size=(3, 2, 5, heads, 8))
+        assert_close(rope_rotate(x, 1e4), reference_rope(x, 1e4))
+
+    @pytest.mark.parametrize("heads", [1, 8])
+    def test_causal_attention(self, heads, rng):
+        q, k, v = (rng.normal(size=(3, 2, 5, heads, 8)) for _ in range(3))
+        assert_close(causal_attention(q, k, v), reference_attention(q, k, v))
+
+    def test_causal_attention_with_large_scores_is_finite(self, rng):
+        # Entries of 30 give scores q.k / sqrt(8) of about 1e3.
+        q, k, v = (rng.normal(size=(3, 2, 5, 2, 8)) for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = causal_attention(30 * q, 30 * k, v)
+        assert np.isfinite(out).all()
+
+    def test_swiglu(self, rng):
+        x = rng.normal(size=(3, 2, 5, 16))
+        gate, up = rng.normal(size=(2, 32, 16))
+        down = rng.normal(size=(16, 32))
+        for got, expected in zip(swiglu(x, gate, up, down), reference_swiglu(x, gate, up, down)):
+            assert_close(got, expected)
+
+    def test_swiglu_saturates_without_warning(self, rng):
+        # gate = 1e3 * I makes the pre-activations exactly +-1e3.
+        x = np.array([[1.0, -1.0, 0.0], [-1.0, 0.5, 1.0]])
+        gate = 1e3 * np.eye(3)
+        up = rng.normal(size=(3, 3))
+        down = np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, hidden = swiglu(x, gate, up, down)
+        pre = x @ gate.T
+        np.testing.assert_array_equal(hidden, pre * expit(pre) * (x @ up.T))
 
 
 class TestBind:
