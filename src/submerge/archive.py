@@ -20,7 +20,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -194,23 +194,21 @@ def read_archive(path) -> TensorArchive:
     return TensorArchive(tensors=tensors, meta=dict(meta))
 
 
-def shape_compatible(a: TensorArchive, b: TensorArchive) -> bool:
-    return a.shapes() == b.shapes()
-
-
-def _require_compatible(a: TensorArchive, b: TensorArchive, what: str) -> None:
-    if not shape_compatible(a, b):
-        ours, theirs = a.shapes(), b.shapes()
-        missing = sorted(set(ours) ^ set(theirs))
-        if missing:
-            raise CompatError(f"{what}: tensor names differ, e.g. {missing[:3]}")
-        off = next(n for n in ours if ours[n] != theirs[n])
-        raise CompatError(f"{what}: tensor {off!r} shapes differ ({ours[off]} vs {theirs[off]})")
+def require_compatible(a: TensorArchive, b: TensorArchive, what: str) -> None:
+    """Raise CompatError, naming a tensor that differs, unless `a` and `b` have equal shapes."""
+    ours, theirs = a.shapes(), b.shapes()
+    if ours == theirs:
+        return
+    missing = sorted(set(ours) ^ set(theirs))
+    if missing:
+        raise CompatError(f"{what}: tensor names differ, e.g. {missing[:3]}")
+    off = next(n for n in ours if ours[n] != theirs[n])
+    raise CompatError(f"{what}: tensor {off!r} shapes differ ({ours[off]} vs {theirs[off]})")
 
 
 def task_vector(fine_tuned: TensorArchive, base: TensorArchive) -> TensorArchive:
     """Elementwise difference fine_tuned - base."""
-    _require_compatible(fine_tuned, base, "task_vector")
+    require_compatible(fine_tuned, base, "task_vector")
     tensors = {
         name: fine_tuned.tensors[name] - base.tensors[name] for name in base.tensors
     }
@@ -220,34 +218,20 @@ def task_vector(fine_tuned: TensorArchive, base: TensorArchive) -> TensorArchive
 
 
 def linear_combine(
-    base: TensorArchive,
-    vectors: Sequence[TensorArchive],
-    coeffs: Mapping[str, Sequence[float]],
+    base: TensorArchive, vectors: Sequence[TensorArchive], coeffs: Sequence[float]
 ) -> TensorArchive:
-    """Per name n: out[n] = base[n] + sum_t coeffs[n][t] * vectors[t][n].
+    """out[n] = base[n] + sum_t coeffs[t] * vectors[t][n] for every name n.
 
     Accumulates in float64 and rounds once back to f32.
     """
     for t, vec in enumerate(vectors):
-        _require_compatible(vec, base, f"linear_combine vector {t}")
-    count = len(vectors)
+        require_compatible(vec, base, f"linear_combine vector {t}")
+    if len(coeffs) != len(vectors):
+        raise CoeffError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
     tensors: dict[str, np.ndarray] = {}
     for name, arr in base.tensors.items():
-        if name not in coeffs:
-            raise CoeffError(f"no coefficients for tensor {name!r}")
-        weights = coeffs[name]
-        if len(weights) != count:
-            raise CoeffError(
-                f"tensor {name!r} has {len(weights)} coefficients for {count} vectors"
-            )
         acc = arr.astype(np.float64)
-        for weight, vec in zip(weights, vectors):
+        for weight, vec in zip(coeffs, vectors):
             acc = acc + float(weight) * vec.tensors[name].astype(np.float64)
         tensors[name] = acc.astype(np.float32)
     return TensorArchive(tensors=tensors, meta=dict(base.meta))
-
-
-def uniform_coeffs(archive: TensorArchive, weights: Sequence[float]) -> dict[str, list[float]]:
-    """The same coefficient vector for every tensor name."""
-    values = [float(w) for w in weights]
-    return {name: list(values) for name in archive.tensors}

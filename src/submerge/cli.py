@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -23,9 +22,9 @@ import numpy as np
 
 from .archive import TensorArchive, read_archive, task_vector, write_archive
 from .decompose import Granularity, plan_decomposition
-from .errors import ConfigError, DegenerateError, SubmergeError
+from .errors import ConfigError, DegenerateError, IoError, SubmergeError
 from .features import collect_base_features, compute_delta_outputs
-from .fixtures import FixtureSpec, gen_fixture, read_dataset
+from .fixtures import FixtureSpec, file_sha256, gen_fixture, read_dataset
 from .linearity import metric_sweep, non_linearity_score
 from .merge import (
     config_for,
@@ -93,19 +92,21 @@ FIXTURE_MODEL_DEFAULTS = {
 }
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 class Options:
@@ -149,7 +150,10 @@ class Options:
 
     def out_dir(self) -> Path:
         out = Path(self.get("out", "."))
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create output directory {out}: {exc}") from exc
         return out
 
     def model_config(self, archive: TensorArchive) -> ModelConfig:
@@ -409,21 +413,21 @@ def cmd_merge(opts: Options) -> bool:
         )
     merged_path = out / "merged.ta"
     write_archive(merged, merged_path)
-    outputs = {"merged.ta": _sha256_file(merged_path)}
+    outputs = {"merged.ta": file_sha256(merged_path)}
     if weights is not None:
         _write_json(out / "weights.json", weights.to_json_dict())
-        outputs["weights.json"] = _sha256_file(out / "weights.json")
+        outputs["weights.json"] = file_sha256(out / "weights.json")
     manifest = {
         "command": "merge",
         "method": method,
         "params": params,
         "inputs": {
-            "base": {"path": str(base_path), "sha256": _sha256_file(base_path)},
+            "base": {"path": str(base_path), "sha256": file_sha256(base_path)},
             "models": [
-                {"path": str(p), "sha256": _sha256_file(p)} for p in model_paths
+                {"path": str(p), "sha256": file_sha256(p)} for p in model_paths
             ],
             "datasets": [
-                {"path": str(p), "sha256": _sha256_file(p)} for p in dataset_paths
+                {"path": str(p), "sha256": file_sha256(p)} for p in dataset_paths
             ],
         },
         "outputs": outputs,
@@ -449,7 +453,7 @@ def cmd_eval(opts: Options) -> bool:
     mean = float(np.mean([entry["loss"] for entry in per_task.values()]))
     metrics = {
         "archive": str(archive_path),
-        "sha256": _sha256_file(archive_path),
+        "sha256": file_sha256(archive_path),
         "per_task": per_task,
         "mean": mean,
     }

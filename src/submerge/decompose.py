@@ -47,12 +47,6 @@ class SliceSpec:
             return row_part
         return (row_part, col_part)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": list(self.rows) if self.rows else None,
-            "cols": list(self.cols) if self.cols else None,
-        }
-
 
 FULL = SliceSpec()
 
@@ -69,22 +63,8 @@ class SubmoduleGroup:
     # base model when the group is perturbed), e.g. norm1 for heads > 0.
     extra_params: tuple[str, ...] = ()
 
-    @property
-    def param_names(self) -> set[str]:
-        return set(self.params)
-
     def function_param_names(self) -> tuple[str, ...]:
         return tuple(self.params) + self.extra_params
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "input_tap": self.input_tap,
-            "output_kind": self.output_kind,
-            "layer": self.layer,
-            "head_index": self.head_index,
-            "params": {name: spec.to_json_dict() for name, spec in self.params.items()},
-        }
 
 
 @dataclass(frozen=True)
@@ -105,12 +85,6 @@ class DecompositionPlan:
 
     def group_ids(self) -> list[str]:
         return [g.id for g in self.groups]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "granularity": self.granularity.value,
-            "groups": [g.to_json_dict() for g in self.groups],
-        }
 
 
 def head_slices(config: ModelConfig, layer: int, head: int) -> dict[str, SliceSpec]:
@@ -240,8 +214,3 @@ def plan_decomposition(config: ModelConfig, level: Granularity) -> Decomposition
             groups.append(_mlp_group(i))
     groups.append(_lm_head_group())
     return DecompositionPlan(granularity=level, config=config, groups=tuple(groups))
-
-
-def module_parameters(plan: DecompositionPlan, group_id: str) -> dict[str, SliceSpec]:
-    """Exact parameter slices touched when this group is merged."""
-    return dict(plan.group(group_id).params)

@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .archive import TensorArchive, shape_compatible
+from .archive import TensorArchive, require_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup
-from .errors import CompatError, InputError, SampleError
+from .errors import InputError, SampleError
 from .model import BoundModel, ModelConfig, attention_block, forward_pass, mlp_block
 from .model import output_block, validated_tokens
 
@@ -235,8 +235,7 @@ def compute_delta_outputs(
     Shapes are checked here; each group's deltas are computed when first read.
     """
     for t, archive in enumerate(fine_tuned):
-        if not shape_compatible(archive, base):
-            raise CompatError(f"fine-tuned archive {t} is not shape-compatible with the base")
+        require_compatible(archive, base, f"fine-tuned archive {t}")
     return DeltaStore(plan=plan, features=store, base=base, fine_tuned=fine_tuned)
 
 

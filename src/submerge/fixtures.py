@@ -254,7 +254,7 @@ def read_dataset(path: str | Path) -> list[list[int]]:
     return sequences
 
 
-def _sha256(path: Path) -> str:
+def file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -287,7 +287,7 @@ def gen_fixture(spec: FixtureSpec, out_dir: str | Path) -> dict:
             "models": [p.name for p in paths["models"]],
             "datasets": [p.name for p in paths["datasets"]],
         },
-        "digests": {p.name: _sha256(p) for p in tracked},
+        "digests": {p.name: file_sha256(p) for p in tracked},
     }
     try:
         paths["manifest"].write_text(

@@ -35,22 +35,6 @@ class LinearityRecord:
     value: float
     aux: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        aux = {}
-        for key, value in self.aux.items():
-            if isinstance(value, np.ndarray):
-                aux[key] = value.tolist()
-            elif isinstance(value, (np.floating, np.integer)):
-                aux[key] = value.item()
-            else:
-                aux[key] = value
-        return {
-            "group": self.group_id,
-            "metric": self.metric,
-            "value": None if not np.isfinite(self.value) else float(self.value),
-            "aux": aux,
-        }
-
 
 def interpolation_scores(
     outputs: Sequence[np.ndarray],
@@ -131,30 +115,6 @@ def cosine_merge(
     dots = np.einsum("rw,rw->r", merged[keep], target[keep])
     per_sample = dots / (merged_norm[keep] * target_norm[keep])
     return float(per_sample.mean()), per_sample, skipped
-
-
-def cosine_base(task_deltas: Sequence[np.ndarray]) -> tuple[float, dict]:
-    """Mean over samples of the average pairwise delta cosine across models."""
-    count = len(task_deltas)
-    if count < 2:
-        raise InputError("pairwise cosine needs at least two models")
-    stacked = np.stack([np.asarray(d, dtype=np.float64) for d in task_deltas])
-    norms = np.linalg.norm(stacked, axis=2)
-    rows = stacked.shape[1]
-    pair_sum = np.zeros(rows)
-    pair_count = np.zeros(rows)
-    for a, b in itertools.combinations(range(count), 2):
-        valid = (norms[a] >= NORM_FLOOR) & (norms[b] >= NORM_FLOOR)
-        dots = np.einsum("rw,rw->r", stacked[a], stacked[b])
-        cos = np.where(valid, dots / np.where(valid, norms[a] * norms[b], 1.0), 0.0)
-        pair_sum += np.where(valid, cos, 0.0)
-        pair_count += valid
-    keep = pair_count > 0
-    if not keep.any():
-        raise DegenerateError("no sample has two non-zero deltas to compare")
-    per_sample = pair_sum[keep] / pair_count[keep]
-    aux = {"skipped_rows": int(rows - keep.sum()), "pairs": count * (count - 1) // 2}
-    return float(per_sample.mean()), aux
 
 
 def projection_distance(

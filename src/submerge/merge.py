@@ -13,12 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .archive import TensorArchive, linear_combine, task_vector, uniform_coeffs
+from .archive import TensorArchive, linear_combine, require_compatible, task_vector
 from .decompose import DecompositionPlan, Granularity, plan_decomposition
 from .errors import CoeffError, CompatError, ConfigError, InputError, ParamError
 from .features import collect_base_features, compute_delta_outputs
 from .model import ModelConfig, bind_weights
-from .solver import GroupWeights, MergeWeights, solve_plan
+from .solver import MergeWeights, solve_plan
 
 
 def _require_models(fine_tuned: Sequence[TensorArchive]) -> None:
@@ -43,9 +43,8 @@ def merge_weight_average(
 ) -> TensorArchive:
     """Elementwise mean of the fine-tuned checkpoints."""
     _require_models(fine_tuned)
-    for ft in fine_tuned:
-        if ft.shapes() != base.shapes():
-            raise CompatError("weight average inputs must share base shapes")
+    for t, ft in enumerate(fine_tuned):
+        require_compatible(ft, base, f"weight average model {t}")
     tensors = {
         name: np.mean(
             [ft.tensors[name].astype(np.float64) for ft in fine_tuned], axis=0
@@ -61,8 +60,7 @@ def merge_task_arithmetic(
     """base + alpha * sum of task vectors, one equal weight for all models."""
     _require_models(fine_tuned)
     taus = [task_vector(ft, base) for ft in fine_tuned]
-    merged = linear_combine(base, taus, uniform_coeffs(base, [alpha] * len(taus)))
-    return TensorArchive(tensors=merged.tensors, meta=dict(base.meta))
+    return linear_combine(base, taus, [alpha] * len(taus))
 
 
 def merge_dare(
@@ -95,20 +93,7 @@ def merge_dare(
                 arr.astype(np.float64) * keep / (1.0 - drop_p)
             ).astype(np.float32)
         taus.append(TensorArchive(tensors=tensors, meta=dict(tau.meta)))
-    merged = linear_combine(base, taus, uniform_coeffs(base, [alpha] * len(taus)))
-    return TensorArchive(tensors=merged.tensors, meta=dict(base.meta))
-
-
-def uniform_weights(plan: DecompositionPlan, n_models: int) -> MergeWeights:
-    """Equal 1/T coefficients for every group of the plan."""
-    if n_models < 1:
-        raise InputError("need at least one model")
-    alpha = tuple(1.0 / n_models for _ in range(n_models))
-    groups = tuple(
-        GroupWeights(gid, alpha, fallback=False, residual=0.0)
-        for gid in plan.group_ids()
-    )
-    return MergeWeights(plan.granularity.value, True, groups)
+    return linear_combine(base, taus, [alpha] * len(taus))
 
 
 def apply_merge_weights(
@@ -163,7 +148,6 @@ def merge_linear_solve(
     seed: int = 0,
     normalized: bool = True,
     config: ModelConfig | None = None,
-    ridge_rel: float = 1e-8,
 ) -> tuple[TensorArchive, MergeWeights]:
     """Solve per-group coefficients from output deltas, then recombine.
 
@@ -182,6 +166,6 @@ def merge_linear_solve(
     model = bind_weights(base, resolved)
     store = collect_base_features(model, datasets, plan, samples_per_task, seed=seed)
     deltas = compute_delta_outputs(store, base, fine_tuned, plan)
-    weights = solve_plan(plan, deltas, normalized=normalized, ridge_rel=ridge_rel)
+    weights = solve_plan(plan, deltas, normalized=normalized)
     merged = apply_merge_weights(base, fine_tuned, plan, weights)
     return merged, weights

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,14 +44,21 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for field in ("d_model", "n_heads", "n_layers", "d_ff", "vocab_size", "max_seq"):
-            if int(getattr(self, field)) < 1:
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{field} must be >= 1")
+        for field in ("norm_eps", "rope_theta"):
+            value = getattr(self, field)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{field} must be a number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{field} must be positive and finite")
         if self.d_model % self.n_heads != 0:
             raise ValueError("n_heads must divide d_model")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ValueError("head dimension must be even for rotary pairing")
-        if self.norm_eps <= 0 or self.rope_theta <= 0:
-            raise ValueError("norm_eps and rope_theta must be positive")
 
     @property
     def head_dim(self) -> int:

@@ -20,6 +20,8 @@ from .features import DeltaStore
 
 ENERGY_FLOOR = 1e-12
 COND_LIMIT = 1e12
+# Ridge added when the system is too ill-conditioned: RIDGE_REL * trace(A) / n.
+RIDGE_REL = 1e-8
 
 
 @dataclass
@@ -76,22 +78,6 @@ class MergeWeights:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MergeWeights":
-        try:
-            groups = tuple(
-                GroupWeights(
-                    group_id=entry["id"],
-                    alpha=tuple(float(a) for a in entry["alpha"]),
-                    fallback=bool(entry["fallback"]),
-                    residual=float(entry["residual"]),
-                )
-                for entry in payload["groups"]
-            )
-            return cls(str(payload["level"]), bool(payload["normalized"]), groups)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CoeffError(f"malformed weights payload: {exc}") from exc
-
 
 def compute_gram(
     task_blocks: Sequence[np.ndarray], normalized: bool = True, group_id: str = ""
@@ -146,9 +132,7 @@ def assemble_system(gram: GramTensor) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def solve_alpha(
-    A: np.ndarray, b: np.ndarray, ridge_rel: float = 1e-8
-) -> tuple[np.ndarray, dict]:
+def solve_alpha(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve A alpha = b with ridge and zero-signal fallbacks.
 
     Returns (alpha, diagnostics) where diagnostics carries the condition
@@ -184,7 +168,7 @@ def solve_alpha(
         if alpha is not None and not np.isfinite(alpha).all():
             alpha = None
     if alpha is None:
-        ridge = ridge_rel * trace / n
+        ridge = RIDGE_REL * trace / n
         fallback = True
         alpha = scipy.linalg.solve(A + ridge * np.eye(n), b, assume_a="pos")
     return alpha, {
@@ -197,10 +181,7 @@ def solve_alpha(
 
 
 def solve_plan(
-    plan: DecompositionPlan,
-    deltas: DeltaStore,
-    normalized: bool = True,
-    ridge_rel: float = 1e-8,
+    plan: DecompositionPlan, deltas: DeltaStore, normalized: bool = True
 ) -> MergeWeights:
     """Solve one alpha vector per group; failures fall back to uniform."""
     n = deltas.n_models
@@ -208,7 +189,7 @@ def solve_plan(
     for group_id in plan.group_ids():
         try:
             gram = compute_gram(deltas.grouped(group_id), normalized, group_id=group_id)
-            alpha, diag = solve_alpha(*assemble_system(gram), ridge_rel=ridge_rel)
+            alpha, diag = solve_alpha(*assemble_system(gram))
             results.append(
                 GroupWeights(
                     group_id=group_id,

@@ -22,7 +22,6 @@ from submerge import (
     linear_combine,
     read_archive,
     task_vector,
-    uniform_coeffs,
     write_archive,
 )
 
@@ -238,7 +237,7 @@ class TestTaskVector:
 class TestLinearCombine:
     def test_zero_coeffs_recover_base(self):
         base = small_archive()
-        out = linear_combine(base, [base], uniform_coeffs(base, [0.0]))
+        out = linear_combine(base, [base], [0.0])
         assert out.tensors.keys() == base.tensors.keys()
         for name in base.tensors:
             np.testing.assert_array_equal(out.tensors[name], base.tensors[name])
@@ -248,7 +247,7 @@ class TestLinearCombine:
         base = _arc({"w": rng.normal(size=8).tolist()})
         fine = _arc({"w": rng.normal(size=8).tolist()})
         tau = task_vector(fine, base)
-        out = linear_combine(base, [tau], uniform_coeffs(base, [1.0]))
+        out = linear_combine(base, [tau], [1.0])
         np.testing.assert_allclose(out.tensors["w"], fine.tensors["w"], atol=1e-7)
 
     def test_arithmetic_example(self):
@@ -256,26 +255,26 @@ class TestLinearCombine:
         out = linear_combine(
             base,
             [_arc({"n": [2.0]}), _arc({"n": [4.0]})],
-            {"n": [0.5, 0.25]},
+            [0.5, 0.25],
         )
         np.testing.assert_array_equal(out.tensors["n"], np.array([3.0], dtype=np.float32))
 
     def test_missing_coefficient(self):
         base = _arc({"n": [1.0], "m": [2.0]})
         with pytest.raises(CoeffError):
-            linear_combine(base, [base], {"n": [1.0]})
+            linear_combine(base, [base, base], [1.0])
 
     def test_wrong_length(self):
         base = _arc({"n": [1.0]})
         with pytest.raises(CoeffError):
-            linear_combine(base, [base], {"n": [1.0, 2.0]})
+            linear_combine(base, [base], [1.0, 2.0])
 
     def test_uniform_combination_matches_mean(self):
         rng = np.random.default_rng(3)
         base = _arc({"w": rng.normal(size=16).tolist()})
         fine = [_arc({"w": rng.normal(size=16).tolist()}) for _ in range(3)]
         taus = [task_vector(f, base) for f in fine]
-        out = linear_combine(base, taus, uniform_coeffs(base, [1 / 3] * 3))
+        out = linear_combine(base, taus, [1 / 3] * 3)
         mean = np.mean([f.tensors["w"] for f in fine], axis=0)
         np.testing.assert_allclose(out.tensors["w"], mean, atol=1e-7)
 
@@ -284,7 +283,7 @@ class TestLinearCombine:
         base = _arc({"w": rng.normal(size=32).tolist()})
         vecs = [_arc({"w": rng.normal(size=32).tolist()}) for _ in range(2)]
         c1, c2 = [0.3, -0.7], [0.2, 0.5]
-        via_sum = linear_combine(base, vecs, uniform_coeffs(base, [a + b for a, b in zip(c1, c2)]))
-        first = linear_combine(base, vecs, uniform_coeffs(base, c1))
-        second = linear_combine(first, vecs, uniform_coeffs(base, c2))
+        via_sum = linear_combine(base, vecs, [a + b for a, b in zip(c1, c2)])
+        first = linear_combine(base, vecs, c1)
+        second = linear_combine(first, vecs, c2)
         np.testing.assert_allclose(via_sum.tensors["w"], second.tensors["w"], atol=1e-6)

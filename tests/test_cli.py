@@ -287,6 +287,60 @@ class TestBadInputs:
         expected = f"{n_models} models need {n_models} datasets, got {n_datasets}"
         assert expected in assert_input_error(rc, capsys)
 
+    @pytest.mark.parametrize("case", ["out_is_file", "out_below_file", "output_is_directory"])
+    @pytest.mark.parametrize(
+        "command, output",
+        [
+            (["solve"], "weights.json"),
+            (["analyze", "--levels", "layer", "--n-points", "2"], "heatmap_layer.csv"),
+            (["eval"], "metrics.json"),
+            (["compare"], "compare.json"),
+            (["merge", "--method", "weight_avg"], "merged.ta"),
+            (["gen-fixture"], "base.ta"),
+        ],
+        ids=["solve", "analyze", "eval", "compare", "merge", "gen_fixture"],
+    )
+    def test_unwritable_out_exits_2(self, fixture_dir, tmp_path, capsys, command, output, case):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = {"out_is_file": taken, "out_below_file": taken / "sub"}.get(case, tmp_path / "out")
+        if case == "output_is_directory":
+            (out / output).mkdir(parents=True)
+        if command[0] == "gen-fixture":
+            inputs = []
+        elif command[0] == "eval":
+            inputs = ["--archive", str(fixture_dir / "base.ta"), "--dataset", str(fixture_dir / "task0.jsonl")]
+        else:
+            inputs = io_flags(fixture_dir)
+        rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(out)])
+        assert "cannot" in assert_input_error(rc, capsys)
+
+    @pytest.mark.parametrize("source", ["override", "archive_meta"])
+    @pytest.mark.parametrize(
+        "command",
+        [["merge", "--method", "linear_solve", "--level", "head_mlp"], ["eval"]],
+        ids=["merge_head_mlp", "eval"],
+    )
+    def test_float_model_size_exits_2(self, fixture_dir, tmp_path, capsys, command, source):
+        base = read_archive(fixture_dir / "base.ta")
+        model_config = dict(json.loads(base.meta["model_config"]), d_model=16.0)
+        payload = {"samples_per_task": 4}
+        base_path = fixture_dir / "base.ta"
+        if source == "override":
+            payload["model_config"] = model_config
+        else:
+            base_path = tmp_path / "base.ta"
+            meta = dict(base.meta, model_config=json.dumps(model_config))
+            write_archive(TensorArchive(base.tensors, meta), base_path)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(payload))
+        if command[0] == "eval":
+            inputs = ["--archive", str(base_path), "--dataset", str(fixture_dir / "task0.jsonl")]
+        else:
+            inputs = ["--base", str(base_path), *io_flags(fixture_dir)[2:]]
+        rc = main([*command, *inputs, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert "d_model must be an integer, got 16.0" in assert_input_error(rc, capsys)
+
     def test_boolean_in_config_is_used(self, fixture_dir, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"normalized": False, "samples_per_task": 4}))

@@ -9,7 +9,6 @@ from submerge import PlanError
 from submerge.decompose import (
     Granularity,
     head_slices,
-    module_parameters,
     plan_decomposition,
 )
 from submerge.model import ModelConfig
@@ -111,7 +110,7 @@ class TestHeadSlices:
 class TestModuleParameters:
     def test_mlp_group(self, config):
         plan = plan_decomposition(config, Granularity.ATTN_MLP)
-        params = module_parameters(plan, "mlp.0")
+        params = plan.group("mlp.0").params
         assert set(params) == {
             "layers.0.norm2",
             "layers.0.mlp.gate_proj",
@@ -122,31 +121,23 @@ class TestModuleParameters:
 
     def test_head_group_is_sliced(self, config):
         plan = plan_decomposition(config, Granularity.HEAD_MLP)
-        params = module_parameters(plan, "head.0.1")
+        params = plan.group("head.0.1").params
         assert params["layers.0.attn.q_proj"].rows == (4, 8)
         assert params["layers.0.attn.o_proj"].cols == (4, 8)
         assert "layers.0.norm1" not in params  # owned by head 0
 
     def test_embed_group(self, config):
         plan = plan_decomposition(config, Granularity.LAYER)
-        assert set(module_parameters(plan, "embed")) == {"embed"}
-        assert set(module_parameters(plan, "lm_head")) == {"norm_final", "lm_head"}
+        assert set(plan.group("embed").params) == {"embed"}
+        assert set(plan.group("lm_head").params) == {"norm_final", "lm_head"}
 
     def test_unknown_group(self, config):
         plan = plan_decomposition(config, Granularity.LAYER)
         with pytest.raises(PlanError):
-            module_parameters(plan, "attn.0")
+            plan.group("attn.0")
 
 
 class TestSerialization:
-    def test_plan_json_round_trip_fields(self, config):
-        plan = plan_decomposition(config, Granularity.HEAD_MLP)
-        blob = plan.to_json_dict()
-        assert blob["granularity"] == "head_mlp"
-        assert len(blob["groups"]) == 14
-        head = next(g for g in blob["groups"] if g["id"] == "head.0.1")
-        assert head["params"]["layers.0.attn.q_proj"]["rows"] == [4, 8]
-
     def test_granularity_parse(self):
         assert Granularity.parse("attn_mlp") is Granularity.ATTN_MLP
         with pytest.raises(PlanError):

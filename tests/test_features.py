@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submerge.features
-from submerge import SampleError, TensorArchive, task_vector
+from submerge import CompatError, SampleError, TensorArchive, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import (
     apply_group,
@@ -164,6 +164,15 @@ class TestDeltas:
             for block in deltas.grouped(group.id):
                 assert block.shape[0] == 1
                 assert not block.any()
+
+    def test_shape_mismatch_names_the_tensor(self, tiny_config, tiny_checkpoint, setup):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        tensors = dict(fine_tuned[1].tensors, **{"layers.0.attn.q_proj": np.ones((4, 8), dtype=np.float32)})
+        odd = TensorArchive(tensors=tensors, meta=dict(tiny_checkpoint.meta))
+        with pytest.raises(CompatError, match=r"archive 1: tensor 'layers\.0\.attn\.q_proj' shapes differ"):
+            compute_delta_outputs(store, tiny_checkpoint, [fine_tuned[0], odd], plan)
 
     def test_widths_and_row_alignment(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from submerge import DegenerateError, InputError, TensorArchive, task_vector
+from submerge import DegenerateError, TensorArchive, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import collect_base_features, compute_delta_outputs
 from submerge.linearity import (
-    cosine_base,
     cosine_merge,
     default_alpha_grid,
     interpolation_scores,
@@ -140,37 +139,6 @@ class TestCosineMerge:
     def test_all_rows_degenerate(self):
         with pytest.raises(DegenerateError):
             cosine_merge([np.zeros((3, 2))], [1.0], np.zeros((3, 2)))
-
-
-class TestCosineBase:
-    def test_identical_deltas(self):
-        rng = np.random.default_rng(4)
-        delta = rng.normal(size=(5, 4))
-        value, _ = cosine_base([delta, delta.copy()])
-        assert value == pytest.approx(1.0, abs=1e-12)
-
-    def test_opposite_deltas(self):
-        rng = np.random.default_rng(5)
-        delta = rng.normal(size=(5, 4))
-        value, _ = cosine_base([delta, -delta])
-        assert value == pytest.approx(-1.0, abs=1e-12)
-
-    def test_orthogonal_deltas(self):
-        a = np.tile([1.0, 0.0], (6, 1))
-        b = np.tile([0.0, 1.0], (6, 1))
-        value, _ = cosine_base([a, b])
-        assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_three_way_average_over_pairs(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        c = np.array([[1.0, 0.0]])
-        value, _ = cosine_base([a, b, c])  # pairs: ab=0, ac=1, bc=0
-        assert value == pytest.approx(1 / 3, abs=1e-12)
-
-    def test_single_task_rejected(self):
-        with pytest.raises(InputError):
-            cosine_base([np.ones((2, 2))])
 
 
 class TestProjectionDistance:

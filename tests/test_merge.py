@@ -13,11 +13,16 @@ from submerge.merge import (
     merge_linear_solve,
     merge_task_arithmetic,
     merge_weight_average,
-    uniform_weights,
 )
 from submerge.solver import GroupWeights, MergeWeights
 
 from test_features import perturbed
+
+
+def same_weights(plan, alpha):
+    """The coefficients `alpha` for every group of the plan."""
+    groups = tuple(GroupWeights(gid, tuple(alpha), False, 0.0) for gid in plan.group_ids())
+    return MergeWeights(plan.granularity.value, True, groups)
 
 
 def tiny_archive(values, meta=None):
@@ -64,6 +69,13 @@ class TestWeightAverage:
     def test_shape_mismatch_rejected(self, tiny_checkpoint):
         with pytest.raises(CompatError):
             merge_weight_average(tiny_checkpoint, [tiny_archive([1.0])])
+
+    def test_shape_mismatch_names_the_tensor(self, tiny_checkpoint, merge_setup):
+        _, fine_tuned = merge_setup
+        tensors = dict(fine_tuned[1].tensors, **{"layers.1.norm2": np.ones(3, dtype=np.float32)})
+        odd = TensorArchive(tensors=tensors, meta=dict(tiny_checkpoint.meta))
+        with pytest.raises(CompatError, match=r"model 1: tensor 'layers\.1\.norm2' shapes differ"):
+            merge_weight_average(tiny_checkpoint, [fine_tuned[0], odd])
 
 
 class TestTaskArithmetic:
@@ -149,7 +161,7 @@ class TestApplyMergeWeights:
         wa = merge_weight_average(tiny_checkpoint, fine_tuned)
         for level in Granularity:
             plan = plan_decomposition(tiny_config, level)
-            weights = uniform_weights(plan, n_models=2)
+            weights = same_weights(plan, (0.5, 0.5))
             merged = apply_merge_weights(tiny_checkpoint, fine_tuned, plan, weights)
             for name in merged.tensors:
                 np.testing.assert_allclose(
@@ -164,11 +176,7 @@ class TestApplyMergeWeights:
         ta = merge_task_arithmetic(tiny_checkpoint, fine_tuned, alpha=alpha)
         for level in Granularity:
             plan = plan_decomposition(tiny_config, level)
-            groups = tuple(
-                GroupWeights(gid, (alpha, alpha), False, 0.0)
-                for gid in plan.group_ids()
-            )
-            weights = MergeWeights(level.value, True, groups)
+            weights = same_weights(plan, (alpha, alpha))
             merged = apply_merge_weights(tiny_checkpoint, fine_tuned, plan, weights)
             for name in merged.tensors:
                 np.testing.assert_allclose(

