@@ -348,11 +348,11 @@ def cmd_solve(opts: Options) -> bool:
     sample_n = opts.get("samples_per_task", 30)
     seed = opts.get("seed", 0)
     normalized = opts.get("normalized", True)
+    out = opts.out_dir()
     plan = plan_decomposition(config, level)
     store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n, seed=seed)
     deltas = compute_delta_outputs(store, base, models, plan)
     weights = solve_plan(plan, deltas, normalized=normalized)
-    out = opts.out_dir()
     _write_json(out / "weights.json", weights.to_json_dict())
     print(f"wrote weights: {out / 'weights.json'}")
     for g in weights.groups:
@@ -443,6 +443,7 @@ def cmd_eval(opts: Options) -> bool:
     archive = read_archive(archive_path)
     datasets, dataset_paths = opts.load_datasets()
     config = opts.model_config(archive)
+    out = opts.out_dir()
     model = bind_weights(archive, config)
     per_task = {}
     for index, (dataset, path) in enumerate(zip(datasets, dataset_paths)):
@@ -457,7 +458,6 @@ def cmd_eval(opts: Options) -> bool:
         "per_task": per_task,
         "mean": mean,
     }
-    out = opts.out_dir()
     _write_json(out / "metrics.json", metrics)
     print(f"wrote metrics: {out / 'metrics.json'}")
     for name in sorted(per_task):
@@ -474,6 +474,7 @@ def cmd_compare(opts: Options) -> bool:
     seed = opts.get("seed", 0)
     sample_n = opts.get("samples_per_task", 30)
     normalized = opts.get("normalized", True)
+    out = opts.out_dir()
     tasks = [f"task{i}" for i in range(len(datasets))]
     degraded = False
 
@@ -539,7 +540,6 @@ def cmd_compare(opts: Options) -> bool:
             row["mean"] if column == "mean" else row["losses"][column] for row in rows
         ]
         best[column] = rows[int(np.argmin(values))]["id"]
-    out = opts.out_dir()
     _write_json(out / "compare.json", {"tasks": tasks, "rows": rows, "best": best})
     csv_rows = []
     for row in rows:

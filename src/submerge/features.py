@@ -4,12 +4,14 @@ The base model runs once over the sampled sequences, one batched forward
 pass per sequence length; every group's input is read off that single trace
 (base-input discipline: fine-tuned and interpolated groups are always
 evaluated on the base model's features, never on their own forward pass).
-Group functions are the `model` blocks themselves, evaluated on all stored
-sequences of one length in a single call, so identical parameters reproduce
-identical bytes. A group's outputs on one task are one f32 [rows, width]
-matrix, every sequence's token rows in input order. Output deltas are held
-one group at a time, as the [n_models, rows, width] block per data task that
-the solver reads.
+Each float64 trace is freed before the next forward pass; only the f32
+group inputs are stored. Group functions are the `model` blocks
+themselves, evaluated on all stored sequences of one length in a single
+call, so identical parameters reproduce identical bytes. A group's outputs
+on one task are one f32 [rows, width] matrix, every sequence's token rows in
+input order. Base outputs and output deltas are computed when a group is
+first read and held one group at a time: the base rows per task, and the
+[n_models, rows, width] delta block per data task that the solver reads.
 """
 
 from __future__ import annotations
@@ -28,22 +30,39 @@ from .model import output_block, validated_tokens
 
 @dataclass
 class FeatureStore:
-    """Per (group id, task): input matrices, one per sequence, and the base
-    output rows of every sequence stacked in input order."""
+    """Per (group id, task): input matrices, one per sequence, kept for the
+    whole plan; and the base output rows of one group at a time.
+
+    `base_outputs[(group id, task)]` holds the base rows of every sequence
+    stacked in input order. `base_rows` fills it on first use with the
+    traced `weights` and drops the rows of any other group.
+    """
 
     plan: DecompositionPlan
     config: ModelConfig
     n_tasks: int
+    weights: Mapping[str, np.ndarray]
     inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
+
+    def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
+        """The group's output rows on one task's inputs under the traced weights."""
+        key = (group.id, task)
+        rows = self.base_outputs.get(key)
+        if rows is None:
+            if any(held != group.id for held, _ in self.base_outputs):
+                self.base_outputs.clear()
+            rows = apply_group(group, self.weights, self.inputs[key], self.config)
+            self.base_outputs[key] = rows
+        return rows
 
     def delta_rows(
         self, group: SubmoduleGroup, task: int, params: Mapping[str, np.ndarray]
     ) -> np.ndarray:
         """The group's output rows on one task's inputs under `params`, minus the base rows."""
-        key = (group.id, task)
-        return apply_group(group, params, self.inputs[key], self.config) - self.base_outputs[key]
+        rows = apply_group(group, params, self.inputs[(group.id, task)], self.config)
+        return rows - self.base_rows(group, task)
 
 
 @dataclass
@@ -180,6 +199,15 @@ def group_parameters(
     return out
 
 
+def _traced_taps(base: BoundModel, batch: np.ndarray, taps: set[str]) -> dict[str, np.ndarray]:
+    """The taps of one batched base forward pass: f32 features, or the tokens as given.
+
+    The float64 trace is freed on return, before the next batch is traced.
+    """
+    trace = forward_pass(base.config, base.weights, batch)
+    return {tap: batch if tap == "tokens" else trace[tap].astype(np.float32) for tap in taps}
+
+
 def collect_base_features(
     base: BoundModel,
     datasets: Sequence[Sequence[Sequence[int]]],
@@ -189,11 +217,14 @@ def collect_base_features(
 ) -> FeatureStore:
     """Sample sequences per task, trace the base model, store group inputs.
 
-    Groups that read the same tap share its stored arrays.
+    Groups that read the same tap share its stored arrays. No base outputs
+    are computed here; `FeatureStore.base_rows` computes them per group.
     """
     if sample_n < 1:
         raise SampleError(f"sample count must be >= 1, got {sample_n}")
-    store = FeatureStore(plan=plan, config=base.config, n_tasks=len(datasets))
+    store = FeatureStore(
+        plan=plan, config=base.config, n_tasks=len(datasets), weights=base.weights
+    )
     taps = {group.input_tap for group in plan.groups}
     for task, dataset in enumerate(datasets):
         if len(dataset) < sample_n:
@@ -211,16 +242,11 @@ def collect_base_features(
                 raise InputError(f"task {task} sequence {index}: {exc}") from None
         values = {tap: [np.empty(0)] * len(sequences) for tap in taps}
         for positions, batch in _length_buckets(sequences):
-            trace = forward_pass(base.config, base.weights, batch)
-            for tap in taps:
-                stacked = batch if tap == "tokens" else trace[tap].astype(np.float32)
+            for tap, stacked in _traced_taps(base, batch, taps).items():
                 for position, value in zip(positions, stacked):
                     values[tap][position] = value
         for group in plan.groups:
             store.inputs[(group.id, task)] = list(values[group.input_tap])
-            store.base_outputs[(group.id, task)] = apply_group(
-                group, base.weights, store.inputs[(group.id, task)], base.config
-            )
     return store
 
 

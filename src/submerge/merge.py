@@ -9,6 +9,7 @@ output deltas, and recombines parameters slice by slice.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,11 @@ from .solver import MergeWeights, solve_plan
 def _require_models(fine_tuned: Sequence[TensorArchive]) -> None:
     if not fine_tuned:
         raise InputError("need at least one fine-tuned checkpoint")
+
+
+def _require_finite_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ParamError(f"alpha must be finite, got {alpha}")
 
 
 def config_for(archive: TensorArchive, config: ModelConfig | None = None) -> ModelConfig:
@@ -58,6 +64,7 @@ def merge_task_arithmetic(
     base: TensorArchive, fine_tuned: Sequence[TensorArchive], alpha: float
 ) -> TensorArchive:
     """base + alpha * sum of task vectors, one equal weight for all models."""
+    _require_finite_alpha(alpha)
     _require_models(fine_tuned)
     taus = [task_vector(ft, base) for ft in fine_tuned]
     return linear_combine(base, taus, [alpha] * len(taus))
@@ -77,6 +84,7 @@ def merge_dare(
     the expected task vector unchanged. drop_p = 0 routes through plain task
     arithmetic so the two agree bitwise.
     """
+    _require_finite_alpha(alpha)
     if not 0.0 <= drop_p < 1.0:
         raise ParamError(f"drop_p must lie in [0, 1), got {drop_p}")
     _require_models(fine_tuned)

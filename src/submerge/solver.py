@@ -136,8 +136,8 @@ def solve_alpha(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve A alpha = b with ridge and zero-signal fallbacks.
 
     Returns (alpha, diagnostics) where diagnostics carries the condition
-    estimate, any ridge used, the residual against the original system, and
-    fallback/zero-signal flags.
+    estimate, any ridge used, the residual against the original system,
+    fallback/zero-signal flags, and a note naming the fallback ("" if none).
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -155,11 +155,13 @@ def solve_alpha(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
             "residual": float(np.linalg.norm(A @ alpha - b)),
             "fallback": True,
             "zero_signal": True,
+            "note": "zero signal: uniform weights",
         }
     condition = float(np.linalg.cond(A))
     alpha = None
     ridge = 0.0
     fallback = False
+    note = ""
     if condition <= COND_LIMIT:
         try:
             alpha = scipy.linalg.solve(A, b, assume_a="sym")
@@ -170,6 +172,8 @@ def solve_alpha(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
     if alpha is None:
         ridge = RIDGE_REL * trace / n
         fallback = True
+        reason = "condition above limit" if condition > COND_LIMIT else "direct solve failed"
+        note = f"{reason}: solved with a ridge"
         alpha = scipy.linalg.solve(A + ridge * np.eye(n), b, assume_a="pos")
     return alpha, {
         "condition": condition,
@@ -177,6 +181,7 @@ def solve_alpha(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
         "residual": float(np.linalg.norm(A @ alpha - b)),
         "fallback": fallback,
         "zero_signal": False,
+        "note": note,
     }
 
 
@@ -199,6 +204,7 @@ def solve_plan(
                     condition=diag["condition"],
                     ridge=diag["ridge"],
                     zero_signal=diag["zero_signal"],
+                    note=diag["note"],
                 )
             )
         except (DegenerateError, NumericError) as exc:
@@ -209,7 +215,7 @@ def solve_plan(
                     fallback=True,
                     residual=0.0,
                     condition=float("inf"),
-                    zero_signal=True,
+                    zero_signal=isinstance(exc, DegenerateError),
                     note=str(exc),
                 )
             )

@@ -315,6 +315,44 @@ class TestBadInputs:
         rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(out)])
         assert "cannot" in assert_input_error(rc, capsys)
 
+    @pytest.mark.parametrize(
+        "command, costly",
+        [
+            (["solve"], ["collect_base_features"]),
+            (["eval"], ["eval_cross_entropy"]),
+            (["compare"], ["eval_cross_entropy", "merge_linear_solve"]),
+        ],
+        ids=["solve", "eval", "compare"],
+    )
+    def test_out_naming_a_file_exits_before_the_work(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, command, costly
+    ):
+        def never_called(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        for name in costly:
+            monkeypatch.setattr(f"submerge.cli.{name}", never_called)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        if command[0] == "eval":
+            inputs = ["--archive", str(fixture_dir / "base.ta"), "--dataset", str(fixture_dir / "task0.jsonl")]
+        else:
+            inputs = io_flags(fixture_dir)
+        rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(taken)])
+        assert "cannot create output directory" in assert_input_error(rc, capsys)
+
+    @pytest.mark.parametrize("method", ["task_arithmetic", "dare"])
+    @pytest.mark.parametrize("source", ["--alpha=inf", "--alpha=-inf", "--alpha=1e309", "config_nan"])
+    def test_non_finite_alpha_exits_2(self, fixture_dir, tmp_path, capsys, method, source):
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"alpha": NaN}')
+        alpha = ["--config", str(config_path)] if source == "config_nan" else [source]
+        rc = main(["merge", *io_flags(fixture_dir), "--method", method, *alpha, "--out", str(tmp_path / "out")])
+        err = assert_input_error(rc, capsys)
+        assert "alpha must be finite" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "out" / "merged.ta").exists()
+
     @pytest.mark.parametrize("source", ["override", "archive_meta"])
     @pytest.mark.parametrize(
         "command",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from submerge.features import (
     interpolated_outputs,
 )
 from submerge.linearity import metric_sweep
-from submerge.model import bind_weights, forward_pass
+from submerge.model import ModelConfig, bind_weights, forward_pass
 from submerge.solver import solve_plan
 
 from conftest import random_checkpoint
@@ -66,6 +68,47 @@ class TestCollect:
         c = collect_base_features(model, datasets, plan, sample_n=3, seed=8)
         assert a.sampled != c.sampled
 
+    def test_no_base_outputs_are_held_after_collect(self, tiny_config, setup):
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=3, seed=0)
+        assert store.base_outputs == {}
+        assert len(store.inputs) == len(plan.groups) * len(datasets)
+
+    def test_peak_holds_one_trace_at_a_time(self):
+        # Three equal tasks may add to the one-task peak only the two extra
+        # tasks' stored inputs; a trace kept alive into the next task's
+        # forward pass would add a whole float64 trace on top.
+        config = ModelConfig(d_model=32, n_heads=4, n_layers=2, d_ff=64, vocab_size=64, max_seq=32)
+        model = bind_weights(random_checkpoint(config, 7), config)
+        plan = plan_decomposition(config, Granularity.LAYER)
+        rng = np.random.default_rng(0)
+        dataset = [rng.integers(0, 64, size=32).tolist() for _ in range(8)]
+
+        def peak_and_inputs(n_tasks):
+            tracemalloc.start()
+            try:
+                store = collect_base_features(model, [dataset] * n_tasks, plan, sample_n=8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = {}
+            for (_, task), rows in store.inputs.items():
+                for arr in rows:
+                    owner = arr.base if arr.base is not None else arr
+                    arrays[id(owner)] = (task, owner.nbytes)
+            per_task = sum(nbytes for task, nbytes in arrays.values() if task == 0)
+            return peak, per_task
+
+        one_peak, one_task_inputs = peak_and_inputs(1)
+        three_peak, _ = peak_and_inputs(3)
+        trace_bytes = sum(
+            arr.nbytes for arr in forward_pass(config, model.weights, np.zeros((8, 32), np.int64)).values()
+        )
+        slack = 64 * 1024
+        assert slack < trace_bytes / 4
+        assert three_peak - one_peak <= 2 * one_task_inputs + slack
+
     def test_too_small_dataset(self, tiny_config, setup):
         model, datasets, _ = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
@@ -101,7 +144,7 @@ class TestApplyGroup:
                 outs = apply_group(
                     group, model.weights, store.inputs[(group.id, task)], tiny_config
                 )
-                assert np.array_equal(outs, store.base_outputs[(group.id, task)]), (group.id, task)
+                assert np.array_equal(outs, store.base_rows(group, task)), (group.id, task)
 
     @pytest.mark.parametrize("level", list(Granularity))
     def test_ragged_inputs_match_per_sequence_evaluation(self, tiny_config, setup, level):
@@ -137,9 +180,9 @@ class TestApplyGroup:
             for task in range(2):
                 total = None
                 for h in range(tiny_config.n_heads):
-                    outs = store_h.base_outputs[(f"head.{layer}.{h}", task)]
+                    outs = store_h.base_rows(heads.group(f"head.{layer}.{h}"), task)
                     total = outs if total is None else total + outs
-                branch = store_a.base_outputs[(f"attn.{layer}", task)]
+                branch = store_a.base_rows(attn.group(f"attn.{layer}"), task)
                 np.testing.assert_allclose(total, branch, atol=1e-5)
 
     def test_zero_down_proj_zeroes_mlp_branch(self, tiny_config, setup):
@@ -202,7 +245,7 @@ class TestDeltas:
                 for task in range(2):
                     inputs = store.inputs[(group.id, task)]
                     rows = apply_group(group, params, inputs, tiny_config)
-                    expected = rows - store.base_outputs[(group.id, task)]
+                    expected = rows - store.base_rows(group, task)
                     got = deltas.grouped(group.id)[task][t]
                     assert got.dtype == expected.dtype
                     assert np.array_equal(got, expected), (group.id, task, t)
@@ -217,6 +260,7 @@ class TestDeltas:
             assert len(deltas.deltas) == store.n_tasks
             assert len({key[0] for key in deltas.deltas}) == 1
             assert all(block.shape[0] == len(fine_tuned) for block in deltas.deltas.values())
+            assert set(store.base_outputs) == {(deltas.held, t) for t in range(store.n_tasks)}
 
         solve_plan(plan, deltas)
         assert_one_group()
@@ -276,7 +320,7 @@ class TestInterpolation:
         tau = task_vector(fine_tuned[0], tiny_checkpoint)
         group = plan.group("attn.1")
         lo, hi = interpolated_outputs(store, tiny_checkpoint, tau, group, [0.0, 1.0], task=0)
-        base_rows = store.base_outputs[("attn.1", 0)]
+        base_rows = store.base_rows(group, 0)
         np.testing.assert_array_equal(lo, base_rows)
         # c=1 reproduces the fine-tuned branch up to f32 rounding of tau
         ft_params = group_parameters(group, tiny_checkpoint.tensors, source=fine_tuned[0].tensors)

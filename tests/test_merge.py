@@ -105,6 +105,12 @@ class TestTaskArithmetic:
                 expected = expected + alpha * tau
             np.testing.assert_allclose(merged.tensors[name], expected, atol=1e-6)
 
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_non_finite_alpha_rejected(self, tiny_checkpoint, merge_setup, alpha):
+        _, fine_tuned = merge_setup
+        with pytest.raises(ParamError, match="alpha must be finite"):
+            merge_task_arithmetic(tiny_checkpoint, fine_tuned, alpha=alpha)
+
 
 class TestDare:
     def test_drop_zero_bitwise_equals_task_arithmetic(self, tiny_checkpoint, merge_setup):
@@ -126,6 +132,13 @@ class TestDare:
         for p in (1.0, 1.5, -0.1):
             with pytest.raises(ParamError):
                 merge_dare(tiny_checkpoint, fine_tuned, alpha=0.4, drop_p=p, seed=0)
+
+    @pytest.mark.parametrize("drop_p", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_non_finite_alpha_rejected(self, tiny_checkpoint, merge_setup, alpha, drop_p):
+        _, fine_tuned = merge_setup
+        with pytest.raises(ParamError, match="alpha must be finite"):
+            merge_dare(tiny_checkpoint, fine_tuned, alpha=alpha, drop_p=drop_p, seed=0)
 
     def test_tasks_use_independent_masks(self, tiny_checkpoint, merge_setup):
         # Two copies of the same model: if both task vectors shared one mask,

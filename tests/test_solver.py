@@ -227,6 +227,14 @@ class TestSolveAlpha:
         assert diag["fallback"]
         assert diag["zero_signal"]
 
+    def test_fallbacks_carry_a_note(self):
+        _, ridge = solve_alpha(2 * np.ones((2, 2)), np.array([2.0, 2.0]))
+        assert ridge["note"] == "condition above limit: solved with a ridge"
+        _, zero = solve_alpha(np.zeros((2, 2)), np.zeros(2))
+        assert zero["note"].startswith("zero signal")
+        _, plain = solve_alpha(2 * np.eye(2), np.array([2.0, 2.0]))
+        assert plain["note"] == ""
+
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
             solve_alpha(np.array([[np.nan]]), np.array([1.0]))
@@ -344,6 +352,34 @@ class TestSolvePlan:
         for g in weights.groups:
             assert g.fallback
             np.testing.assert_allclose(g.alpha, [0.5, 0.5], atol=1e-12)
+
+    def test_non_finite_gram_is_not_zero_signal(self, tiny_config):
+        class NonFiniteDeltas:
+            n_models = 2
+
+            def grouped(self, group_id):
+                return [np.full((2, 3, 4), np.nan)]
+
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        weights = solve_plan(plan, NonFiniteDeltas(), normalized=False)
+        for g in weights.groups:
+            assert g.fallback
+            assert not g.zero_signal
+            assert "non-finite Gram" in g.note
+            assert g.alpha == (0.5, 0.5)
+
+    def test_degenerate_group_is_zero_signal(self, tiny_config):
+        class ZeroDeltas:
+            n_models = 2
+
+            def grouped(self, group_id):
+                return [np.zeros((2, 3, 4))]
+
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        for g in solve_plan(plan, ZeroDeltas()).groups:
+            assert g.fallback
+            assert g.zero_signal
+            assert "non-zero delta energy" in g.note
 
     def test_first_order_optimality_on_pipeline(self, pipeline):
         plan, _, deltas = pipeline
