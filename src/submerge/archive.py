@@ -20,7 +20,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ _ITEM_SIZE = 4
 
 @dataclass
 class TensorArchive:
-    """Named float32 tensors with string metadata, iterated in name order."""
+    """Named float32 tensors with string metadata, kept in name order."""
 
     tensors: dict[str, np.ndarray]
     meta: dict[str, str] = field(default_factory=dict)
@@ -56,23 +56,13 @@ class TensorArchive:
             if not isinstance(key, str) or not isinstance(value, str):
                 raise FormatError("meta must map strings to strings")
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tensors)
-
-    def __len__(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: arr.shape for name, arr in self.tensors.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorArchive):
             return NotImplemented
-        if self.meta != other.meta or self.names != other.names:
+        if self.meta != other.meta or list(self.tensors) != list(other.tensors):
             return False
         return all(
             a.shape == b.shape and np.array_equal(a, b, equal_nan=True)

@@ -33,8 +33,7 @@ from .merge import (
     merge_task_arithmetic,
     merge_weight_average,
 )
-from .model import ModelConfig, bind_weights, eval_cross_entropy
-from .solver import solve_plan
+from .model import bind_weights, eval_cross_entropy
 
 TA_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 DARE_DROP_GRID = [0.6, 0.7, 0.8, 0.9]
@@ -64,8 +63,9 @@ CONFIG_TYPES = {
     "models": "a list of strings",
     "datasets": "a list of strings",
     "config": "an object",
-    "model_config": "an object",
 }
+# The three per-group columns of the analyze heatmap and summary.
+HEAT_COLUMNS = ("non_linearity", "cosine_merge_grid_mean", "projection_distance_grid_mean")
 
 
 def _is_string_list(value) -> bool:
@@ -126,6 +126,9 @@ class Options:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
             if not isinstance(payload, dict):
                 raise ConfigError("config file must hold a JSON object")
+            unknown = sorted(set(payload) - set(CONFIG_TYPES))
+            if unknown:
+                raise ConfigError(f"unknown config key {unknown[0]!r}")
             for key, kind in CONFIG_TYPES.items():
                 if key in payload and not JSON_TYPE_CHECKS[kind](payload[key]):
                     raise ConfigError(f"config key {key!r} must be {kind}, got {payload[key]!r}")
@@ -156,15 +159,6 @@ class Options:
             raise IoError(f"cannot create output directory {out}: {exc}") from exc
         return out
 
-    def model_config(self, archive: TensorArchive) -> ModelConfig:
-        override = self.get("model_config")
-        if override is not None:
-            try:
-                return ModelConfig(**override)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad model_config override: {exc}") from exc
-        return config_for(archive)
-
     def load_inputs(self):
         base_path = Path(self.require("base", "--base"))
         model_paths = [Path(p) for p in self.require("models", "--model")]
@@ -182,8 +176,19 @@ class Options:
         return [read_dataset(p) for p in paths], paths
 
 
-def _float_cell(value: float) -> str:
-    return "" if not np.isfinite(value) else f"{value:.10g}"
+def _json_number(value: float) -> float | None:
+    """`value`, or None (JSON null) if it is not finite."""
+    return value if np.isfinite(value) else None
+
+
+def _float_cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.10g}"
+
+
+def _losses(archive: TensorArchive, datasets: Sequence[Sequence[Sequence[int]]]) -> list[float]:
+    """Cross entropy of `archive` on each dataset, in order."""
+    model = bind_weights(archive, config_for(archive))
+    return [eval_cross_entropy(model, dataset) for dataset in datasets]
 
 
 def cmd_gen_fixture(opts: Options) -> bool:
@@ -205,10 +210,8 @@ def cmd_gen_fixture(opts: Options) -> bool:
     )
     paths = gen_fixture(spec, opts.out_dir())
     print(f"wrote fixture: {paths['manifest']}")
-    for key in ("base", "models", "datasets"):
-        entries = paths[key] if isinstance(paths[key], list) else [paths[key]]
-        for entry in entries:
-            print(f"  {entry}")
+    for entry in [paths["base"], *paths["models"], *paths["datasets"]]:
+        print(f"  {entry}")
     return False
 
 
@@ -223,8 +226,8 @@ def _parse_levels(opts: Options) -> list[Granularity]:
     return [Granularity.parse(name) for name in names]
 
 
-def _finite_stats(values: Sequence[float]) -> dict:
-    finite = [v for v in values if np.isfinite(v)]
+def _finite_stats(values: Sequence[float | None]) -> dict:
+    finite = [v for v in values if v is not None]
     if not finite:
         return {"mean": None, "std": None, "count": 0}
     return {
@@ -237,7 +240,7 @@ def _finite_stats(values: Sequence[float]) -> dict:
 def cmd_analyze(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
     datasets, _ = opts.load_datasets(len(models))
-    config = opts.model_config(base)
+    config = config_for(base)
     levels = _parse_levels(opts)
     sample_n = opts.get("samples_per_task", 30)
     seed = opts.get("seed", 0)
@@ -257,9 +260,8 @@ def cmd_analyze(opts: Options) -> bool:
         store = collect_base_features(bound, datasets, plan, sample_n, seed=seed)
         deltas = compute_delta_outputs(store, base, models, plan)
         group_entries = {}
-        heat_rows = []
+        heat_rows = []  # per group, its HEAT_COLUMNS values as JSON numbers
         sweep_rows = []
-        nls_means, cos_means, proj_means = [], [], []
         for group in plan.groups:
             per_task = []
             for task in range(len(models)):
@@ -270,61 +272,40 @@ def cmd_analyze(opts: Options) -> bool:
                 except DegenerateError:
                     value = float("nan")
                     degraded = True
-                per_task.append(value)
-            nls_mean = (
-                float(np.mean([v for v in per_task if np.isfinite(v)]))
-                if any(np.isfinite(v) for v in per_task)
-                else float("nan")
-            )
-            records = metric_sweep(store, deltas, base, taus, group)
-            grid_means = {}
-            for record in records:
+                per_task.append(_json_number(value))
+            means = {"non_linearity": _finite_stats(per_task)["mean"]}
+            for record in metric_sweep(store, deltas, base, taus, group):
                 if record.aux.get("degenerate"):
                     degraded = True
                 if record.metric.endswith("_grid_mean"):
-                    grid_means[record.metric] = record.value
+                    means[record.metric] = _json_number(record.value)
                 else:
                     alpha = record.aux.get("alpha", [])
                     sweep_rows.append(
                         [group.id, record.metric]
                         + [f"{a:.10g}" for a in alpha]
-                        + [_float_cell(record.value)]
+                        + [_float_cell(_json_number(record.value))]
                     )
-            cos_mean = grid_means.get("cosine_merge_grid_mean", float("nan"))
-            proj_mean = grid_means.get("projection_distance_grid_mean", float("nan"))
-            nls_means.append(nls_mean)
-            cos_means.append(cos_mean)
-            proj_means.append(proj_mean)
+            row = [means.get(column) for column in HEAT_COLUMNS]
+            heat_rows.append(row)
             group_entries[group.id] = {
-                "non_linearity": {
-                    "per_task": [None if not np.isfinite(v) else v for v in per_task],
-                    "mean": None if not np.isfinite(nls_mean) else nls_mean,
-                },
-                "cosine_merge_grid_mean": None if not np.isfinite(cos_mean) else cos_mean,
-                "projection_distance_grid_mean": None
-                if not np.isfinite(proj_mean)
-                else proj_mean,
+                **dict(zip(HEAT_COLUMNS, row)),
+                "non_linearity": {"per_task": per_task, "mean": row[0]},
             }
-            heat_rows.append(
-                [
-                    group.id,
-                    _float_cell(nls_mean),
-                    _float_cell(cos_mean),
-                    _float_cell(proj_mean),
-                ]
-            )
         report["levels"][level.value] = {
             "groups": group_entries,
             "summary": {
-                "non_linearity": _finite_stats(nls_means),
-                "cosine_merge_grid_mean": _finite_stats(cos_means),
-                "projection_distance_grid_mean": _finite_stats(proj_means),
+                column: _finite_stats([row[i] for row in heat_rows])
+                for i, column in enumerate(HEAT_COLUMNS)
             },
         }
         _write_csv(
             out / f"heatmap_{level.value}.csv",
-            ["group", "non_linearity", "cosine_merge_grid_mean", "projection_distance_grid_mean"],
-            heat_rows,
+            ["group", *HEAT_COLUMNS],
+            [
+                [group_id, *map(_float_cell, row)]
+                for group_id, row in zip(group_entries, heat_rows)
+            ],
         )
         alpha_header = [f"alpha_{t}" for t in range(len(models))]
         _write_csv(
@@ -343,16 +324,17 @@ def cmd_analyze(opts: Options) -> bool:
 def cmd_solve(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
     datasets, _ = opts.load_datasets(len(models))
-    config = opts.model_config(base)
     level = Granularity.parse(opts.get("level", "layer"))
-    sample_n = opts.get("samples_per_task", 30)
-    seed = opts.get("seed", 0)
-    normalized = opts.get("normalized", True)
     out = opts.out_dir()
-    plan = plan_decomposition(config, level)
-    store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n, seed=seed)
-    deltas = compute_delta_outputs(store, base, models, plan)
-    weights = solve_plan(plan, deltas, normalized=normalized)
+    _, weights = merge_linear_solve(
+        base,
+        models,
+        level,
+        datasets,
+        samples_per_task=opts.get("samples_per_task", 30),
+        seed=opts.get("seed", 0),
+        normalized=opts.get("normalized", True),
+    )
     _write_json(out / "weights.json", weights.to_json_dict())
     print(f"wrote weights: {out / 'weights.json'}")
     for g in weights.groups:
@@ -386,7 +368,6 @@ def cmd_merge(opts: Options) -> bool:
     elif method == "linear_solve":
         datasets, dataset_paths = opts.load_datasets(len(models))
         level = Granularity.parse(opts.get("level", "layer"))
-        config = opts.model_config(base)
         merged, weights = merge_linear_solve(
             base,
             models,
@@ -395,7 +376,6 @@ def cmd_merge(opts: Options) -> bool:
             samples_per_task=sample_n,
             seed=seed,
             normalized=normalized,
-            config=config,
         )
         degraded = any(g.fallback for g in weights.groups)
         params.update(
@@ -442,16 +422,13 @@ def cmd_eval(opts: Options) -> bool:
     archive_path = Path(opts.require("archive", "--archive"))
     archive = read_archive(archive_path)
     datasets, dataset_paths = opts.load_datasets()
-    config = opts.model_config(archive)
     out = opts.out_dir()
-    model = bind_weights(archive, config)
-    per_task = {}
-    for index, (dataset, path) in enumerate(zip(datasets, dataset_paths)):
-        per_task[f"task{index}"] = {
-            "dataset": str(path),
-            "loss": eval_cross_entropy(model, dataset),
-        }
-    mean = float(np.mean([entry["loss"] for entry in per_task.values()]))
+    losses = _losses(archive, datasets)
+    per_task = {
+        f"task{index}": {"dataset": str(path), "loss": loss}
+        for index, (path, loss) in enumerate(zip(dataset_paths, losses))
+    }
+    mean = float(np.mean(losses))
     metrics = {
         "archive": str(archive_path),
         "sha256": file_sha256(archive_path),
@@ -469,26 +446,16 @@ def cmd_eval(opts: Options) -> bool:
 def cmd_compare(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
     datasets, _ = opts.load_datasets(len(models))
-    config = opts.model_config(base)
     level = Granularity.parse(opts.get("level", "attn_mlp"))
     seed = opts.get("seed", 0)
     sample_n = opts.get("samples_per_task", 30)
     normalized = opts.get("normalized", True)
     out = opts.out_dir()
     tasks = [f"task{i}" for i in range(len(datasets))]
-    degraded = False
-
-    def losses_for(archive: TensorArchive) -> dict[str, float]:
-        merged_model = bind_weights(archive, config)
-        return {
-            name: eval_cross_entropy(merged_model, dataset)
-            for name, dataset in zip(tasks, datasets)
-        }
-
     rows = []
 
     def add_row(row_id: str, method: str, params: dict, archive: TensorArchive) -> None:
-        losses = losses_for(archive)
+        losses = dict(zip(tasks, _losses(archive, datasets)))
         rows.append(
             {
                 "id": row_id,
@@ -523,7 +490,6 @@ def cmd_compare(opts: Options) -> bool:
         samples_per_task=sample_n,
         seed=seed,
         normalized=normalized,
-        config=config,
     )
     degraded = any(g.fallback for g in weights.groups)
     add_row(
@@ -534,23 +500,17 @@ def cmd_compare(opts: Options) -> bool:
     )
 
     columns = [*tasks, "mean"]
-    best = {}
-    for column in columns:
-        values = [
-            row["mean"] if column == "mean" else row["losses"][column] for row in rows
-        ]
-        best[column] = rows[int(np.argmin(values))]["id"]
+    table = [{**row["losses"], "mean": row["mean"]} for row in rows]
+    best = {
+        column: rows[int(np.argmin([values[column] for values in table]))]["id"]
+        for column in columns
+    }
     _write_json(out / "compare.json", {"tasks": tasks, "rows": rows, "best": best})
-    csv_rows = []
-    for row in rows:
-        cells = [row["id"], row["method"], json.dumps(row["params"], sort_keys=True)]
-        for column in columns:
-            value = row["mean"] if column == "mean" else row["losses"][column]
-            cell = f"{value:.10g}"
-            if best[column] == row["id"]:
-                cell += "*"
-            cells.append(cell)
-        csv_rows.append(cells)
+    csv_rows = [
+        [row["id"], row["method"], json.dumps(row["params"], sort_keys=True)]
+        + [f"{values[c]:.10g}" + ("*" if best[c] == row["id"] else "") for c in columns]
+        for row, values in zip(rows, table)
+    ]
     _write_csv(out / "compare.csv", ["id", "method", "params", *columns], csv_rows)
     print(f"wrote comparison: {out / 'compare.json'} ({len(rows)} rows)")
     for column in columns:

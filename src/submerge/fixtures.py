@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -55,8 +56,8 @@ class FixtureSpec:
     def __post_init__(self):
         if self.n_tasks < 1:
             raise ParamError("n_tasks must be >= 1")
-        if self.tau_scale < 0:
-            raise ParamError("tau_scale must be >= 0")
+        if not 0 <= self.tau_scale < math.inf:
+            raise ParamError(f"tau_scale must be finite and >= 0, got {self.tau_scale}")
         if self.dataset_size < 1:
             raise ParamError("dataset_size must be >= 1")
         if self.seq_len < 2:
@@ -67,14 +68,7 @@ class FixtureSpec:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": json.loads(self.config.to_json()),
-            "n_tasks": self.n_tasks,
-            "tau_scale": self.tau_scale,
-            "dataset_size": self.dataset_size,
-            "seq_len": self.seq_len,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FixtureSpec":
@@ -246,7 +240,9 @@ def read_dataset(path: str | Path) -> list[list[int]]:
             tokens = record["tokens"]
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
             raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
-        if not isinstance(tokens, list) or not all(isinstance(t, int) for t in tokens):
+        if not isinstance(tokens, list) or not all(
+            isinstance(t, int) and not isinstance(t, bool) for t in tokens
+        ):
             raise DataError(f"{path}:{lineno}: tokens must be a list of ints")
         sequences.append(tokens)
     if not sequences:

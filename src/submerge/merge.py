@@ -32,10 +32,8 @@ def _require_finite_alpha(alpha: float) -> None:
         raise ParamError(f"alpha must be finite, got {alpha}")
 
 
-def config_for(archive: TensorArchive, config: ModelConfig | None = None) -> ModelConfig:
-    """The explicit config if given, else the one embedded in archive meta."""
-    if config is not None:
-        return config
+def config_for(archive: TensorArchive) -> ModelConfig:
+    """The model config embedded in the archive's meta."""
     try:
         return ModelConfig.from_json(archive.meta["model_config"])
     except KeyError:
@@ -155,7 +153,6 @@ def merge_linear_solve(
     samples_per_task: int = 30,
     seed: int = 0,
     normalized: bool = True,
-    config: ModelConfig | None = None,
 ) -> tuple[TensorArchive, MergeWeights]:
     """Solve per-group coefficients from output deltas, then recombine.
 
@@ -168,10 +165,10 @@ def merge_linear_solve(
             f"{len(fine_tuned)} models need {len(fine_tuned)} datasets, "
             f"got {len(datasets)}"
         )
-    resolved = config_for(base, config)
+    config = config_for(base)
     granularity = level if isinstance(level, Granularity) else Granularity.parse(level)
-    plan = plan_decomposition(resolved, granularity)
-    model = bind_weights(base, resolved)
+    plan = plan_decomposition(config, granularity)
+    model = bind_weights(base, config)
     store = collect_base_features(model, datasets, plan, samples_per_task, seed=seed)
     deltas = compute_delta_outputs(store, base, fine_tuned, plan)
     weights = solve_plan(plan, deltas, normalized=normalized)

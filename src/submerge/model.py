@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -81,19 +81,7 @@ class ModelConfig:
         return shapes
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d_model": self.d_model,
-                "n_heads": self.n_heads,
-                "n_layers": self.n_layers,
-                "d_ff": self.d_ff,
-                "vocab_size": self.vocab_size,
-                "max_seq": self.max_seq,
-                "norm_eps": self.norm_eps,
-                "rope_theta": self.rope_theta,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":

@@ -195,18 +195,7 @@ def solve_plan(
         try:
             gram = compute_gram(deltas.grouped(group_id), normalized, group_id=group_id)
             alpha, diag = solve_alpha(*assemble_system(gram))
-            results.append(
-                GroupWeights(
-                    group_id=group_id,
-                    alpha=tuple(float(a) for a in alpha),
-                    fallback=diag["fallback"],
-                    residual=diag["residual"],
-                    condition=diag["condition"],
-                    ridge=diag["ridge"],
-                    zero_signal=diag["zero_signal"],
-                    note=diag["note"],
-                )
-            )
+            results.append(GroupWeights(group_id, tuple(float(a) for a in alpha), **diag))
         except (DegenerateError, NumericError) as exc:
             results.append(
                 GroupWeights(

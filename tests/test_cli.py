@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submerge import ConfigError, TensorArchive, read_archive, write_archive
-from submerge.cli import CONFIG_TYPES, JSON_TYPE_CHECKS, Options, build_parser, main
+from submerge.cli import (
+    CONFIG_TYPES,
+    FIXTURE_MODEL_DEFAULTS,
+    JSON_TYPE_CHECKS,
+    Options,
+    build_parser,
+    main,
+)
 from submerge.model import ModelConfig
 
 FIXTURE_FLAGS = [
@@ -62,6 +69,17 @@ class TestGenFixture:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("source", ["--tau-scale=nan", "--tau-scale=inf", "config_nan"])
+    def test_non_finite_tau_scale_exits_2_before_writing(self, tmp_path, capsys, source):
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"tau_scale": NaN}')
+        tau = ["--config", str(config_path)] if source == "config_nan" else [source]
+        out = tmp_path / "out"
+        rc = main(["gen-fixture", *FIXTURE_FLAGS, *tau, "--out", str(out)])
+        err = assert_input_error(rc, capsys)
+        assert "tau_scale must be finite and >= 0" in err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_report_and_csvs(self, fixture_dir, tmp_path):
@@ -103,6 +121,30 @@ class TestAnalyze:
     def test_missing_inputs_exit_2(self, tmp_path):
         rc = main(["analyze", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_zero_tau_report_is_all_null(self, flat_fixture_dir, tmp_path, capsys):
+        args = [
+            "analyze", *io_flags(flat_fixture_dir),
+            "--levels", "model,layer",
+            "--samples-per-task", "3",
+            "--n-points", "3",
+        ]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        assert "note: some groups fell back" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        for level in ("model", "layer"):
+            entry = report["levels"][level]
+            for group in entry["groups"].values():
+                assert group["non_linearity"] == {"per_task": [None, None], "mean": None}
+                assert group["cosine_merge_grid_mean"] is None
+                assert group["projection_distance_grid_mean"] is None
+            columns = ["non_linearity", "cosine_merge_grid_mean", "projection_distance_grid_mean"]
+            empty = {"mean": None, "std": None, "count": 0}
+            assert entry["summary"] == dict.fromkeys(columns, empty)
+            heat = (tmp_path / f"heatmap_{level}.csv").read_text().splitlines()
+            assert heat[0] == ",".join(["group", *columns])
+            assert [line.split(",", 1)[1] for line in heat[1:]] == [",,"] * len(entry["groups"])
+        assert main([*args, "--strict", "--out", str(tmp_path / "strict")]) == 3
 
 
 class TestSolve:
@@ -149,6 +191,14 @@ class TestSolve:
         for group in payload["groups"]:
             assert group["alpha"][0] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("gram", [[], ["--plain-gram"]], ids=["normalized", "plain"])
+    def test_weights_match_merge_linear_solve(self, fixture_dir, tmp_path, gram):
+        args = [*io_flags(fixture_dir), "--level", "head_mlp", "--samples-per-task", "4", *gram]
+        assert main(["solve", *args, "--out", str(tmp_path / "solve")]) == 0
+        assert main(["merge", "--method", "linear_solve", *args, "--out", str(tmp_path / "merge")]) == 0
+        solved = (tmp_path / "solve" / "weights.json").read_bytes()
+        assert solved == (tmp_path / "merge" / "weights.json").read_bytes()
+
     def test_zero_tau_uniform_fallback_and_strict_exit(self, flat_fixture_dir, tmp_path):
         args = [
             "solve", *io_flags(flat_fixture_dir),
@@ -175,8 +225,9 @@ def assert_input_error(rc, capsys):
 class TestBadInputs:
     @pytest.mark.parametrize(
         "tokens",
-        [[3, -1, 4], [3, 99, 4], list(range(16)) + [1], [3, 2**70, 4]],  # vocab 17, max_seq 16
-        ids=["negative_id", "id_past_vocab", "longer_than_max_seq", "id_past_int64"],
+        # vocab 17, max_seq 16
+        [[3, -1, 4], [3, 99, 4], list(range(16)) + [1], [3, 2**70, 4], [True, False, 4]],
+        ids=["negative_id", "id_past_vocab", "longer_than_max_seq", "id_past_int64", "boolean_ids"],
     )
     def test_bad_sampled_tokens_exit_2(self, fixture_dir, tmp_path, capsys, tokens):
         bad = tmp_path / "bad.jsonl"
@@ -215,8 +266,14 @@ class TestBadInputs:
             (["analyze"], {"n_points": "x"}),
             (["solve"], {"seed": 1.5}),
             (["merge", "--method", "task_arithmetic"], {"models": "task0.ta"}),
+            (["solve"], {"levl": "model"}),
+            (["solve"], {"normalised": False}),
+            (["solve"], {"model_config": {"d_model": 16}}),
         ],
-        ids=["string_samples_per_task", "string_n_points", "float_seed", "string_models"],
+        ids=[
+            "string_samples_per_task", "string_n_points", "float_seed", "string_models",
+            "unknown_key_levl", "unknown_key_normalised", "removed_key_model_config",
+        ],
     )
     def test_mistyped_config_value_exits_2(self, fixture_dir, tmp_path, capsys, argv, payload):
         config_path = tmp_path / "run.json"
@@ -318,7 +375,7 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "command, costly",
         [
-            (["solve"], ["collect_base_features"]),
+            (["solve"], ["merge_linear_solve"]),
             (["eval"], ["eval_cross_entropy"]),
             (["compare"], ["eval_cross_entropy", "merge_linear_solve"]),
         ],
@@ -353,7 +410,7 @@ class TestBadInputs:
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "out" / "merged.ta").exists()
 
-    @pytest.mark.parametrize("source", ["override", "archive_meta"])
+    @pytest.mark.parametrize("source", ["archive_meta"])
     @pytest.mark.parametrize(
         "command",
         [["merge", "--method", "linear_solve", "--level", "head_mlp"], ["eval"]],
@@ -362,21 +419,14 @@ class TestBadInputs:
     def test_float_model_size_exits_2(self, fixture_dir, tmp_path, capsys, command, source):
         base = read_archive(fixture_dir / "base.ta")
         model_config = dict(json.loads(base.meta["model_config"]), d_model=16.0)
-        payload = {"samples_per_task": 4}
-        base_path = fixture_dir / "base.ta"
-        if source == "override":
-            payload["model_config"] = model_config
-        else:
-            base_path = tmp_path / "base.ta"
-            meta = dict(base.meta, model_config=json.dumps(model_config))
-            write_archive(TensorArchive(base.tensors, meta), base_path)
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps(payload))
+        base_path = tmp_path / "base.ta"
+        meta = dict(base.meta, model_config=json.dumps(model_config))
+        write_archive(TensorArchive(base.tensors, meta), base_path)
         if command[0] == "eval":
             inputs = ["--archive", str(base_path), "--dataset", str(fixture_dir / "task0.jsonl")]
         else:
             inputs = ["--base", str(base_path), *io_flags(fixture_dir)[2:]]
-        rc = main([*command, *inputs, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(tmp_path / "out")])
         assert "d_model must be an integer, got 16.0" in assert_input_error(rc, capsys)
 
     def test_boolean_in_config_is_used(self, fixture_dir, tmp_path):
@@ -643,3 +693,17 @@ def test_config_value_is_of_declared_kind_or_config_error(config_path, key, valu
     else:
         assert well_typed
         assert opts.file == {key: value}
+
+
+def test_config_types_match_parser_options():
+    """Every option dest is a CONFIG_TYPES key and every key is an option, so a
+    new flag cannot become a config key that Options refuses as unknown."""
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    dests = set()
+    for command in commands:
+        dests |= set(vars(parser.parse_args([command])))
+    # --config is the file path itself (CONFIG_TYPES["config"] is the
+    # gen-fixture model-size object); the model sizes are read from that object.
+    dests -= {"config", "func", "command", *FIXTURE_MODEL_DEFAULTS}
+    assert dests == set(CONFIG_TYPES) - {"config"}

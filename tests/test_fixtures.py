@@ -42,8 +42,9 @@ class TestSpecValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ParamError):
             small_spec(n_tasks=0)
-        with pytest.raises(ParamError):
-            small_spec(tau_scale=-0.1)
+        for tau_scale in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ParamError, match="tau_scale"):
+                small_spec(tau_scale=tau_scale)
         with pytest.raises(ParamError):
             small_spec(dataset_size=0)
         with pytest.raises(ParamError):
@@ -53,8 +54,16 @@ class TestSpecValidation:
 
     def test_json_round_trip(self):
         spec = small_spec(tau_scale=0.25, seed=7)
-        restored = FixtureSpec.from_json_dict(spec.to_json_dict())
-        assert restored == spec
+        payload = spec.to_json_dict()
+        assert payload == {
+            "config": json.loads(spec.config.to_json()),
+            "n_tasks": 2,
+            "tau_scale": 0.25,
+            "dataset_size": 4,
+            "seq_len": 8,
+            "seed": 7,
+        }
+        assert FixtureSpec.from_json_dict(payload) == spec
 
     def test_malformed_payload(self):
         with pytest.raises(ParamError):

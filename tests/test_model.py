@@ -312,6 +312,13 @@ class TestConfig:
     def test_json_round_trip(self, tiny_config):
         assert ModelConfig.from_json(tiny_config.to_json()) == tiny_config
 
+    def test_json_text_is_pinned(self, tiny_config):
+        # Archive meta embeds this text, so a change here changes every digest.
+        assert tiny_config.to_json() == (
+            '{"d_ff": 16, "d_model": 8, "max_seq": 16, "n_heads": 2, "n_layers": 2, '
+            '"norm_eps": 1e-05, "rope_theta": 10000.0, "vocab_size": 11}'
+        )
+
     def test_param_shapes(self, tiny_config):
         shapes = tiny_config.param_shapes()
         assert shapes["embed"] == (11, 8)
