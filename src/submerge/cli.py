@@ -223,7 +223,11 @@ def _parse_levels(opts: Options) -> list[Granularity]:
         names = list(raw)
     if not names:
         raise ConfigError("no analysis levels requested")
-    return [Granularity.parse(name) for name in names]
+    levels = [Granularity.parse(name) for name in names]
+    for index, level in enumerate(levels):
+        if level in levels[:index]:
+            raise ConfigError(f"analysis level {level.value!r} is requested more than once")
+    return levels
 
 
 def _finite_stats(values: Sequence[float | None]) -> dict:

@@ -12,12 +12,21 @@ on one task are one f32 [rows, width] matrix, every sequence's token rows in
 input order. Base outputs and output deltas are computed when a group is
 first read and held one group at a time: the base rows per task, and the
 [n_models, rows, width] delta block per data task that the solver reads.
+
+Head groups 1..H-1 of a layer read `norm1` at its base value, and heads are
+independent given the normed input, so their deltas come from the layer's
+full attention contexts: one `attention_block` call per task under the base
+weights and one per fine-tuned model under its q/k/v/o_proj and the base
+`norm1`. Head h's rows are its context columns times its o_proj columns.
+`DeltaStore` holds one layer's float64 contexts while its head groups are
+read and frees them as soon as a group that is not a head group is read.
+Head 0 owns `norm1` and is evaluated alone, like every other group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +81,10 @@ class DeltaStore:
     `grouped` or `pooled` computes a group's deltas the first time that group
     is asked for, replacing the group held before: `deltas[(group id, data
     task)]` is an [n_models, rows, width] block for the held group.
+
+    While head groups above 0 are read, `contexts` holds the attention
+    contexts of layer `context_layer`: per weight set (the base, then each
+    model), its float64 o_proj and one [rows, d_model] context per data task.
     """
 
     plan: DecompositionPlan
@@ -80,6 +93,8 @@ class DeltaStore:
     fine_tuned: Sequence[TensorArchive]
     deltas: dict[tuple[str, int], np.ndarray] = field(default_factory=dict, init=False)
     held: str | None = field(default=None, init=False)
+    contexts: list[tuple[np.ndarray, list[np.ndarray]]] = field(default_factory=list, init=False)
+    context_layer: int | None = field(default=None, init=False)
 
     @property
     def n_tasks(self) -> int:
@@ -95,20 +110,58 @@ class DeltaStore:
             group = self.plan.group(group_id)
             self.deltas.clear()
             self.held = None
-            params = [
-                group_parameters(group, self.base.tensors, source=archive.tensors)
-                for archive in self.fine_tuned
-            ]
-            for task in range(self.n_tasks):
-                self.deltas[(group_id, task)] = np.stack(
-                    [self.features.delta_rows(group, task, p) for p in params]
-                )
+            if group.output_kind != "head_branch":
+                self.contexts, self.context_layer = [], None
+            if group.output_kind == "head_branch" and group.head_index > 0:
+                self._head_deltas(group)
+            else:
+                params = [
+                    group_parameters(group, self.base.tensors, source=archive.tensors)
+                    for archive in self.fine_tuned
+                ]
+                for task in range(self.n_tasks):
+                    self.deltas[(group_id, task)] = np.stack(
+                        [self.features.delta_rows(group, task, p) for p in params]
+                    )
             self.held = group_id
         return [self.deltas[(group_id, task)] for task in range(self.n_tasks)]
 
     def pooled(self, group_id: str) -> np.ndarray:
         """[n_models, rows of every data task, width]."""
         return np.concatenate(self.grouped(group_id), axis=1)
+
+    def _head_deltas(self, group: SubmoduleGroup) -> None:
+        """Deltas of a head group above 0, read off its layer's contexts."""
+        features, layer = self.features, group.layer
+        config = features.config
+        if self.context_layer != layer:
+            # Free the held layer's contexts before building this one's.
+            self.contexts, self.context_layer = [], None
+            weight_sets = [features.weights] + [
+                _attention_weights(layer, self.base.tensors, archive.tensors)
+                for archive in self.fine_tuned
+            ]
+            self.contexts = [
+                (
+                    weights[f"layers.{layer}.attn.o_proj"],
+                    [
+                        _attention_contexts(layer, weights, features.inputs[(group.id, task)], config)
+                        for task in range(self.n_tasks)
+                    ],
+                )
+                for weights in weight_sets
+            ]
+            self.context_layer = layer
+        cols = slice(group.head_index * config.head_dim, (group.head_index + 1) * config.head_dim)
+        (base_o_proj, base_contexts), *models = self.contexts
+        for task in range(self.n_tasks):
+            base_rows = (base_contexts[task][:, cols] @ base_o_proj[:, cols].T).astype(np.float32)
+            self.deltas[(group.id, task)] = np.stack(
+                [
+                    (contexts[task][:, cols] @ o_proj[:, cols].T).astype(np.float32) - base_rows
+                    for o_proj, contexts in models
+                ]
+            )
 
 
 def _length_buckets(seqs: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
@@ -117,6 +170,17 @@ def _length_buckets(seqs: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndar
     for index, seq in enumerate(seqs):
         by_length.setdefault(len(seq), []).append(index)
     return [(pos, np.stack([seqs[i] for i in pos])) for pos in by_length.values()]
+
+
+def _rows_in_order(
+    inputs: Sequence[np.ndarray], evaluate: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """`evaluate` on each length bucket of `inputs`; every input's rows, in input order."""
+    outputs: list[np.ndarray] = [np.empty(0)] * len(inputs)
+    for positions, batch in _length_buckets(inputs):
+        for position, out in zip(positions, evaluate(batch)):
+            outputs[position] = out
+    return np.concatenate(outputs)
 
 
 def _evaluate(
@@ -161,12 +225,29 @@ def apply_group(
                 raise InputError(
                     f"group {group.id!r} expects [seq x {config.d_model}] inputs, got {arr.shape}"
                 )
-    outputs: list[np.ndarray] = [np.empty(0)] * len(inputs)
-    for positions, batch in _length_buckets(inputs):
-        stacked = _evaluate(group, params, batch, config).astype(np.float32)
-        for position, out in zip(positions, stacked):
-            outputs[position] = out
-    return np.concatenate(outputs)
+    return _rows_in_order(
+        inputs, lambda batch: _evaluate(group, params, batch, config).astype(np.float32)
+    )
+
+
+def _attention_contexts(
+    layer: int, weights: Mapping[str, np.ndarray], inputs: Sequence[np.ndarray], config: ModelConfig
+) -> np.ndarray:
+    """Every head's float64 attention context in one layer on stored inputs: [rows, d_model]."""
+    return _rows_in_order(
+        inputs, lambda batch: attention_block(batch.astype(np.float64), weights, config, layer)[1]
+    )
+
+
+def _attention_weights(
+    layer: int, base: Mapping[str, np.ndarray], source: Mapping[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """One layer's float64 attention weights: norm1 from `base`, q/k/v/o_proj from `source`."""
+    pre = f"layers.{layer}"
+    weights = {f"{pre}.norm1": np.asarray(base[f"{pre}.norm1"], dtype=np.float64)}
+    for name in ("q_proj", "k_proj", "v_proj", "o_proj"):
+        weights[f"{pre}.attn.{name}"] = np.asarray(source[f"{pre}.attn.{name}"], dtype=np.float64)
+    return weights
 
 
 def group_parameters(

@@ -54,8 +54,16 @@ class FixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_tasks", "dataset_size", "seq_len", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParamError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.tau_scale, (int, float)) or isinstance(self.tau_scale, bool):
+            raise ParamError(f"tau_scale must be a number, got {self.tau_scale!r}")
         if self.n_tasks < 1:
             raise ParamError("n_tasks must be >= 1")
+        if self.seed < 0:
+            raise ParamError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.tau_scale < math.inf:
             raise ParamError(f"tau_scale must be finite and >= 0, got {self.tau_scale}")
         if self.dataset_size < 1:
@@ -76,11 +84,11 @@ class FixtureSpec:
             config = ModelConfig(**payload["config"])
             return cls(
                 config=config,
-                n_tasks=int(payload.get("n_tasks", 2)),
-                tau_scale=float(payload.get("tau_scale", 0.5)),
-                dataset_size=int(payload.get("dataset_size", 16)),
-                seq_len=int(payload.get("seq_len", 12)),
-                seed=int(payload.get("seed", 0)),
+                n_tasks=payload.get("n_tasks", 2),
+                tau_scale=payload.get("tau_scale", 0.5),
+                dataset_size=payload.get("dataset_size", 16),
+                seq_len=payload.get("seq_len", 12),
+                seed=payload.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParamError(f"malformed fixture spec: {exc}") from exc

@@ -294,6 +294,22 @@ class TestBadInputs:
         rc = main([*argv, *io_flags(fixture_dir), "--config", str(config_path), "--out", str(tmp_path)])
         assert "unknown granularity 'bogus'" in assert_input_error(rc, capsys)
 
+    @pytest.mark.parametrize(
+        "argv, payload, repeated",
+        [(["--levels", "model,layer,model"], {}, "model"), ([], {"levels": ["layer", "layer"]}, "layer")],
+        ids=["levels_flag", "levels_config_key"],
+    )
+    def test_repeated_level_exits_2(self, fixture_dir, tmp_path, capsys, argv, payload, repeated):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"samples_per_task": 4, **payload}))
+        out = tmp_path / "out"
+        rc = main(
+            ["analyze", *io_flags(fixture_dir), *argv, "--config", str(config_path), "--out", str(out)]
+        )
+        err = assert_input_error(rc, capsys)
+        assert f"analysis level {repeated!r} is requested more than once" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_points", ["1", "0"])
     def test_n_points_below_two_exits_2(self, fixture_dir, tmp_path, capsys, n_points):
         rc = main(

@@ -273,29 +273,94 @@ class TestDeltas:
     def test_group_parameters_built_once_per_group_and_model(
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
     ):
+        # Head groups above 0 read their deltas off the layer's attention
+        # contexts, built from one weight set per (layer, model); every other
+        # group builds its parameters once per (group, model).
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         calls: dict[tuple[str, int], int] = {}
+        layer_calls: dict[tuple[int, int], int] = {}
         original = submerge.features.group_parameters
+        original_weights = submerge.features._attention_weights
+
+        def model_index(source):
+            return next(t for t, ft in enumerate(fine_tuned) if ft.tensors is source)
 
         def counting(group, base, source=None, **kwargs):
-            key = (group.id, next(t for t, ft in enumerate(fine_tuned) if ft.tensors is source))
+            key = (group.id, model_index(source))
             calls[key] = calls.get(key, 0) + 1
             return original(group, base, source=source, **kwargs)
 
+        def counting_weights(layer, base, source):
+            key = (layer, model_index(source))
+            layer_calls[key] = layer_calls.get(key, 0) + 1
+            return original_weights(layer, base, source)
+
         monkeypatch.setattr(submerge.features, "group_parameters", counting)
+        monkeypatch.setattr(submerge.features, "_attention_weights", counting_weights)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         solve_plan(plan, deltas)
-        expected = {(g.id, t) for g in plan.groups for t in range(len(fine_tuned))}
-        assert set(calls) == expected
+        alone = [g for g in plan.groups if g.output_kind != "head_branch" or g.head_index == 0]
+        assert len(alone) < len(plan.groups)
+        assert set(calls) == {(g.id, t) for g in alone for t in range(len(fine_tuned))}
         assert set(calls.values()) == {1}
+        layers = range(tiny_config.n_layers)
+        assert set(layer_calls) == {(layer, t) for layer in layers for t in range(len(fine_tuned))}
+        assert set(layer_calls.values()) == {1}
         # Reading the held group again computes nothing.
         pooled = deltas.pooled(plan.groups[-1].id)
         blocks = deltas.grouped(plan.groups[-1].id)
         assert set(calls.values()) == {1}
         assert np.array_equal(pooled, np.concatenate(blocks, axis=1))
         assert blocks[1] is deltas.grouped(plan.groups[-1].id)[1]
+
+    def test_head_groups_out_of_plan_order_match_plan_order(self):
+        config = ModelConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, vocab_size=11, max_seq=16)
+        base = random_checkpoint(config, 3)
+        fine_tuned = [perturbed(base, seed=s) for s in (4, 5, 6)]
+        datasets = [
+            [[(3 * i + j) % 11 for j in range(n)] for i, n in enumerate([5, 3, 7, 3])],
+            [[(5 * i + j) % 11 for j in range(n)] for i, n in enumerate([2, 6, 2])],
+        ]
+        plan = plan_decomposition(config, Granularity.HEAD_MLP)
+        store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n=3)
+        in_order = compute_delta_outputs(store, base, fine_tuned, plan)
+        expected = {g.id: [block.copy() for block in in_order.grouped(g.id)] for g in plan.groups}
+        # Per-head evaluation agrees up to float64 rounding in the o_proj products.
+        for group in plan.groups:
+            for t, archive in enumerate(fine_tuned):
+                params = group_parameters(group, base.tensors, source=archive.tensors)
+                for task in range(2):
+                    direct = store.delta_rows(group, task, params)
+                    np.testing.assert_allclose(expected[group.id][task][t], direct, rtol=0, atol=1e-6)
+        order = [
+            "head.1.2", "head.0.3", "head.1.1", "head.1.3", "mlp.0", "head.1.2",
+            "head.0.0", "head.0.2", "lm_head", "head.1.0", "head.0.1", "head.1.3",
+        ]
+        shuffled = compute_delta_outputs(store, base, fine_tuned, plan)
+        for group_id in order:
+            for got, want in zip(shuffled.grouped(group_id), expected[group_id]):
+                assert np.array_equal(got, want), group_id
+
+    def test_no_contexts_held_with_a_non_head_group(self, tiny_config, tiny_checkpoint, setup):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        for group in plan.groups:
+            deltas.grouped(group.id)
+            if group.output_kind != "head_branch":
+                assert deltas.contexts == [] and deltas.context_layer is None, group.id
+            elif group.head_index > 0:
+                assert deltas.context_layer == group.layer
+                assert len(deltas.contexts) == len(fine_tuned) + 1
+                for o_proj, contexts in deltas.contexts:
+                    assert o_proj.shape == (tiny_config.d_model, tiny_config.d_model)
+                    rows = [sum(map(len, store.inputs[(group.id, t)])) for t in range(2)]
+                    assert [c.shape for c in contexts] == [(n, tiny_config.d_model) for n in rows]
+                    assert all(c.dtype == np.float64 for c in contexts)
+        assert deltas.held == "lm_head" and deltas.contexts == []
 
     def test_embed_delta_is_exact_row_gather(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup

@@ -51,6 +51,33 @@ class TestSpecValidation:
             small_spec(seq_len=1)
         with pytest.raises(ParamError):
             small_spec(seq_len=99)
+        with pytest.raises(ParamError, match="seed must be >= 0"):
+            small_spec(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.9),
+            ("seed", True),
+            ("n_tasks", 2.7),
+            ("n_tasks", 2.0),
+            ("dataset_size", "4"),
+            ("seq_len", 8.0),
+            ("tau_scale", "0.5"),
+            ("tau_scale", True),
+            ("tau_scale", None),
+        ],
+    )
+    def test_mistyped_values_rejected(self, field, value):
+        with pytest.raises(ParamError, match=f"{field} must be"):
+            small_spec(**{field: value})
+        payload = small_spec().to_json_dict()
+        payload[field] = value
+        with pytest.raises(ParamError, match=f"{field} must be"):
+            FixtureSpec.from_json_dict(payload)
+
+    def test_integer_tau_scale_accepted(self):
+        assert small_spec(tau_scale=1).tau_scale == 1
 
     def test_json_round_trip(self):
         spec = small_spec(tau_scale=0.25, seed=7)
