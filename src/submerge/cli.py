@@ -198,15 +198,10 @@ def cmd_gen_fixture(opts: Options) -> bool:
         flag_value = getattr(opts.args, key, None)
         if flag_value is not None:
             config_payload[key] = flag_value
+    fields = ("n_tasks", "tau_scale", "dataset_size", "seq_len", "seed")
+    options = {key: opts.get(key) for key in fields}
     spec = FixtureSpec.from_json_dict(
-        {
-            "config": config_payload,
-            "n_tasks": opts.get("n_tasks", 2),
-            "tau_scale": opts.get("tau_scale", 0.5),
-            "dataset_size": opts.get("dataset_size", 16),
-            "seq_len": opts.get("seq_len", 12),
-            "seed": opts.get("seed", 0),
-        }
+        {"config": config_payload, **{key: v for key, v in options.items() if v is not None}}
     )
     paths = gen_fixture(spec, opts.out_dir())
     print(f"wrote fixture: {paths['manifest']}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import PlanError
-from .model import ModelConfig
+from .model import ATTENTION_PARAMS, MLP_PARAMS, ModelConfig
 
 
 class Granularity(enum.Enum):
@@ -118,34 +118,20 @@ def _lm_head_group() -> SubmoduleGroup:
     )
 
 
-def _layer_param_names(i: int) -> list[str]:
-    pre = f"layers.{i}"
-    return [
-        f"{pre}.norm1",
-        f"{pre}.attn.q_proj",
-        f"{pre}.attn.k_proj",
-        f"{pre}.attn.v_proj",
-        f"{pre}.attn.o_proj",
-        f"{pre}.norm2",
-        f"{pre}.mlp.gate_proj",
-        f"{pre}.mlp.up_proj",
-        f"{pre}.mlp.down_proj",
-    ]
+def _block_params(layer: int, names: tuple[str, ...]) -> dict[str, SliceSpec]:
+    """Every named parameter of one layer, whole."""
+    return {f"layers.{layer}.{name}": FULL for name in names}
 
 
-def _mlp_group(i: int) -> SubmoduleGroup:
-    pre = f"layers.{i}"
+def _block_group(
+    group_id: str, input_tap: str, output_kind: str, layer: int, names: tuple[str, ...]
+) -> SubmoduleGroup:
     return SubmoduleGroup(
-        id=f"mlp.{i}",
-        input_tap=f"mlp_in.{i}",
-        output_kind="mlp_branch",
-        params={
-            f"{pre}.norm2": FULL,
-            f"{pre}.mlp.gate_proj": FULL,
-            f"{pre}.mlp.up_proj": FULL,
-            f"{pre}.mlp.down_proj": FULL,
-        },
-        layer=i,
+        id=group_id,
+        input_tap=input_tap,
+        output_kind=output_kind,
+        params=_block_params(layer, names),
+        layer=layer,
     )
 
 
@@ -164,42 +150,26 @@ def plan_decomposition(config: ModelConfig, level: Granularity) -> Decomposition
 
     groups.append(_embed_group())
     for i in range(config.n_layers):
-        pre = f"layers.{i}"
         if level is Granularity.LAYER:
             groups.append(
-                SubmoduleGroup(
-                    id=f"layer.{i}",
-                    input_tap=f"layer_in.{i}",
-                    output_kind="layer_out",
-                    params={name: FULL for name in _layer_param_names(i)},
-                    layer=i,
+                _block_group(
+                    f"layer.{i}", f"layer_in.{i}", "layer_out", i, ATTENTION_PARAMS + MLP_PARAMS
                 )
             )
-        elif level is Granularity.ATTN_MLP:
+            continue
+        if level is Granularity.ATTN_MLP:
             groups.append(
-                SubmoduleGroup(
-                    id=f"attn.{i}",
-                    input_tap=f"layer_in.{i}",
-                    output_kind="attn_branch",
-                    params={
-                        f"{pre}.norm1": FULL,
-                        f"{pre}.attn.q_proj": FULL,
-                        f"{pre}.attn.k_proj": FULL,
-                        f"{pre}.attn.v_proj": FULL,
-                        f"{pre}.attn.o_proj": FULL,
-                    },
-                    layer=i,
-                )
+                _block_group(f"attn.{i}", f"layer_in.{i}", "attn_branch", i, ATTENTION_PARAMS)
             )
-            groups.append(_mlp_group(i))
-        elif level is Granularity.HEAD_MLP:
+        else:
+            attention = _block_params(i, ATTENTION_PARAMS)
             for h in range(config.n_heads):
-                params = dict(head_slices(config, i, h))
-                extras: tuple[str, ...] = ()
+                params = head_slices(config, i, h)
+                # The attention parameters no head slices (norm1) are owned by
+                # head 0 and read whole by the others.
+                shared = [name for name in attention if name not in params]
                 if h == 0:
-                    params[f"{pre}.norm1"] = FULL  # some group must own the shared norm
-                else:
-                    extras = (f"{pre}.norm1",)
+                    params.update((name, FULL) for name in shared)
                 groups.append(
                     SubmoduleGroup(
                         id=f"head.{i}.{h}",
@@ -208,9 +178,9 @@ def plan_decomposition(config: ModelConfig, level: Granularity) -> Decomposition
                         params=params,
                         layer=i,
                         head_index=h,
-                        extra_params=extras,
+                        extra_params=() if h == 0 else tuple(shared),
                     )
                 )
-            groups.append(_mlp_group(i))
+        groups.append(_block_group(f"mlp.{i}", f"mlp_in.{i}", "mlp_branch", i, MLP_PARAMS))
     groups.append(_lm_head_group())
     return DecompositionPlan(granularity=level, config=config, groups=tuple(groups))

@@ -5,9 +5,10 @@ pass per sequence length; every group's input is read off that single trace
 (base-input discipline: fine-tuned and interpolated groups are always
 evaluated on the base model's features, never on their own forward pass).
 Each float64 trace is freed before the next forward pass; only the f32
-group inputs are stored. Group functions are the `model` blocks
-themselves, evaluated on all stored sequences of one length in a single
-call, so identical parameters reproduce identical bytes. A group's outputs
+group inputs are stored. A group's function is its `model` block on the
+parameter slices the group owns, plus the parameters it only reads, whole;
+it is evaluated on all stored sequences of one length in a single call, so
+identical parameters reproduce identical bytes. A group's outputs
 on one task are one f32 [rows, width] matrix, every sequence's token rows in
 input order. Base outputs and output deltas are computed when a group is
 first read and held one group at a time: the base rows per task, and the
@@ -17,7 +18,8 @@ Head groups 1..H-1 of a layer read `norm1` at its base value, and heads are
 independent given the normed input, so their deltas come from the layer's
 full attention contexts: one `attention_block` call per task under the base
 weights and one per fine-tuned model under its q/k/v/o_proj and the base
-`norm1`. Head h's rows are its context columns times its o_proj columns.
+`norm1`. Head h's rows are the columns of the contexts that match the
+o_proj columns the group owns, times those columns.
 `DeltaStore` holds one layer's float64 contexts while its head groups are
 read and frees them as soon as a group that is not a head group is read.
 Head 0 owns `norm1` and is evaluated alone, like every other group.
@@ -32,9 +34,9 @@ import numpy as np
 
 from .archive import TensorArchive, require_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup
-from .errors import InputError, SampleError
-from .model import BoundModel, ModelConfig, attention_block, forward_pass, mlp_block
-from .model import output_block, validated_tokens
+from .errors import CompatError, InputError, PlanError, SampleError
+from .model import ATTENTION_PARAMS, BoundModel, ModelConfig, attention_block, forward_pass
+from .model import mlp_block, output_block, validated_tokens
 
 
 @dataclass
@@ -79,17 +81,17 @@ class DeltaStore:
     """Output deltas of one group at a time, laid out as the solver reads them.
 
     `grouped` or `pooled` computes a group's deltas the first time that group
-    is asked for, replacing the group held before: `deltas[(group id, data
-    task)]` is an [n_models, rows, width] block for the held group.
+    is asked for, replacing the group held before and its base rows:
+    `deltas[(group id, data task)]` is an [n_models, rows, width] block for
+    the held group. The plan and the base weights are the `features`
+    store's.
 
     While head groups above 0 are read, `contexts` holds the attention
     contexts of layer `context_layer`: per weight set (the base, then each
     model), its float64 o_proj and one [rows, d_model] context per data task.
     """
 
-    plan: DecompositionPlan
     features: FeatureStore
-    base: TensorArchive
     fine_tuned: Sequence[TensorArchive]
     deltas: dict[tuple[str, int], np.ndarray] = field(default_factory=dict, init=False)
     held: str | None = field(default=None, init=False)
@@ -107,8 +109,10 @@ class DeltaStore:
     def grouped(self, group_id: str) -> list[np.ndarray]:
         """Per data task, an array [n_models, rows, width]."""
         if self.held != group_id:
-            group = self.plan.group(group_id)
+            features = self.features
+            group = features.plan.group(group_id)
             self.deltas.clear()
+            features.base_outputs.clear()
             self.held = None
             if group.output_kind != "head_branch":
                 self.contexts, self.context_layer = [], None
@@ -116,12 +120,12 @@ class DeltaStore:
                 self._head_deltas(group)
             else:
                 params = [
-                    group_parameters(group, self.base.tensors, source=archive.tensors)
+                    group_parameters(group, features.weights, source=archive.tensors)
                     for archive in self.fine_tuned
                 ]
                 for task in range(self.n_tasks):
                     self.deltas[(group_id, task)] = np.stack(
-                        [self.features.delta_rows(group, task, p) for p in params]
+                        [features.delta_rows(group, task, p) for p in params]
                     )
             self.held = group_id
         return [self.deltas[(group_id, task)] for task in range(self.n_tasks)]
@@ -134,16 +138,17 @@ class DeltaStore:
         """Deltas of a head group above 0, read off its layer's contexts."""
         features, layer = self.features, group.layer
         config = features.config
+        o_proj_name = f"layers.{layer}.attn.o_proj"
         if self.context_layer != layer:
             # Free the held layer's contexts before building this one's.
             self.contexts, self.context_layer = [], None
             weight_sets = [features.weights] + [
-                _attention_weights(layer, self.base.tensors, archive.tensors)
+                _attention_weights(layer, features.weights, archive.tensors)
                 for archive in self.fine_tuned
             ]
             self.contexts = [
                 (
-                    weights[f"layers.{layer}.attn.o_proj"],
+                    weights[o_proj_name],
                     [
                         _attention_contexts(layer, weights, features.inputs[(group.id, task)], config)
                         for task in range(self.n_tasks)
@@ -152,14 +157,15 @@ class DeltaStore:
                 for weights in weight_sets
             ]
             self.context_layer = layer
-        cols = slice(group.head_index * config.head_dim, (group.head_index + 1) * config.head_dim)
+        # All rows and the head's columns: of o_proj, and of the [rows, d_model] contexts.
+        cols = group.params[o_proj_name].as_index()
         (base_o_proj, base_contexts), *models = self.contexts
         for task in range(self.n_tasks):
-            base_rows = (base_contexts[task][:, cols] @ base_o_proj[:, cols].T).astype(np.float32)
+            base_rows = (base_contexts[task][cols] @ base_o_proj[cols].T).astype(np.float32)
             self.deltas[(group.id, task)] = np.stack(
                 [
-                    (contexts[task][:, cols] @ o_proj[:, cols].T).astype(np.float32) - base_rows
-                    for o_proj, contexts in models
+                    (contexts[task][cols] @ weight[cols].T).astype(np.float32) - base_rows
+                    for weight, contexts in models
                 ]
             )
 
@@ -186,25 +192,28 @@ def _rows_in_order(
 def _evaluate(
     group: SubmoduleGroup, params: Mapping[str, np.ndarray], batch: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
-    """One group's function on a batch [..., seq] of tokens or [..., seq, d_model] features."""
+    """One group's function on a batch [..., seq] of tokens or [..., seq, d_model] features.
+
+    The group's block reads the slices of `params` the group owns and, whole,
+    the parameters it only reads.
+    """
+    weights = {name: params[name][spec.as_index()] for name, spec in group.params.items()}
+    weights.update((name, params[name]) for name in group.extra_params)
     kind, layer = group.output_kind, group.layer
     if kind == "model_logits":
-        return forward_pass(config, params, batch.astype(np.int64))["logits"]
+        return forward_pass(config, weights, batch.astype(np.int64))["logits"]
     if kind == "embed_rows":
-        return params["embed"][batch.astype(np.int64)]
+        return weights["embed"][batch.astype(np.int64)]
     x = batch.astype(np.float64)
     if kind == "logits":
-        return output_block(x, params, config)[0]
-    if kind == "attn_branch":
-        return attention_block(x, params, config, layer)[0]
-    if kind == "head_branch":
-        lo = group.head_index * config.head_dim
-        return attention_block(x, params, config, layer, slice(lo, lo + config.head_dim))[0]
+        return output_block(x, weights, config)[0]
+    if kind in ("attn_branch", "head_branch"):
+        return attention_block(x, weights, config, layer)[0]
     if kind == "mlp_branch":
-        return mlp_block(x, params, config, layer)[0]
+        return mlp_block(x, weights, config, layer)[0]
     if kind == "layer_out":
-        x = x + attention_block(x, params, config, layer)[0]
-        return x + mlp_block(x, params, config, layer)[0]
+        x = x + attention_block(x, weights, config, layer)[0]
+        return x + mlp_block(x, weights, config, layer)[0]
     raise InputError(f"unknown output kind {kind!r}")
 
 
@@ -243,10 +252,9 @@ def _attention_weights(
     layer: int, base: Mapping[str, np.ndarray], source: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """One layer's float64 attention weights: norm1 from `base`, q/k/v/o_proj from `source`."""
-    pre = f"layers.{layer}"
-    weights = {f"{pre}.norm1": np.asarray(base[f"{pre}.norm1"], dtype=np.float64)}
-    for name in ("q_proj", "k_proj", "v_proj", "o_proj"):
-        weights[f"{pre}.attn.{name}"] = np.asarray(source[f"{pre}.attn.{name}"], dtype=np.float64)
+    norm1, *projections = (f"layers.{layer}.{name}" for name in ATTENTION_PARAMS)
+    weights = {norm1: np.asarray(base[norm1], dtype=np.float64)}
+    weights.update((name, np.asarray(source[name], dtype=np.float64)) for name in projections)
     return weights
 
 
@@ -339,11 +347,20 @@ def compute_delta_outputs(
 ) -> DeltaStore:
     """Store of every group's output delta when its parameters come from each model.
 
-    Shapes are checked here; each group's deltas are computed when first read.
+    `plan` must be the plan the features were collected for and `base` the
+    traced base model. These and the shapes are checked here; each group's
+    deltas are computed when first read.
     """
+    if plan != store.plan:
+        raise PlanError("the plan is not the one the base features were collected for")
+    traced = store.weights
+    if set(base.tensors) != set(traced) or not all(
+        np.array_equal(base.tensors[name], weight) for name, weight in traced.items()
+    ):
+        raise CompatError("the base archive is not the traced base model")
     for t, archive in enumerate(fine_tuned):
         require_compatible(archive, base, f"fine-tuned archive {t}")
-    return DeltaStore(plan=plan, features=store, base=base, fine_tuned=fine_tuned)
+    return DeltaStore(features=store, fine_tuned=fine_tuned)
 
 
 def interpolated_outputs(

@@ -80,16 +80,10 @@ class FixtureSpec:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FixtureSpec":
+        """The spec `to_json_dict` wrote; a field left out takes its default."""
         try:
-            config = ModelConfig(**payload["config"])
-            return cls(
-                config=config,
-                n_tasks=payload.get("n_tasks", 2),
-                tau_scale=payload.get("tau_scale", 0.5),
-                dataset_size=payload.get("dataset_size", 16),
-                seq_len=payload.get("seq_len", 12),
-                seed=payload.get("seed", 0),
-            )
+            fields = dict(payload)
+            return cls(config=ModelConfig(**fields.pop("config")), **fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParamError(f"malformed fixture spec: {exc}") from exc
 

@@ -79,15 +79,13 @@ def merge_dare(
 
     Each task vector gets its own random stream [seed, task]. Entries are
     kept with probability 1 - drop_p and divided by 1 - drop_p, which keeps
-    the expected task vector unchanged. drop_p = 0 routes through plain task
-    arithmetic so the two agree bitwise.
+    the expected task vector unchanged. At drop_p = 0 every entry is kept and
+    divided by 1, so the result is task arithmetic's, bit for bit.
     """
     _require_finite_alpha(alpha)
     if not 0.0 <= drop_p < 1.0:
         raise ParamError(f"drop_p must lie in [0, 1), got {drop_p}")
     _require_models(fine_tuned)
-    if drop_p == 0.0:
-        return merge_task_arithmetic(base, fine_tuned, alpha)
     taus = []
     for task, ft in enumerate(fine_tuned):
         tau = task_vector(ft, base)

@@ -28,7 +28,10 @@ from scipy.special import logsumexp
 from .archive import TensorArchive
 from .errors import BindError, InputError
 
-_MATRIX_PARAMS = ("attn.q_proj", "attn.k_proj", "attn.v_proj", "attn.o_proj")
+# The parameters of each layer's attention and MLP blocks, named under
+# `layers.{i}.`, in the order each block reads them.
+ATTENTION_PARAMS = ("norm1", "attn.q_proj", "attn.k_proj", "attn.v_proj", "attn.o_proj")
+MLP_PARAMS = ("norm2", "mlp.gate_proj", "mlp.up_proj", "mlp.down_proj")
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,13 @@ class ModelConfig:
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Canonical parameter names and shapes, in forward-pass order."""
-        shapes: dict[str, tuple[int, ...]] = {"embed": (self.vocab_size, self.d_model)}
+        d, f = self.d_model, self.d_ff
+        # The shapes of ATTENTION_PARAMS, then of MLP_PARAMS.
+        block = [(d,), (d, d), (d, d), (d, d), (d, d), (d,), (f, d), (f, d), (d, f)]
+        shapes: dict[str, tuple[int, ...]] = {"embed": (self.vocab_size, d)}
         for i in range(self.n_layers):
-            pre = f"layers.{i}"
-            shapes[f"{pre}.norm1"] = (self.d_model,)
-            for proj in _MATRIX_PARAMS:
-                shapes[f"{pre}.{proj}"] = (self.d_model, self.d_model)
-            shapes[f"{pre}.norm2"] = (self.d_model,)
-            shapes[f"{pre}.mlp.gate_proj"] = (self.d_ff, self.d_model)
-            shapes[f"{pre}.mlp.up_proj"] = (self.d_ff, self.d_model)
-            shapes[f"{pre}.mlp.down_proj"] = (self.d_model, self.d_ff)
+            for name, shape in zip(ATTENTION_PARAMS + MLP_PARAMS, block):
+                shapes[f"layers.{i}.{name}"] = shape
         shapes["norm_final"] = (self.d_model,)
         shapes["lm_head"] = (self.vocab_size, self.d_model)
         return shapes
@@ -179,36 +179,35 @@ def swiglu(
 
 
 def attention_block(
-    x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int,
-    rows: slice = slice(None),
+    x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attention branch of one layer on [..., seq, d_model] inputs.
 
-    `rows` picks whole heads: rows of q/k/v_proj and the same columns of
-    o_proj. Returns (branch output, o_proj input).
+    q/k/v_proj may hold the rows of any whole heads, with the same columns
+    of o_proj. Returns (branch output, o_proj input).
     """
-    pre = f"layers.{layer}.attn"
-    normed = rms_norm(x, weights[f"layers.{layer}.norm1"], config.norm_eps)
+    norm1, q_proj, k_proj, v_proj, o_proj = (
+        weights[f"layers.{layer}.{name}"] for name in ATTENTION_PARAMS
+    )
+    normed = rms_norm(x, norm1, config.norm_eps)
 
-    def project(name: str) -> np.ndarray:
-        out = normed @ weights[f"{pre}.{name}"][rows].T
+    def project(weight: np.ndarray) -> np.ndarray:
+        out = normed @ weight.T
         return out.reshape(*out.shape[:-1], -1, config.head_dim)
 
-    q = rope_rotate(project("q_proj"), config.rope_theta)
-    k = rope_rotate(project("k_proj"), config.rope_theta)
-    ctx = causal_attention(q, k, project("v_proj"))
+    q = rope_rotate(project(q_proj), config.rope_theta)
+    k = rope_rotate(project(k_proj), config.rope_theta)
+    ctx = causal_attention(q, k, project(v_proj))
     ctx = ctx.reshape(*ctx.shape[:-2], -1)
-    return ctx @ weights[f"{pre}.o_proj"][:, rows].T, ctx
+    return ctx @ o_proj.T, ctx
 
 
 def mlp_block(
     x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """MLP branch of one layer on [..., seq, d_model]; returns (output, down_proj input)."""
-    pre = f"layers.{layer}"
-    normed = rms_norm(x, weights[f"{pre}.norm2"], config.norm_eps)
-    gate, up, down = (weights[f"{pre}.mlp.{name}_proj"] for name in ("gate", "up", "down"))
-    return swiglu(normed, gate, up, down)
+    norm2, gate, up, down = (weights[f"layers.{layer}.{name}"] for name in MLP_PARAMS)
+    return swiglu(rms_norm(x, norm2, config.norm_eps), gate, up, down)
 
 
 def output_block(

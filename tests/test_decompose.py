@@ -88,6 +88,18 @@ class TestPartition:
             for name, grid in counts.items():
                 assert grid.min() == 1 and grid.max() == 1
 
+    def test_layer_group_owns_the_layers_parameters(self, config):
+        layer = plan_decomposition(config, Granularity.LAYER)
+        attn = plan_decomposition(config, Granularity.ATTN_MLP)
+        for i in range(config.n_layers):
+            names = [name for name in config.param_shapes() if name.startswith(f"layers.{i}.")]
+            owned = layer.group(f"layer.{i}").params
+            assert list(owned) == names
+            assert all(spec.rows is None and spec.cols is None for spec in owned.values())
+            branches = [set(attn.group(f"{kind}.{i}").params) for kind in ("attn", "mlp")]
+            assert not branches[0] & branches[1]
+            assert branches[0] | branches[1] == set(names)
+
 
 class TestHeadSlices:
     def test_first_head(self, config):

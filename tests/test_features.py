@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import submerge.features
-from submerge import CompatError, SampleError, TensorArchive, task_vector
+from submerge import CompatError, PlanError, SampleError, TensorArchive, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import (
     apply_group,
@@ -217,6 +217,31 @@ class TestDeltas:
         with pytest.raises(CompatError, match=r"archive 1: tensor 'layers\.0\.attn\.q_proj' shapes differ"):
             compute_delta_outputs(store, tiny_checkpoint, [fine_tuned[0], odd], plan)
 
+    def test_plan_must_be_the_stores(self, tiny_config, tiny_checkpoint, setup):
+        model, datasets, fine_tuned = setup
+        store = collect_base_features(
+            model, datasets, plan_decomposition(tiny_config, Granularity.ATTN_MLP), sample_n=2
+        )
+        layer_plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        with pytest.raises(PlanError, match="plan"):
+            compute_delta_outputs(store, tiny_checkpoint, fine_tuned, layer_plan)
+        same = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        assert compute_delta_outputs(store, tiny_checkpoint, fine_tuned, same).n_models == 2
+
+    def test_base_must_be_the_traced_model(self, tiny_config, tiny_checkpoint, setup):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        for other in (
+            perturbed(tiny_checkpoint, seed=9),
+            TensorArchive(
+                tensors={k: v for k, v in tiny_checkpoint.tensors.items() if k != "lm_head"},
+                meta=dict(tiny_checkpoint.meta),
+            ),
+        ):
+            with pytest.raises(CompatError, match="traced base"):
+                compute_delta_outputs(store, other, fine_tuned, plan)
+
     def test_widths_and_row_alignment(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
@@ -350,6 +375,10 @@ class TestDeltas:
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         for group in plan.groups:
             deltas.grouped(group.id)
+            # Base rows are held for the held group only, and a head group
+            # above 0 reads none.
+            held = {key[0] for key in store.base_outputs}
+            assert held == (set() if group.head_index else {group.id}), group.id
             if group.output_kind != "head_branch":
                 assert deltas.contexts == [] and deltas.context_layer is None, group.id
             elif group.head_index > 0:

@@ -96,6 +96,11 @@ class TestSpecValidation:
         with pytest.raises(ParamError):
             FixtureSpec.from_json_dict({"n_tasks": 2})
 
+    def test_unknown_key_rejected(self):
+        payload = dict(small_spec().to_json_dict(), sed=9)
+        with pytest.raises(ParamError, match="sed"):
+            FixtureSpec.from_json_dict(payload)
+
 
 class TestBuildFixture:
     def test_zero_tau_models_equal_base(self):

@@ -11,6 +11,7 @@ from scipy.special import expit
 
 from submerge import BindError, InputError, TensorArchive
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass
+from submerge.model import attention_block
 from submerge.model import causal_attention, rms_norm, rope_rotate, swiglu, validated_tokens
 
 from conftest import random_checkpoint
@@ -239,6 +240,28 @@ class TestForwardContracts:
                 block = concat[:, h * dh : (h + 1) * dh]
                 total = total + block @ o_proj[:, h * dh : (h + 1) * dh].T
             np.testing.assert_allclose(total, taps[f"attn_out.{i}"], atol=1e-5)
+
+    def test_attention_block_on_one_heads_slices(self, bound, tiny_config):
+        # A head's rows of q/k/v_proj and columns of o_proj give that head's
+        # context columns of the all-heads call.
+        taps = forward(bound, TOKENS)
+        dh, layer = tiny_config.head_dim, 1
+        x = taps[f"layer_in.{layer}"]
+        full_out, full_ctx = attention_block(x, bound.weights, tiny_config, layer)
+        for h in range(tiny_config.n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            pre = f"layers.{layer}.attn"
+            weights = {f"layers.{layer}.norm1": bound.weights[f"layers.{layer}.norm1"]}
+            for name in ("q_proj", "k_proj", "v_proj"):
+                weights[f"{pre}.{name}"] = bound.weights[f"{pre}.{name}"][cols]
+            weights[f"{pre}.o_proj"] = bound.weights[f"{pre}.o_proj"][:, cols]
+            out, ctx = attention_block(x, weights, tiny_config, layer)
+            assert ctx.shape == (len(TOKENS), dh)
+            np.testing.assert_allclose(ctx, full_ctx[:, cols], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                out, full_ctx[:, cols] @ weights[f"{pre}.o_proj"].T, rtol=0, atol=1e-12
+            )
+        assert np.array_equal(full_out, taps[f"attn_out.{layer}"])
 
     def test_token_out_of_range(self, tiny_config):
         with pytest.raises(InputError):
