@@ -63,9 +63,6 @@ class SubmoduleGroup:
     # base model when the group is perturbed), e.g. norm1 for heads > 0.
     extra_params: tuple[str, ...] = ()
 
-    def function_param_names(self) -> tuple[str, ...]:
-        return tuple(self.params) + self.extra_params
-
 
 @dataclass(frozen=True)
 class DecompositionPlan:

@@ -6,18 +6,21 @@ pass per sequence length; every group's input is read off that single trace
 evaluated on the base model's features, never on their own forward pass).
 Each float64 trace is freed before the next forward pass; only the f32
 group inputs are stored. A group's function is its `model` block on the
-parameter slices the group owns, plus the parameters it only reads, whole;
-it is evaluated on all stored sequences of one length in a single call, so
-identical parameters reproduce identical bytes. A group's outputs
-on one task are one f32 [rows, width] matrix, every sequence's token rows in
-input order. Base outputs and output deltas are computed when a group is
-first read and held one group at a time: the base rows per task, and the
+parameter slices the group owns, plus the parameters it only reads, whole.
+`group_parameters` builds exactly those float64 weights for one parameter
+set (a source model's slices, or base + sum_t c_t tau_t; the read-only ones
+at the base value), and `FeatureStore.rows` evaluates the block on them, on
+all stored sequences of one length in a single call, so identical weights
+reproduce identical bytes. A group's outputs on one task
+are one f32 [rows, width] matrix, every sequence's token rows in input
+order. Base outputs and output deltas are computed when a group is first
+read and held one group at a time: the base rows per task, and the
 [n_models, rows, width] delta block per data task that the solver reads.
 
 Head groups 1..H-1 of a layer read `norm1` at its base value, and heads are
 independent given the normed input, so their deltas come from the layer's
-full attention contexts: one `attention_block` call per task under the base
-weights and one per fine-tuned model under its q/k/v/o_proj and the base
+full attention contexts: one `attention_contexts` call per task under the
+base weights and one per fine-tuned model under its q/k/v_proj and the base
 `norm1`. Head h's rows are the columns of the contexts that match the
 o_proj columns the group owns, times those columns.
 `DeltaStore` holds one layer's float64 contexts while its head groups are
@@ -34,9 +37,9 @@ import numpy as np
 
 from .archive import TensorArchive, require_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup
-from .errors import CompatError, InputError, PlanError, SampleError
-from .model import ATTENTION_PARAMS, BoundModel, ModelConfig, attention_block, forward_pass
-from .model import mlp_block, output_block, validated_tokens
+from .errors import CoeffError, CompatError, InputError, PlanError, SampleError
+from .model import ATTENTION_PARAMS, BoundModel, ModelConfig, attention_block, attention_contexts
+from .model import forward_pass, mlp_block, output_block, validated_tokens
 
 
 @dataclass
@@ -57,6 +60,10 @@ class FeatureStore:
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
 
+    def rows(self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The group's rows on one task's inputs under `group_parameters` weights."""
+        return _group_rows(group, weights, self.inputs[(group.id, task)], self.config)
+
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
         """The group's output rows on one task's inputs under the traced weights."""
         key = (group.id, task)
@@ -64,16 +71,23 @@ class FeatureStore:
         if rows is None:
             if any(held != group.id for held, _ in self.base_outputs):
                 self.base_outputs.clear()
-            rows = apply_group(group, self.weights, self.inputs[key], self.config)
+            rows = self.rows(group, task, group_parameters(group, self.weights))
             self.base_outputs[key] = rows
         return rows
 
     def delta_rows(
-        self, group: SubmoduleGroup, task: int, params: Mapping[str, np.ndarray]
+        self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]
     ) -> np.ndarray:
-        """The group's output rows on one task's inputs under `params`, minus the base rows."""
-        rows = apply_group(group, params, self.inputs[(group.id, task)], self.config)
-        return rows - self.base_rows(group, task)
+        """The group's rows on one task's inputs under `weights`, minus the base rows."""
+        return self.rows(group, task, weights) - self.base_rows(group, task)
+
+    def require_traced_base(self, base: TensorArchive) -> None:
+        """Raise `CompatError` unless `base` holds exactly the traced weights."""
+        traced = self.weights
+        if set(base.tensors) != set(traced) or not all(
+            np.array_equal(base.tensors[name], weight) for name, weight in traced.items()
+        ):
+            raise CompatError("the base archive is not the traced base model")
 
 
 @dataclass
@@ -150,7 +164,10 @@ class DeltaStore:
                 (
                     weights[o_proj_name],
                     [
-                        _attention_contexts(layer, weights, features.inputs[(group.id, task)], config)
+                        _rows_in_order(
+                            features.inputs[(group.id, task)],
+                            lambda x: attention_contexts(x.astype(np.float64), weights, config, layer),
+                        )
                         for task in range(self.n_tasks)
                     ],
                 )
@@ -189,32 +206,37 @@ def _rows_in_order(
     return np.concatenate(outputs)
 
 
-def _evaluate(
-    group: SubmoduleGroup, params: Mapping[str, np.ndarray], batch: np.ndarray, config: ModelConfig
+def _group_rows(
+    group: SubmoduleGroup,
+    weights: Mapping[str, np.ndarray],
+    inputs: Sequence[np.ndarray],
+    config: ModelConfig,
 ) -> np.ndarray:
-    """One group's function on a batch [..., seq] of tokens or [..., seq, d_model] features.
+    """One group's block on stored inputs under `weights` as `group_parameters`
+    builds them; returns an f32 [rows, width], each input's rows in input order.
 
-    The group's block reads the slices of `params` the group owns and, whole,
-    the parameters it only reads.
+    Inputs of one length are stacked and evaluated in one call.
     """
-    weights = {name: params[name][spec.as_index()] for name, spec in group.params.items()}
-    weights.update((name, params[name]) for name in group.extra_params)
     kind, layer = group.output_kind, group.layer
-    if kind == "model_logits":
-        return forward_pass(config, weights, batch.astype(np.int64))["logits"]
-    if kind == "embed_rows":
-        return weights["embed"][batch.astype(np.int64)]
-    x = batch.astype(np.float64)
-    if kind == "logits":
-        return output_block(x, weights, config)[0]
-    if kind in ("attn_branch", "head_branch"):
-        return attention_block(x, weights, config, layer)[0]
-    if kind == "mlp_branch":
-        return mlp_block(x, weights, config, layer)[0]
-    if kind == "layer_out":
-        x = x + attention_block(x, weights, config, layer)[0]
-        return x + mlp_block(x, weights, config, layer)[0]
-    raise InputError(f"unknown output kind {kind!r}")
+
+    def evaluate(batch: np.ndarray) -> np.ndarray:
+        if kind == "model_logits":
+            return forward_pass(config, weights, batch.astype(np.int64))["logits"]
+        if kind == "embed_rows":
+            return weights["embed"][batch.astype(np.int64)]
+        x = batch.astype(np.float64)
+        if kind == "logits":
+            return output_block(x, weights, config)[0]
+        if kind in ("attn_branch", "head_branch"):
+            return attention_block(x, weights, config, layer)[0]
+        if kind == "mlp_branch":
+            return mlp_block(x, weights, config, layer)[0]
+        if kind == "layer_out":
+            x = x + attention_block(x, weights, config, layer)[0]
+            return x + mlp_block(x, weights, config, layer)[0]
+        raise InputError(f"unknown output kind {kind!r}")
+
+    return _rows_in_order(inputs, lambda batch: evaluate(batch).astype(np.float32))
 
 
 def apply_group(
@@ -223,29 +245,15 @@ def apply_group(
     inputs: Sequence[np.ndarray],
     config: ModelConfig,
 ) -> np.ndarray:
-    """Evaluate one group's function on stored inputs; returns an f32 [rows, width].
-
-    Inputs of one length are stacked and evaluated in one call. Each input's
-    rows come out in input order.
-    """
+    """One group's function under whole tensors `params` on [seq] token or
+    [seq, d_model] feature inputs; returns an f32 [rows, width] in input order."""
     if group.output_kind not in ("model_logits", "embed_rows"):
         for arr in inputs:
             if arr.ndim != 2 or arr.shape[1] != config.d_model:
                 raise InputError(
                     f"group {group.id!r} expects [seq x {config.d_model}] inputs, got {arr.shape}"
                 )
-    return _rows_in_order(
-        inputs, lambda batch: _evaluate(group, params, batch, config).astype(np.float32)
-    )
-
-
-def _attention_contexts(
-    layer: int, weights: Mapping[str, np.ndarray], inputs: Sequence[np.ndarray], config: ModelConfig
-) -> np.ndarray:
-    """Every head's float64 attention context in one layer on stored inputs: [rows, d_model]."""
-    return _rows_in_order(
-        inputs, lambda batch: attention_block(batch.astype(np.float64), weights, config, layer)[1]
-    )
+    return _group_rows(group, group_parameters(group, params), inputs, config)
 
 
 def _attention_weights(
@@ -265,27 +273,28 @@ def group_parameters(
     taus: Sequence[Mapping[str, np.ndarray]] = (),
     coeffs: Sequence[float] = (),
 ) -> dict[str, np.ndarray]:
-    """Parameters for evaluating a group, varying only its owned slices.
+    """The float64 weights a group's block reads, for one parameter set.
 
-    Either copy the owned slices from `source` (exact), or set them to
-    base + sum_t coeffs[t] * taus[t] accumulated in float64. Parameters the
-    function reads but does not own stay at the base values.
+    Each owned slice is `source`'s slice (exact), or base + sum_t coeffs[t] *
+    taus[t] accumulated in that order. Each parameter the block reads but
+    the group does not own is whole, at the base value.
     """
     if source is not None and len(taus):
-        raise ValueError("pass either source or taus, not both")
+        raise InputError("pass either source or taus, not both")
     if len(taus) != len(coeffs):
-        raise ValueError("taus and coeffs must have equal length")
-    out: dict[str, np.ndarray] = {
-        name: np.array(base[name], dtype=np.float64) for name in group.function_param_names()
-    }
+        raise CoeffError(f"{len(coeffs)} coefficients for {len(taus)} task vectors")
+    weights: dict[str, np.ndarray] = {}
     for name, spec in group.params.items():
         idx = spec.as_index()
         if source is not None:
-            out[name][idx] = np.asarray(source[name], dtype=np.float64)[idx]
-        else:
-            for coeff, tau in zip(coeffs, taus):
-                out[name][idx] += float(coeff) * np.asarray(tau[name], dtype=np.float64)[idx]
-    return out
+            weights[name] = np.asarray(source[name][idx], dtype=np.float64)
+            continue
+        weight = np.array(base[name][idx], dtype=np.float64)
+        for coeff, tau in zip(coeffs, taus):
+            weight += float(coeff) * np.asarray(tau[name][idx], dtype=np.float64)
+        weights[name] = weight
+    weights.update((name, np.asarray(base[name], dtype=np.float64)) for name in group.extra_params)
+    return weights
 
 
 def _traced_taps(base: BoundModel, batch: np.ndarray, taps: set[str]) -> dict[str, np.ndarray]:
@@ -353,28 +362,7 @@ def compute_delta_outputs(
     """
     if plan != store.plan:
         raise PlanError("the plan is not the one the base features were collected for")
-    traced = store.weights
-    if set(base.tensors) != set(traced) or not all(
-        np.array_equal(base.tensors[name], weight) for name, weight in traced.items()
-    ):
-        raise CompatError("the base archive is not the traced base model")
+    store.require_traced_base(base)
     for t, archive in enumerate(fine_tuned):
         require_compatible(archive, base, f"fine-tuned archive {t}")
     return DeltaStore(features=store, fine_tuned=fine_tuned)
-
-
-def interpolated_outputs(
-    store: FeatureStore,
-    base: TensorArchive,
-    tau: TensorArchive,
-    group: SubmoduleGroup,
-    coeffs: Sequence[float],
-    task: int = 0,
-) -> list[np.ndarray]:
-    """Group outputs at base + c * tau for each c, rows stacked per coefficient."""
-    inputs = store.inputs[(group.id, task)]
-    outputs = []
-    for coeff in coeffs:
-        params = group_parameters(group, base.tensors, taus=[tau.tensors], coeffs=[coeff])
-        outputs.append(apply_group(group, params, inputs, store.config))
-    return outputs

@@ -23,7 +23,7 @@ import numpy as np
 from .archive import TensorArchive
 from .decompose import SubmoduleGroup
 from .errors import DegenerateError, InputError
-from .features import DeltaStore, FeatureStore, group_parameters, interpolated_outputs
+from .features import DeltaStore, FeatureStore, group_parameters
 
 NORM_FLOOR = 1e-12
 
@@ -74,11 +74,15 @@ def non_linearity_score(
     task: int = 0,
     n_points: int = 10,
 ) -> tuple[float, dict]:
-    """Mean interpolation score for one group on one task's stored inputs."""
+    """Mean interpolation score for one group on one task's stored inputs, evaluated
+    at base + (k / n_points) * tau for k = 0..n_points; no traced rows are read."""
     if n_points < 2:
         raise InputError("n_points must be >= 2")
     coeffs = [k / n_points for k in range(n_points + 1)]
-    outputs = interpolated_outputs(store, base, tau, group, coeffs, task=task)
+    outputs = [
+        store.rows(group, task, group_parameters(group, base.tensors, taus=[tau.tensors], coeffs=[c]))
+        for c in coeffs
+    ]
     scores, skipped, ratio_matrix = interpolation_scores(outputs)
     aux = {
         "n": n_points,
@@ -146,16 +150,15 @@ def default_alpha_grid(n_models: int) -> list[list[float]]:
 
 def merged_group_deltas(
     store: FeatureStore,
-    base: TensorArchive,
     taus: Sequence[TensorArchive],
     group: SubmoduleGroup,
     alpha: Sequence[float],
 ) -> np.ndarray:
-    """Output delta of the group merged with `alpha`, rows over all data tasks."""
-    params = group_parameters(
-        group, base.tensors, taus=[tau.tensors for tau in taus], coeffs=alpha
+    """Output delta of the group merged with `alpha` on the traced base, rows of all tasks."""
+    weights = group_parameters(
+        group, store.weights, taus=[tau.tensors for tau in taus], coeffs=alpha
     )
-    return np.concatenate([store.delta_rows(group, task, params) for task in range(store.n_tasks)])
+    return np.concatenate([store.delta_rows(group, task, weights) for task in range(store.n_tasks)])
 
 
 def metric_sweep(
@@ -166,7 +169,11 @@ def metric_sweep(
     group: SubmoduleGroup,
     grid: Sequence[Sequence[float]] | None = None,
 ) -> list[LinearityRecord]:
-    """Cosine and projection metrics for every alpha in the grid, plus means."""
+    """Cosine and projection metrics for every alpha in the grid, plus means.
+    `base` must be the model `store` traced and `deltas` must read `store`."""
+    store.require_traced_base(base)
+    if deltas.features is not store:
+        raise InputError("the deltas were not computed on this feature store")
     if grid is None:
         grid = default_alpha_grid(len(taus))
     if not grid:
@@ -174,7 +181,7 @@ def metric_sweep(
     task_deltas = deltas.pooled(group.id)
     records: list[LinearityRecord] = []
     for alpha in grid:
-        merged = merged_group_deltas(store, base, taus, group, alpha)
+        merged = merged_group_deltas(store, taus, group, alpha)
         aux = {"alpha": list(alpha)}
         try:
             cos_value, _, cos_skipped = cosine_merge(task_deltas, alpha, merged)

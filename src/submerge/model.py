@@ -6,6 +6,10 @@ Weights are stored as [out x in] matrices applied as y = W @ x; checkpoint
 values are f32 and upcast to float64 for the actual arithmetic. Kernels and
 blocks take any number of leading batch axes before [seq, ...].
 
+The forward pass and the groups of `features.py` run the same blocks
+(`attention_contexts`, `attention_block`, `mlp_block`, `output_block`), each
+on the parameters it reads by name, or on any whole heads' slices of them.
+
 The kernels avoid full-size temporaries where they can: `rms_norm` takes the
 sum of squares with one einsum, `rope_rotate` multiplies the interleaved
 pairs viewed as complex numbers by a cached complex table, `swiglu` computes
@@ -178,16 +182,13 @@ def swiglu(
     return hidden @ down.T, hidden
 
 
-def attention_block(
+def attention_contexts(
     x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Attention branch of one layer on [..., seq, d_model] inputs.
-
-    q/k/v_proj may hold the rows of any whole heads, with the same columns
-    of o_proj. Returns (branch output, o_proj input).
-    """
-    norm1, q_proj, k_proj, v_proj, o_proj = (
-        weights[f"layers.{layer}.{name}"] for name in ATTENTION_PARAMS
+) -> np.ndarray:
+    """Attention contexts (the o_proj input) of one layer on [..., seq, d_model]
+    inputs, for the whole heads whose rows q/k/v_proj hold, in order."""
+    norm1, q_proj, k_proj, v_proj = (
+        weights[f"layers.{layer}.{name}"] for name in ATTENTION_PARAMS[:4]
     )
     normed = rms_norm(x, norm1, config.norm_eps)
 
@@ -198,8 +199,16 @@ def attention_block(
     q = rope_rotate(project(q_proj), config.rope_theta)
     k = rope_rotate(project(k_proj), config.rope_theta)
     ctx = causal_attention(q, k, project(v_proj))
-    ctx = ctx.reshape(*ctx.shape[:-2], -1)
-    return ctx @ o_proj.T, ctx
+    return ctx.reshape(*ctx.shape[:-2], -1)
+
+
+def attention_block(
+    x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attention branch of one layer: (contexts @ o_proj.T, contexts), with the
+    o_proj columns of the heads whose q/k/v_proj rows are given."""
+    ctx = attention_contexts(x, weights, config, layer)
+    return ctx @ weights[f"layers.{layer}.attn.o_proj"].T, ctx
 
 
 def mlp_block(

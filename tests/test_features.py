@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import submerge.features
-from submerge import CompatError, PlanError, SampleError, TensorArchive, task_vector
+from submerge import CoeffError, CompatError, InputError, PlanError, SampleError, TensorArchive, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import (
     apply_group,
     collect_base_features,
     compute_delta_outputs,
     group_parameters,
-    interpolated_outputs,
 )
 from submerge.linearity import metric_sweep
 from submerge.model import ModelConfig, bind_weights, forward_pass
@@ -170,6 +169,20 @@ class TestApplyGroup:
             assert batched.shape == expected.shape
             assert np.array_equal(batched, expected), group.id
 
+    @pytest.mark.parametrize("level", list(Granularity))
+    def test_whole_tensors_match_group_weights(self, tiny_config, setup, level):
+        # apply_group takes whole tensors; the store evaluates the group's own
+        # weights. Both run the same block on the same slices.
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, level)
+        store = collect_base_features(model, datasets, plan, sample_n=3, seed=2)
+        whole = fine_tuned[0].tensors
+        for group in plan.groups:
+            weights = group_parameters(group, whole)
+            for task in range(2):
+                outs = apply_group(group, whole, store.inputs[(group.id, task)], tiny_config)
+                assert np.array_equal(outs, store.rows(group, task, weights)), (group.id, task)
+
     def test_head_outputs_sum_to_attention_branch(self, tiny_config, setup):
         model, datasets, _ = setup
         heads = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
@@ -190,9 +203,9 @@ class TestApplyGroup:
         plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=3)
         group = plan.group("mlp.0")
-        params = {name: np.array(model.weights[name]) for name in group.function_param_names()}
-        params["layers.0.mlp.down_proj"] = np.zeros_like(params["layers.0.mlp.down_proj"])
-        outs = apply_group(group, params, store.inputs[("mlp.0", 0)], tiny_config)
+        weights = group_parameters(group, model.weights)
+        weights["layers.0.mlp.down_proj"] = np.zeros_like(weights["layers.0.mlp.down_proj"])
+        outs = store.rows(group, 0, weights)
         assert outs.shape == (sum(len(a) for a in store.inputs[("mlp.0", 0)]), tiny_config.d_model)
         assert not outs.any()
 
@@ -266,11 +279,9 @@ class TestDeltas:
         # Reverse order so every group is loaded after a different one was held.
         for group in reversed(plan.groups):
             for t, archive in enumerate(fine_tuned):
-                params = group_parameters(group, tiny_checkpoint.tensors, source=archive.tensors)
+                weights = group_parameters(group, tiny_checkpoint.tensors, source=archive.tensors)
                 for task in range(2):
-                    inputs = store.inputs[(group.id, task)]
-                    rows = apply_group(group, params, inputs, tiny_config)
-                    expected = rows - store.base_rows(group, task)
+                    expected = store.rows(group, task, weights) - store.base_rows(group, task)
                     got = deltas.grouped(group.id)[task][t]
                     assert got.dtype == expected.dtype
                     assert np.array_equal(got, expected), (group.id, task, t)
@@ -300,7 +311,8 @@ class TestDeltas:
     ):
         # Head groups above 0 read their deltas off the layer's attention
         # contexts, built from one weight set per (layer, model); every other
-        # group builds its parameters once per (group, model).
+        # group builds its parameters once per (group, model). Calls without a
+        # source build base weights for the base rows and are not counted.
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
@@ -313,8 +325,9 @@ class TestDeltas:
             return next(t for t, ft in enumerate(fine_tuned) if ft.tensors is source)
 
         def counting(group, base, source=None, **kwargs):
-            key = (group.id, model_index(source))
-            calls[key] = calls.get(key, 0) + 1
+            if source is not None:
+                key = (group.id, model_index(source))
+                calls[key] = calls.get(key, 0) + 1
             return original(group, base, source=source, **kwargs)
 
         def counting_weights(layer, base, source):
@@ -406,20 +419,56 @@ class TestDeltas:
         )
 
 
+class TestGroupParameters:
+    @pytest.mark.parametrize("level", list(Granularity))
+    def test_exactly_the_owned_slices_and_the_read_only_params(
+        self, tiny_config, tiny_checkpoint, setup, level
+    ):
+        _, _, fine_tuned = setup
+        base = tiny_checkpoint.tensors
+        tau = task_vector(fine_tuned[0], tiny_checkpoint)
+        for group in plan_decomposition(tiny_config, level).groups:
+            for weights in (
+                group_parameters(group, base),
+                group_parameters(group, base, source=fine_tuned[1].tensors),
+                group_parameters(group, base, taus=[tau.tensors], coeffs=[0.5]),
+            ):
+                assert set(weights) == set(group.params) | set(group.extra_params), group.id
+                assert all(w.dtype == np.float64 for w in weights.values())
+                for name, spec in group.params.items():
+                    assert weights[name].shape == base[name][spec.as_index()].shape
+                for name in group.extra_params:
+                    np.testing.assert_array_equal(weights[name], base[name].astype(np.float64))
+
+    def test_bad_arguments(self, tiny_config, tiny_checkpoint, setup):
+        _, _, fine_tuned = setup
+        group = plan_decomposition(tiny_config, Granularity.ATTN_MLP).group("mlp.0")
+        base, taus = tiny_checkpoint.tensors, [ft.tensors for ft in fine_tuned]
+        with pytest.raises(CoeffError, match="1 coefficients for 2 task vectors"):
+            group_parameters(group, base, taus=taus, coeffs=[0.5])
+        with pytest.raises(InputError, match="not both"):
+            group_parameters(group, base, source=taus[0], taus=taus[1:], coeffs=[0.5])
+
+
 class TestInterpolation:
+    @staticmethod
+    def steps(store, group, base, tau, coeffs, task):
+        return [
+            store.rows(group, task, group_parameters(group, base.tensors, taus=[tau.tensors], coeffs=[c]))
+            for c in coeffs
+        ]
+
     def test_endpoints(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=5)
         tau = task_vector(fine_tuned[0], tiny_checkpoint)
         group = plan.group("attn.1")
-        lo, hi = interpolated_outputs(store, tiny_checkpoint, tau, group, [0.0, 1.0], task=0)
-        base_rows = store.base_rows(group, 0)
-        np.testing.assert_array_equal(lo, base_rows)
+        lo, hi = self.steps(store, group, tiny_checkpoint, tau, [0.0, 1.0], task=0)
+        np.testing.assert_array_equal(lo, store.base_rows(group, 0))
         # c=1 reproduces the fine-tuned branch up to f32 rounding of tau
-        ft_params = group_parameters(group, tiny_checkpoint.tensors, source=fine_tuned[0].tensors)
-        ft_rows = apply_group(group, ft_params, store.inputs[("attn.1", 0)], tiny_config)
-        np.testing.assert_allclose(hi, ft_rows, atol=1e-5)
+        ft_weights = group_parameters(group, tiny_checkpoint.tensors, source=fine_tuned[0].tensors)
+        np.testing.assert_allclose(hi, store.rows(group, 0, ft_weights), atol=1e-5)
 
     def test_linear_group_midpoint(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
@@ -427,25 +476,26 @@ class TestInterpolation:
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=5)
         tau = task_vector(fine_tuned[1], tiny_checkpoint)
         group = plan.group("embed")
-        lo, mid, hi = interpolated_outputs(
-            store, tiny_checkpoint, tau, group, [0.0, 0.5, 1.0], task=1
-        )
+        lo, mid, hi = self.steps(store, group, tiny_checkpoint, tau, [0.0, 0.5, 1.0], task=1)
         np.testing.assert_allclose(mid, (lo.astype(np.float64) + hi) / 2, atol=1e-6)
 
     def test_non_owned_params_stay_at_base(self, tiny_config, tiny_checkpoint, setup):
-        # A head group above index 0 reads norm1 but must not perturb it.
-        model, datasets, fine_tuned = setup
-        plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
-        group = plan.group("head.0.1")
+        # A head group above index 0 reads norm1 whole but must not perturb it.
+        _, _, fine_tuned = setup
+        base = tiny_checkpoint.tensors
+        group = plan_decomposition(tiny_config, Granularity.HEAD_MLP).group("head.0.1")
         tau = task_vector(fine_tuned[0], tiny_checkpoint)
-        params = group_parameters(group, tiny_checkpoint.tensors, taus=[tau.tensors], coeffs=[1.0])
+        weights = group_parameters(group, base, taus=[tau.tensors], coeffs=[1.0])
+        d, hd = tiny_config.d_model, tiny_config.head_dim
+        assert weights["layers.0.attn.o_proj"].shape == (d, hd)
+        assert weights["layers.0.attn.q_proj"].shape == (hd, d)
+        np.testing.assert_array_equal(weights["layers.0.norm1"], base["layers.0.norm1"].astype(np.float64))
+        q_base = base["layers.0.attn.q_proj"][hd : 2 * hd].astype(np.float64)
+        q_tau = tau.tensors["layers.0.attn.q_proj"][hd : 2 * hd].astype(np.float64)
+        np.testing.assert_array_equal(weights["layers.0.attn.q_proj"], q_base + q_tau)
+        assert not np.array_equal(weights["layers.0.attn.q_proj"], q_base)
+        exact = group_parameters(group, base, source=fine_tuned[0].tensors)
         np.testing.assert_array_equal(
-            params["layers.0.norm1"], tiny_checkpoint.tensors["layers.0.norm1"].astype(np.float64)
-        )
-        changed = params["layers.0.attn.q_proj"][4:8]
-        base_rows = tiny_checkpoint.tensors["layers.0.attn.q_proj"][4:8]
-        assert not np.array_equal(changed, base_rows)
-        np.testing.assert_array_equal(
-            params["layers.0.attn.q_proj"][0:4],
-            tiny_checkpoint.tensors["layers.0.attn.q_proj"][0:4].astype(np.float64),
+            exact["layers.0.attn.o_proj"],
+            fine_tuned[0].tensors["layers.0.attn.o_proj"][:, hd : 2 * hd].astype(np.float64),
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from submerge import DegenerateError, TensorArchive, task_vector
+from submerge import CoeffError, CompatError, DegenerateError, InputError, TensorArchive, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import collect_base_features, compute_delta_outputs
 from submerge.linearity import (
@@ -201,3 +201,26 @@ class TestSweep:
         )
         flagged = [r for r in records if r.aux.get("degenerate")]
         assert flagged and all(np.isnan(r.value) for r in flagged)
+
+    @pytest.mark.parametrize("alpha", [[0.5], [0.5, 0.5, 0.5]])
+    def test_alpha_of_the_wrong_length(self, tiny_checkpoint, pipeline, alpha):
+        plan, store, taus, deltas = pipeline
+        with pytest.raises(CoeffError, match="for 2 task vectors"):
+            metric_sweep(store, deltas, tiny_checkpoint, taus, plan.group("layer.0"), grid=[alpha])
+
+    def test_base_must_be_the_traced_model(self, tiny_checkpoint, pipeline):
+        # Merged rows built on another base would be compared with base rows
+        # of the traced model.
+        plan, store, taus, deltas = pipeline
+        other = perturbed(tiny_checkpoint, seed=21, scale=0.1)
+        with pytest.raises(CompatError, match="traced base"):
+            metric_sweep(store, deltas, other, taus, plan.group("layer.0"), grid=[[0.5, 0.5]])
+
+    def test_deltas_must_read_the_same_store(self, tiny_config, tiny_checkpoint, pipeline):
+        plan, store, taus, deltas = pipeline
+        model = bind_weights(tiny_checkpoint, tiny_config)
+        datasets = [[[(3 * i + j + t) % 11 for j in range(6)] for i in range(4)] for t in range(2)]
+        other = collect_base_features(model, datasets, plan, sample_n=3, seed=7)
+        foreign = compute_delta_outputs(other, tiny_checkpoint, deltas.fine_tuned, plan)
+        with pytest.raises(InputError, match="feature store"):
+            metric_sweep(store, foreign, tiny_checkpoint, taus, plan.group("layer.0"), grid=[[0.5, 0.5]])

@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from submerge import BindError, InputError, TensorArchive
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass
-from submerge.model import attention_block
+from submerge.model import attention_block, attention_contexts
 from submerge.model import causal_attention, rms_norm, rope_rotate, swiglu, validated_tokens
 
 from conftest import random_checkpoint
@@ -257,9 +257,12 @@ class TestForwardContracts:
             weights[f"{pre}.o_proj"] = bound.weights[f"{pre}.o_proj"][:, cols]
             out, ctx = attention_block(x, weights, tiny_config, layer)
             assert ctx.shape == (len(TOKENS), dh)
+            # The contexts alone read no o_proj.
+            del weights[f"{pre}.o_proj"]
+            assert np.array_equal(attention_contexts(x, weights, tiny_config, layer), ctx)
             np.testing.assert_allclose(ctx, full_ctx[:, cols], rtol=0, atol=1e-12)
             np.testing.assert_allclose(
-                out, full_ctx[:, cols] @ weights[f"{pre}.o_proj"].T, rtol=0, atol=1e-12
+                out, full_ctx[:, cols] @ bound.weights[f"{pre}.o_proj"][:, cols].T, rtol=0, atol=1e-12
             )
         assert np.array_equal(full_out, taps[f"attn_out.{layer}"])
 
