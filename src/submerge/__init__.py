@@ -51,13 +51,12 @@ from .features import (
 from .fixtures import Fixture, FixtureSpec, build_fixture, gen_fixture, read_dataset, write_dataset
 from .linearity import (
     LinearityRecord,
-    cosine_merge,
     default_alpha_grid,
     interpolation_scores,
+    merge_metrics,
     merged_group_deltas,
     metric_sweep,
     non_linearity_score,
-    projection_distance,
 )
 from .merge import (
     apply_merge_weights,
@@ -113,8 +112,7 @@ __all__ = [
     "LinearityRecord",
     "interpolation_scores",
     "non_linearity_score",
-    "cosine_merge",
-    "projection_distance",
+    "merge_metrics",
     "default_alpha_grid",
     "merged_group_deltas",
     "metric_sweep",

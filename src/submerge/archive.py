@@ -212,7 +212,8 @@ def linear_combine(
 ) -> TensorArchive:
     """out[n] = base[n] + sum_t coeffs[t] * vectors[t][n] for every name n.
 
-    Accumulates in float64 and rounds once back to f32.
+    Accumulates in float64 and rounds once back to f32. A tensor that leaves
+    the float32 range raises DataError naming it.
     """
     for t, vec in enumerate(vectors):
         require_compatible(vec, base, f"linear_combine vector {t}")
@@ -221,7 +222,11 @@ def linear_combine(
     tensors: dict[str, np.ndarray] = {}
     for name, arr in base.tensors.items():
         acc = arr.astype(np.float64)
-        for weight, vec in zip(coeffs, vectors):
-            acc = acc + float(weight) * vec.tensors[name].astype(np.float64)
-        tensors[name] = acc.astype(np.float32)
+        # Overflow to inf (and inf - inf) is caught below, by tensor name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for weight, vec in zip(coeffs, vectors):
+                acc = acc + float(weight) * vec.tensors[name].astype(np.float64)
+            tensors[name] = acc.astype(np.float32)
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"tensor {name!r} overflows float32 in the linear combination")
     return TensorArchive(tensors=tensors, meta=dict(base.meta))

@@ -171,6 +171,8 @@ class Options:
     def load_datasets(self, n_models: int | None = None):
         """Read the datasets; with `n_models`, require one dataset per model."""
         paths = [Path(p) for p in self.require("datasets", "--dataset")]
+        if not paths:
+            raise ConfigError("need at least one --dataset (config key 'datasets' is empty)")
         if n_models is not None and len(paths) != n_models:
             raise ConfigError(f"{n_models} models need {n_models} datasets, got {len(paths)}")
         return [read_dataset(p) for p in paths], paths

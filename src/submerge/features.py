@@ -363,6 +363,8 @@ def compute_delta_outputs(
     if plan != store.plan:
         raise PlanError("the plan is not the one the base features were collected for")
     store.require_traced_base(base)
+    if not fine_tuned:
+        raise InputError("need at least one fine-tuned model")
     for t, archive in enumerate(fine_tuned):
         require_compatible(archive, base, f"fine-tuned archive {t}")
     return DeltaStore(features=store, fine_tuned=fine_tuned)

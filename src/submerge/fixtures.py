@@ -206,12 +206,16 @@ def build_fixture(spec: FixtureSpec) -> Fixture:
         direction = _task_direction(
             base, config, probs, datasets[task], np.random.default_rng([spec.seed, 2, task])
         )
-        tensors = {
-            name: (arr.astype(np.float64) + spec.tau_scale * direction[name]).astype(
-                np.float32
-            )
-            for name, arr in base.tensors.items()
-        }
+        with np.errstate(over="ignore"):
+            tensors = {
+                name: (arr.astype(np.float64) + spec.tau_scale * direction[name]).astype(
+                    np.float32
+                )
+                for name, arr in base.tensors.items()
+            }
+        for name, arr in tensors.items():
+            if not np.isfinite(arr).all():
+                raise ParamError(f"tau_scale {spec.tau_scale} overflows float32 in tensor {name!r}")
         models.append(TensorArchive(tensors=tensors, meta=dict(base.meta)))
     return Fixture(spec, base, models, datasets, token_probs)
 

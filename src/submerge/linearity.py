@@ -10,6 +10,8 @@ Three measurements, all over token-position samples:
   alpha-weighted sum of per-model output deltas.
 - projection distance: |1 - E[projection ratio]| of the merged delta onto
   the weighted delta sum; zero when combining parameters combines outputs.
+
+Both merge metrics of an alpha come from one weighted sum (`merge_metrics`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import DegenerateError, InputError
 from .features import DeltaStore, FeatureStore, group_parameters
 
 NORM_FLOOR = 1e-12
+METRICS = ("cosine_merge", "projection_distance")
 
 
 @dataclass
@@ -93,50 +96,46 @@ def non_linearity_score(
     return float(scores.mean()), aux
 
 
-def _weighted_sum(task_deltas: Sequence[np.ndarray], alpha: Sequence[float]) -> np.ndarray:
-    if len(task_deltas) != len(alpha):
-        raise InputError("alpha length must match the number of task deltas")
+def merge_metrics(
+    task_deltas: Sequence[np.ndarray],
+    alpha: Sequence[float],
+    merged_deltas: np.ndarray,
+) -> dict[str, tuple[float, dict]]:
+    """Both merge metrics of one alpha, keyed by `METRICS`, from one weighted sum.
+
+    The cosine averages over rows where the merged delta and the weighted sum
+    both have norm >= NORM_FLOOR; the projection over rows where the weighted
+    sum's squared norm is >= NORM_FLOOR**2. Aux holds each metric's skipped row
+    count and the projection's mean ratio.
+    """
+    if len(task_deltas) == 0 or len(task_deltas) != len(alpha):
+        raise InputError("need at least one task delta, and alpha length must match their number")
+    merged = np.asarray(merged_deltas, dtype=np.float64)
+    # A task delta of another shape would broadcast into the weighted sum.
+    if merged.ndim != 2 or any(np.shape(delta) != merged.shape for delta in task_deltas):
+        raise InputError(f"deltas must share one [rows, width] shape, merged is {merged.shape}")
     target = np.zeros_like(np.asarray(task_deltas[0], dtype=np.float64))
     for weight, delta in zip(alpha, task_deltas):
         target += float(weight) * np.asarray(delta, dtype=np.float64)
-    return target
-
-
-def cosine_merge(
-    task_deltas: Sequence[np.ndarray],
-    alpha: Sequence[float],
-    merged_deltas: np.ndarray,
-) -> tuple[float, np.ndarray, int]:
-    """Per-sample cosines between merged delta and the weighted delta sum."""
-    merged = np.asarray(merged_deltas, dtype=np.float64)
-    target = _weighted_sum(task_deltas, alpha)
     merged_norm = np.linalg.norm(merged, axis=1)
     target_norm = np.linalg.norm(target, axis=1)
-    keep = (merged_norm >= NORM_FLOOR) & (target_norm >= NORM_FLOOR)
-    skipped = int(keep.size - keep.sum())
-    if not keep.any():
-        raise DegenerateError("every sample has a zero-norm delta")
-    dots = np.einsum("rw,rw->r", merged[keep], target[keep])
-    per_sample = dots / (merged_norm[keep] * target_norm[keep])
-    return float(per_sample.mean()), per_sample, skipped
-
-
-def projection_distance(
-    task_deltas: Sequence[np.ndarray],
-    alpha: Sequence[float],
-    merged_deltas: np.ndarray,
-) -> tuple[float, dict]:
-    """|1 - E[projection of merged delta onto the weighted delta sum]|."""
-    merged = np.asarray(merged_deltas, dtype=np.float64)
-    target = _weighted_sum(task_deltas, alpha)
     target_sq = np.einsum("rw,rw->r", target, target)
-    keep = target_sq >= NORM_FLOOR**2
-    skipped = int(keep.size - keep.sum())
-    if not keep.any():
+    dots = np.einsum("rw,rw->r", merged, target)
+    cos_keep = (merged_norm >= NORM_FLOOR) & (target_norm >= NORM_FLOOR)
+    proj_keep = target_sq >= NORM_FLOOR**2
+    if not cos_keep.any():
+        raise DegenerateError("every sample has a zero-norm delta")
+    if not proj_keep.any():
         raise DegenerateError("weighted delta sum is zero on every sample")
-    ratios = np.einsum("rw,rw->r", merged[keep], target[keep]) / target_sq[keep]
-    mean_ratio = float(ratios.mean())
-    return abs(1.0 - mean_ratio), {"skipped": skipped, "mean_ratio": mean_ratio}
+    cosines = dots[cos_keep] / (merged_norm[cos_keep] * target_norm[cos_keep])
+    mean_ratio = float((dots[proj_keep] / target_sq[proj_keep]).mean())
+    return {
+        "cosine_merge": (float(cosines.mean()), {"skipped": int(cos_keep.size - cos_keep.sum())}),
+        "projection_distance": (
+            abs(1.0 - mean_ratio),
+            {"skipped": int(proj_keep.size - proj_keep.sum()), "mean_ratio": mean_ratio},
+        ),
+    }
 
 
 def default_alpha_grid(n_models: int) -> list[list[float]]:
@@ -178,38 +177,23 @@ def metric_sweep(
         grid = default_alpha_grid(len(taus))
     if not grid:
         raise InputError("alpha grid must be non-empty")
-    task_deltas = deltas.pooled(group.id)
+    task_deltas = np.asarray(deltas.pooled(group.id), dtype=np.float64)
     records: list[LinearityRecord] = []
     for alpha in grid:
         merged = merged_group_deltas(store, taus, group, alpha)
-        aux = {"alpha": list(alpha)}
         try:
-            cos_value, _, cos_skipped = cosine_merge(task_deltas, alpha, merged)
-            proj_value, proj_aux = projection_distance(task_deltas, alpha, merged)
-            records.append(
-                LinearityRecord(group.id, "cosine_merge", cos_value, {**aux, "skipped": cos_skipped})
-            )
-            records.append(
-                LinearityRecord(group.id, "projection_distance", proj_value, {**aux, **proj_aux})
-            )
+            results = merge_metrics(task_deltas, alpha, merged)
         except DegenerateError as exc:
-            for metric in ("cosine_merge", "projection_distance"):
-                records.append(
-                    LinearityRecord(
-                        group.id, metric, float("nan"), {**aux, "degenerate": True, "error": str(exc)}
-                    )
-                )
-    for metric in ("cosine_merge", "projection_distance"):
+            failed = (float("nan"), {"degenerate": True, "error": str(exc)})
+            results = dict.fromkeys(METRICS, failed)
+        for metric in METRICS:
+            value, aux = results[metric]
+            records.append(LinearityRecord(group.id, metric, value, {"alpha": list(alpha), **aux}))
+    for metric in METRICS:
         values = [r.value for r in records if r.metric == metric and np.isfinite(r.value)]
         aux = {"configs": len(grid), "valid": len(values)}
-        if values:
-            records.append(
-                LinearityRecord(group.id, f"{metric}_grid_mean", float(np.mean(values)), aux)
-            )
-        else:
-            records.append(
-                LinearityRecord(
-                    group.id, f"{metric}_grid_mean", float("nan"), {**aux, "degenerate": True}
-                )
-            )
+        if not values:
+            aux["degenerate"] = True
+        mean = float(np.mean(values)) if values else float("nan")
+        records.append(LinearityRecord(group.id, f"{metric}_grid_mean", mean, aux))
     return records

@@ -269,6 +269,15 @@ class TestLinearCombine:
         with pytest.raises(CoeffError):
             linear_combine(base, [base], [1.0, 2.0])
 
+    @pytest.mark.parametrize("coeffs", [[1e300, 0.0], [1.7e308, 1.7e308]])
+    def test_overflow_names_the_tensor(self, coeffs):
+        # 1e300 overflows only the float32 cast; at 1.7e308 the float64 sum
+        # reaches inf and then inf - inf.
+        base = _arc({"n": [1.0], "m": [0.5]})
+        vectors = [_arc({"n": [0.0], "m": [2.0]}), _arc({"n": [0.0], "m": [-4.0]})]
+        with pytest.raises(DataError, match="tensor 'm' overflows float32"):
+            linear_combine(base, vectors, coeffs)
+
     def test_uniform_combination_matches_mean(self):
         rng = np.random.default_rng(3)
         base = _arc({"w": rng.normal(size=16).tolist()})

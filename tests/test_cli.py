@@ -81,6 +81,14 @@ class TestGenFixture:
         assert not out.exists()
 
 
+    def test_tau_scale_overflowing_float32_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["gen-fixture", *FIXTURE_FLAGS, "--tau-scale", "1e300", "--out", str(out)])
+        err = assert_input_error(rc, capsys)
+        assert "tau_scale 1e+300 overflows float32 in tensor" in err
+        assert not list(out.glob("*.ta"))
+
+
 class TestAnalyze:
     def test_report_and_csvs(self, fixture_dir, tmp_path):
         rc = main(
@@ -251,6 +259,16 @@ class TestBadInputs:
             ["merge", "--config", str(config_path), "--method", "task_arithmetic", "--out", str(tmp_path)]
         )
         assert_input_error(rc, capsys)
+
+    def test_empty_dataset_list_exits_2(self, fixture_dir, tmp_path, capsys):
+        # Without the check, eval would average no losses into "mean": NaN.
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"datasets": []}))
+        rc = main(
+            ["eval", "--archive", str(fixture_dir / "base.ta"), "--config", str(config_path), "--out", str(tmp_path)]
+        )
+        assert_input_error(rc, capsys)
+        assert not (tmp_path / "metrics.json").exists()
 
     @pytest.mark.parametrize("key", ["normalized", "strict"])
     def test_string_boolean_in_config_exits_2(self, fixture_dir, tmp_path, capsys, key):
@@ -425,6 +443,15 @@ class TestBadInputs:
         assert "alpha must be finite" in err
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "out" / "merged.ta").exists()
+
+    @pytest.mark.parametrize("method", ["task_arithmetic", "dare"])
+    @pytest.mark.parametrize("alpha", ["1e300", "1.7e308"])
+    def test_alpha_overflowing_float32_exits_2(self, fixture_dir, tmp_path, capsys, method, alpha):
+        out = tmp_path / "out"
+        rc = main(["merge", *io_flags(fixture_dir), "--method", method, "--alpha", alpha, "--out", str(out)])
+        err = assert_input_error(rc, capsys)
+        assert "overflows float32" in err
+        assert not (out / "merged.ta").exists()
 
     @pytest.mark.parametrize("source", ["archive_meta"])
     @pytest.mark.parametrize(

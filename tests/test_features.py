@@ -241,6 +241,15 @@ class TestDeltas:
         same = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
         assert compute_delta_outputs(store, tiny_checkpoint, fine_tuned, same).n_models == 2
 
+    def test_no_fine_tuned_model(self, tiny_config, tiny_checkpoint, setup):
+        # Without the check, solve_plan and metric_sweep would fail later on
+        # an empty np.stack.
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        with pytest.raises(InputError, match="at least one fine-tuned model"):
+            compute_delta_outputs(store, tiny_checkpoint, [], plan)
+
     def test_base_must_be_the_traced_model(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)

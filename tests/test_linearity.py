@@ -9,12 +9,13 @@ from submerge import CoeffError, CompatError, DegenerateError, InputError, Tenso
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import collect_base_features, compute_delta_outputs
 from submerge.linearity import (
-    cosine_merge,
+    METRICS,
+    NORM_FLOOR,
     default_alpha_grid,
     interpolation_scores,
+    merge_metrics,
     metric_sweep,
     non_linearity_score,
-    projection_distance,
 )
 from submerge.model import bind_weights
 
@@ -108,63 +109,158 @@ class TestInterpolationScore:
         assert aux["ratio_matrix"].shape == (7, 7)
 
 
+def reference_weighted_sum(task_deltas, alpha):
+    target = np.zeros_like(np.asarray(task_deltas[0], dtype=np.float64))
+    for weight, delta in zip(alpha, task_deltas):
+        target += float(weight) * np.asarray(delta, dtype=np.float64)
+    return target
+
+
+def reference_cosine(task_deltas, alpha, merged_deltas):
+    # The separate cosine formula merge_metrics replaced, kept as its reference.
+    merged = np.asarray(merged_deltas, dtype=np.float64)
+    target = reference_weighted_sum(task_deltas, alpha)
+    merged_norm = np.linalg.norm(merged, axis=1)
+    target_norm = np.linalg.norm(target, axis=1)
+    keep = (merged_norm >= NORM_FLOOR) & (target_norm >= NORM_FLOOR)
+    dots = np.einsum("rw,rw->r", merged[keep], target[keep])
+    per_sample = dots / (merged_norm[keep] * target_norm[keep])
+    return float(per_sample.mean()), int(keep.size - keep.sum())
+
+
+def reference_projection(task_deltas, alpha, merged_deltas):
+    merged = np.asarray(merged_deltas, dtype=np.float64)
+    target = reference_weighted_sum(task_deltas, alpha)
+    target_sq = np.einsum("rw,rw->r", target, target)
+    keep = target_sq >= NORM_FLOOR**2
+    ratios = np.einsum("rw,rw->r", merged[keep], target[keep]) / target_sq[keep]
+    mean_ratio = float(ratios.mean())
+    return abs(1.0 - mean_ratio), int(keep.size - keep.sum()), mean_ratio
+
+
+def cosine(task_deltas, alpha, merged):
+    return merge_metrics(task_deltas, alpha, merged)["cosine_merge"]
+
+
+def projection(task_deltas, alpha, merged):
+    return merge_metrics(task_deltas, alpha, merged)["projection_distance"]
+
+
 class TestCosineMerge:
     def test_single_task_full_weight_is_one(self):
         rng = np.random.default_rng(1)
         delta = rng.normal(size=(6, 4))
-        value, per_sample, skipped = cosine_merge([delta], [1.0], delta.copy())
-        assert skipped == 0
-        np.testing.assert_allclose(per_sample, 1.0, atol=1e-12)
+        value, aux = cosine([delta], [1.0], delta.copy())
+        assert aux == {"skipped": 0}
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_merged_delta_still_one(self):
         rng = np.random.default_rng(2)
         deltas = [rng.normal(size=(5, 3)) for _ in range(2)]
         target = 0.3 * deltas[0] + 0.7 * deltas[1]
-        value, _, _ = cosine_merge(deltas, [0.3, 0.7], 2.0 * target)
+        value, _ = cosine(deltas, [0.3, 0.7], 2.0 * target)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
         deltas = [np.array([[1.0, 0.0]] * 4)]
         merged = np.array([[0.0, 1.0]] * 4)
-        value, _, _ = cosine_merge(deltas, [1.0], merged)
+        value, _ = cosine(deltas, [1.0], merged)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_rows_skipped_and_counted(self):
         deltas = [np.array([[1.0, 0.0], [0.0, 0.0]])]
         merged = np.array([[1.0, 0.0], [0.0, 0.0]])
-        value, per_sample, skipped = cosine_merge(deltas, [1.0], merged)
-        assert skipped == 1 and per_sample.shape == (1,)
+        value, aux = cosine(deltas, [1.0], merged)
+        assert aux["skipped"] == 1 and value == 1.0
 
     def test_all_rows_degenerate(self):
-        with pytest.raises(DegenerateError):
-            cosine_merge([np.zeros((3, 2))], [1.0], np.zeros((3, 2)))
+        with pytest.raises(DegenerateError, match="zero-norm delta"):
+            cosine([np.zeros((3, 2))], [1.0], np.zeros((3, 2)))
 
 
 class TestProjectionDistance:
     def test_single_task_full_weight_is_zero(self):
         rng = np.random.default_rng(6)
         delta = rng.normal(size=(7, 3))
-        value, _ = projection_distance([delta], [1.0], delta.copy())
+        value, aux = projection([delta], [1.0], delta.copy())
         assert value == pytest.approx(0.0, abs=1e-12)
+        assert aux["skipped"] == 0 and aux["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_double_length_merged_is_one(self):
         rng = np.random.default_rng(7)
         deltas = [rng.normal(size=(5, 3))]
-        value, _ = projection_distance(deltas, [1.0], 2.0 * deltas[0])
+        value, _ = projection(deltas, [1.0], 2.0 * deltas[0])
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_all_targets_zero(self):
-        with pytest.raises(DegenerateError):
-            projection_distance([np.zeros((3, 2))], [1.0], np.ones((3, 2)))
+        # The merged delta is non-zero, so the cosine's mask keeps no row either.
+        with pytest.raises(DegenerateError, match="zero-norm delta"):
+            projection([np.zeros((3, 2))], [1.0], np.ones((3, 2)))
 
     def test_task_permutation_symmetry(self):
         rng = np.random.default_rng(8)
         deltas = [rng.normal(size=(6, 4)) for _ in range(2)]
         merged = rng.normal(size=(6, 4))
-        forward, _ = projection_distance(deltas, [0.2, 0.9], merged)
-        swapped, _ = projection_distance(deltas[::-1], [0.9, 0.2], merged)
+        forward, _ = projection(deltas, [0.2, 0.9], merged)
+        swapped, _ = projection(deltas[::-1], [0.9, 0.2], merged)
         assert forward == pytest.approx(swapped, abs=1e-12)
+
+
+class TestMergeMetrics:
+    def test_keyed_by_metric_names(self):
+        rng = np.random.default_rng(3)
+        deltas = [rng.normal(size=(4, 3)) for _ in range(2)]
+        results = merge_metrics(deltas, [0.5, 0.5], rng.normal(size=(4, 3)))
+        assert tuple(results) == METRICS
+        assert set(results["projection_distance"][1]) == {"skipped", "mean_ratio"}
+
+    def test_matches_the_separate_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        dropped_by = {"cosine": 0, "projection": 0}
+        for _ in range(300):
+            n_tasks, rows, width = rng.integers(1, 5), rng.integers(4, 40), rng.integers(1, 20)
+            dtype = np.float32 if rng.random() < 0.5 else np.float64
+            deltas = rng.normal(size=(n_tasks, rows, width)).astype(dtype)
+            alpha = rng.uniform(-1.0, 1.5, size=n_tasks).tolist()
+            merged = rng.normal(size=(rows, width))
+            # Zero target rows fall out of both masks, zero merged rows only
+            # out of the cosine's; row 0 is of the first kind, row 1 of the second.
+            zero_target, zero_merged = rng.random(rows) < 0.2, rng.random(rows) < 0.2
+            zero_target[:2], zero_merged[1] = (True, False), True
+            deltas[:, zero_target], merged[zero_merged] = 0.0, 0.0
+            cos_value, cos_skipped = reference_cosine(deltas, alpha, merged)
+            proj_value, proj_skipped, mean_ratio = reference_projection(deltas, alpha, merged)
+            for given in (deltas, deltas.astype(np.float64)):
+                results = merge_metrics(given, alpha, merged)
+                assert results["cosine_merge"] == (cos_value, {"skipped": cos_skipped})
+                assert results["projection_distance"] == (
+                    proj_value,
+                    {"skipped": proj_skipped, "mean_ratio": mean_ratio},
+                )
+            dropped_by["cosine"] += cos_skipped > proj_skipped
+            dropped_by["projection"] += proj_skipped > 0
+        assert dropped_by == {"cosine": 300, "projection": 300}
+
+    @pytest.mark.parametrize("n_deltas, alpha", [(2, [1.0]), (1, [1.0, 1.0]), (0, [])])
+    def test_alpha_of_the_wrong_length(self, n_deltas, alpha):
+        with pytest.raises(InputError, match="alpha length"):
+            merge_metrics([np.ones((3, 2))] * n_deltas, alpha, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (3,), (3, 2, 1)])
+    def test_merged_deltas_of_another_shape(self, shape):
+        with pytest.raises(InputError, match="shape"):
+            merge_metrics([np.ones((3, 2))], [1.0], np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 1), (4, 2)])
+    def test_task_delta_of_another_shape(self, shape):
+        # (1, 2) and (3, 1) would broadcast into the weighted sum.
+        with pytest.raises(InputError, match="shape"):
+            merge_metrics([np.ones((3, 2)), np.ones(shape)], [0.5, 0.5], np.ones((3, 2)))
+
+    def test_cosine_degenerate_reported_first(self):
+        # Both masks are empty; the cosine's error is the one raised.
+        with pytest.raises(DegenerateError, match="zero-norm delta"):
+            merge_metrics([np.zeros((3, 2))], [1.0], np.zeros((3, 2)))
 
 
 class TestSweep:
