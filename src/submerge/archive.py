@@ -156,15 +156,16 @@ def read_archive(path) -> TensorArchive:
         if entry["dtype"] != _DTYPE_TAG:
             raise FormatError(f"tensor {name!r} has unsupported dtype {entry['dtype']!r}")
         shape = entry["shape"]
+        # `type(...) is int`: a JSON true or false is a bool, which isinstance counts as an int.
         if not isinstance(shape, list) or any(
-            not isinstance(extent, int) or extent <= 0 for extent in shape
+            type(extent) is not int or extent <= 0 for extent in shape
         ):
             raise FormatError(f"tensor {name!r} has invalid shape {shape!r}")
         offsets = entry["offsets"]
         if (
             not isinstance(offsets, list)
             or len(offsets) != 2
-            or any(not isinstance(o, int) or o < 0 for o in offsets)
+            or any(type(o) is not int or o < 0 for o in offsets)
         ):
             raise FormatError(f"tensor {name!r} has invalid offsets {offsets!r}")
         begin, end = offsets

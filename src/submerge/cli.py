@@ -34,7 +34,9 @@ from .merge import (
     merge_weight_average,
 )
 from .model import bind_weights, eval_cross_entropy
+from .solver import MergeWeights
 
+METHODS = ("weight_avg", "task_arithmetic", "dare", "linear_solve")
 TA_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 DARE_DROP_GRID = [0.6, 0.7, 0.8, 0.9]
 DARE_ALPHA_GRID = [0.6, 0.8, 1.0]
@@ -322,76 +324,68 @@ def cmd_analyze(opts: Options) -> bool:
     return degraded
 
 
+def _solve_params(opts: Options, default_level: str) -> dict:
+    """The linear-solve options, as the keyword arguments of `merge_linear_solve`."""
+    return {
+        "level": Granularity.parse(opts.get("level", default_level)).value,
+        "normalized": opts.get("normalized", True),
+        "samples_per_task": opts.get("samples_per_task", 30),
+        "seed": opts.get("seed", 0),
+    }
+
+
+def _merged(
+    method: str, params: dict, base: TensorArchive, models: list[TensorArchive], datasets
+) -> tuple[TensorArchive, MergeWeights | None]:
+    """The archive merged by `method` with its recorded `params`, and its
+    solved weights (None for the methods that solve nothing)."""
+    if method == "weight_avg":
+        return merge_weight_average(base, models), None
+    if method == "task_arithmetic":
+        return merge_task_arithmetic(base, models, params["alpha"]), None
+    if method == "dare":
+        return merge_dare(base, models, params["alpha"], params["drop_p"], params["seed"]), None
+    return merge_linear_solve(base, models, datasets=datasets, **params)
+
+
+def _fell_back(weights: MergeWeights | None) -> bool:
+    return weights is not None and any(g.fallback for g in weights.groups)
+
+
 def cmd_solve(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
     datasets, _ = opts.load_datasets(len(models))
-    level = Granularity.parse(opts.get("level", "layer"))
+    params = _solve_params(opts, "layer")
     out = opts.out_dir()
-    _, weights = merge_linear_solve(
-        base,
-        models,
-        level,
-        datasets,
-        samples_per_task=opts.get("samples_per_task", 30),
-        seed=opts.get("seed", 0),
-        normalized=opts.get("normalized", True),
-    )
+    _, weights = _merged("linear_solve", params, base, models, datasets)
     _write_json(out / "weights.json", weights.to_json_dict())
     print(f"wrote weights: {out / 'weights.json'}")
     for g in weights.groups:
         alphas = ", ".join(f"{a:.4f}" for a in g.alpha)
         suffix = " (fallback)" if g.fallback else ""
         print(f"  {g.group_id}: [{alphas}]{suffix}")
-    return any(g.fallback for g in weights.groups)
+    return _fell_back(weights)
 
 
 def cmd_merge(opts: Options) -> bool:
     method = opts.require("method", "--method")
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
     base, models, base_path, model_paths = opts.load_inputs()
-    seed = opts.get("seed", 0)
     alpha = float(opts.get("alpha", 1.0 / len(models)))
-    normalized = opts.get("normalized", True)
-    sample_n = opts.get("samples_per_task", 30)
     out = opts.out_dir()
-    degraded = False
-    weights = None
-    dataset_paths: list[Path] = []
-    params: dict = {}
-    if method == "weight_avg":
-        merged = merge_weight_average(base, models)
-    elif method == "task_arithmetic":
-        merged = merge_task_arithmetic(base, models, alpha)
-        params["alpha"] = alpha
+    datasets, dataset_paths = None, []
+    if method == "linear_solve":
+        datasets, dataset_paths = opts.load_datasets(len(models))
+        params = _solve_params(opts, "layer")
     elif method == "dare":
         drop_p = float(opts.get("drop_p", 0.9))
-        merged = merge_dare(base, models, alpha, drop_p, seed)
-        params.update({"alpha": alpha, "drop_p": drop_p, "seed": seed})
-    elif method == "linear_solve":
-        datasets, dataset_paths = opts.load_datasets(len(models))
-        level = Granularity.parse(opts.get("level", "layer"))
-        merged, weights = merge_linear_solve(
-            base,
-            models,
-            level,
-            datasets,
-            samples_per_task=sample_n,
-            seed=seed,
-            normalized=normalized,
-        )
-        degraded = any(g.fallback for g in weights.groups)
-        params.update(
-            {
-                "level": level.value,
-                "normalized": normalized,
-                "samples_per_task": sample_n,
-                "seed": seed,
-            }
-        )
+        params = {"alpha": alpha, "drop_p": drop_p, "seed": opts.get("seed", 0)}
+    elif method == "task_arithmetic":
+        params = {"alpha": alpha}
     else:
-        raise ConfigError(
-            f"unknown method {method!r}; choose weight_avg, task_arithmetic, dare "
-            "or linear_solve"
-        )
+        params = {}
+    merged, weights = _merged(method, params, base, models, datasets)
     merged_path = out / "merged.ta"
     write_archive(merged, merged_path)
     outputs = {"merged.ta": file_sha256(merged_path)}
@@ -416,7 +410,7 @@ def cmd_merge(opts: Options) -> bool:
     _write_json(out / "manifest.json", manifest)
     print(f"wrote merged archive: {merged_path}")
     print(f"wrote manifest: {out / 'manifest.json'}")
-    return degraded
+    return _fell_back(weights)
 
 
 def cmd_eval(opts: Options) -> bool:
@@ -447,16 +441,24 @@ def cmd_eval(opts: Options) -> bool:
 def cmd_compare(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
     datasets, _ = opts.load_datasets(len(models))
-    level = Granularity.parse(opts.get("level", "attn_mlp"))
-    seed = opts.get("seed", 0)
-    sample_n = opts.get("samples_per_task", 30)
-    normalized = opts.get("normalized", True)
+    solve_params = _solve_params(opts, "attn_mlp")
+    seed = solve_params["seed"]
     out = opts.out_dir()
     tasks = [f"task{i}" for i in range(len(datasets))]
+    runs = [("weight_avg", "weight_avg", {})]
+    runs += [(f"task_arithmetic[alpha={a:g}]", "task_arithmetic", {"alpha": a}) for a in TA_GRID]
+    runs += [
+        (f"dare[drop_p={p:g},alpha={a:g}]", "dare", {"drop_p": p, "alpha": a, "seed": seed})
+        for p in DARE_DROP_GRID
+        for a in DARE_ALPHA_GRID
+    ]
+    runs.append((f"linear_solve[level={solve_params['level']}]", "linear_solve", solve_params))
     rows = []
-
-    def add_row(row_id: str, method: str, params: dict, archive: TensorArchive) -> None:
-        losses = dict(zip(tasks, _losses(archive, datasets)))
+    degraded = False
+    for row_id, method, params in runs:
+        merged, weights = _merged(method, params, base, models, datasets)
+        degraded = _fell_back(weights) or degraded
+        losses = dict(zip(tasks, _losses(merged, datasets)))
         rows.append(
             {
                 "id": row_id,
@@ -466,39 +468,6 @@ def cmd_compare(opts: Options) -> bool:
                 "mean": float(np.mean(list(losses.values()))),
             }
         )
-
-    add_row("weight_avg", "weight_avg", {}, merge_weight_average(base, models))
-    for alpha in TA_GRID:
-        add_row(
-            f"task_arithmetic[alpha={alpha:g}]",
-            "task_arithmetic",
-            {"alpha": alpha},
-            merge_task_arithmetic(base, models, alpha),
-        )
-    for drop_p in DARE_DROP_GRID:
-        for alpha in DARE_ALPHA_GRID:
-            add_row(
-                f"dare[drop_p={drop_p:g},alpha={alpha:g}]",
-                "dare",
-                {"drop_p": drop_p, "alpha": alpha, "seed": seed},
-                merge_dare(base, models, alpha, drop_p, seed),
-            )
-    merged, weights = merge_linear_solve(
-        base,
-        models,
-        level,
-        datasets,
-        samples_per_task=sample_n,
-        seed=seed,
-        normalized=normalized,
-    )
-    degraded = any(g.fallback for g in weights.groups)
-    add_row(
-        f"linear_solve[level={level.value}]",
-        "linear_solve",
-        {"level": level.value, "normalized": normalized, "samples_per_task": sample_n},
-        merged,
-    )
 
     columns = [*tasks, "mean"]
     table = [{**row["losses"], "mean": row["mean"]} for row in rows]
@@ -567,10 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("merge", parents=[common, inputs], help="produce a merged archive")
-    p.add_argument(
-        "--method",
-        choices=["weight_avg", "task_arithmetic", "dare", "linear_solve"],
-    )
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--alpha", type=float)
     p.add_argument("--drop-p", dest="drop_p", type=float)
     p.set_defaults(func=cmd_merge)

@@ -94,7 +94,6 @@ class Fixture:
     base: TensorArchive
     models: list[TensorArchive]
     datasets: list[list[list[int]]]
-    token_probs: list[np.ndarray]
 
 
 def _base_checkpoint(config: ModelConfig, rng: np.random.Generator) -> TensorArchive:
@@ -192,11 +191,9 @@ def build_fixture(spec: FixtureSpec) -> Fixture:
     base = _base_checkpoint(config, np.random.default_rng([spec.seed, 0]))
     models = []
     datasets = []
-    token_probs = []
     for task in range(spec.n_tasks):
         data_rng = np.random.default_rng([spec.seed, 1, task])
         probs = data_rng.dirichlet(np.full(config.vocab_size, DIRICHLET_CONC))
-        token_probs.append(probs)
         datasets.append(
             [
                 data_rng.choice(config.vocab_size, size=spec.seq_len, p=probs).tolist()
@@ -217,7 +214,7 @@ def build_fixture(spec: FixtureSpec) -> Fixture:
             if not np.isfinite(arr).all():
                 raise ParamError(f"tau_scale {spec.tau_scale} overflows float32 in tensor {name!r}")
         models.append(TensorArchive(tensors=tensors, meta=dict(base.meta)))
-    return Fixture(spec, base, models, datasets, token_probs)
+    return Fixture(spec, base, models, datasets)
 
 
 def write_dataset(path: str | Path, task: str, sequences: Sequence[Sequence[int]]) -> None:

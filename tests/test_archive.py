@@ -194,6 +194,20 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             read_archive(self._patched_file(tmp_path, mutate))
 
+    @pytest.mark.parametrize(
+        "field, tensor, value",
+        [("shape", "layers.0.bias", [True, 3]), ("offsets", "a.long.dotted.name", [False, 96])],
+        ids=["boolean_extent", "boolean_offset"],
+    )
+    def test_boolean_in_header_rejected(self, tmp_path, field, tensor, value):
+        # True would pass as extent 1 and False as offset 0 if bools counted as ints.
+        def mutate(header, payload):
+            header["tensors"][tensor][field] = value
+            return header, payload
+
+        with pytest.raises(FormatError, match=f"invalid {field}"):
+            read_archive(self._patched_file(tmp_path, mutate))
+
     def test_nan_in_payload(self, tmp_path):
         def mutate(header, payload):
             nan = struct.pack("<f", float("nan"))

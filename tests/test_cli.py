@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from submerge.cli import (
     CONFIG_TYPES,
     FIXTURE_MODEL_DEFAULTS,
     JSON_TYPE_CHECKS,
+    METHODS,
     Options,
     build_parser,
     main,
@@ -472,6 +474,28 @@ class TestBadInputs:
         rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(tmp_path / "out")])
         assert "d_model must be an integer, got 16.0" in assert_input_error(rc, capsys)
 
+    def test_unknown_method_in_config_exits_2_before_the_work(self, fixture_dir, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"method": "bogus"}))
+        out = tmp_path / "out"
+        rc = main(["merge", *io_flags(fixture_dir), "--config", str(config_path), "--out", str(out)])
+        err = assert_input_error(rc, capsys)
+        assert "'bogus'" in err
+        assert all(method in err for method in METHODS)
+        assert not out.exists()
+
+    def test_boolean_extent_in_archive_exits_2(self, fixture_dir, tmp_path, capsys):
+        blob = (fixture_dir / "base.ta").read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob)
+        header = json.loads(blob[8 : 8 + header_len])
+        entry = header["tensors"][sorted(header["tensors"])[0]]
+        entry["shape"] = [True, *entry["shape"]]  # same element count, so only the type is wrong
+        raw = json.dumps(header).encode()
+        path = tmp_path / "bool_shape.ta"
+        path.write_bytes(struct.pack("<Q", len(raw)) + raw + blob[8 + header_len :])
+        rc = main(["eval", "--archive", str(path), "--dataset", str(fixture_dir / "task0.jsonl"), "--out", str(tmp_path)])
+        assert "invalid shape" in assert_input_error(rc, capsys)
+
     def test_boolean_in_config_is_used(self, fixture_dir, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"normalized": False, "samples_per_task": 4}))
@@ -645,6 +669,30 @@ class TestCompare:
             assert losses[payload["best"][task]] == min(losses.values())
         means = {row["id"]: row["mean"] for row in payload["rows"]}
         assert means[payload["best"]["mean"]] == min(means.values())
+
+    @pytest.mark.parametrize(
+        "row_id, flags",
+        [
+            ("weight_avg", ["--method", "weight_avg"]),
+            ("task_arithmetic[alpha=0.5]", ["--method", "task_arithmetic", "--alpha", "0.5"]),
+            ("dare[drop_p=0.9,alpha=1]", ["--method", "dare", "--drop-p", "0.9", "--alpha", "1"]),
+            ("linear_solve[level=attn_mlp]", ["--method", "linear_solve", "--level", "attn_mlp"]),
+        ],
+        ids=METHODS,
+    )
+    def test_row_is_merge_then_eval(self, fixture_dir, compare_dir, tmp_path, row_id, flags):
+        payload = json.loads((compare_dir / "compare.json").read_text())
+        row = {row["id"]: row for row in payload["rows"]}[row_id]
+        merged = tmp_path / "merge"
+        args = [*io_flags(fixture_dir), "--samples-per-task", "4"]
+        assert main(["merge", *args, *flags, "--out", str(merged)]) == 0
+        datasets = [f for t in range(2) for f in ("--dataset", str(fixture_dir / f"task{t}.jsonl"))]
+        rc = main(["eval", "--archive", str(merged / "merged.ta"), *datasets, "--out", str(tmp_path / "eval")])
+        assert rc == 0
+        metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert row["losses"] == {task: entry["loss"] for task, entry in metrics["per_task"].items()}
+        manifest = json.loads((merged / "manifest.json").read_text())
+        assert row["params"] == manifest["params"]
 
     def test_deterministic(self, fixture_dir, compare_dir, tmp_path):
         rc = main(
