@@ -40,17 +40,23 @@ _ITEM_SIZE = 4
 
 @dataclass
 class TensorArchive:
-    """Named float32 tensors with string metadata, kept in name order."""
+    """Named float32 tensors with string metadata, kept in name order. Construction rounds
+    each tensor to float32 and raises DataError naming the first that is not finite."""
 
     tensors: dict[str, np.ndarray]
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         ordered: dict[str, np.ndarray] = {}
-        for name in sorted(self.tensors):
-            if not isinstance(name, str) or not name:
-                raise FormatError(f"tensor name must be a non-empty string, got {name!r}")
-            ordered[name] = np.ascontiguousarray(self.tensors[name], dtype=np.float32)
+        # Overflow to inf in the cast is reported below, by tensor name.
+        with np.errstate(over="ignore"):
+            for name in sorted(self.tensors):
+                if not isinstance(name, str) or not name:
+                    raise FormatError(f"tensor name must be a non-empty string, got {name!r}")
+                arr = np.ascontiguousarray(self.tensors[name], dtype=np.float32)
+                if not np.isfinite(arr).all():
+                    raise DataError(f"tensor {name!r} overflows float32 or is not finite")
+                ordered[name] = arr
         self.tensors = ordered
         for key, value in self.meta.items():
             if not isinstance(key, str) or not isinstance(value, str):
@@ -175,10 +181,7 @@ def read_archive(path) -> TensorArchive:
             raise FormatError(f"tensor {name!r} offsets disagree with its shape")
         if end > len(payload):
             raise TruncationError(f"tensor {name!r} ends past the payload")
-        arr = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape).copy()
-        if not np.isfinite(arr).all():
-            raise DataError(f"tensor {name!r} contains non-finite values")
-        tensors[name] = arr
+        tensors[name] = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape).copy()
         cursor = end
     if cursor != len(payload):
         raise FormatError("payload has trailing bytes past the last tensor")
@@ -198,14 +201,22 @@ def require_compatible(a: TensorArchive, b: TensorArchive, what: str) -> None:
 
 
 def task_vector(fine_tuned: TensorArchive, base: TensorArchive) -> TensorArchive:
-    """Elementwise difference fine_tuned - base."""
+    """Elementwise difference fine_tuned - base; one that overflows float32 raises DataError."""
     require_compatible(fine_tuned, base, "task_vector")
-    tensors = {
-        name: fine_tuned.tensors[name] - base.tensors[name] for name in base.tensors
-    }
+    with np.errstate(over="ignore"):
+        tensors = {name: fine_tuned.tensors[name] - base.tensors[name] for name in base.tensors}
     meta = dict(base.meta)
     meta["kind"] = "task_vector"
     return TensorArchive(tensors=tensors, meta=meta)
+
+
+def combine(base: np.ndarray, terms: Sequence[np.ndarray], coeffs: Sequence[float]) -> np.ndarray:
+    """base + sum_t coeffs[t] * terms[t] in float64, accumulated in that order: the one
+    weighted sum of every merge, over whole tensors or owned parameter slices."""
+    out = np.array(base, dtype=np.float64)
+    for coeff, term in zip(coeffs, terms, strict=True):
+        out += float(coeff) * np.asarray(term, dtype=np.float64)
+    return out
 
 
 def linear_combine(
@@ -220,14 +231,10 @@ def linear_combine(
         require_compatible(vec, base, f"linear_combine vector {t}")
     if len(coeffs) != len(vectors):
         raise CoeffError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
-    tensors: dict[str, np.ndarray] = {}
-    for name, arr in base.tensors.items():
-        acc = arr.astype(np.float64)
-        # Overflow to inf (and inf - inf) is caught below, by tensor name.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for weight, vec in zip(coeffs, vectors):
-                acc = acc + float(weight) * vec.tensors[name].astype(np.float64)
-            tensors[name] = acc.astype(np.float32)
-        if not np.isfinite(tensors[name]).all():
-            raise DataError(f"tensor {name!r} overflows float32 in the linear combination")
+    # The float64 sum can overflow too (inf, then inf - inf); the archive names the tensor.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tensors = {
+            name: combine(arr, [vec.tensors[name] for vec in vectors], coeffs)
+            for name, arr in base.tensors.items()
+        }
     return TensorArchive(tensors=tensors, meta=dict(base.meta))

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .archive import TensorArchive, require_compatible
+from .archive import TensorArchive, combine, require_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup
 from .errors import CoeffError, CompatError, InputError, PlanError, SampleError
 from .model import ATTENTION_PARAMS, BoundModel, ModelConfig, attention_block, attention_contexts
@@ -288,11 +288,8 @@ def group_parameters(
         idx = spec.as_index()
         if source is not None:
             weights[name] = np.asarray(source[name][idx], dtype=np.float64)
-            continue
-        weight = np.array(base[name][idx], dtype=np.float64)
-        for coeff, tau in zip(coeffs, taus):
-            weight += float(coeff) * np.asarray(tau[name][idx], dtype=np.float64)
-        weights[name] = weight
+        else:
+            weights[name] = combine(base[name][idx], [tau[name][idx] for tau in taus], coeffs)
     weights.update((name, np.asarray(base[name], dtype=np.float64)) for name in group.extra_params)
     return weights
 

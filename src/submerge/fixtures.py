@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archive import TensorArchive, write_archive
+from .archive import TensorArchive, combine, write_archive
 from .errors import DataError, IoError, ParamError
 from .model import ModelConfig, bind_weights, forward_pass
 
@@ -100,10 +100,7 @@ def _base_checkpoint(config: ModelConfig, rng: np.random.Generator) -> TensorArc
     tensors = {}
     scale = 0.02 / np.sqrt(config.d_model)
     for name, shape in config.param_shapes().items():
-        if len(shape) == 1:
-            tensors[name] = np.ones(shape, dtype=np.float32)
-        else:
-            tensors[name] = (scale * rng.normal(size=shape)).astype(np.float32)
+        tensors[name] = np.ones(shape) if len(shape) == 1 else scale * rng.normal(size=shape)
     return TensorArchive(tensors=tensors, meta={"model_config": config.to_json()})
 
 
@@ -203,17 +200,14 @@ def build_fixture(spec: FixtureSpec) -> Fixture:
         direction = _task_direction(
             base, config, probs, datasets[task], np.random.default_rng([spec.seed, 2, task])
         )
-        with np.errstate(over="ignore"):
-            tensors = {
-                name: (arr.astype(np.float64) + spec.tau_scale * direction[name]).astype(
-                    np.float32
-                )
-                for name, arr in base.tensors.items()
-            }
-        for name, arr in tensors.items():
-            if not np.isfinite(arr).all():
-                raise ParamError(f"tau_scale {spec.tau_scale} overflows float32 in tensor {name!r}")
-        models.append(TensorArchive(tensors=tensors, meta=dict(base.meta)))
+        # |direction| <= 1 keeps the float64 sum finite; the archive rejects float32 overflow.
+        tensors = {
+            name: combine(base.tensors[name], [d], [spec.tau_scale]) for name, d in direction.items()
+        }
+        try:
+            models.append(TensorArchive(tensors=tensors, meta=dict(base.meta)))
+        except DataError as exc:
+            raise ParamError(f"tau_scale {spec.tau_scale} is too large: {exc}") from None
     return Fixture(spec, base, models, datasets)
 
 

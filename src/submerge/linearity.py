@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archive import TensorArchive
+from .archive import TensorArchive, require_compatible
 from .decompose import SubmoduleGroup
 from .errors import DegenerateError, InputError
 from .features import DeltaStore, FeatureStore, group_parameters
@@ -78,12 +78,15 @@ def non_linearity_score(
     n_points: int = 10,
 ) -> tuple[float, dict]:
     """Mean interpolation score for one group on one task's stored inputs, evaluated
-    at base + (k / n_points) * tau for k = 0..n_points; no traced rows are read."""
+    at base + (k / n_points) * tau for k = 0..n_points; no traced rows are read.
+    `base` must be the model `store` traced, and `tau` must match its shapes."""
+    store.require_traced_base(base)
+    require_compatible(tau, base, "non_linearity_score task vector")
     if n_points < 2:
         raise InputError("n_points must be >= 2")
     coeffs = [k / n_points for k in range(n_points + 1)]
     outputs = [
-        store.rows(group, task, group_parameters(group, base.tensors, taus=[tau.tensors], coeffs=[c]))
+        store.rows(group, task, group_parameters(group, store.weights, taus=[tau.tensors], coeffs=[c]))
         for c in coeffs
     ]
     scores, skipped, ratio_matrix = interpolation_scores(outputs)
@@ -168,9 +171,11 @@ def metric_sweep(
     group: SubmoduleGroup,
     grid: Sequence[Sequence[float]] | None = None,
 ) -> list[LinearityRecord]:
-    """Cosine and projection metrics for every alpha in the grid, plus means.
-    `base` must be the model `store` traced and `deltas` must read `store`."""
+    """Cosine and projection metrics for every alpha in the grid, plus means. `base` must
+    be the model `store` traced, `taus` must match its shapes and `deltas` must read `store`."""
     store.require_traced_base(base)
+    for t, tau in enumerate(taus):
+        require_compatible(tau, base, f"metric_sweep task vector {t}")
     if deltas.features is not store:
         raise InputError("the deltas were not computed on this feature store")
     if grid is None:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archive import TensorArchive, linear_combine, require_compatible, task_vector
+from .archive import TensorArchive, combine, linear_combine, require_compatible, task_vector
 from .decompose import DecompositionPlan, Granularity, plan_decomposition
 from .errors import CoeffError, CompatError, ConfigError, InputError, ParamError
 from .features import collect_base_features, compute_delta_outputs
@@ -50,9 +50,7 @@ def merge_weight_average(
     for t, ft in enumerate(fine_tuned):
         require_compatible(ft, base, f"weight average model {t}")
     tensors = {
-        name: np.mean(
-            [ft.tensors[name].astype(np.float64) for ft in fine_tuned], axis=0
-        ).astype(np.float32)
+        name: np.mean([ft.tensors[name].astype(np.float64) for ft in fine_tuned], axis=0)
         for name in base.tensors
     }
     return TensorArchive(tensors=tensors, meta=dict(base.meta))
@@ -93,9 +91,7 @@ def merge_dare(
         tensors = {}
         for name, arr in tau.tensors.items():
             keep = rng.random(arr.shape) >= drop_p
-            tensors[name] = (
-                arr.astype(np.float64) * keep / (1.0 - drop_p)
-            ).astype(np.float32)
+            tensors[name] = arr.astype(np.float64) * keep / (1.0 - drop_p)
         taus.append(TensorArchive(tensors=tensors, meta=dict(tau.meta)))
     return linear_combine(base, taus, [alpha] * len(taus))
 
@@ -123,24 +119,21 @@ def apply_merge_weights(
         if archive.shapes() != expected:
             raise CompatError("checkpoint does not match the plan's model config")
     merged = {name: arr.astype(np.float64) for name, arr in base.tensors.items()}
-    for group in plan.groups:
-        alpha = weights.group(group.id).alpha
-        if len(alpha) != len(fine_tuned):
-            raise CoeffError(
-                f"group {group.id!r} has {len(alpha)} coefficients for "
-                f"{len(fine_tuned)} models"
-            )
-        for name, spec in group.params.items():
-            idx = spec.as_index()
-            slab = base.tensors[name].astype(np.float64)[idx]
-            for coeff, ft in zip(alpha, fine_tuned):
-                slab = slab + float(coeff) * (
-                    ft.tensors[name].astype(np.float64)[idx]
-                    - base.tensors[name].astype(np.float64)[idx]
+    # As in `linear_combine`: the archive rejects an overflowing sum by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in plan.groups:
+            alpha = weights.group(group.id).alpha
+            if len(alpha) != len(fine_tuned):
+                raise CoeffError(
+                    f"group {group.id!r} has {len(alpha)} coefficients for "
+                    f"{len(fine_tuned)} models"
                 )
-            merged[name][idx] = slab
-    tensors = {name: arr.astype(np.float32) for name, arr in merged.items()}
-    return TensorArchive(tensors=tensors, meta=dict(base.meta))
+            for name, spec in group.params.items():
+                idx = spec.as_index()
+                owned = merged[name][idx]
+                terms = [ft.tensors[name][idx] - owned for ft in fine_tuned]
+                merged[name][idx] = combine(owned, terms, alpha)
+    return TensorArchive(tensors=merged, meta=dict(base.meta))
 
 
 def merge_linear_solve(

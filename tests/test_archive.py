@@ -24,6 +24,7 @@ from submerge import (
     task_vector,
     write_archive,
 )
+from submerge.archive import combine
 
 
 def small_archive() -> TensorArchive:
@@ -103,18 +104,40 @@ class TestRoundTrip:
         assert archive_bytes(back) == archive_bytes(arc)
 
 
+class TestFloat32Boundary:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_construction_rejects_non_finite(self, value):
+        # 1e39 is a finite float64 beyond the float32 range; its cast must not warn.
+        with pytest.raises(DataError, match="tensor 'w' overflows float32"):
+            TensorArchive(tensors={"a": [1.0], "w": np.array([0.5, value])}, meta={})
+
+    def test_float64_input_is_rounded_to_float32(self):
+        arc = TensorArchive(tensors={"w": np.array([0.1])}, meta={})
+        assert arc.tensors["w"].dtype == np.float32
+        assert arc.tensors["w"][0] == np.float32(0.1)
+
+
 class TestFormatErrors:
     def test_nan_rejected_before_write(self, tmp_path):
-        arc = TensorArchive(tensors={"w": np.array([np.nan], dtype=np.float32)}, meta={})
         path = tmp_path / "bad.ta"
         with pytest.raises(DataError):
-            write_archive(arc, path)
+            write_archive(TensorArchive(tensors={"w": np.array([np.nan])}, meta={}), path)
         assert not path.exists()
 
     def test_inf_rejected(self, tmp_path):
-        arc = TensorArchive(tensors={"w": np.array([np.inf], dtype=np.float32)}, meta={})
+        path = tmp_path / "bad.ta"
         with pytest.raises(DataError):
-            write_archive(arc, tmp_path / "bad.ta")
+            write_archive(TensorArchive(tensors={"w": np.array([np.inf])}, meta={}), path)
+        assert not path.exists()
+
+    def test_tensor_replaced_after_construction_rejected_at_write(self, tmp_path):
+        # Archive tensors stay mutable, so writing checks finiteness again.
+        arc = TensorArchive(tensors={"w": np.array([1.0])}, meta={})
+        arc.tensors["w"] = np.array([np.nan], dtype=np.float32)
+        path = tmp_path / "bad.ta"
+        with pytest.raises(DataError, match="tensor 'w' contains non-finite values"):
+            write_archive(arc, path)
+        assert not path.exists()
 
     def test_zero_extent_rejected(self, tmp_path):
         arc = TensorArchive(tensors={"w": np.zeros((0, 2), dtype=np.float32)}, meta={})
@@ -246,6 +269,25 @@ class TestTaskVector:
     def test_shape_mismatch(self):
         with pytest.raises(CompatError):
             task_vector(_arc({"n": [1.0, 2.0]}), _arc({"n": [1.0]}))
+
+    def test_overflowing_difference_names_the_tensor(self):
+        # 3e38 - (-3e38) leaves the float32 range; the subtraction must not warn.
+        fine = _arc({"n": [1.0], "m": [3e38]})
+        with pytest.raises(DataError, match="tensor 'm' overflows float32"):
+            task_vector(fine, _arc({"n": [1.0], "m": [-3e38]}))
+
+
+class TestCombine:
+    def test_accumulates_in_float64_in_order_without_touching_base(self):
+        base = np.array([1.0, 2.0], dtype=np.float32)
+        terms = [np.array([0.1, 0.2], dtype=np.float32), np.array([3.0, -1.0])]
+        out = combine(base, terms, [0.5, 2])
+        expected = base.astype(np.float64)
+        expected = expected + 0.5 * terms[0].astype(np.float64)
+        expected = expected + 2.0 * terms[1]
+        assert out.dtype == np.float64
+        assert np.array_equal(out, expected)
+        assert np.array_equal(base, np.array([1.0, 2.0], dtype=np.float32))
 
 
 class TestLinearCombine:

@@ -87,7 +87,7 @@ class TestGenFixture:
         out = tmp_path / "out"
         rc = main(["gen-fixture", *FIXTURE_FLAGS, "--tau-scale", "1e300", "--out", str(out)])
         err = assert_input_error(rc, capsys)
-        assert "tau_scale 1e+300 overflows float32 in tensor" in err
+        assert "tau_scale 1e+300 is too large: tensor '" in err
         assert not list(out.glob("*.ta"))
 
 
@@ -454,6 +454,23 @@ class TestBadInputs:
         err = assert_input_error(rc, capsys)
         assert "overflows float32" in err
         assert not (out / "merged.ta").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze", "--levels", "attn_mlp", "--n-points", "2"], ["merge", "--method", "task_arithmetic"]],
+    )
+    def test_task_vector_overflowing_float32_exits_2(self, fixture_dir, tmp_path, capsys, command):
+        # 3e38 - (-3e38) overflows the float32 task vector; analyze once wrote null metrics.
+        base, model = read_archive(fixture_dir / "base.ta"), read_archive(fixture_dir / "task0.ta")
+        base.tensors["layers.0.norm1"][0], model.tensors["layers.0.norm1"][0] = 3e38, -3e38
+        write_archive(base, tmp_path / "base.ta")
+        write_archive(model, tmp_path / "task0.ta")
+        inputs = io_flags(fixture_dir)
+        inputs[1], inputs[3] = str(tmp_path / "base.ta"), str(tmp_path / "task0.ta")
+        out = tmp_path / "out"
+        rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(out)])
+        assert "tensor 'layers.0.norm1' overflows float32" in assert_input_error(rc, capsys)
+        assert not list(out.glob("*.json")) and not (out / "merged.ta").exists()
 
     @pytest.mark.parametrize("source", ["archive_meta"])
     @pytest.mark.parametrize(

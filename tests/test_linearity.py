@@ -17,8 +17,9 @@ from submerge.linearity import (
     metric_sweep,
     non_linearity_score,
 )
-from submerge.model import bind_weights
+from submerge.model import ModelConfig, bind_weights
 
+from conftest import random_checkpoint
 from test_features import perturbed
 
 
@@ -107,6 +108,45 @@ class TestInterpolationScore:
         )
         assert np.isfinite(value) and value >= 0
         assert aux["ratio_matrix"].shape == (7, 7)
+
+
+def mismatched_task_vector(tau: TensorArchive, kind: str) -> TensorArchive:
+    """A task vector that does not fit the tiny model, in one of three ways."""
+    if kind == "norm_of_one":  # would broadcast over the norm silently
+        return TensorArchive(dict(tau.tensors, **{"layers.0.norm2": np.ones(1)}), dict(tau.meta))
+    if kind == "wider_model":
+        return random_checkpoint(ModelConfig(16, 2, 2, 16, 11, 16), seed=5)
+    return TensorArchive({n: a for n, a in tau.tensors.items() if n != "layers.0.mlp.up_proj"}, {})
+
+
+MISMATCHES = {
+    "norm_of_one": "'layers.0.norm2' shapes differ",
+    "wider_model": "shapes differ",
+    "missing_tensor": "tensor names differ",
+}
+
+
+class TestInputsAreChecked:
+    @pytest.mark.parametrize("kind", MISMATCHES)
+    def test_non_linearity_score_rejects_mismatched_task_vector(self, tiny_checkpoint, pipeline, kind):
+        plan, store, taus, _ = pipeline
+        tau = mismatched_task_vector(taus[0], kind)
+        with pytest.raises(CompatError, match=MISMATCHES[kind]):
+            non_linearity_score(store, tiny_checkpoint, tau, plan.group("layer.0"), n_points=2)
+
+    @pytest.mark.parametrize("kind", MISMATCHES)
+    def test_metric_sweep_rejects_mismatched_task_vector(self, tiny_checkpoint, pipeline, kind):
+        plan, store, taus, deltas = pipeline
+        bad = [taus[0], mismatched_task_vector(taus[1], kind)]
+        with pytest.raises(CompatError, match=f"task vector 1: .*{MISMATCHES[kind]}"):
+            metric_sweep(store, deltas, tiny_checkpoint, bad, plan.group("layer.0"), grid=[[0.5, 0.5]])
+
+    def test_non_linearity_score_base_must_be_the_traced_model(self, tiny_checkpoint, pipeline):
+        # Interpolating from another base would score a different path silently.
+        plan, store, taus, _ = pipeline
+        other = perturbed(tiny_checkpoint, seed=21, scale=0.1)
+        with pytest.raises(CompatError, match="traced base"):
+            non_linearity_score(store, other, taus[0], plan.group("layer.0"), n_points=2)
 
 
 def reference_weighted_sum(task_deltas, alpha):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from submerge import CompatError, ParamError, TensorArchive, archive_digest, task_vector
+from submerge import CompatError, DataError, ParamError, TensorArchive, archive_digest, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.merge import (
     apply_merge_weights,
@@ -140,6 +140,13 @@ class TestDare:
         with pytest.raises(ParamError, match="alpha must be finite"):
             merge_dare(tiny_checkpoint, fine_tuned, alpha=alpha, drop_p=drop_p, seed=0)
 
+    def test_rescaled_entry_overflowing_float32_raises(self):
+        # 3e38 / (1 - 0.5) leaves the float32 range in the dropped task vector;
+        # the rounding must raise, not warn.
+        base, ft = tiny_archive(np.full(8, -1.5e38)), tiny_archive(np.full(8, 1.5e38))
+        with pytest.raises(DataError, match="tensor 'w' overflows float32"):
+            merge_dare(base, [ft], alpha=0.1, drop_p=0.5, seed=0)
+
     def test_tasks_use_independent_masks(self, tiny_checkpoint, merge_setup):
         # Two copies of the same model: if both task vectors shared one mask,
         # doubling the single-model result would reproduce the pair merge.
@@ -195,6 +202,12 @@ class TestApplyMergeWeights:
                 np.testing.assert_allclose(
                     merged.tensors[name], ta.tensors[name], atol=1e-6
                 )
+
+    def test_alpha_overflowing_float32_raises(self, tiny_config, tiny_checkpoint, merge_setup):
+        _, fine_tuned = merge_setup
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        with pytest.raises(DataError, match="overflows float32"):
+            apply_merge_weights(tiny_checkpoint, fine_tuned, plan, same_weights(plan, (1e300, 0.0)))
 
     def test_head_level_slices_get_their_own_alpha(
         self, tiny_config, tiny_checkpoint, merge_setup
