@@ -18,7 +18,6 @@ from .archive import (
 from .decompose import (
     DecompositionPlan,
     Granularity,
-    SliceSpec,
     SubmoduleGroup,
     head_slices,
     plan_decomposition,
@@ -98,7 +97,6 @@ __all__ = [
     "forward_pass",
     "eval_cross_entropy",
     "Granularity",
-    "SliceSpec",
     "SubmoduleGroup",
     "DecompositionPlan",
     "plan_decomposition",

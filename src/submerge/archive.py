@@ -20,7 +20,8 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,13 +39,14 @@ _DTYPE_TAG = "f32"
 _ITEM_SIZE = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorArchive:
-    """Named float32 tensors with string metadata, kept in name order. Construction rounds
-    each tensor to float32 and raises DataError naming the first that is not finite."""
+    """Named float32 tensors with string metadata, kept in name order. Construction, the one
+    check, copies each tensor to float32, raises FormatError for a non-positive extent and
+    DataError naming the first that is not finite, and leaves the archive read-only."""
 
-    tensors: dict[str, np.ndarray]
-    meta: dict[str, str] = field(default_factory=dict)
+    tensors: Mapping[str, np.ndarray]
+    meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         ordered: dict[str, np.ndarray] = {}
@@ -53,14 +55,23 @@ class TensorArchive:
             for name in sorted(self.tensors):
                 if not isinstance(name, str) or not name:
                     raise FormatError(f"tensor name must be a non-empty string, got {name!r}")
-                arr = np.ascontiguousarray(self.tensors[name], dtype=np.float32)
+                arr = np.array(self.tensors[name], dtype=np.float32, order="C", ndmin=1)
+                if any(extent <= 0 for extent in arr.shape):
+                    raise FormatError(f"tensor {name!r} has a non-positive extent {arr.shape}")
                 if not np.isfinite(arr).all():
                     raise DataError(f"tensor {name!r} overflows float32 or is not finite")
+                arr.setflags(write=False)
                 ordered[name] = arr
-        self.tensors = ordered
-        for key, value in self.meta.items():
+        meta = dict(self.meta)
+        for key, value in meta.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise FormatError("meta must map strings to strings")
+        object.__setattr__(self, "tensors", MappingProxyType(ordered))
+        object.__setattr__(self, "meta", MappingProxyType(meta))
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor; a mappingproxy cannot be pickled."""
+        return TensorArchive, (dict(self.tensors), dict(self.meta))
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: arr.shape for name, arr in self.tensors.items()}
@@ -70,23 +81,11 @@ class TensorArchive:
             return NotImplemented
         if self.meta != other.meta or list(self.tensors) != list(other.tensors):
             return False
-        return all(
-            a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-            for a, b in zip(self.tensors.values(), other.tensors.values())
-        )
-
-
-def _validate_for_write(archive: TensorArchive) -> None:
-    for name, arr in archive.tensors.items():
-        if any(int(extent) <= 0 for extent in arr.shape):
-            raise FormatError(f"tensor {name!r} has a non-positive extent {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise DataError(f"tensor {name!r} contains non-finite values")
+        return all(map(np.array_equal, self.tensors.values(), other.tensors.values()))
 
 
 def archive_bytes(archive: TensorArchive) -> bytes:
     """Canonical serialization; equal archives yield identical bytes."""
-    _validate_for_write(archive)
     entries: dict[str, dict] = {}
     chunks: list[bytes] = []
     cursor = 0
@@ -100,7 +99,7 @@ def archive_bytes(archive: TensorArchive) -> bytes:
         chunks.append(raw)
         cursor += len(raw)
     header = json.dumps(
-        {"tensors": entries, "meta": archive.meta},
+        {"tensors": entries, "meta": dict(archive.meta)},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
@@ -181,11 +180,11 @@ def read_archive(path) -> TensorArchive:
             raise FormatError(f"tensor {name!r} offsets disagree with its shape")
         if end > len(payload):
             raise TruncationError(f"tensor {name!r} ends past the payload")
-        tensors[name] = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape).copy()
+        tensors[name] = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape)
         cursor = end
     if cursor != len(payload):
         raise FormatError("payload has trailing bytes past the last tensor")
-    return TensorArchive(tensors=tensors, meta=dict(meta))
+    return TensorArchive(tensors=tensors, meta=meta)
 
 
 def require_compatible(a: TensorArchive, b: TensorArchive, what: str) -> None:
@@ -205,9 +204,7 @@ def task_vector(fine_tuned: TensorArchive, base: TensorArchive) -> TensorArchive
     require_compatible(fine_tuned, base, "task_vector")
     with np.errstate(over="ignore"):
         tensors = {name: fine_tuned.tensors[name] - base.tensors[name] for name in base.tensors}
-    meta = dict(base.meta)
-    meta["kind"] = "task_vector"
-    return TensorArchive(tensors=tensors, meta=meta)
+    return TensorArchive(tensors=tensors, meta={**base.meta, "kind": "task_vector"})
 
 
 def combine(base: np.ndarray, terms: Sequence[np.ndarray], coeffs: Sequence[float]) -> np.ndarray:
@@ -237,4 +234,4 @@ def linear_combine(
             name: combine(arr, [vec.tensors[name] for vec in vectors], coeffs)
             for name, arr in base.tensors.items()
         }
-    return TensorArchive(tensors=tensors, meta=dict(base.meta))
+    return TensorArchive(tensors=tensors, meta=base.meta)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import EllipsisType
 from typing import Mapping
 
 from .errors import PlanError
@@ -31,24 +32,10 @@ class Granularity(enum.Enum):
             raise PlanError(f"unknown granularity {text!r} (expected one of: {options})") from None
 
 
-@dataclass(frozen=True)
-class SliceSpec:
-    """Row/column ranges into a 2-D tensor; None means the full axis."""
-
-    rows: tuple[int, int] | None = None
-    cols: tuple[int, int] | None = None
-
-    def as_index(self):
-        row_part = slice(*self.rows) if self.rows else slice(None)
-        col_part = slice(*self.cols) if self.cols else slice(None)
-        if self.cols is None and self.rows is None:
-            return Ellipsis
-        if self.cols is None:
-            return row_part
-        return (row_part, col_part)
-
-
-FULL = SliceSpec()
+# Each owned slice is named by its NumPy index: FULL (the whole tensor), a
+# slice of rows, or (all rows, a slice of columns).
+Index = slice | tuple[slice, slice] | EllipsisType
+FULL: Index = ...
 
 
 @dataclass(frozen=True)
@@ -56,7 +43,7 @@ class SubmoduleGroup:
     id: str
     input_tap: str
     output_kind: str
-    params: Mapping[str, SliceSpec]
+    params: Mapping[str, Index]
     layer: int | None = None
     head_index: int | None = None
     # Parameters the group's function reads but does not own (fixed at the
@@ -84,19 +71,19 @@ class DecompositionPlan:
         return [g.id for g in self.groups]
 
 
-def head_slices(config: ModelConfig, layer: int, head: int) -> dict[str, SliceSpec]:
+def head_slices(config: ModelConfig, layer: int, head: int) -> dict[str, Index]:
     """Row ranges of q/k/v_proj and the o_proj column range for one head."""
     if not 0 <= layer < config.n_layers:
         raise PlanError(f"layer {layer} out of range for n_layers={config.n_layers}")
     if not 0 <= head < config.n_heads:
         raise PlanError(f"head {head} out of range for n_heads={config.n_heads}")
-    lo, hi = head * config.head_dim, (head + 1) * config.head_dim
+    rows = slice(head * config.head_dim, (head + 1) * config.head_dim)
     pre = f"layers.{layer}.attn"
     return {
-        f"{pre}.q_proj": SliceSpec(rows=(lo, hi)),
-        f"{pre}.k_proj": SliceSpec(rows=(lo, hi)),
-        f"{pre}.v_proj": SliceSpec(rows=(lo, hi)),
-        f"{pre}.o_proj": SliceSpec(cols=(lo, hi)),
+        f"{pre}.q_proj": rows,
+        f"{pre}.k_proj": rows,
+        f"{pre}.v_proj": rows,
+        f"{pre}.o_proj": (slice(None), rows),
     }
 
 
@@ -115,7 +102,7 @@ def _lm_head_group() -> SubmoduleGroup:
     )
 
 
-def _block_params(layer: int, names: tuple[str, ...]) -> dict[str, SliceSpec]:
+def _block_params(layer: int, names: tuple[str, ...]) -> dict[str, Index]:
     """Every named parameter of one layer, whole."""
     return {f"layers.{layer}.{name}": FULL for name in names}
 

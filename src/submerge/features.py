@@ -175,7 +175,7 @@ class DeltaStore:
             ]
             self.context_layer = layer
         # All rows and the head's columns: of o_proj, and of the [rows, d_model] contexts.
-        cols = group.params[o_proj_name].as_index()
+        cols = group.params[o_proj_name]
         (base_o_proj, base_contexts), *models = self.contexts
         for task in range(self.n_tasks):
             base_rows = (base_contexts[task][cols] @ base_o_proj[cols].T).astype(np.float32)
@@ -284,8 +284,7 @@ def group_parameters(
     if len(taus) != len(coeffs):
         raise CoeffError(f"{len(coeffs)} coefficients for {len(taus)} task vectors")
     weights: dict[str, np.ndarray] = {}
-    for name, spec in group.params.items():
-        idx = spec.as_index()
+    for name, idx in group.params.items():
         if source is not None:
             weights[name] = np.asarray(source[name][idx], dtype=np.float64)
         else:

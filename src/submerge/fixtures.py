@@ -25,7 +25,7 @@ import numpy as np
 
 from .archive import TensorArchive, combine, write_archive
 from .errors import DataError, IoError, ParamError
-from .model import ModelConfig, bind_weights, forward_pass
+from .model import BoundModel, ModelConfig, bind_weights, forward_pass
 
 DIRICHLET_CONC = 0.5
 
@@ -122,27 +122,23 @@ def _tensor_role(name: str, ndim: int) -> str:
 
 
 def _branch_input_means(
-    base: TensorArchive, config: ModelConfig, dataset: list[list[int]]
+    base: BoundModel, dataset: list[list[int]]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per layer, the mean o_proj input row and mean down_proj input row
-    of the base model on the task's data, each normalized."""
-    bound = bind_weights(base, config)
-    attn_means = [np.zeros(config.d_model) for _ in range(config.n_layers)]
-    mlp_means = [np.zeros(config.d_ff) for _ in range(config.n_layers)]
-    for tokens in dataset[:STATS_SEQUENCES]:
-        trace = forward_pass(config, bound.weights, np.asarray(tokens, dtype=np.int64))
-        for i in range(config.n_layers):
-            attn_means[i] += trace[f"oproj_in.{i}"].mean(axis=0)
-            mlp_means[i] += trace[f"dproj_in.{i}"].mean(axis=0)
-    return (
-        [_unit_frobenius(row) for row in attn_means],
-        [_unit_frobenius(row) for row in mlp_means],
+    of the base model on the task's data, each normalized: the per-sequence
+    token means of one batched trace, summed over sequences."""
+    batch = np.asarray(dataset[:STATS_SEQUENCES], dtype=np.int64)
+    trace = forward_pass(base.config, base.weights, batch)
+    layers = range(base.config.n_layers)
+    return tuple(
+        [_unit_frobenius(trace[f"{tap}.{i}"].mean(axis=1).sum(axis=0)) for i in layers]
+        for tap in ("oproj_in", "dproj_in")
     )
 
 
 def _task_direction(
     base: TensorArchive,
-    config: ModelConfig,
+    bound: BoundModel,
     probs: np.ndarray,
     dataset: list[list[int]],
     rng: np.random.Generator,
@@ -157,7 +153,7 @@ def _task_direction(
     """
     lm_head = base.tensors["lm_head"].astype(np.float64)
     readout = _unit_frobenius(lm_head.T @ (probs - 1.0 / probs.size))
-    attn_means, mlp_means = _branch_input_means(base, config, dataset)
+    attn_means, mlp_means = _branch_input_means(bound, dataset)
     direction = {}
     for name, arr in base.tensors.items():
         random_part = _unit_frobenius(rng.normal(size=arr.shape))
@@ -186,6 +182,7 @@ def build_fixture(spec: FixtureSpec) -> Fixture:
     """Deterministic in-memory fixture; every component has its own stream."""
     config = spec.config
     base = _base_checkpoint(config, np.random.default_rng([spec.seed, 0]))
+    bound = bind_weights(base, config)
     models = []
     datasets = []
     for task in range(spec.n_tasks):
@@ -198,14 +195,14 @@ def build_fixture(spec: FixtureSpec) -> Fixture:
             ]
         )
         direction = _task_direction(
-            base, config, probs, datasets[task], np.random.default_rng([spec.seed, 2, task])
+            base, bound, probs, datasets[task], np.random.default_rng([spec.seed, 2, task])
         )
         # |direction| <= 1 keeps the float64 sum finite; the archive rejects float32 overflow.
         tensors = {
             name: combine(base.tensors[name], [d], [spec.tau_scale]) for name, d in direction.items()
         }
         try:
-            models.append(TensorArchive(tensors=tensors, meta=dict(base.meta)))
+            models.append(TensorArchive(tensors=tensors, meta=base.meta))
         except DataError as exc:
             raise ParamError(f"tau_scale {spec.tau_scale} is too large: {exc}") from None
     return Fixture(spec, base, models, datasets)

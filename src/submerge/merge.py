@@ -53,7 +53,7 @@ def merge_weight_average(
         name: np.mean([ft.tensors[name].astype(np.float64) for ft in fine_tuned], axis=0)
         for name in base.tensors
     }
-    return TensorArchive(tensors=tensors, meta=dict(base.meta))
+    return TensorArchive(tensors=tensors, meta=base.meta)
 
 
 def merge_task_arithmetic(
@@ -92,7 +92,7 @@ def merge_dare(
         for name, arr in tau.tensors.items():
             keep = rng.random(arr.shape) >= drop_p
             tensors[name] = arr.astype(np.float64) * keep / (1.0 - drop_p)
-        taus.append(TensorArchive(tensors=tensors, meta=dict(tau.meta)))
+        taus.append(TensorArchive(tensors=tensors, meta=tau.meta))
     return linear_combine(base, taus, [alpha] * len(taus))
 
 
@@ -128,12 +128,11 @@ def apply_merge_weights(
                     f"group {group.id!r} has {len(alpha)} coefficients for "
                     f"{len(fine_tuned)} models"
                 )
-            for name, spec in group.params.items():
-                idx = spec.as_index()
+            for name, idx in group.params.items():
                 owned = merged[name][idx]
                 terms = [ft.tensors[name][idx] - owned for ft in fine_tuned]
                 merged[name][idx] = combine(owned, terms, alpha)
-    return TensorArchive(tensors=merged, meta=dict(base.meta))
+    return TensorArchive(tensors=merged, meta=base.meta)
 
 
 def merge_linear_solve(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+import pickle
 import struct
 
 import numpy as np
@@ -25,6 +28,7 @@ from submerge import (
     write_archive,
 )
 from submerge.archive import combine
+from submerge.model import bind_weights, eval_cross_entropy
 
 
 def small_archive() -> TensorArchive:
@@ -130,19 +134,26 @@ class TestFormatErrors:
             write_archive(TensorArchive(tensors={"w": np.array([np.inf])}, meta={}), path)
         assert not path.exists()
 
-    def test_tensor_replaced_after_construction_rejected_at_write(self, tmp_path):
-        # Archive tensors stay mutable, so writing checks finiteness again.
+    def test_tensor_replaced_after_construction_refused(self):
+        # The construction check is the only one, so a built archive refuses replacement.
         arc = TensorArchive(tensors={"w": np.array([1.0])}, meta={})
-        arc.tensors["w"] = np.array([np.nan], dtype=np.float32)
-        path = tmp_path / "bad.ta"
-        with pytest.raises(DataError, match="tensor 'w' contains non-finite values"):
-            write_archive(arc, path)
-        assert not path.exists()
+        with pytest.raises(TypeError):
+            arc.tensors["w"] = np.array([np.nan], dtype=np.float32)
+        assert arc == TensorArchive(tensors={"w": np.array([1.0])}, meta={})
 
-    def test_zero_extent_rejected(self, tmp_path):
-        arc = TensorArchive(tensors={"w": np.zeros((0, 2), dtype=np.float32)}, meta={})
-        with pytest.raises(FormatError):
-            write_archive(arc, tmp_path / "bad.ta")
+    def test_zero_extent_rejected(self):
+        with pytest.raises(FormatError, match="non-positive extent"):
+            TensorArchive(tensors={"w": np.zeros((0, 2), dtype=np.float32)}, meta={})
+
+    @pytest.mark.parametrize("name", ["", 7])
+    def test_bad_tensor_name_rejected(self, name):
+        with pytest.raises(FormatError, match="tensor name must be a non-empty string"):
+            TensorArchive(tensors={name: [1.0]}, meta={})
+
+    @pytest.mark.parametrize("meta", [{"kind": 1}, {2: "x"}])
+    def test_non_string_meta_rejected(self, meta):
+        with pytest.raises(FormatError, match="meta must map strings to strings"):
+            TensorArchive(tensors={"w": [1.0]}, meta=meta)
 
     def test_short_file(self, tmp_path):
         path = tmp_path / "short.ta"
@@ -174,6 +185,25 @@ class TestFormatErrors:
         path = tmp_path / "patched.ta"
         path.write_bytes(struct.pack("<Q", len(raw)) + raw + payload)
         return path
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda h: h.update(tensors=[]), "'tensors' must be an object"),
+            (lambda h: h.update(meta={"kind": 1}), "'meta' must map strings to strings"),
+            (lambda h: h.update(meta=[]), "'meta' must map strings to strings"),
+            (lambda h: h["tensors"]["w"].update(extra=0), "tensor entry 'w' has unexpected fields"),
+            (lambda h: h.pop("tensors"), "exactly 'tensors' and 'meta'"),
+            (lambda h: h.pop("meta"), "exactly 'tensors' and 'meta'"),
+        ],
+    )
+    def test_malformed_header_fields(self, tmp_path, mutate, message):
+        def patch(header, payload):
+            mutate(header)
+            return header, payload
+
+        with pytest.raises(FormatError, match=message):
+            read_archive(self._patched_file(tmp_path, patch))
 
     def test_offsets_past_payload(self, tmp_path):
         def mutate(header, payload):
@@ -242,6 +272,47 @@ class TestFormatErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             read_archive(tmp_path / "nope.ta")
+
+
+class TestReadOnly:
+    def test_meta_elements_and_fields_refuse_writes(self):
+        arc = small_archive()
+        with pytest.raises(TypeError):
+            arc.meta["kind"] = "other"
+        with pytest.raises(ValueError, match="read-only"):
+            arc.tensors["w"][0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            arc.tensors = {}
+        assert arc == small_archive()
+
+    def test_construction_copies_its_inputs(self):
+        w, meta = np.ones(2, dtype=np.float32), {"kind": "test"}
+        arc = TensorArchive(tensors={"w": w}, meta=meta)
+        w[0], meta["kind"] = np.nan, "other"
+        assert arc == TensorArchive(tensors={"w": np.ones(2)}, meta={"kind": "test"})
+
+    @pytest.mark.parametrize("clone", [lambda arc: pickle.loads(pickle.dumps(arc)), copy.deepcopy])
+    def test_pickle_and_deepcopy_round_trip_read_only(self, clone):
+        arc = small_archive()
+        back = clone(arc)
+        assert back == arc and archive_bytes(back) == archive_bytes(arc)
+        assert not any(arr.flags.writeable for arr in back.tensors.values())
+        with pytest.raises(TypeError):
+            back.meta["kind"] = "other"
+
+    def test_read_archive_refuses_nan_and_float64_writes(self, tmp_path, tiny_config, tiny_checkpoint):
+        # A read archive once took a NaN written into a tensor (eval_cross_entropy
+        # then returned nan) and a float64 lm_head of 1e30 (it then returned 0.0).
+        path = tmp_path / "base.ta"
+        write_archive(tiny_checkpoint, path)
+        arc = read_archive(path)
+        with pytest.raises(ValueError, match="read-only"):
+            arc.tensors["layers.0.norm1"][0] = np.nan
+        with pytest.raises(TypeError):
+            arc.tensors["lm_head"] = np.full(arc.tensors["lm_head"].shape, 1e30)
+        loss = eval_cross_entropy(bind_weights(arc, tiny_config), [[1, 2, 3, 4, 5]])
+        assert math.isfinite(loss) and loss > 0
+        assert loss == eval_cross_entropy(bind_weights(tiny_checkpoint, tiny_config), [[1, 2, 3, 4, 5]])
 
 
 def _arc(values: dict[str, list[float]], meta=None) -> TensorArchive:

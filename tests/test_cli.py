@@ -314,6 +314,10 @@ class TestBadInputs:
         rc = main([*argv, *io_flags(fixture_dir), "--config", str(config_path), "--out", str(tmp_path)])
         assert "unknown granularity 'bogus'" in assert_input_error(rc, capsys)
 
+    def test_no_analysis_levels_exits_2(self, fixture_dir, tmp_path, capsys):
+        rc = main(["analyze", *io_flags(fixture_dir), "--levels", ",", "--out", str(tmp_path)])
+        assert "no analysis levels requested" in assert_input_error(rc, capsys)
+
     @pytest.mark.parametrize(
         "argv, payload, repeated",
         [(["--levels", "model,layer,model"], {}, "model"), ([], {"levels": ["layer", "layer"]}, "layer")],
@@ -461,10 +465,14 @@ class TestBadInputs:
     )
     def test_task_vector_overflowing_float32_exits_2(self, fixture_dir, tmp_path, capsys, command):
         # 3e38 - (-3e38) overflows the float32 task vector; analyze once wrote null metrics.
-        base, model = read_archive(fixture_dir / "base.ta"), read_archive(fixture_dir / "task0.ta")
-        base.tensors["layers.0.norm1"][0], model.tensors["layers.0.norm1"][0] = 3e38, -3e38
-        write_archive(base, tmp_path / "base.ta")
-        write_archive(model, tmp_path / "task0.ta")
+        # Archives are read-only, so each patched one is built anew.
+        name = "layers.0.norm1"
+        for stem, value in (("base", 3e38), ("task0", -3e38)):
+            arc = read_archive(fixture_dir / f"{stem}.ta")
+            patched = arc.tensors[name].copy()
+            patched[0] = value
+            patched_arc = TensorArchive({**arc.tensors, name: patched}, arc.meta)
+            write_archive(patched_arc, tmp_path / f"{stem}.ta")
         inputs = io_flags(fixture_dir)
         inputs[1], inputs[3] = str(tmp_path / "base.ta"), str(tmp_path / "task0.ta")
         out = tmp_path / "out"
@@ -759,6 +767,18 @@ class TestConfigFile:
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]")
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "config file is not valid JSON"), (None, "cannot read config file")],
+        ids=["not_json", "unreadable"],
+    )
+    def test_config_that_cannot_be_loaded_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert message in assert_input_error(rc, capsys)
 
     def test_unknown_level_flag_is_usage_error(self, fixture_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

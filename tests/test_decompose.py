@@ -7,6 +7,7 @@ import pytest
 
 from submerge import PlanError
 from submerge.decompose import (
+    FULL,
     Granularity,
     head_slices,
     plan_decomposition,
@@ -68,8 +69,8 @@ class TestPartition:
             for name, shape in config.param_shapes().items()
         }
         for group in plan.groups:
-            for name, spec in group.params.items():
-                counts[name][spec.as_index()] += 1
+            for name, index in group.params.items():
+                counts[name][index] += 1
         for name, grid in counts.items():
             assert grid.min() == 1 and grid.max() == 1, f"{name} covered {grid.min()}..{grid.max()}"
 
@@ -83,8 +84,8 @@ class TestPartition:
                 for name in desired
             }
             for h in range(config.n_heads):
-                for name, spec in heads.group(f"head.{i}.{h}").params.items():
-                    counts[name][spec.as_index()] += 1
+                for name, index in heads.group(f"head.{i}.{h}").params.items():
+                    counts[name][index] += 1
             for name, grid in counts.items():
                 assert grid.min() == 1 and grid.max() == 1
 
@@ -95,7 +96,7 @@ class TestPartition:
             names = [name for name in config.param_shapes() if name.startswith(f"layers.{i}.")]
             owned = layer.group(f"layer.{i}").params
             assert list(owned) == names
-            assert all(spec.rows is None and spec.cols is None for spec in owned.values())
+            assert all(index is FULL for index in owned.values())
             branches = [set(attn.group(f"{kind}.{i}").params) for kind in ("attn", "mlp")]
             assert not branches[0] & branches[1]
             assert branches[0] | branches[1] == set(names)
@@ -104,13 +105,13 @@ class TestPartition:
 class TestHeadSlices:
     def test_first_head(self, config):
         slices = head_slices(config, layer=0, head=0)
-        assert slices["layers.0.attn.q_proj"].rows == (0, 4)
-        assert slices["layers.0.attn.o_proj"].cols == (0, 4)
+        assert slices["layers.0.attn.q_proj"] == slice(0, 4)
+        assert slices["layers.0.attn.o_proj"] == (slice(None), slice(0, 4))
 
     def test_second_head(self, config):
         slices = head_slices(config, layer=1, head=1)
-        assert slices["layers.1.attn.k_proj"].rows == (4, 8)
-        assert slices["layers.1.attn.o_proj"].cols == (4, 8)
+        assert slices["layers.1.attn.k_proj"] == slice(4, 8)
+        assert slices["layers.1.attn.o_proj"] == (slice(None), slice(4, 8))
 
     def test_out_of_range(self, config):
         with pytest.raises(PlanError):
@@ -129,13 +130,13 @@ class TestModuleParameters:
             "layers.0.mlp.up_proj",
             "layers.0.mlp.down_proj",
         }
-        assert all(spec.rows is None and spec.cols is None for spec in params.values())
+        assert all(index is FULL for index in params.values())
 
     def test_head_group_is_sliced(self, config):
         plan = plan_decomposition(config, Granularity.HEAD_MLP)
         params = plan.group("head.0.1").params
-        assert params["layers.0.attn.q_proj"].rows == (4, 8)
-        assert params["layers.0.attn.o_proj"].cols == (4, 8)
+        assert params["layers.0.attn.q_proj"] == slice(4, 8)
+        assert params["layers.0.attn.o_proj"] == (slice(None), slice(4, 8))
         assert "layers.0.norm1" not in params  # owned by head 0
 
     def test_embed_group(self, config):

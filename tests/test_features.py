@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,20 @@ class TestApplyGroup:
         outs = store.rows(group, 0, weights)
         assert outs.shape == (sum(len(a) for a in store.inputs[("mlp.0", 0)]), tiny_config.d_model)
         assert not outs.any()
+
+
+    def test_inputs_of_the_wrong_width(self, tiny_config, setup):
+        model, _, _ = setup
+        group = plan_decomposition(tiny_config, Granularity.ATTN_MLP).group("mlp.0")
+        with pytest.raises(InputError, match=r"expects \[seq x 8\] inputs, got \(3, 5\)"):
+            apply_group(group, model.weights, [np.zeros((3, 5))], tiny_config)
+
+    def test_unknown_output_kind(self, tiny_config, setup):
+        model, _, _ = setup
+        mlp = plan_decomposition(tiny_config, Granularity.ATTN_MLP).group("mlp.0")
+        group = dataclasses.replace(mlp, output_kind="bogus")
+        with pytest.raises(InputError, match="unknown output kind 'bogus'"):
+            apply_group(group, model.weights, [np.zeros((3, 8))], tiny_config)
 
 
 class TestDeltas:
@@ -444,8 +459,8 @@ class TestGroupParameters:
             ):
                 assert set(weights) == set(group.params) | set(group.extra_params), group.id
                 assert all(w.dtype == np.float64 for w in weights.values())
-                for name, spec in group.params.items():
-                    assert weights[name].shape == base[name][spec.as_index()].shape
+                for name, index in group.params.items():
+                    assert weights[name].shape == base[name][index].shape
                 for name in group.extra_params:
                     np.testing.assert_array_equal(weights[name], base[name].astype(np.float64))
 

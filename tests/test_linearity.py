@@ -72,6 +72,10 @@ class TestInterpolationScore:
         assert skipped == 1
         assert scores.shape == (1,)
 
+    def test_two_points_rejected(self):
+        with pytest.raises(InputError, match="at least three interpolation points"):
+            interpolation_scores([np.zeros((2, 2)), np.ones((2, 2))])
+
     def test_all_degenerate_raises(self):
         outputs = [np.zeros((2, 2)) for _ in range(3)]
         with pytest.raises(DegenerateError):
@@ -343,6 +347,11 @@ class TestSweep:
         plan, store, taus, deltas = pipeline
         with pytest.raises(CoeffError, match="for 2 task vectors"):
             metric_sweep(store, deltas, tiny_checkpoint, taus, plan.group("layer.0"), grid=[alpha])
+
+    def test_empty_grid_rejected(self, tiny_checkpoint, pipeline):
+        plan, store, taus, deltas = pipeline
+        with pytest.raises(InputError, match="alpha grid must be non-empty"):
+            metric_sweep(store, deltas, tiny_checkpoint, taus, plan.group("layer.0"), grid=[])
 
     def test_base_must_be_the_traced_model(self, tiny_checkpoint, pipeline):
         # Merged rows built on another base would be compared with base rows

@@ -5,10 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from submerge import CompatError, DataError, ParamError, TensorArchive, archive_digest, task_vector
+from submerge import (
+    CoeffError,
+    CompatError,
+    ConfigError,
+    DataError,
+    ParamError,
+    TensorArchive,
+    archive_digest,
+    task_vector,
+)
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.merge import (
     apply_merge_weights,
+    config_for,
     merge_dare,
     merge_linear_solve,
     merge_task_arithmetic,
@@ -16,6 +26,9 @@ from submerge.merge import (
 )
 from submerge.solver import GroupWeights, MergeWeights
 
+from submerge.model import ModelConfig
+
+from conftest import random_checkpoint
 from test_features import perturbed
 
 
@@ -209,6 +222,26 @@ class TestApplyMergeWeights:
         with pytest.raises(DataError, match="overflows float32"):
             apply_merge_weights(tiny_checkpoint, fine_tuned, plan, same_weights(plan, (1e300, 0.0)))
 
+    def test_weights_solved_at_another_level(self, tiny_config, tiny_checkpoint, merge_setup):
+        _, fine_tuned = merge_setup
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        layer = plan_decomposition(tiny_config, Granularity.LAYER)
+        with pytest.raises(CoeffError, match="solved at level 'layer', plan is 'attn_mlp'"):
+            apply_merge_weights(tiny_checkpoint, fine_tuned, plan, same_weights(layer, (0.5, 0.5)))
+
+    def test_checkpoint_of_another_config(self, tiny_config, tiny_checkpoint):
+        config = ModelConfig(d_model=16, n_heads=2, n_layers=2, d_ff=16, vocab_size=11, max_seq=16)
+        wide = random_checkpoint(config, seed=3)
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        with pytest.raises(CompatError, match="does not match the plan's model config"):
+            apply_merge_weights(tiny_checkpoint, [wide], plan, same_weights(plan, (1.0,)))
+
+    def test_group_with_the_wrong_coefficient_count(self, tiny_config, tiny_checkpoint, merge_setup):
+        _, fine_tuned = merge_setup
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        with pytest.raises(CoeffError, match="'embed' has 1 coefficients for 2 models"):
+            apply_merge_weights(tiny_checkpoint, fine_tuned, plan, same_weights(plan, (1.0,)))
+
     def test_head_level_slices_get_their_own_alpha(
         self, tiny_config, tiny_checkpoint, merge_setup
     ):
@@ -374,3 +407,8 @@ class TestLinearSolveMerge:
         )
         assert weights.normalized is False
         assert weights.level == "attn_mlp"
+
+
+def test_config_for_needs_a_model_config():
+    with pytest.raises(ConfigError, match="carries no model_config"):
+        config_for(tiny_archive([1.0]))

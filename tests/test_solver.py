@@ -149,6 +149,10 @@ class TestComputeGram:
         with pytest.raises(DegenerateError):
             compute_gram([np.zeros((2, 0, 3))], normalized=False)
 
+    def test_no_blocks_rejected(self):
+        with pytest.raises(InputError, match="at least one data task block"):
+            compute_gram([])
+
     def test_mismatched_model_counts_rejected(self):
         with pytest.raises(InputError):
             compute_gram([np.zeros((2, 3, 4)), np.zeros((3, 3, 4))])
