@@ -36,19 +36,23 @@ run(
     "--seed", "5", "--out", str(fixture_dir),
 )
 
+datasets = [
+    "--dataset", str(fixture_dir / "task0.jsonl"),
+    "--dataset", str(fixture_dir / "task1.jsonl"),
+]
 inputs = [
     "--base", str(fixture_dir / "base.ta"),
     "--model", str(fixture_dir / "task0.ta"),
     "--model", str(fixture_dir / "task1.ta"),
-    "--dataset", str(fixture_dir / "task0.jsonl"),
-    "--dataset", str(fixture_dir / "task1.jsonl"),
+    *datasets,
     "--samples-per-task", "6", "--seed", "0",
 ]
 
 run("analyze", *inputs, "--levels", "model,attn_mlp", "--n-points", "4", "--out", str(out))
 run("solve", *inputs, "--level", "attn_mlp", "--out", str(out))
 run("merge", *inputs, "--method", "linear_solve", "--level", "attn_mlp", "--out", str(out))
-run("eval", *inputs, "--archive", str(out / "merged.ta"), "--out", str(out))
+# eval scores one archive and reads no base, models or solve options.
+run("eval", "--archive", str(out / "merged.ta"), *datasets, "--out", str(out))
 run("compare", *inputs, "--level", "attn_mlp", "--out", str(out))
 
 weights = json.loads((out / "weights.json").read_text())

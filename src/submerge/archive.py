@@ -32,6 +32,7 @@ from .errors import (
     FormatError,
     IoError,
     TruncationError,
+    decode_json,
 )
 
 _HEADER_PREFIX = struct.Struct("<Q")
@@ -126,10 +127,7 @@ def _parse_header(blob: bytes) -> tuple[dict, bytes]:
     body = blob[_HEADER_PREFIX.size :]
     if len(body) < header_len:
         raise TruncationError("header truncated")
-    try:
-        header = json.loads(body[:header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"malformed JSON header: {exc}") from exc
+    header = decode_json(body[:header_len], FormatError, "malformed JSON header")
     if not isinstance(header, dict) or set(header) != {"tensors", "meta"}:
         raise FormatError("header must contain exactly 'tensors' and 'meta'")
     return header, body[header_len:]

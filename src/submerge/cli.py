@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .archive import TensorArchive, read_archive, task_vector, write_archive
 from .decompose import Granularity, plan_decomposition
-from .errors import ConfigError, DegenerateError, IoError, SubmergeError
+from .errors import ConfigError, DegenerateError, IoError, SubmergeError, decode_json
 from .features import collect_base_features, compute_delta_outputs
 from .fixtures import FixtureSpec, file_sha256, gen_fixture, read_dataset
 from .linearity import metric_sweep, non_linearity_score
@@ -36,36 +37,18 @@ from .merge import (
 from .model import bind_weights, eval_cross_entropy
 from .solver import MergeWeights
 
-METHODS = ("weight_avg", "task_arithmetic", "dare", "linear_solve")
+# The options each merge method reads, the keyword arguments of its merge function.
+METHOD_PARAMS = {
+    "weight_avg": (),
+    "task_arithmetic": ("alpha",),
+    "dare": ("alpha", "drop_p", "seed"),
+    "linear_solve": ("level", "normalized", "samples_per_task", "seed"),
+}
+METHODS = tuple(METHOD_PARAMS)
 TA_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 DARE_DROP_GRID = [0.6, 0.7, 0.8, 0.9]
 DARE_ALPHA_GRID = [0.6, 0.8, 1.0]
 LEVEL_NAMES = [g.value for g in Granularity]
-# The JSON type each config-file key must have. Flags are typed by argparse;
-# a config value of another type (a string number, a float seed, a single
-# string for a list) exits 2 instead of being cast or iterated.
-CONFIG_TYPES = {
-    "normalized": "a boolean",
-    "strict": "a boolean",
-    "seed": "an integer",
-    "samples_per_task": "an integer",
-    "n_points": "an integer",
-    "n_tasks": "an integer",
-    "dataset_size": "an integer",
-    "seq_len": "an integer",
-    "alpha": "a number",
-    "drop_p": "a number",
-    "tau_scale": "a number",
-    "level": "a string",
-    "method": "a string",
-    "out": "a string",
-    "base": "a string",
-    "archive": "a string",
-    "levels": "a string or a list of strings",
-    "models": "a list of strings",
-    "datasets": "a list of strings",
-    "config": "an object",
-}
 # The three per-group columns of the analyze heatmap and summary.
 HEAT_COLUMNS = ("non_linearity", "cosine_merge_grid_mean", "projection_distance_grid_mean")
 
@@ -74,10 +57,14 @@ def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
+# Flags are typed by argparse; a config value must have its option's JSON kind,
+# so a string number, a float seed, a single string for a list or an integer
+# past the float range exits 2 instead of being cast, iterated or overflowing.
 JSON_TYPE_CHECKS = {
     "a boolean": lambda v: isinstance(v, bool),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, float)
+    or (isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
     "a string": lambda v: isinstance(v, str),
     "a string or a list of strings": lambda v: isinstance(v, str) or _is_string_list(v),
     "a list of strings": _is_string_list,
@@ -85,12 +72,7 @@ JSON_TYPE_CHECKS = {
 }
 
 FIXTURE_MODEL_DEFAULTS = {
-    "d_model": 32,
-    "n_heads": 4,
-    "n_layers": 4,
-    "d_ff": 64,
-    "vocab_size": 64,
-    "max_seq": 64,
+    "d_model": 32, "n_heads": 4, "n_layers": 4, "d_ff": 64, "vocab_size": 64, "max_seq": 64
 }
 
 
@@ -112,20 +94,21 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]])
 
 
 class Options:
-    """Merged view over parsed flags, the --config file, and defaults."""
+    """Merged view over parsed flags, the --config file, and the OPTIONS defaults.
+
+    A config file may be shared by several commands: each of its keys is
+    type-checked, and read only by the commands that read that option.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file: dict = {}
-        if getattr(args, "config", None) is not None:
+        if args.config is not None:
             try:
-                text = Path(args.config).read_text(encoding="utf-8")
+                blob = Path(args.config).read_bytes()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            payload = decode_json(blob, ConfigError, "config file is not valid JSON")
             if not isinstance(payload, dict):
                 raise ConfigError("config file must hold a JSON object")
             unknown = sorted(set(payload) - set(CONFIG_TYPES))
@@ -136,25 +119,25 @@ class Options:
                     raise ConfigError(f"config key {key!r} must be {kind}, got {payload[key]!r}")
             self.file = payload
         seed = self.get("seed")
-        if seed is not None and seed < 0:
+        if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
 
     def get(self, key: str, default=None):
+        """The flag, else the config-file value, else `default`, else the table default."""
         value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.file:
-            return self.file[key]
-        return default
+        if value is None:
+            value = self.file.get(key, default)
+        return OPTIONS[key].default if value is None else value
 
-    def require(self, key: str, flag: str):
+    def require(self, key: str):
         value = self.get(key)
         if value is None:
+            flag = next(iter(OPTIONS[key].flags))
             raise ConfigError(f"missing required option {flag} (or config key {key!r})")
         return value
 
     def out_dir(self) -> Path:
-        out = Path(self.get("out", "."))
+        out = Path(self.get("out"))
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -162,8 +145,8 @@ class Options:
         return out
 
     def load_inputs(self):
-        base_path = Path(self.require("base", "--base"))
-        model_paths = [Path(p) for p in self.require("models", "--model")]
+        base_path = Path(self.require("base"))
+        model_paths = [Path(p) for p in self.require("models")]
         if not model_paths:
             raise ConfigError("need at least one --model (config key 'models' is empty)")
         base = read_archive(base_path)
@@ -172,7 +155,7 @@ class Options:
 
     def load_datasets(self, n_models: int | None = None):
         """Read the datasets; with `n_models`, require one dataset per model."""
-        paths = [Path(p) for p in self.require("datasets", "--dataset")]
+        paths = [Path(p) for p in self.require("datasets")]
         if not paths:
             raise ConfigError("need at least one --dataset (config key 'datasets' is empty)")
         if n_models is not None and len(paths) != n_models:
@@ -215,7 +198,7 @@ def cmd_gen_fixture(opts: Options) -> bool:
 
 
 def _parse_levels(opts: Options) -> list[Granularity]:
-    raw = opts.get("levels", "model,layer")
+    raw = opts.get("levels")
     if isinstance(raw, str):
         names = [part.strip() for part in raw.split(",") if part.strip()]
     else:
@@ -245,9 +228,9 @@ def cmd_analyze(opts: Options) -> bool:
     datasets, _ = opts.load_datasets(len(models))
     config = config_for(base)
     levels = _parse_levels(opts)
-    sample_n = opts.get("samples_per_task", 30)
-    seed = opts.get("seed", 0)
-    n_points = opts.get("n_points", 10)
+    sample_n = opts.get("samples_per_task")
+    seed = opts.get("seed")
+    n_points = opts.get("n_points")
     out = opts.out_dir()
     bound = bind_weights(base, config)
     taus = [task_vector(model, base) for model in models]
@@ -324,14 +307,11 @@ def cmd_analyze(opts: Options) -> bool:
     return degraded
 
 
-def _solve_params(opts: Options, default_level: str) -> dict:
+def _solve_params(opts: Options, default_level: str | None = None) -> dict:
     """The linear-solve options, as the keyword arguments of `merge_linear_solve`."""
-    return {
-        "level": Granularity.parse(opts.get("level", default_level)).value,
-        "normalized": opts.get("normalized", True),
-        "samples_per_task": opts.get("samples_per_task", 30),
-        "seed": opts.get("seed", 0),
-    }
+    params = {key: opts.get(key) for key in METHOD_PARAMS["linear_solve"]}
+    params["level"] = Granularity.parse(opts.get("level", default_level)).value
+    return params
 
 
 def _merged(
@@ -339,13 +319,14 @@ def _merged(
 ) -> tuple[TensorArchive, MergeWeights | None]:
     """The archive merged by `method` with its recorded `params`, and its
     solved weights (None for the methods that solve nothing)."""
-    if method == "weight_avg":
-        return merge_weight_average(base, models), None
-    if method == "task_arithmetic":
-        return merge_task_arithmetic(base, models, params["alpha"]), None
-    if method == "dare":
-        return merge_dare(base, models, params["alpha"], params["drop_p"], params["seed"]), None
-    return merge_linear_solve(base, models, datasets=datasets, **params)
+    if method == "linear_solve":
+        return merge_linear_solve(base, models, datasets=datasets, **params)
+    merge = {
+        "weight_avg": merge_weight_average,
+        "task_arithmetic": merge_task_arithmetic,
+        "dare": merge_dare,
+    }[method]
+    return merge(base, models, **params), None
 
 
 def _fell_back(weights: MergeWeights | None) -> bool:
@@ -355,7 +336,7 @@ def _fell_back(weights: MergeWeights | None) -> bool:
 def cmd_solve(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
     datasets, _ = opts.load_datasets(len(models))
-    params = _solve_params(opts, "layer")
+    params = _solve_params(opts)
     out = opts.out_dir()
     _, weights = _merged("linear_solve", params, base, models, datasets)
     _write_json(out / "weights.json", weights.to_json_dict())
@@ -368,23 +349,22 @@ def cmd_solve(opts: Options) -> bool:
 
 
 def cmd_merge(opts: Options) -> bool:
-    method = opts.require("method", "--method")
+    method = opts.require("method")
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
+    for key in sorted(set().union(*METHOD_PARAMS.values()) - set(METHOD_PARAMS[method])):
+        if getattr(opts.args, key) is not None:
+            raise ConfigError(f"{'/'.join(OPTIONS[key].flags)} is not read by --method {method}")
     base, models, base_path, model_paths = opts.load_inputs()
-    alpha = float(opts.get("alpha", 1.0 / len(models)))
-    out = opts.out_dir()
     datasets, dataset_paths = None, []
     if method == "linear_solve":
         datasets, dataset_paths = opts.load_datasets(len(models))
-        params = _solve_params(opts, "layer")
-    elif method == "dare":
-        drop_p = float(opts.get("drop_p", 0.9))
-        params = {"alpha": alpha, "drop_p": drop_p, "seed": opts.get("seed", 0)}
-    elif method == "task_arithmetic":
-        params = {"alpha": alpha}
+        params = _solve_params(opts)
     else:
-        params = {}
+        alpha = float(opts.get("alpha", 1.0 / len(models)))
+        values = {"alpha": alpha, "drop_p": float(opts.get("drop_p")), "seed": opts.get("seed")}
+        params = {key: values[key] for key in METHOD_PARAMS[method]}
+    out = opts.out_dir()
     merged, weights = _merged(method, params, base, models, datasets)
     merged_path = out / "merged.ta"
     write_archive(merged, merged_path)
@@ -414,7 +394,7 @@ def cmd_merge(opts: Options) -> bool:
 
 
 def cmd_eval(opts: Options) -> bool:
-    archive_path = Path(opts.require("archive", "--archive"))
+    archive_path = Path(opts.require("archive"))
     archive = read_archive(archive_path)
     datasets, dataset_paths = opts.load_datasets()
     out = opts.out_dir()
@@ -488,67 +468,75 @@ def cmd_compare(opts: Options) -> bool:
     return degraded
 
 
+COMMANDS = {
+    "gen-fixture": (cmd_gen_fixture, "write a synthetic fixture"),
+    "analyze": (cmd_analyze, "linearity metrics and sweeps"),
+    "solve": (cmd_solve, "solve merge weights"),
+    "merge": (cmd_merge, "produce a merged archive"),
+    "eval": (cmd_eval, "cross entropy per task"),
+    "compare": (cmd_compare, "method-by-task loss table"),
+}
+RUNS = ("analyze", "solve", "merge", "compare")  # the commands that merge or analyze
+SOLVES = ("solve", "merge", "compare")  # the commands that read the linear-solve options
+
+# One row per option: its config key, its flags with their argparse keywords, the
+# JSON kind its config value must have, its default, and the commands that read
+# it. A command takes only the flags of the options it reads.
+Option = namedtuple("Option", "key flags kind default commands")
+OPTIONS = {option.key: option for option in [
+    # --config names the file; the file's "config" key is the gen-fixture
+    # model-size object, read with the FIXTURE_MODEL_DEFAULTS flags.
+    Option("config", {"--config": {"type": Path, "help": "JSON file of option defaults"}},
+           "an object", None, tuple(COMMANDS)),
+    Option("out", {"--out": {"type": Path, "help": "output directory (default: cwd)"}},
+           "a string", ".", tuple(COMMANDS)),
+    Option("base", {"--base": {"type": Path, "help": "base checkpoint archive"}},
+           "a string", None, RUNS),
+    Option("models", {"--model": {"action": "append", "type": Path, "help": "fine-tuned archive"}},
+           "a list of strings", None, RUNS),
+    Option("datasets", {"--dataset": {"action": "append", "type": Path, "help": "JSONL dataset"}},
+           "a list of strings", None, (*RUNS, "eval")),
+    Option("archive", {"--archive": {"type": Path, "help": "archive to evaluate"}},
+           "a string", None, ("eval",)),
+    Option("seed", {"--seed": {"type": int}}, "an integer", 0, ("gen-fixture", *RUNS)),
+    Option("samples_per_task", {"--samples-per-task": {"type": int}}, "an integer", 30, RUNS),
+    Option("strict", {"--strict": {"action": "store_true"}}, "a boolean", False, RUNS),
+    Option("level", {"--level": {"choices": LEVEL_NAMES}}, "a string", "layer", SOLVES),
+    Option("normalized", {"--normalized": {"action": "store_true"},
+                          "--plain-gram": {"action": "store_false"}}, "a boolean", True, SOLVES),
+    Option("levels", {"--levels": {"help": "comma-separated granularities"}},
+           "a string or a list of strings", "model,layer", ("analyze",)),
+    Option("n_points", {"--n-points": {"type": int}}, "an integer", 10, ("analyze",)),
+    Option("method", {"--method": {"choices": METHODS}}, "a string", None, ("merge",)),
+    Option("alpha", {"--alpha": {"type": float}}, "a number", None, ("merge",)),
+    Option("drop_p", {"--drop-p": {"type": float}}, "a number", 0.9, ("merge",)),
+    # The fixture defaults are FixtureSpec's.
+    Option("n_tasks", {"--tasks": {"type": int}}, "an integer", None, ("gen-fixture",)),
+    Option("tau_scale", {"--tau-scale": {"type": float}}, "a number", None, ("gen-fixture",)),
+    Option("dataset_size", {"--dataset-size": {"type": int}}, "an integer", None, ("gen-fixture",)),
+    Option("seq_len", {"--seq-len": {"type": int}}, "an integer", None, ("gen-fixture",)),
+]}
+# The JSON kind each config-file key must have.
+CONFIG_TYPES = {key: option.kind for key, option in OPTIONS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="JSON file of option defaults")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--samples-per-task", dest="samples_per_task", type=int)
-    common.add_argument("--level", choices=LEVEL_NAMES)
-    common.add_argument(
-        "--normalized", dest="normalized", action="store_true", default=None
-    )
-    common.add_argument("--plain-gram", dest="normalized", action="store_false")
-    common.add_argument("--strict", action="store_true", default=None)
-    common.add_argument("--out", type=Path, help="output directory (default: cwd)")
-
-    inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--base", type=Path, help="base checkpoint archive")
-    inputs.add_argument(
-        "--model", dest="models", action="append", type=Path, help="fine-tuned archive"
-    )
-    inputs.add_argument(
-        "--dataset", dest="datasets", action="append", type=Path, help="JSONL dataset"
-    )
-
     parser = argparse.ArgumentParser(
         prog="submerge",
         description="Merge fine-tuned checkpoints by solving per-submodule weights.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-fixture", parents=[common], help="write a synthetic fixture")
-    for key in FIXTURE_MODEL_DEFAULTS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    p.add_argument("--tasks", dest="n_tasks", type=int)
-    p.add_argument("--tau-scale", dest="tau_scale", type=float)
-    p.add_argument("--dataset-size", dest="dataset_size", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.set_defaults(func=cmd_gen_fixture)
-
-    p = sub.add_parser(
-        "analyze", parents=[common, inputs], help="linearity metrics and sweeps"
-    )
-    p.add_argument("--levels", help="comma-separated granularities")
-    p.add_argument("--n-points", dest="n_points", type=int)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("solve", parents=[common, inputs], help="solve merge weights")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("merge", parents=[common, inputs], help="produce a merged archive")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--drop-p", dest="drop_p", type=float)
-    p.set_defaults(func=cmd_merge)
-
-    p = sub.add_parser("eval", parents=[common, inputs], help="cross entropy per task")
-    p.add_argument("--archive", type=Path, help="archive to evaluate")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser(
-        "compare", parents=[common, inputs], help="method-by-task loss table"
-    )
-    p.set_defaults(func=cmd_compare)
+    for command, (func, help_text) in COMMANDS.items():
+        # Without allow_abbrev=False, `analyze --level` would parse as --levels.
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        for option in OPTIONS.values():
+            if command in option.commands:
+                for flag, keywords in option.flags.items():
+                    p.add_argument(flag, dest=option.key, default=None, **keywords)
+        if command == "gen-fixture":
+            for key in FIXTURE_MODEL_DEFAULTS:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     return parser
 
 
@@ -562,7 +550,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if degraded:
-        if opts.get("strict", False):
+        if opts.get("strict"):
             return 3
         print("note: some groups fell back to uniform weights or degenerated")
     return 0

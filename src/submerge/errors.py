@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one JSON decoder.
 
 Every error raised by the library derives from SubmergeError so callers
 (and the CLI) can distinguish our failures from genuine bugs.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class SubmergeError(Exception):
@@ -65,3 +67,13 @@ class ParamError(SubmergeError):
 
 class ConfigError(SubmergeError):
     """Invalid run configuration handed to the CLI."""
+
+
+def decode_json(data: bytes | str, error: type[SubmergeError], context: str):
+    """`data` (UTF-8 bytes or text) parsed as JSON. Bytes that are not UTF-8,
+    text that is not JSON, nesting too deep for the parser and integers too
+    long to convert raise `error` with the message `context: reason`."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{context}: {exc}") from exc

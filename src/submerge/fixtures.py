@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .archive import TensorArchive, combine, write_archive
-from .errors import DataError, IoError, ParamError
+from .errors import DataError, IoError, ParamError, decode_json
 from .model import BoundModel, ModelConfig, bind_weights, forward_pass
 
 DIRICHLET_CONC = 0.5
@@ -222,22 +222,20 @@ def write_dataset(path: str | Path, task: str, sequences: Sequence[Sequence[int]
 def read_dataset(path: str | Path) -> list[list[int]]:
     """Token sequences from a JSONL file of {"task": ..., "tokens": [...]}."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read dataset {path}: {exc}") from exc
     sequences = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(blob.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-            tokens = record["tokens"]
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
+        where = f"{path}:{lineno}"
+        record = decode_json(line, DataError, f"{where}: malformed dataset line")
+        tokens = record.get("tokens") if isinstance(record, dict) else None
         if not isinstance(tokens, list) or not all(
             isinstance(t, int) and not isinstance(t, bool) for t in tokens
         ):
-            raise DataError(f"{path}:{lineno}: tokens must be a list of ints")
+            raise DataError(f"{where}: tokens must be a list of ints")
         sequences.append(tokens)
     if not sequences:
         raise DataError(f"{path}: dataset holds no sequences")

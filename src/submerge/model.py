@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .archive import TensorArchive
-from .errors import BindError, InputError
+from .errors import BindError, ConfigError, InputError, decode_json
 
 # The parameters of each layer's attention and MLP blocks, named under
 # `layers.{i}.`, in the order each block reads them.
@@ -89,7 +89,7 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
+        return cls(**decode_json(text, ConfigError, "model_config is not valid JSON"))
 
 
 @dataclass(frozen=True)

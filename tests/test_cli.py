@@ -2,26 +2,33 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submerge import ConfigError, TensorArchive, read_archive, write_archive
+from submerge import ConfigError, SubmergeError, TensorArchive, read_archive, write_archive
 from submerge.cli import (
+    COMMANDS,
     CONFIG_TYPES,
     FIXTURE_MODEL_DEFAULTS,
     JSON_TYPE_CHECKS,
     METHODS,
+    OPTIONS,
     Options,
     build_parser,
     main,
 )
 from submerge.model import ModelConfig
+
+from conftest import byte_mutants
 
 FIXTURE_FLAGS = [
     "--d-model", "16", "--n-heads", "2", "--n-layers", "2", "--d-ff", "32",
@@ -304,6 +311,23 @@ class TestBadInputs:
         assert f"config key {key!r}" in assert_input_error(rc, capsys)
 
     @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["merge", "--method", "task_arithmetic"], "alpha"),
+            (["merge", "--method", "dare"], "drop_p"),
+            (["gen-fixture"], "tau_scale"),
+        ],
+    )
+    def test_integer_past_float_range_in_config_exits_2(self, fixture_dir, tmp_path, capsys, argv, key):
+        # float(10**400) raises OverflowError, which once ended in a traceback.
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({key: 10**400}))
+        inputs = [] if argv[0] == "gen-fixture" else io_flags(fixture_dir)
+        rc = main([*argv, *inputs, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert f"config key {key!r} must be a number" in assert_input_error(rc, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [["analyze", "--levels", "bogus"], ["analyze", "--levels", "model,bogus"], ["solve"]],
         ids=["levels_flag", "levels_flag_list", "level_config_key"],
@@ -388,10 +412,13 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "command, output",
         [
-            (["solve"], "weights.json"),
-            (["analyze", "--levels", "layer", "--n-points", "2"], "heatmap_layer.csv"),
+            (["solve", "--samples-per-task", "4"], "weights.json"),
+            (
+                ["analyze", "--levels", "layer", "--n-points", "2", "--samples-per-task", "4"],
+                "heatmap_layer.csv",
+            ),
             (["eval"], "metrics.json"),
-            (["compare"], "compare.json"),
+            (["compare", "--samples-per-task", "4"], "compare.json"),
             (["merge", "--method", "weight_avg"], "merged.ta"),
             (["gen-fixture"], "base.ta"),
         ],
@@ -409,7 +436,7 @@ class TestBadInputs:
             inputs = ["--archive", str(fixture_dir / "base.ta"), "--dataset", str(fixture_dir / "task0.jsonl")]
         else:
             inputs = io_flags(fixture_dir)
-        rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(out)])
+        rc = main([*command, *inputs, "--out", str(out)])
         assert "cannot" in assert_input_error(rc, capsys)
 
     @pytest.mark.parametrize(
@@ -434,8 +461,8 @@ class TestBadInputs:
         if command[0] == "eval":
             inputs = ["--archive", str(fixture_dir / "base.ta"), "--dataset", str(fixture_dir / "task0.jsonl")]
         else:
-            inputs = io_flags(fixture_dir)
-        rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(taken)])
+            inputs = [*io_flags(fixture_dir), "--samples-per-task", "4"]
+        rc = main([*command, *inputs, "--out", str(taken)])
         assert "cannot create output directory" in assert_input_error(rc, capsys)
 
     @pytest.mark.parametrize("method", ["task_arithmetic", "dare"])
@@ -461,7 +488,10 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "command",
-        [["analyze", "--levels", "attn_mlp", "--n-points", "2"], ["merge", "--method", "task_arithmetic"]],
+        [
+            ["analyze", "--levels", "attn_mlp", "--n-points", "2", "--samples-per-task", "4"],
+            ["merge", "--method", "task_arithmetic"],
+        ],
     )
     def test_task_vector_overflowing_float32_exits_2(self, fixture_dir, tmp_path, capsys, command):
         # 3e38 - (-3e38) overflows the float32 task vector; analyze once wrote null metrics.
@@ -476,7 +506,7 @@ class TestBadInputs:
         inputs = io_flags(fixture_dir)
         inputs[1], inputs[3] = str(tmp_path / "base.ta"), str(tmp_path / "task0.ta")
         out = tmp_path / "out"
-        rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(out)])
+        rc = main([*command, *inputs, "--out", str(out)])
         assert "tensor 'layers.0.norm1' overflows float32" in assert_input_error(rc, capsys)
         assert not list(out.glob("*.json")) and not (out / "merged.ta").exists()
 
@@ -496,7 +526,8 @@ class TestBadInputs:
             inputs = ["--archive", str(base_path), "--dataset", str(fixture_dir / "task0.jsonl")]
         else:
             inputs = ["--base", str(base_path), *io_flags(fixture_dir)[2:]]
-        rc = main([*command, *inputs, "--samples-per-task", "4", "--out", str(tmp_path / "out")])
+            inputs += ["--samples-per-task", "4"]
+        rc = main([*command, *inputs, "--out", str(tmp_path / "out")])
         assert "d_model must be an integer, got 16.0" in assert_input_error(rc, capsys)
 
     def test_unknown_method_in_config_exits_2_before_the_work(self, fixture_dir, tmp_path, capsys):
@@ -701,7 +732,10 @@ class TestCompare:
             ("weight_avg", ["--method", "weight_avg"]),
             ("task_arithmetic[alpha=0.5]", ["--method", "task_arithmetic", "--alpha", "0.5"]),
             ("dare[drop_p=0.9,alpha=1]", ["--method", "dare", "--drop-p", "0.9", "--alpha", "1"]),
-            ("linear_solve[level=attn_mlp]", ["--method", "linear_solve", "--level", "attn_mlp"]),
+            (
+                "linear_solve[level=attn_mlp]",
+                ["--method", "linear_solve", "--level", "attn_mlp", "--samples-per-task", "4"],
+            ),
         ],
         ids=METHODS,
     )
@@ -709,8 +743,7 @@ class TestCompare:
         payload = json.loads((compare_dir / "compare.json").read_text())
         row = {row["id"]: row for row in payload["rows"]}[row_id]
         merged = tmp_path / "merge"
-        args = [*io_flags(fixture_dir), "--samples-per-task", "4"]
-        assert main(["merge", *args, *flags, "--out", str(merged)]) == 0
+        assert main(["merge", *io_flags(fixture_dir), *flags, "--out", str(merged)]) == 0
         datasets = [f for t in range(2) for f in ("--dataset", str(fixture_dir / f"task{t}.jsonl"))]
         rc = main(["eval", "--archive", str(merged / "merged.ta"), *datasets, "--out", str(tmp_path / "eval")])
         assert rc == 0
@@ -786,6 +819,66 @@ class TestConfigFile:
         assert excinfo.value.code == 2
 
 
+DEEP = b"[" * 100_000  # nesting past the JSON parser's recursion limit
+
+
+class TestDecodeBoundary:
+    """Bytes that are not UTF-8 or JSON nested too deep exit 2, from every JSON reader."""
+
+    @pytest.mark.parametrize(
+        "source, payload, message",
+        [
+            ("dataset", b'{"tokens": [1, 2]}\n{"tokens": [3\xff]}\n', "bad.jsonl:2: malformed"),
+            ("dataset", DEEP, "bad.jsonl:1: malformed dataset line"),
+            ("config", b'{"seed": 1\xff}', "config file is not valid JSON"),
+            ("config", DEEP, "config file is not valid JSON"),
+            ("config", b'{"seed": ' + b"1" * 5000 + b"}", "config file is not valid JSON"),
+            ("header", DEEP, "malformed JSON header"),
+            ("model_config", DEEP, "model_config is not valid JSON"),
+        ],
+        ids=[
+            "dataset_not_utf8", "dataset_deep", "config_not_utf8", "config_deep",
+            "config_5000_digit_int", "header_deep", "model_config_deep",
+        ],
+    )
+    def test_undecodable_input_exits_2(
+        self, fixture_dir, tmp_path, capsys, source, payload, message
+    ):
+        archive = fixture_dir / "base.ta"
+        dataset = fixture_dir / "task0.jsonl"
+        config = []
+        if source == "dataset":
+            dataset = tmp_path / "bad.jsonl"
+            dataset.write_bytes(payload)
+        elif source == "config":
+            (tmp_path / "run.json").write_bytes(payload)
+            config = ["--config", str(tmp_path / "run.json")]
+        elif source == "header":
+            archive = tmp_path / "deep.ta"
+            archive.write_bytes(struct.pack("<Q", len(payload)) + payload)
+        else:
+            base = read_archive(archive)
+            archive = tmp_path / "deep.ta"
+            write_archive(TensorArchive(base.tensors, {"model_config": payload.decode()}), archive)
+        argv = ["eval", "--archive", str(archive), "--dataset", str(dataset), *config]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert message in assert_input_error(rc, capsys)
+
+
+CONFIG_BYTES = json.dumps({"seed": 3, "levels": ["layer"], "config": {"d_model": 16}}).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=byte_mutants(CONFIG_BYTES))
+def test_mutated_config_file_loads_or_config_error(config_path, blob):
+    """A config file with bytes replaced, inserted or deleted loads or raises a SubmergeError."""
+    config_path.write_bytes(blob)
+    try:
+        Options(argparse.Namespace(config=config_path))
+    except SubmergeError:
+        pass
+
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -824,14 +917,132 @@ def test_config_value_is_of_declared_kind_or_config_error(config_path, key, valu
 
 
 def test_config_types_match_parser_options():
-    """Every option dest is a CONFIG_TYPES key and every key is an option, so a
-    new flag cannot become a config key that Options refuses as unknown."""
+    """Each command's parser has exactly the flags of the OPTIONS rows that name
+    the command as a reader (plus the gen-fixture model sizes), and every row is
+    a config key, so a new option is a flag and a config key at once."""
     parser = build_parser()
-    commands = parser._subparsers._group_actions[0].choices
-    dests = set()
-    for command in commands:
-        dests |= set(vars(parser.parse_args([command])))
-    # --config is the file path itself (CONFIG_TYPES["config"] is the
-    # gen-fixture model-size object); the model sizes are read from that object.
-    dests -= {"config", "func", "command", *FIXTURE_MODEL_DEFAULTS}
-    assert dests == set(CONFIG_TYPES) - {"config"}
+    for command in COMMANDS:
+        dests = set(vars(parser.parse_args([command]))) - {"func", "command"}
+        if command == "gen-fixture":
+            dests -= set(FIXTURE_MODEL_DEFAULTS)
+        assert dests == {key for key, option in OPTIONS.items() if command in option.commands}
+    assert set(CONFIG_TYPES) == set(OPTIONS)
+
+
+def command_inputs(fixture_dir, command):
+    """The input flags `command` reads, for a run that would succeed."""
+    if command == "gen-fixture":
+        return []
+    datasets = io_flags(fixture_dir)[4:6]
+    if command == "eval":
+        return ["--archive", str(fixture_dir / "base.ta"), *datasets]
+    return io_flags(fixture_dir)
+
+
+# The flags each command took and ignored before it took only the flags it reads.
+UNREAD_FLAGS = {
+    "gen-fixture": [
+        "--samples-per-task=4", "--level=layer", "--normalized", "--plain-gram", "--strict",
+    ],
+    "analyze": ["--level=head_mlp", "--normalized", "--plain-gram"],
+    "eval": [
+        "--seed=0", "--samples-per-task=4", "--level=layer", "--normalized", "--plain-gram",
+        "--strict", "--base=/nonexistent.ta", "--model=/nope.ta",
+    ],
+}
+# Abbreviations are refused too, so `--level` cannot stand for `--levels`.
+ABBREVIATED_FLAGS = [
+    ("analyze", "--level=model"), ("analyze", "--n-point=3"), ("solve", "--samples=4"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags]
+    + ABBREVIATED_FLAGS,
+)
+def test_flag_the_command_does_not_read_is_usage_error(
+    fixture_dir, tmp_path, capsys, command, flag
+):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *command_inputs(fixture_dir, command), flag, "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "method, flag",
+    [
+        ("task_arithmetic", "--drop-p=0.5"),
+        ("task_arithmetic", "--level=head_mlp"),
+        ("task_arithmetic", "--plain-gram"),
+        ("task_arithmetic", "--seed=1"),
+        ("weight_avg", "--alpha=0.5"),
+        ("weight_avg", "--samples-per-task=4"),
+        ("dare", "--level=layer"),
+        ("linear_solve", "--alpha=0.5"),
+    ],
+)
+def test_merge_flag_of_another_method_exits_2_before_the_work(
+    fixture_dir, tmp_path, capsys, method, flag
+):
+    out = tmp_path / "out"
+    rc = main(["merge", *io_flags(fixture_dir), "--method", method, flag, "--out", str(out)])
+    err = assert_input_error(rc, capsys)
+    assert flag.split("=")[0] in err and f"is not read by --method {method}" in err
+    assert not out.exists()
+
+
+def test_config_file_is_shared_across_commands_and_methods(fixture_dir, tmp_path):
+    """A config key a command or method does not read is type-checked and ignored."""
+    config_path = tmp_path / "run.json"
+    shared = {"drop_p": 0.5, "level": "head_mlp", "levels": "layer", "archive": "x", "strict": True}
+    config_path.write_text(json.dumps(shared))
+    rc = main(
+        ["merge", *io_flags(fixture_dir), "--method", "task_arithmetic", "--alpha", "0",
+         "--config", str(config_path), "--out", str(tmp_path / "merge")]
+    )
+    assert rc == 0
+    assert (tmp_path / "merge" / "merged.ta").read_bytes() == (fixture_dir / "base.ta").read_bytes()
+    datasets = io_flags(fixture_dir)[4:6]
+    rc = main(
+        ["eval", "--archive", str(fixture_dir / "base.ta"), *datasets,
+         "--config", str(config_path), "--out", str(tmp_path / "eval")]
+    )
+    assert rc == 0
+
+
+def test_defaults_come_from_the_option_table():
+    opts = Options(build_parser().parse_args(["analyze"]))
+    for key in ("samples_per_task", "n_points", "levels", "seed", "strict", "out"):
+        assert opts.get(key) == OPTIONS[key].default
+    assert opts.get("level", "attn_mlp") == "attn_mlp"
+
+
+def readme_command_lines():
+    """The `submerge` command lines of README's "Command line" block, each as an
+    argv with the block's shell variables expanded and continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    variables, lines = {}, []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line)
+        if len(words) == 1 and "=" in words[0]:
+            name, value = words[0].split("=", 1)
+            variables[name] = value
+        elif words and words[0] == "submerge":
+            expanded = " ".join(words[1:])
+            for name, value in variables.items():
+                expanded = expanded.replace(f"${name}", value)
+            lines.append(expanded.split())
+    return lines
+
+
+def test_readme_command_lines_parse():
+    lines = readme_command_lines()
+    assert [line[0] for line in lines] == list(COMMANDS)
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv)

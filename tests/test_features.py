@@ -68,6 +68,16 @@ class TestCollect:
         c = collect_base_features(model, datasets, plan, sample_n=3, seed=8)
         assert a.sampled != c.sampled
 
+    def test_each_task_draws_its_own_indices(self, tiny_config, setup):
+        # At seed 0 the two tasks' draws from one 5-sequence dataset differ.
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        store = collect_base_features(model, [datasets[0]] * 2, plan, sample_n=2, seed=0)
+        for task in range(2):
+            rng = np.random.default_rng([0, task])
+            assert store.sampled[task] == sorted(rng.choice(5, 2, replace=False).tolist())
+        assert store.sampled[0] != store.sampled[1]
+
     def test_no_base_outputs_are_held_after_collect(self, tiny_config, setup):
         model, datasets, _ = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)

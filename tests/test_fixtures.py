@@ -7,8 +7,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from submerge import DataError, ParamError, read_archive, task_vector
+from submerge import DataError, ParamError, SubmergeError, read_archive, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import collect_base_features
 from submerge.fixtures import (
@@ -20,6 +21,8 @@ from submerge.fixtures import (
 )
 from submerge.linearity import non_linearity_score
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy
+
+from conftest import byte_mutants
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -207,6 +210,18 @@ class TestDatasetFiles:
         path = tmp_path / "data.jsonl"
         write_dataset(path, "task0", [[1, 2, 3], [4, 5, 6]])
         assert read_dataset(path) == [[1, 2, 3], [4, 5, 6]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=byte_mutants(b'{"task": "t", "tokens": [1, 2, 3]}\n{"task": "t", "tokens": [4]}\n'))
+    def test_mutated_file_reads_or_data_error(self, tmp_path_factory, blob):
+        """A dataset with bytes replaced, inserted or deleted reads, or raises a SubmergeError."""
+        path = tmp_path_factory.getbasetemp() / "mutant.jsonl"
+        path.write_bytes(blob)
+        try:
+            sequences = read_dataset(path)
+        except SubmergeError:
+            return
+        assert all(isinstance(t, int) for seq in sequences for t in seq)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -323,6 +323,17 @@ class TestSweep:
         assert len(means) == 2
         assert all(np.isfinite(r.value) for r in means)
 
+    def test_grid_means_are_means_of_the_sweep(self, tiny_checkpoint, pipeline):
+        plan, store, taus, deltas = pipeline
+        records = metric_sweep(store, deltas, tiny_checkpoint, taus, plan.group("layer.0"))
+        for metric in ("cosine_merge", "projection_distance"):
+            values = [r.value for r in records if r.metric == metric]
+            (mean,) = [r.value for r in records if r.metric == f"{metric}_grid_mean"]
+            assert len(values) == 25 and np.isfinite(values).all()
+            # The sweep is not symmetric, so a median would differ from the mean.
+            assert np.median(values) != pytest.approx(np.mean(values), rel=1e-3)
+            assert mean == pytest.approx(np.mean(values), rel=1e-12)
+
     def test_exactly_linear_group_ideal_for_every_alpha(
         self, tiny_config, tiny_checkpoint, pipeline
     ):

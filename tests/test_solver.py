@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from submerge import DegenerateError, InputError, NumericError, task_vector
 from submerge.decompose import Granularity, plan_decomposition
@@ -238,6 +239,17 @@ class TestSolveAlpha:
         assert zero["note"].startswith("zero signal")
         _, plain = solve_alpha(2 * np.eye(2), np.array([2.0, 2.0]))
         assert plain["note"] == ""
+
+    def test_condition_near_1e6_is_solved_directly(self):
+        # Well inside COND_LIMIT: no ridge, the plain solve of the system.
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        A = q @ np.diag([1.0, 1e-3, 1e-6]) @ q.T
+        A = (A + A.T) / 2
+        b = np.array([0.3, -0.2, 0.5])
+        alpha, diag = solve_alpha(A, b)
+        assert 5e5 < diag["condition"] < 2e6
+        assert not diag["fallback"] and diag["ridge"] == 0.0
+        np.testing.assert_allclose(alpha, scipy.linalg.solve(A, b), rtol=1e-8)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
