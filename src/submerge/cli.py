@@ -34,7 +34,7 @@ from .merge import (
     merge_task_arithmetic,
     merge_weight_average,
 )
-from .model import bind_weights, eval_cross_entropy
+from .model import ModelConfig, bind_weights, eval_cross_entropy
 from .solver import MergeWeights
 
 # The options each merge method reads, the keyword arguments of its merge function.
@@ -172,9 +172,11 @@ def _float_cell(value: float | None) -> str:
     return "" if value is None else f"{value:.10g}"
 
 
-def _losses(archive: TensorArchive, datasets: Sequence[Sequence[Sequence[int]]]) -> list[float]:
-    """Cross entropy of `archive` on each dataset, in order."""
-    model = bind_weights(archive, config_for(archive))
+def _losses(
+    archive: TensorArchive, config: ModelConfig, datasets: Sequence[Sequence[Sequence[int]]]
+) -> list[float]:
+    """Cross entropy of `archive` under `config` on each dataset, in order."""
+    model = bind_weights(archive, config)
     return [eval_cross_entropy(model, dataset) for dataset in datasets]
 
 
@@ -337,6 +339,7 @@ def cmd_solve(opts: Options) -> bool:
     base, models, _, _ = opts.load_inputs()
     datasets, _ = opts.load_datasets(len(models))
     params = _solve_params(opts)
+    config_for(base)  # a malformed model_config exits 2 before --out is made
     out = opts.out_dir()
     _, weights = _merged("linear_solve", params, base, models, datasets)
     _write_json(out / "weights.json", weights.to_json_dict())
@@ -360,6 +363,7 @@ def cmd_merge(opts: Options) -> bool:
     if method == "linear_solve":
         datasets, dataset_paths = opts.load_datasets(len(models))
         params = _solve_params(opts)
+        config_for(base)  # a malformed model_config exits 2 before --out is made
     else:
         alpha = float(opts.get("alpha", 1.0 / len(models)))
         values = {"alpha": alpha, "drop_p": float(opts.get("drop_p")), "seed": opts.get("seed")}
@@ -396,9 +400,10 @@ def cmd_merge(opts: Options) -> bool:
 def cmd_eval(opts: Options) -> bool:
     archive_path = Path(opts.require("archive"))
     archive = read_archive(archive_path)
+    config = config_for(archive)
     datasets, dataset_paths = opts.load_datasets()
     out = opts.out_dir()
-    losses = _losses(archive, datasets)
+    losses = _losses(archive, config, datasets)
     per_task = {
         f"task{index}": {"dataset": str(path), "loss": loss}
         for index, (path, loss) in enumerate(zip(dataset_paths, losses))
@@ -423,6 +428,8 @@ def cmd_compare(opts: Options) -> bool:
     datasets, _ = opts.load_datasets(len(models))
     solve_params = _solve_params(opts, "attn_mlp")
     seed = solve_params["seed"]
+    # Every merged archive carries the base's meta, so its model_config.
+    config = config_for(base)
     out = opts.out_dir()
     tasks = [f"task{i}" for i in range(len(datasets))]
     runs = [("weight_avg", "weight_avg", {})]
@@ -438,7 +445,7 @@ def cmd_compare(opts: Options) -> bool:
     for row_id, method, params in runs:
         merged, weights = _merged(method, params, base, models, datasets)
         degraded = _fell_back(weights) or degraded
-        losses = dict(zip(tasks, _losses(merged, datasets)))
+        losses = dict(zip(tasks, _losses(merged, config, datasets)))
         rows.append(
             {
                 "id": row_id,

@@ -16,6 +16,10 @@ are one f32 [rows, width] matrix, every sequence's token rows in input
 order. Base outputs and output deltas are computed when a group is first
 read and held one group at a time: the base rows per task, and the
 [n_models, rows, width] delta block per data task that the solver reads.
+A group's base rows live from their first read until another group's base
+rows or deltas are read: in `analyze` they are the k = 0 interpolation step
+of `non_linearity_score` and the subtrahend of the group's deltas and of
+every sweep alpha's merged delta, computed once per group and task.
 
 Head groups 1..H-1 of a layer read `norm1` at its base value, and heads are
 independent given the normed input, so their deltas come from the layer's
@@ -59,6 +63,7 @@ class FeatureStore:
     inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
+    _verified: TensorArchive | None = field(default=None, init=False, repr=False, compare=False)
 
     def rows(self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]) -> np.ndarray:
         """The group's rows on one task's inputs under `group_parameters` weights."""
@@ -69,11 +74,15 @@ class FeatureStore:
         key = (group.id, task)
         rows = self.base_outputs.get(key)
         if rows is None:
-            if any(held != group.id for held, _ in self.base_outputs):
-                self.base_outputs.clear()
+            self.hold_base_rows(group.id)
             rows = self.rows(group, task, group_parameters(group, self.weights))
             self.base_outputs[key] = rows
         return rows
+
+    def hold_base_rows(self, group_id: str) -> None:
+        """Drop the held base rows unless they are `group_id`'s."""
+        if any(held != group_id for held, _ in self.base_outputs):
+            self.base_outputs.clear()
 
     def delta_rows(
         self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]
@@ -82,12 +91,18 @@ class FeatureStore:
         return self.rows(group, task, weights) - self.base_rows(group, task)
 
     def require_traced_base(self, base: TensorArchive) -> None:
-        """Raise `CompatError` unless `base` holds exactly the traced weights."""
+        """Raise `CompatError` unless `base` holds exactly the traced weights.
+
+        Archives are read-only, so the archive last found equal is not compared again.
+        """
+        if base is self._verified:
+            return
         traced = self.weights
         if set(base.tensors) != set(traced) or not all(
             np.array_equal(base.tensors[name], weight) for name, weight in traced.items()
         ):
             raise CompatError("the base archive is not the traced base model")
+        self._verified = base
 
 
 @dataclass
@@ -95,7 +110,8 @@ class DeltaStore:
     """Output deltas of one group at a time, laid out as the solver reads them.
 
     `grouped` or `pooled` computes a group's deltas the first time that group
-    is asked for, replacing the group held before and its base rows:
+    is asked for, replacing the group held before and its base rows (the
+    group's own base rows, if already held, are kept):
     `deltas[(group id, data task)]` is an [n_models, rows, width] block for
     the held group. The plan and the base weights are the `features`
     store's.
@@ -126,7 +142,7 @@ class DeltaStore:
             features = self.features
             group = features.plan.group(group_id)
             self.deltas.clear()
-            features.base_outputs.clear()
+            features.hold_base_rows(group_id)
             self.held = None
             if group.output_kind != "head_branch":
                 self.contexts, self.context_layer = [], None

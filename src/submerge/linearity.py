@@ -79,13 +79,14 @@ def non_linearity_score(
 ) -> tuple[float, dict]:
     """Mean interpolation score for one group on one task's stored inputs, evaluated
     at base + (k / n_points) * tau for k = 0..n_points; no traced rows are read.
-    `base` must be the model `store` traced, and `tau` must match its shapes."""
+    The k = 0 step is `store.base_rows`, the group evaluated under the traced
+    weights. `base` must be the model `store` traced, and `tau` must match its shapes."""
     store.require_traced_base(base)
     require_compatible(tau, base, "non_linearity_score task vector")
     if n_points < 2:
         raise InputError("n_points must be >= 2")
-    coeffs = [k / n_points for k in range(n_points + 1)]
-    outputs = [
+    coeffs = [k / n_points for k in range(1, n_points + 1)]
+    outputs = [store.base_rows(group, task)] + [
         store.rows(group, task, group_parameters(group, store.weights, taus=[tau.tensors], coeffs=[c]))
         for c in coeffs
     ]
@@ -106,6 +107,10 @@ def merge_metrics(
 ) -> dict[str, tuple[float, dict]]:
     """Both merge metrics of one alpha, keyed by `METRICS`, from one weighted sum.
 
+    One pass: the weighted sum is one BLAS product over the stacked task
+    deltas, and the merged and summed squared norms and their dot products
+    are one row-wise einsum each; the norms are their square roots.
+
     The cosine averages over rows where the merged delta and the weighted sum
     both have norm >= NORM_FLOOR; the projection over rows where the weighted
     sum's squared norm is >= NORM_FLOOR**2. Aux holds each metric's skipped row
@@ -117,12 +122,11 @@ def merge_metrics(
     # A task delta of another shape would broadcast into the weighted sum.
     if merged.ndim != 2 or any(np.shape(delta) != merged.shape for delta in task_deltas):
         raise InputError(f"deltas must share one [rows, width] shape, merged is {merged.shape}")
-    target = np.zeros_like(np.asarray(task_deltas[0], dtype=np.float64))
-    for weight, delta in zip(alpha, task_deltas):
-        target += float(weight) * np.asarray(delta, dtype=np.float64)
-    merged_norm = np.linalg.norm(merged, axis=1)
-    target_norm = np.linalg.norm(target, axis=1)
+    deltas = np.asarray(task_deltas, dtype=np.float64)
+    target = np.tensordot(np.asarray(alpha, dtype=np.float64), deltas, 1)
     target_sq = np.einsum("rw,rw->r", target, target)
+    merged_norm = np.sqrt(np.einsum("rw,rw->r", merged, merged))
+    target_norm = np.sqrt(target_sq)
     dots = np.einsum("rw,rw->r", merged, target)
     cos_keep = (merged_norm >= NORM_FLOOR) & (target_norm >= NORM_FLOOR)
     proj_keep = target_sq >= NORM_FLOOR**2

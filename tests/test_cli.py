@@ -26,6 +26,9 @@ from submerge.cli import (
     build_parser,
     main,
 )
+from submerge.decompose import Granularity, plan_decomposition
+from submerge.features import FeatureStore
+from submerge.linearity import default_alpha_grid
 from submerge.model import ModelConfig
 
 from conftest import byte_mutants
@@ -122,6 +125,40 @@ class TestAnalyze:
         sweep = (tmp_path / "sweep_layer.csv").read_text().splitlines()
         assert len(sweep) == 1 + 4 * 25 * 2  # header + groups x grid x 2 metrics
         assert sweep[0] == "group,metric,alpha_0,alpha_1,value"
+
+    def test_rows_evaluated_once_per_step(self, fixture_dir, tmp_path, monkeypatch):
+        # Per group and task: N interpolation steps after the base rows (the
+        # k = 0 step, reused as the subtrahend of every delta), one merged
+        # delta per sweep alpha, and one delta per model unless the group is
+        # a head above 0, whose deltas come from its layer's contexts.
+        calls = []
+        rows = FeatureStore.rows
+
+        def counting(self, group, task, weights):
+            calls.append(group.id)
+            return rows(self, group, task, weights)
+
+        monkeypatch.setattr(FeatureStore, "rows", counting)
+        levels, n_points = list(Granularity), 3
+        rc = main(
+            [
+                "analyze", *io_flags(fixture_dir),
+                "--levels", ",".join(level.value for level in levels),
+                "--samples-per-task", "2", "--n-points", str(n_points),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        config = ModelConfig.from_json(read_archive(fixture_dir / "base.ta").meta["model_config"])
+        n_models = n_tasks = 2
+        expected = 0
+        for level in levels:
+            for group in plan_decomposition(config, level).groups:
+                from_contexts = group.output_kind == "head_branch" and group.head_index > 0
+                per_task = 1 + n_points + len(default_alpha_grid(n_models))
+                per_task += 0 if from_contexts else n_models
+                expected += n_tasks * per_task
+        assert len(calls) == expected
 
     def test_deterministic_outputs(self, fixture_dir, tmp_path):
         args = [
@@ -513,10 +550,17 @@ class TestBadInputs:
     @pytest.mark.parametrize("source", ["archive_meta"])
     @pytest.mark.parametrize(
         "command",
-        [["merge", "--method", "linear_solve", "--level", "head_mlp"], ["eval"]],
-        ids=["merge_head_mlp", "eval"],
+        [
+            ["merge", "--method", "linear_solve", "--level", "head_mlp"],
+            ["eval"],
+            ["solve"],
+            ["compare"],
+            ["analyze"],
+        ],
+        ids=["merge_head_mlp", "eval", "solve", "compare", "analyze"],
     )
     def test_float_model_size_exits_2(self, fixture_dir, tmp_path, capsys, command, source):
+        # Every command reads the model config before it makes --out.
         base = read_archive(fixture_dir / "base.ta")
         model_config = dict(json.loads(base.meta["model_config"]), d_model=16.0)
         base_path = tmp_path / "base.ta"
@@ -529,6 +573,7 @@ class TestBadInputs:
             inputs += ["--samples-per-task", "4"]
         rc = main([*command, *inputs, "--out", str(tmp_path / "out")])
         assert "d_model must be an integer, got 16.0" in assert_input_error(rc, capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_method_in_config_exits_2_before_the_work(self, fixture_dir, tmp_path, capsys):
         config_path = tmp_path / "run.json"
@@ -835,10 +880,12 @@ class TestDecodeBoundary:
             ("config", b'{"seed": ' + b"1" * 5000 + b"}", "config file is not valid JSON"),
             ("header", DEEP, "malformed JSON header"),
             ("model_config", DEEP, "model_config is not valid JSON"),
+            ("solve_base_model_config", DEEP, "model_config is not valid JSON"),
         ],
         ids=[
             "dataset_not_utf8", "dataset_deep", "config_not_utf8", "config_deep",
             "config_5000_digit_int", "header_deep", "model_config_deep",
+            "solve_base_model_config_deep",
         ],
     )
     def test_undecodable_input_exits_2(
@@ -861,8 +908,13 @@ class TestDecodeBoundary:
             archive = tmp_path / "deep.ta"
             write_archive(TensorArchive(base.tensors, {"model_config": payload.decode()}), archive)
         argv = ["eval", "--archive", str(archive), "--dataset", str(dataset), *config]
-        rc = main([*argv, "--out", str(tmp_path / "out")])
+        if source == "solve_base_model_config":
+            argv = ["solve", "--base", str(archive), "--model", str(fixture_dir / "task0.ta")]
+            argv += ["--dataset", str(dataset)]
+        out = tmp_path / "out"
+        rc = main([*argv, "--out", str(out)])
         assert message in assert_input_error(rc, capsys)
+        assert not out.exists()
 
 
 CONFIG_BYTES = json.dumps({"seed": 3, "levels": ["layer"], "config": {"d_model": 16}}).encode()

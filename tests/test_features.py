@@ -289,6 +289,32 @@ class TestDeltas:
             with pytest.raises(CompatError, match="traced base"):
                 compute_delta_outputs(store, other, fine_tuned, plan)
 
+    def test_traced_base_check_compares_values(self, tiny_config, tiny_checkpoint, setup, monkeypatch):
+        # The archive last found equal is not compared again; any other archive is.
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        equal = TensorArchive(dict(tiny_checkpoint.tensors), tiny_checkpoint.meta)
+        name = "layers.1.mlp.up_proj"
+        changed = tiny_checkpoint.tensors[name].copy()
+        changed[2, 3] += 1.0
+        one_off = TensorArchive({**tiny_checkpoint.tensors, name: changed}, tiny_checkpoint.meta)
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b))
+        store.require_traced_base(tiny_checkpoint)
+        once = len(compared)
+        assert once == len(store.weights)
+        store.require_traced_base(tiny_checkpoint)
+        assert len(compared) == once
+        store.require_traced_base(equal)
+        assert len(compared) == 2 * once
+        for _ in range(2):
+            with pytest.raises(CompatError, match="traced base"):
+                store.require_traced_base(one_off)
+        store.require_traced_base(equal)
+        store.require_traced_base(tiny_checkpoint)
+
     def test_widths_and_row_alignment(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
@@ -503,6 +529,25 @@ class TestInterpolation:
         # c=1 reproduces the fine-tuned branch up to f32 rounding of tau
         ft_weights = group_parameters(group, tiny_checkpoint.tensors, source=fine_tuned[0].tensors)
         np.testing.assert_allclose(hi, store.rows(group, 0, ft_weights), atol=1e-5)
+
+    def test_base_rows_are_the_zero_step(self, tiny_config, tiny_checkpoint, setup):
+        # non_linearity_score takes its k = 0 step (base + 0 * tau) from the base rows.
+        model, datasets, fine_tuned = setup
+        tau = task_vector(fine_tuned[0], tiny_checkpoint)
+        kinds = set()
+        for level in Granularity:
+            plan = plan_decomposition(tiny_config, level)
+            store = collect_base_features(model, datasets, plan, sample_n=2, seed=5)
+            for group in plan.groups:
+                kinds.add(group.output_kind)
+                for task in range(2):
+                    weights = group_parameters(group, store.weights, taus=[tau.tensors], coeffs=[0.0])
+                    zero_step = store.rows(group, task, weights)
+                    assert np.array_equal(zero_step, store.base_rows(group, task)), (group.id, task)
+        assert kinds == {
+            "model_logits", "embed_rows", "logits", "layer_out",
+            "attn_branch", "mlp_branch", "head_branch",
+        }
 
     def test_linear_group_midpoint(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
