@@ -37,13 +37,17 @@ from .merge import (
 from .model import ModelConfig, bind_weights, eval_cross_entropy
 from .solver import MergeWeights
 
-# The options each merge method reads, the keyword arguments of its merge function.
+# The options each merge method reads: the keyword arguments of its merge function,
+# then the inputs it reads besides --base and --model, which a manifest lists
+# under "inputs", not "params". --method refuses the flags of the other methods.
 METHOD_PARAMS = {
     "weight_avg": (),
     "task_arithmetic": ("alpha",),
     "dare": ("alpha", "drop_p", "seed"),
     "linear_solve": ("level", "normalized", "samples_per_task", "seed"),
 }
+METHOD_INPUTS = {"linear_solve": ("datasets",)}
+METHOD_OPTIONS = {m: (*keys, *METHOD_INPUTS.get(m, ())) for m, keys in METHOD_PARAMS.items()}
 METHODS = tuple(METHOD_PARAMS)
 TA_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 DARE_DROP_GRID = [0.6, 0.7, 0.8, 0.9]
@@ -118,9 +122,19 @@ class Options:
                 if key in payload and not JSON_TYPE_CHECKS[kind](payload[key]):
                     raise ConfigError(f"config key {key!r} must be {kind}, got {payload[key]!r}")
             self.file = payload
-        seed = self.get("seed")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        # The options this run reads: its command's, less those of the other merge methods.
+        self.reads = set(vars(args))
+        if hasattr(args, "method"):
+            method = self.require("method")
+            if method not in METHODS:
+                raise ConfigError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
+            self.reads -= set().union(*METHOD_OPTIONS.values()) - set(METHOD_OPTIONS[method])
+        if "seed" in self.reads and self.get("seed") < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.get('seed')}")
+        for key in sorted(set(vars(args)) - self.reads):
+            if getattr(args, key) is not None:
+                flags = "/".join(OPTIONS[key].flags)
+                raise ConfigError(f"{flags} is not read by --method {self.get('method')}")
 
     def get(self, key: str, default=None):
         """The flag, else the config-file value, else `default`, else the table default."""
@@ -144,23 +158,25 @@ class Options:
             raise IoError(f"cannot create output directory {out}: {exc}") from exc
         return out
 
-    def load_inputs(self):
-        base_path = Path(self.require("base"))
-        model_paths = [Path(p) for p in self.require("models")]
-        if not model_paths:
-            raise ConfigError("need at least one --model (config key 'models' is empty)")
-        base = read_archive(base_path)
-        models = [read_archive(p) for p in model_paths]
-        return base, models, base_path, model_paths
-
-    def load_datasets(self, n_models: int | None = None):
-        """Read the datasets; with `n_models`, require one dataset per model."""
-        paths = [Path(p) for p in self.require("datasets")]
-        if not paths:
-            raise ConfigError("need at least one --dataset (config key 'datasets' is empty)")
-        if n_models is not None and len(paths) != n_models:
-            raise ConfigError(f"{n_models} models need {n_models} datasets, got {len(paths)}")
-        return [read_dataset(p) for p in paths], paths
+    def read_inputs(self):
+        """Read and check every archive and dataset the command (for merge, its --method)
+        reads, before the command creates --out: the --base or --archive archive, the
+        --model archives, the datasets, that archive's model config, and the paths read."""
+        paths = {"models": [], "datasets": []}
+        for key in ("base", "archive", "models", "datasets"):
+            if key in self.reads:
+                value = self.require(key)
+                if value == []:
+                    flag = next(iter(OPTIONS[key].flags))
+                    raise ConfigError(f"need at least one {flag} (config key {key!r} is empty)")
+                paths[key] = [Path(p) for p in value] if isinstance(value, list) else Path(value)
+        n_models, n_datasets = len(paths["models"]), len(paths["datasets"])
+        if n_models and n_datasets and n_models != n_datasets:
+            raise ConfigError(f"{n_models} models need {n_models} datasets, got {n_datasets}")
+        archive = read_archive(paths.get("base") or paths["archive"])
+        models = [read_archive(p) for p in paths["models"]]
+        datasets = [read_dataset(p) for p in paths["datasets"]]
+        return archive, models, datasets, config_for(archive), paths
 
 
 def _json_number(value: float) -> float | None:
@@ -226,9 +242,7 @@ def _finite_stats(values: Sequence[float | None]) -> dict:
 
 
 def cmd_analyze(opts: Options) -> bool:
-    base, models, _, _ = opts.load_inputs()
-    datasets, _ = opts.load_datasets(len(models))
-    config = config_for(base)
+    base, models, datasets, config, _ = opts.read_inputs()
     levels = _parse_levels(opts)
     sample_n = opts.get("samples_per_task")
     seed = opts.get("seed")
@@ -331,15 +345,17 @@ def _merged(
     return merge(base, models, **params), None
 
 
+def _file_entry(path: Path) -> dict:
+    return {"path": str(path), "sha256": file_sha256(path)}
+
+
 def _fell_back(weights: MergeWeights | None) -> bool:
     return weights is not None and any(g.fallback for g in weights.groups)
 
 
 def cmd_solve(opts: Options) -> bool:
-    base, models, _, _ = opts.load_inputs()
-    datasets, _ = opts.load_datasets(len(models))
+    base, models, datasets, _, _ = opts.read_inputs()
     params = _solve_params(opts)
-    config_for(base)  # a malformed model_config exits 2 before --out is made
     out = opts.out_dir()
     _, weights = _merged("linear_solve", params, base, models, datasets)
     _write_json(out / "weights.json", weights.to_json_dict())
@@ -352,18 +368,10 @@ def cmd_solve(opts: Options) -> bool:
 
 
 def cmd_merge(opts: Options) -> bool:
-    method = opts.require("method")
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
-    for key in sorted(set().union(*METHOD_PARAMS.values()) - set(METHOD_PARAMS[method])):
-        if getattr(opts.args, key) is not None:
-            raise ConfigError(f"{'/'.join(OPTIONS[key].flags)} is not read by --method {method}")
-    base, models, base_path, model_paths = opts.load_inputs()
-    datasets, dataset_paths = None, []
+    method = opts.get("method")
+    base, models, datasets, _, paths = opts.read_inputs()
     if method == "linear_solve":
-        datasets, dataset_paths = opts.load_datasets(len(models))
         params = _solve_params(opts)
-        config_for(base)  # a malformed model_config exits 2 before --out is made
     else:
         alpha = float(opts.get("alpha", 1.0 / len(models)))
         values = {"alpha": alpha, "drop_p": float(opts.get("drop_p")), "seed": opts.get("seed")}
@@ -381,13 +389,9 @@ def cmd_merge(opts: Options) -> bool:
         "method": method,
         "params": params,
         "inputs": {
-            "base": {"path": str(base_path), "sha256": file_sha256(base_path)},
-            "models": [
-                {"path": str(p), "sha256": file_sha256(p)} for p in model_paths
-            ],
-            "datasets": [
-                {"path": str(p), "sha256": file_sha256(p)} for p in dataset_paths
-            ],
+            "base": _file_entry(paths["base"]),
+            "models": [_file_entry(p) for p in paths["models"]],
+            "datasets": [_file_entry(p) for p in paths["datasets"]],
         },
         "outputs": outputs,
     }
@@ -398,20 +402,17 @@ def cmd_merge(opts: Options) -> bool:
 
 
 def cmd_eval(opts: Options) -> bool:
-    archive_path = Path(opts.require("archive"))
-    archive = read_archive(archive_path)
-    config = config_for(archive)
-    datasets, dataset_paths = opts.load_datasets()
+    archive, _, datasets, config, paths = opts.read_inputs()
     out = opts.out_dir()
     losses = _losses(archive, config, datasets)
     per_task = {
         f"task{index}": {"dataset": str(path), "loss": loss}
-        for index, (path, loss) in enumerate(zip(dataset_paths, losses))
+        for index, (path, loss) in enumerate(zip(paths["datasets"], losses))
     }
     mean = float(np.mean(losses))
     metrics = {
-        "archive": str(archive_path),
-        "sha256": file_sha256(archive_path),
+        "archive": str(paths["archive"]),
+        "sha256": file_sha256(paths["archive"]),
         "per_task": per_task,
         "mean": mean,
     }
@@ -424,12 +425,10 @@ def cmd_eval(opts: Options) -> bool:
 
 
 def cmd_compare(opts: Options) -> bool:
-    base, models, _, _ = opts.load_inputs()
-    datasets, _ = opts.load_datasets(len(models))
+    # Every merged archive carries the base's meta, so its model_config.
+    base, models, datasets, config, _ = opts.read_inputs()
     solve_params = _solve_params(opts, "attn_mlp")
     seed = solve_params["seed"]
-    # Every merged archive carries the base's meta, so its model_config.
-    config = config_for(base)
     out = opts.out_dir()
     tasks = [f"task{i}" for i in range(len(datasets))]
     runs = [("weight_avg", "weight_avg", {})]

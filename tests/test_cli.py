@@ -56,11 +56,13 @@ def flat_fixture_dir(tmp_path_factory):
     return out
 
 
-def io_flags(fixture_dir, n_models=2):
+def io_flags(fixture_dir, n_models=2, datasets=True):
+    """--base and --model flags, and with `datasets` one --dataset per model."""
     flags = ["--base", str(fixture_dir / "base.ta")]
     for t in range(n_models):
         flags += ["--model", str(fixture_dir / f"task{t}.ta")]
-        flags += ["--dataset", str(fixture_dir / f"task{t}.jsonl")]
+        if datasets:
+            flags += ["--dataset", str(fixture_dir / f"task{t}.jsonl")]
     return flags
 
 
@@ -472,7 +474,7 @@ class TestBadInputs:
         elif command[0] == "eval":
             inputs = ["--archive", str(fixture_dir / "base.ta"), "--dataset", str(fixture_dir / "task0.jsonl")]
         else:
-            inputs = io_flags(fixture_dir)
+            inputs = io_flags(fixture_dir, datasets=command[0] != "merge")
         rc = main([*command, *inputs, "--out", str(out)])
         assert "cannot" in assert_input_error(rc, capsys)
 
@@ -508,7 +510,8 @@ class TestBadInputs:
         config_path = tmp_path / "run.json"
         config_path.write_text('{"alpha": NaN}')
         alpha = ["--config", str(config_path)] if source == "config_nan" else [source]
-        rc = main(["merge", *io_flags(fixture_dir), "--method", method, *alpha, "--out", str(tmp_path / "out")])
+        inputs = io_flags(fixture_dir, datasets=False)
+        rc = main(["merge", *inputs, "--method", method, *alpha, "--out", str(tmp_path / "out")])
         err = assert_input_error(rc, capsys)
         assert "alpha must be finite" in err
         assert "RuntimeWarning" not in err
@@ -518,7 +521,8 @@ class TestBadInputs:
     @pytest.mark.parametrize("alpha", ["1e300", "1.7e308"])
     def test_alpha_overflowing_float32_exits_2(self, fixture_dir, tmp_path, capsys, method, alpha):
         out = tmp_path / "out"
-        rc = main(["merge", *io_flags(fixture_dir), "--method", method, "--alpha", alpha, "--out", str(out)])
+        inputs = io_flags(fixture_dir, datasets=False)
+        rc = main(["merge", *inputs, "--method", method, "--alpha", alpha, "--out", str(out)])
         err = assert_input_error(rc, capsys)
         assert "overflows float32" in err
         assert not (out / "merged.ta").exists()
@@ -540,7 +544,7 @@ class TestBadInputs:
             patched[0] = value
             patched_arc = TensorArchive({**arc.tensors, name: patched}, arc.meta)
             write_archive(patched_arc, tmp_path / f"{stem}.ta")
-        inputs = io_flags(fixture_dir)
+        inputs = io_flags(fixture_dir, datasets=command[0] != "merge")
         inputs[1], inputs[3] = str(tmp_path / "base.ta"), str(tmp_path / "task0.ta")
         out = tmp_path / "out"
         rc = main([*command, *inputs, "--out", str(out)])
@@ -552,12 +556,18 @@ class TestBadInputs:
         "command",
         [
             ["merge", "--method", "linear_solve", "--level", "head_mlp"],
+            ["merge", "--method", "weight_avg"],
+            ["merge", "--method", "task_arithmetic"],
+            ["merge", "--method", "dare"],
             ["eval"],
             ["solve"],
             ["compare"],
             ["analyze"],
         ],
-        ids=["merge_head_mlp", "eval", "solve", "compare", "analyze"],
+        ids=[
+            "merge_head_mlp", "merge_weight_avg", "merge_task_arithmetic", "merge_dare",
+            "eval", "solve", "compare", "analyze",
+        ],
     )
     def test_float_model_size_exits_2(self, fixture_dir, tmp_path, capsys, command, source):
         # Every command reads the model config before it makes --out.
@@ -568,6 +578,8 @@ class TestBadInputs:
         write_archive(TensorArchive(base.tensors, meta), base_path)
         if command[0] == "eval":
             inputs = ["--archive", str(base_path), "--dataset", str(fixture_dir / "task0.jsonl")]
+        elif command[0] == "merge" and command[2] != "linear_solve":
+            inputs = ["--base", str(base_path), *io_flags(fixture_dir, datasets=False)[2:]]
         else:
             inputs = ["--base", str(base_path), *io_flags(fixture_dir)[2:]]
             inputs += ["--samples-per-task", "4"]
@@ -609,7 +621,7 @@ class TestMerge:
     def test_weight_avg_outputs(self, fixture_dir, tmp_path):
         rc = main(
             [
-                "merge", *io_flags(fixture_dir),
+                "merge", *io_flags(fixture_dir, datasets=False),
                 "--method", "weight_avg",
                 "--out", str(tmp_path),
             ]
@@ -625,7 +637,7 @@ class TestMerge:
     def test_alpha_zero_matches_base_bytes(self, fixture_dir, tmp_path):
         rc = main(
             [
-                "merge", *io_flags(fixture_dir),
+                "merge", *io_flags(fixture_dir, datasets=False),
                 "--method", "task_arithmetic",
                 "--alpha", "0",
                 "--out", str(tmp_path),
@@ -638,14 +650,14 @@ class TestMerge:
         ta_dir, dare_dir = tmp_path / "ta", tmp_path / "dare"
         assert main(
             [
-                "merge", *io_flags(fixture_dir),
+                "merge", *io_flags(fixture_dir, datasets=False),
                 "--method", "task_arithmetic", "--alpha", "0.4",
                 "--out", str(ta_dir),
             ]
         ) == 0
         assert main(
             [
-                "merge", *io_flags(fixture_dir),
+                "merge", *io_flags(fixture_dir, datasets=False),
                 "--method", "dare", "--alpha", "0.4", "--drop-p", "0",
                 "--out", str(dare_dir),
             ]
@@ -788,7 +800,8 @@ class TestCompare:
         payload = json.loads((compare_dir / "compare.json").read_text())
         row = {row["id"]: row for row in payload["rows"]}[row_id]
         merged = tmp_path / "merge"
-        assert main(["merge", *io_flags(fixture_dir), *flags, "--out", str(merged)]) == 0
+        inputs = io_flags(fixture_dir, datasets=row_id.startswith("linear_solve"))
+        assert main(["merge", *inputs, *flags, "--out", str(merged)]) == 0
         datasets = [f for t in range(2) for f in ("--dataset", str(fixture_dir / f"task{t}.jsonl"))]
         rc = main(["eval", "--archive", str(merged / "merged.ta"), *datasets, "--out", str(tmp_path / "eval")])
         assert rc == 0
@@ -1035,13 +1048,17 @@ def test_flag_the_command_does_not_read_is_usage_error(
         ("weight_avg", "--samples-per-task=4"),
         ("dare", "--level=layer"),
         ("linear_solve", "--alpha=0.5"),
+        ("weight_avg", "--dataset=/nonexistent.jsonl"),
+        ("task_arithmetic", "--dataset=/nonexistent.jsonl"),
+        ("dare", "--dataset=/nonexistent.jsonl"),
     ],
 )
 def test_merge_flag_of_another_method_exits_2_before_the_work(
     fixture_dir, tmp_path, capsys, method, flag
 ):
     out = tmp_path / "out"
-    rc = main(["merge", *io_flags(fixture_dir), "--method", method, flag, "--out", str(out)])
+    inputs = io_flags(fixture_dir, datasets=method == "linear_solve")
+    rc = main(["merge", *inputs, "--method", method, flag, "--out", str(out)])
     err = assert_input_error(rc, capsys)
     assert flag.split("=")[0] in err and f"is not read by --method {method}" in err
     assert not out.exists()
@@ -1051,9 +1068,12 @@ def test_config_file_is_shared_across_commands_and_methods(fixture_dir, tmp_path
     """A config key a command or method does not read is type-checked and ignored."""
     config_path = tmp_path / "run.json"
     shared = {"drop_p": 0.5, "level": "head_mlp", "levels": "layer", "archive": "x", "strict": True}
+    # task_arithmetic reads no seed and no dataset, and eval no seed, so neither
+    # checks a seed's range or reads a dataset path from the file.
+    shared.update(seed=-1, datasets=["/nonexistent.jsonl"])
     config_path.write_text(json.dumps(shared))
     rc = main(
-        ["merge", *io_flags(fixture_dir), "--method", "task_arithmetic", "--alpha", "0",
+        ["merge", *io_flags(fixture_dir, datasets=False), "--method", "task_arithmetic", "--alpha", "0",
          "--config", str(config_path), "--out", str(tmp_path / "merge")]
     )
     assert rc == 0
