@@ -70,6 +70,7 @@ from .model import (
     bind_weights,
     eval_cross_entropy,
     forward_pass,
+    forward_taps,
 )
 from .solver import (
     GramTensor,
@@ -95,6 +96,7 @@ __all__ = [
     "BoundModel",
     "bind_weights",
     "forward_pass",
+    "forward_taps",
     "eval_cross_entropy",
     "Granularity",
     "SubmoduleGroup",

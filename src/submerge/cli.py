@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -107,6 +108,8 @@ class Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file: dict = {}
+        # The directories `out_dir` made, innermost first.
+        self.created: list[Path] = []
         if args.config is not None:
             try:
                 blob = Path(args.config).read_bytes()
@@ -152,6 +155,7 @@ class Options:
 
     def out_dir(self) -> Path:
         out = Path(self.get("out"))
+        self.created += [path for path in (out, *out.parents) if not path.exists()]
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -549,10 +553,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    opts = None
     try:
         opts = Options(args)
         degraded = args.func(opts)
     except SubmergeError as exc:
+        # A failed run removes the --out it made, unless it wrote into it.
+        for path in opts.created if opts else ():
+            try:
+                os.rmdir(path)
+            except OSError:
+                pass
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if degraded:

@@ -4,18 +4,20 @@ The base model runs once over the sampled sequences, one batched forward
 pass per sequence length; every group's input is read off that single trace
 (base-input discipline: fine-tuned and interpolated groups are always
 evaluated on the base model's features, never on their own forward pass).
-Each float64 trace is freed before the next forward pass; only the f32
-group inputs are stored. A group's function is its `model` block on the
-parameter slices the group owns, plus the parameters it only reads, whole.
-`group_parameters` builds exactly those float64 weights for one parameter
-set (a source model's slices, or base + sum_t c_t tau_t; the read-only ones
-at the base value), and `FeatureStore.rows` evaluates the block on them, on
-all stored sequences of one length in a single call, so identical weights
-reproduce identical bytes. A group's outputs on one task
-are one f32 [rows, width] matrix, every sequence's token rows in input
-order. Base outputs and output deltas are computed when a group is first
-read and held one group at a time: the base rows per task, and the
-[n_models, rows, width] delta block per data task that the solver reads.
+The pass streams its taps (`forward_taps`): each tap a group reads is
+rounded to f32 and stored as soon as it is computed, and every other tap is
+dropped, so no whole float64 trace is held. A group's function is its
+`model` block on the parameter slices the group owns, plus the parameters
+it only reads, whole. `group_parameters` builds exactly those float64
+weights for one parameter set (a source model's slices, or base + sum_t
+c_t tau_t; the read-only ones at the base value), and `FeatureStore.rows`
+evaluates the block on them, on all stored sequences of one length in a
+single call, so identical weights reproduce identical bytes. A group's
+outputs on one task are one f32 [rows, width] matrix, each length bucket's
+block written into its sequences' token rows in input order. Base outputs
+and output deltas are computed when a group is first read and held one
+group at a time: the base rows per task, and the [n_models, rows, width]
+delta block per data task that the solver reads.
 A group's base rows live from their first read until another group's base
 rows or deltas are read: in `analyze` they are the k = 0 interpolation step
 of `non_linearity_score` and the subtrahend of the group's deltas and of
@@ -35,7 +37,7 @@ Head 0 owns `norm1` and is evaluated alone, like every other group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .archive import TensorArchive, combine, require_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup
 from .errors import CoeffError, CompatError, InputError, PlanError, SampleError
 from .model import ATTENTION_PARAMS, BoundModel, ModelConfig, attention_block, attention_contexts
-from .model import forward_pass, mlp_block, output_block, validated_tokens
+from .model import forward_taps, mlp_block, output_block, validated_tokens
 
 
 @dataclass
@@ -161,8 +163,8 @@ class DeltaStore:
         return [self.deltas[(group_id, task)] for task in range(self.n_tasks)]
 
     def pooled(self, group_id: str) -> np.ndarray:
-        """[n_models, rows of every data task, width]."""
-        return np.concatenate(self.grouped(group_id), axis=1)
+        """Float64 [n_models, rows of every data task, width]."""
+        return np.concatenate(self.grouped(group_id), axis=1, dtype=np.float64)
 
     def _head_deltas(self, group: SubmoduleGroup) -> None:
         """Deltas of a head group above 0, read off its layer's contexts."""
@@ -183,6 +185,7 @@ class DeltaStore:
                         _rows_in_order(
                             features.inputs[(group.id, task)],
                             lambda x: attention_contexts(x.astype(np.float64), weights, config, layer),
+                            np.float64,
                         )
                         for task in range(self.n_tasks)
                     ],
@@ -212,14 +215,19 @@ def _length_buckets(seqs: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndar
 
 
 def _rows_in_order(
-    inputs: Sequence[np.ndarray], evaluate: Callable[[np.ndarray], np.ndarray]
+    inputs: Sequence[np.ndarray], evaluate: Callable[[np.ndarray], np.ndarray], dtype: type
 ) -> np.ndarray:
-    """`evaluate` on each length bucket of `inputs`; every input's rows, in input order."""
-    outputs: list[np.ndarray] = [np.empty(0)] * len(inputs)
+    """`evaluate` on each length bucket of `inputs`, written into one `dtype`
+    [rows, width] result: every input's rows, in input order."""
+    starts = np.cumsum([0] + [len(seq) for seq in inputs])
+    result = None
     for positions, batch in _length_buckets(inputs):
-        for position, out in zip(positions, evaluate(batch)):
-            outputs[position] = out
-    return np.concatenate(outputs)
+        block = evaluate(batch)
+        if result is None:
+            result = np.empty((starts[-1], block.shape[-1]), dtype)
+        rows = starts[positions][:, None] + np.arange(batch.shape[1])
+        result[rows.ravel()] = block.reshape(-1, block.shape[-1])
+    return result
 
 
 def _group_rows(
@@ -237,7 +245,8 @@ def _group_rows(
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
         if kind == "model_logits":
-            return forward_pass(config, weights, batch.astype(np.int64))["logits"]
+            taps = forward_taps(config, weights, batch.astype(np.int64))
+            return next(value for tap, value in taps if tap == "logits")
         if kind == "embed_rows":
             return weights["embed"][batch.astype(np.int64)]
         x = batch.astype(np.float64)
@@ -252,7 +261,7 @@ def _group_rows(
             return x + mlp_block(x, weights, config, layer)[0]
         raise InputError(f"unknown output kind {kind!r}")
 
-    return _rows_in_order(inputs, lambda batch: evaluate(batch).astype(np.float32))
+    return _rows_in_order(inputs, evaluate, np.float32)
 
 
 def apply_group(
@@ -263,6 +272,8 @@ def apply_group(
 ) -> np.ndarray:
     """One group's function under whole tensors `params` on [seq] token or
     [seq, d_model] feature inputs; returns an f32 [rows, width] in input order."""
+    if not inputs:
+        raise InputError(f"group {group.id!r} needs at least one input")
     if group.output_kind not in ("model_logits", "embed_rows"):
         for arr in inputs:
             if arr.ndim != 2 or arr.shape[1] != config.d_model:
@@ -309,13 +320,16 @@ def group_parameters(
     return weights
 
 
-def _traced_taps(base: BoundModel, batch: np.ndarray, taps: set[str]) -> dict[str, np.ndarray]:
-    """The taps of one batched base forward pass: f32 features, or the tokens as given.
-
-    The float64 trace is freed on return, before the next batch is traced.
-    """
-    trace = forward_pass(base.config, base.weights, batch)
-    return {tap: batch if tap == "tokens" else trace[tap].astype(np.float32) for tap in taps}
+def _traced_taps(
+    base: BoundModel, batch: np.ndarray, taps: set[str]
+) -> Iterator[tuple[str, np.ndarray]]:
+    """The `taps` of one batched base forward pass: the tokens as given, then each
+    feature tap rounded to f32 as soon as it is computed. Every other tap is dropped."""
+    if "tokens" in taps:
+        yield "tokens", batch
+    for tap, value in forward_taps(base.config, base.weights, batch):
+        if tap in taps:
+            yield tap, value.astype(np.float32)
 
 
 def collect_base_features(
@@ -352,7 +366,7 @@ def collect_base_features(
                 raise InputError(f"task {task} sequence {index}: {exc}") from None
         values = {tap: [np.empty(0)] * len(sequences) for tap in taps}
         for positions, batch in _length_buckets(sequences):
-            for tap, stacked in _traced_taps(base, batch, taps).items():
+            for tap, stacked in _traced_taps(base, batch, taps):
                 for position, value in zip(positions, stacked):
                     values[tap][position] = value
         for group in plan.groups:

@@ -50,13 +50,18 @@ def interpolation_scores(
     """
     if len(outputs) < 3:
         raise InputError("need at least three interpolation points (N >= 2)")
-    stacked = np.stack([np.asarray(o, dtype=np.float64) for o in outputs])
-    steps = stacked.shape[0]
-    # One pair at a time: a [steps, steps, rows, width] difference tensor would
-    # set the analysis' peak memory. b - a is the exact negation of a - b.
-    distances = np.zeros((steps, steps, stacked.shape[1]))
+    shape = np.shape(outputs[0])
+    if len(shape) != 2 or any(np.shape(o) != shape for o in outputs):
+        raise InputError(f"interpolation outputs must share one [rows, width] shape, got {shape}")
+    steps = len(outputs)
+    # One pair at a time, each difference taken in float64 from the steps as
+    # given: a [steps, steps, rows, width] difference tensor, or a float64 copy
+    # of every step, would set the analysis' peak memory. b - a is the exact
+    # negation of a - b.
+    distances = np.zeros((steps, steps, shape[0]))
     for i, j in itertools.combinations(range(steps), 2):
-        distances[i, j] = distances[j, i] = np.linalg.norm(stacked[i] - stacked[j], axis=-1)
+        diff = np.subtract(outputs[i], outputs[j], dtype=np.float64)
+        distances[i, j] = distances[j, i] = np.linalg.norm(diff, axis=-1)
     endpoint = distances[0, -1]
     keep = endpoint >= NORM_FLOOR
     skipped = int(keep.size - keep.sum())
@@ -160,11 +165,13 @@ def merged_group_deltas(
     group: SubmoduleGroup,
     alpha: Sequence[float],
 ) -> np.ndarray:
-    """Output delta of the group merged with `alpha` on the traced base, rows of all tasks."""
+    """Float64 output delta of the group merged with `alpha` on the traced base, rows of
+    all tasks."""
     weights = group_parameters(
         group, store.weights, taus=[tau.tensors for tau in taus], coeffs=alpha
     )
-    return np.concatenate([store.delta_rows(group, task, weights) for task in range(store.n_tasks)])
+    rows = [store.delta_rows(group, task, weights) for task in range(store.n_tasks)]
+    return np.concatenate(rows, dtype=np.float64)
 
 
 def metric_sweep(
@@ -186,7 +193,7 @@ def metric_sweep(
         grid = default_alpha_grid(len(taus))
     if not grid:
         raise InputError("alpha grid must be non-empty")
-    task_deltas = np.asarray(deltas.pooled(group.id), dtype=np.float64)
+    task_deltas = deltas.pooled(group.id)
     records: list[LinearityRecord] = []
     for alpha in grid:
         merged = merged_group_deltas(store, taus, group, alpha)
@@ -195,6 +202,8 @@ def metric_sweep(
         except DegenerateError as exc:
             failed = (float("nan"), {"degenerate": True, "error": str(exc)})
             results = dict.fromkeys(METRICS, failed)
+        # Freed before the next alpha's merged delta is built.
+        del merged
         for metric in METRICS:
             value, aux = results[metric]
             records.append(LinearityRecord(group.id, metric, value, {"alpha": list(alpha), **aux}))

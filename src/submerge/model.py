@@ -24,7 +24,7 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -227,26 +227,42 @@ def output_block(
     return hidden @ np.asarray(weights["lm_head"], dtype=np.float64).T, hidden
 
 
+def forward_taps(
+    config: ModelConfig, weights: Mapping[str, np.ndarray], tokens: np.ndarray
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Every tap of the forward pass as (name, value), yielded as it is computed,
+    in forward order; weights may be any float dtype.
+
+    Tokens are [seq] or [batch, seq]; every tap keeps those leading axes and
+    adds a feature axis. A tap the caller drops is freed once no later tap
+    is computed from it.
+    """
+    x = np.asarray(weights["embed"], dtype=np.float64)[tokens]
+    for i in range(config.n_layers):
+        yield f"layer_in.{i}", x
+        yield f"attn_in.{i}", x
+        attn_out, ctx = attention_block(x, weights, config, i)
+        yield f"oproj_in.{i}", ctx
+        yield f"attn_out.{i}", attn_out
+        x = x + attn_out
+        yield f"mlp_in.{i}", x
+        mlp_out, hidden = mlp_block(x, weights, config, i)
+        yield f"dproj_in.{i}", hidden
+        yield f"mlp_out.{i}", mlp_out
+        x = x + mlp_out
+        yield f"layer_out.{i}", x
+        # The next layer reads only x: free this layer's branch taps first.
+        del attn_out, ctx, mlp_out, hidden
+    logits, hidden = output_block(x, weights, config)
+    yield "logits", logits
+    yield "final_hidden", hidden
+
+
 def forward_pass(
     config: ModelConfig, weights: Mapping[str, np.ndarray], tokens: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Full forward computing every tap; weights may be any float dtype.
-
-    Tokens are [seq] or [batch, seq]; every tap keeps those leading axes and
-    adds a feature axis.
-    """
-    taps: dict[str, np.ndarray] = {}
-    x = np.asarray(weights["embed"], dtype=np.float64)[tokens]
-    for i in range(config.n_layers):
-        taps[f"layer_in.{i}"] = taps[f"attn_in.{i}"] = x
-        attn_out, taps[f"oproj_in.{i}"] = attention_block(x, weights, config, i)
-        taps[f"attn_out.{i}"] = attn_out
-        x = taps[f"mlp_in.{i}"] = x + attn_out
-        mlp_out, taps[f"dproj_in.{i}"] = mlp_block(x, weights, config, i)
-        taps[f"mlp_out.{i}"] = mlp_out
-        x = taps[f"layer_out.{i}"] = x + mlp_out
-    taps["logits"], taps["final_hidden"] = output_block(x, weights, config)
-    return taps
+    """Every tap of `forward_taps`, held at once in one dict keyed by name."""
+    return dict(forward_taps(config, weights, tokens))
 
 
 def validated_tokens(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:

@@ -86,21 +86,24 @@ def compute_gram(
 
     Normalized mode divides each sample's contribution by the mean delta
     energy across models and skips samples where that energy underflows.
+    Every block's shape is checked first; each is upcast to float64 only
+    while its own contribution is computed.
     """
     if not task_blocks:
         raise InputError("need at least one data task block")
-    blocks = [np.asarray(b, dtype=np.float64) for b in task_blocks]
-    n_models = blocks[0].shape[0]
-    for block in blocks:
-        if block.ndim != 3 or block.shape[0] != n_models:
+    shapes = [np.shape(block) for block in task_blocks]
+    n_models = shapes[0][0] if shapes[0] else 0
+    for shape in shapes:
+        if len(shape) != 3 or shape[0] != n_models:
             raise InputError(
                 f"blocks must be [n_models x rows x width] with n_models={n_models}, "
-                f"got {block.shape}"
+                f"got {shape}"
             )
-    B = np.zeros((len(blocks), n_models, n_models))
+    B = np.zeros((len(task_blocks), n_models, n_models))
     samples = []
     skipped = []
-    for a, block in enumerate(blocks):
+    for a, block in enumerate(task_blocks):
+        block = np.asarray(block, dtype=np.float64)
         outer = np.einsum("brw,crw->rbc", block, block)
         if normalized:
             energy = np.einsum("rtt->r", outer) / n_models

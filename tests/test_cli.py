@@ -478,6 +478,30 @@ class TestBadInputs:
         rc = main([*command, *inputs, "--out", str(out)])
         assert "cannot" in assert_input_error(rc, capsys)
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["made_out", "existing_out"])
+    @pytest.mark.parametrize("case", ["eval_token_past_vocab", "solve_too_few_sequences"])
+    def test_error_during_the_work_removes_the_out_it_made(
+        self, fixture_dir, tmp_path, capsys, case, existing
+    ):
+        # Both checks run in the library, after --out is made. The failed run
+        # removes the directories it made, innermost first; an --out that
+        # existed before the run stays.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"task": 0, "tokens": [3, 999, 4]}) + "\n")
+        out = tmp_path / "made" / "out"
+        if existing:
+            out.mkdir(parents=True)
+        if case == "eval_token_past_vocab":
+            argv = ["eval", "--archive", str(fixture_dir / "base.ta"), "--dataset", str(bad)]
+            message = "token id out of range"
+        else:
+            argv = ["solve", *io_flags(fixture_dir), "--samples-per-task", "99"]
+            message = "has 8 sequences, need 99"
+        rc = main([*argv, "--out", str(out)])
+        assert message in assert_input_error(rc, capsys)
+        assert out.is_dir() == existing
+        assert (tmp_path / "made").exists() == existing
+
     @pytest.mark.parametrize(
         "command, costly",
         [

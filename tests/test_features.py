@@ -33,6 +33,17 @@ def perturbed(checkpoint: TensorArchive, seed: int, scale: float = 0.05) -> Tens
     return TensorArchive(tensors=tensors, meta=dict(checkpoint.meta))
 
 
+def traced_model():
+    """A 4-layer model, 8 sequences of 32 tokens, and the bytes of their
+    float64 trace, each distinct array counted once."""
+    config = ModelConfig(d_model=32, n_heads=4, n_layers=4, d_ff=128, vocab_size=64, max_seq=32)
+    model = bind_weights(random_checkpoint(config, 7), config)
+    rng = np.random.default_rng(0)
+    dataset = [rng.integers(0, 64, size=32).tolist() for _ in range(8)]
+    trace = forward_pass(config, model.weights, np.array(dataset))
+    return model, dataset, sum({id(arr): arr.nbytes for arr in trace.values()}.values())
+
+
 @pytest.fixture(scope="module")
 def setup(tiny_config, tiny_checkpoint):
     rng = np.random.default_rng(0)
@@ -89,11 +100,8 @@ class TestCollect:
         # Three equal tasks may add to the one-task peak only the two extra
         # tasks' stored inputs; a trace kept alive into the next task's
         # forward pass would add a whole float64 trace on top.
-        config = ModelConfig(d_model=32, n_heads=4, n_layers=2, d_ff=64, vocab_size=64, max_seq=32)
-        model = bind_weights(random_checkpoint(config, 7), config)
-        plan = plan_decomposition(config, Granularity.LAYER)
-        rng = np.random.default_rng(0)
-        dataset = [rng.integers(0, 64, size=32).tolist() for _ in range(8)]
+        model, dataset, trace_bytes = traced_model()
+        plan = plan_decomposition(model.config, Granularity.LAYER)
 
         def peak_and_inputs(n_tasks):
             tracemalloc.start()
@@ -112,12 +120,42 @@ class TestCollect:
 
         one_peak, one_task_inputs = peak_and_inputs(1)
         three_peak, _ = peak_and_inputs(3)
-        trace_bytes = sum(
-            arr.nbytes for arr in forward_pass(config, model.weights, np.zeros((8, 32), np.int64)).values()
-        )
         slack = 64 * 1024
         assert slack < trace_bytes / 4
         assert three_peak - one_peak <= 2 * one_task_inputs + slack
+
+    def test_peak_holds_no_full_trace(self):
+        # Each tap the plan reads is rounded to f32 as it is traced and every
+        # other tap is dropped as soon as the next layer no longer reads it, so
+        # the peak above the stored inputs stays well below one batch's float64
+        # trace; holding the whole trace, as `forward_pass` does, would add all of it.
+        model, dataset, trace_bytes = traced_model()
+        plan = plan_decomposition(model.config, Granularity.LAYER)
+        collect_base_features(model, [dataset], plan, sample_n=8)
+        tracemalloc.start()
+        try:
+            store = collect_base_features(model, [dataset], plan, sample_n=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = {id(arr.base): arr.base.nbytes for rows in store.inputs.values() for arr in rows}
+        assert peak - sum(stored.values()) < trace_bytes / 2
+
+    def test_model_group_rows_hold_no_full_trace(self):
+        # The model group reads only the logits of its forward pass.
+        model, dataset, trace_bytes = traced_model()
+        plan = plan_decomposition(model.config, Granularity.MODEL)
+        store = collect_base_features(model, [dataset], plan, sample_n=8)
+        group = plan.groups[0]
+        weights = group_parameters(group, model.weights)
+        store.rows(group, 0, weights)
+        tracemalloc.start()
+        try:
+            rows = store.rows(group, 0, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rows.nbytes < trace_bytes / 2
 
     def test_too_small_dataset(self, tiny_config, setup):
         model, datasets, _ = setup
@@ -226,6 +264,12 @@ class TestApplyGroup:
         group = plan_decomposition(tiny_config, Granularity.ATTN_MLP).group("mlp.0")
         with pytest.raises(InputError, match=r"expects \[seq x 8\] inputs, got \(3, 5\)"):
             apply_group(group, model.weights, [np.zeros((3, 5))], tiny_config)
+
+    def test_no_inputs(self, tiny_config, setup):
+        model, _, _ = setup
+        group = plan_decomposition(tiny_config, Granularity.ATTN_MLP).group("mlp.0")
+        with pytest.raises(InputError, match="needs at least one input"):
+            apply_group(group, model.weights, [], tiny_config)
 
     def test_unknown_output_kind(self, tiny_config, setup):
         model, _, _ = setup

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,32 @@ class TestInterpolationScore:
         scores, skipped, _ = interpolation_scores(outputs)
         assert skipped == 1
         assert scores.shape == (1,)
+
+    def test_peak_holds_no_float64_stack(self):
+        # Each pair of float32 steps is upcast as it is differenced, so the peak
+        # stays below one [steps, rows, width] float64 stack, and the distances
+        # are those of the upcast steps.
+        rng = np.random.default_rng(1)
+        outputs = [rng.normal(size=(500, 64)).astype(np.float32) for _ in range(11)]
+        interpolation_scores(outputs)
+        tracemalloc.start()
+        try:
+            scores, skipped, ratios = interpolation_scores(outputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 500 * 64 * 8
+        upcast = interpolation_scores([o.astype(np.float64) for o in outputs])
+        assert np.array_equal(scores, upcast[0])
+        assert skipped == upcast[1]
+        assert np.array_equal(ratios, upcast[2])
+
+    @pytest.mark.parametrize(
+        "shapes", [[(2, 2), (2, 2), (1, 2)], [(2,), (2,), (2,)]], ids=["mixed", "one_dim"]
+    )
+    def test_steps_of_another_shape_rejected(self, shapes):
+        with pytest.raises(InputError, match="one \\[rows, width\\] shape"):
+            interpolation_scores([np.ones(shape) for shape in shapes])
 
     def test_two_points_rejected(self):
         with pytest.raises(InputError, match="at least three interpolation points"):

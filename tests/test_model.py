@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 from submerge import BindError, InputError, TensorArchive
-from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass
+from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, forward_taps
 from submerge.model import attention_block, attention_contexts
 from submerge.model import causal_attention, rms_norm, rope_rotate, swiglu, validated_tokens
 
@@ -219,6 +219,22 @@ class TestForwardContracts:
         assert set(a) == set(b)
         for tap in a:
             assert np.array_equal(a[tap], b[tap])
+
+    @pytest.mark.parametrize("tokens", [TOKENS, [TOKENS, TOKENS[::-1]]], ids=["single", "batched"])
+    def test_forward_taps_stream_the_forward_pass_in_order(self, bound, tiny_config, tokens):
+        # Each tap copied as it is yielded equals the held full trace: no later
+        # step writes into a tap already handed out.
+        tokens = np.asarray(tokens)
+        streamed = [
+            (name, value.copy()) for name, value in forward_taps(tiny_config, bound.weights, tokens)
+        ]
+        trace = forward_pass(tiny_config, bound.weights, tokens)
+        per_layer = ("layer_in", "attn_in", "oproj_in", "attn_out")
+        per_layer += ("mlp_in", "dproj_in", "mlp_out", "layer_out")
+        names = [f"{tap}.{i}" for i in range(tiny_config.n_layers) for tap in per_layer]
+        assert [name for name, _ in streamed] == list(trace) == names + ["logits", "final_hidden"]
+        for name, value in streamed:
+            assert np.array_equal(value, trace[name]), name
 
     def test_tap_chaining(self, bound, tiny_config):
         taps = forward(bound, TOKENS)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,32 @@ class TestComputeGram:
     def test_mismatched_model_counts_rejected(self):
         with pytest.raises(InputError):
             compute_gram([np.zeros((2, 3, 4)), np.zeros((3, 3, 4))])
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 3, 4), (2, 3, 4), (2, 3)], [(), (2, 3, 4)]],
+        ids=["two_dim_last", "scalar_first"],
+    )
+    def test_wrong_shape_block_rejected(self, shapes):
+        with pytest.raises(InputError, match="n_models x rows x width"):
+            compute_gram([np.zeros(shape, dtype=np.float32) for shape in shapes])
+
+    def test_peak_upcasts_one_block_at_a_time(self):
+        # Each float32 block is upcast only while its own contribution is
+        # computed, so the peak stays below two float64 blocks; upcasting all
+        # three first would hold three.
+        rng = np.random.default_rng(0)
+        blocks = [rng.normal(size=(3, 2000, 64)).astype(np.float32) for _ in range(3)]
+        compute_gram(blocks)
+        tracemalloc.start()
+        try:
+            gram = compute_gram(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 * blocks[0].nbytes
+        upcast = compute_gram([block.astype(np.float64) for block in blocks])
+        assert np.array_equal(gram.B, upcast.B)
 
 
 class TestAssembleSystem:
