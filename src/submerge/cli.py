@@ -35,21 +35,21 @@ from .merge import (
     merge_task_arithmetic,
     merge_weight_average,
 )
-from .model import ModelConfig, bind_weights, eval_cross_entropy
+from .model import MODEL_SIZES, ModelConfig, bind_weights, eval_cross_entropy
 from .solver import MergeWeights
 
-# The options each merge method reads: the keyword arguments of its merge function,
-# then the inputs it reads besides --base and --model, which a manifest lists
-# under "inputs", not "params". --method refuses the flags of the other methods.
-METHOD_PARAMS = {
-    "weight_avg": (),
-    "task_arithmetic": ("alpha",),
-    "dare": ("alpha", "drop_p", "seed"),
-    "linear_solve": ("level", "normalized", "samples_per_task", "seed"),
+# One row per merge method: its merge function, the options it takes as keyword
+# arguments (a manifest's "params"), and the inputs it reads besides --base and
+# --model (listed under "inputs"). --method refuses the other methods' flags.
+Method = namedtuple("Method", "merge params inputs")
+METHODS = {
+    "weight_avg": Method(merge_weight_average, (), ()),
+    "task_arithmetic": Method(merge_task_arithmetic, ("alpha",), ()),
+    "dare": Method(merge_dare, ("alpha", "drop_p", "seed"), ()),
+    "linear_solve": Method(
+        merge_linear_solve, ("level", "normalized", "samples_per_task", "seed"), ("datasets",)
+    ),
 }
-METHOD_INPUTS = {"linear_solve": ("datasets",)}
-METHOD_OPTIONS = {m: (*keys, *METHOD_INPUTS.get(m, ())) for m, keys in METHOD_PARAMS.items()}
-METHODS = tuple(METHOD_PARAMS)
 TA_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 DARE_DROP_GRID = [0.6, 0.7, 0.8, 0.9]
 DARE_ALPHA_GRID = [0.6, 0.8, 1.0]
@@ -73,11 +73,6 @@ JSON_TYPE_CHECKS = {
     "a string": lambda v: isinstance(v, str),
     "a string or a list of strings": lambda v: isinstance(v, str) or _is_string_list(v),
     "a list of strings": _is_string_list,
-    "an object": lambda v: isinstance(v, dict),
-}
-
-FIXTURE_MODEL_DEFAULTS = {
-    "d_model": 32, "n_heads": 4, "n_layers": 4, "d_ff": 64, "vocab_size": 64, "max_seq": 64
 }
 
 
@@ -131,7 +126,8 @@ class Options:
             method = self.require("method")
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
-            self.reads -= set().union(*METHOD_OPTIONS.values()) - set(METHOD_OPTIONS[method])
+            owned = {name: {*m.params, *m.inputs} for name, m in METHODS.items()}
+            self.reads -= set().union(*owned.values()) - owned[method]
         if "seed" in self.reads and self.get("seed") < 0:
             raise ConfigError(f"seed must be >= 0, got {self.get('seed')}")
         for key in sorted(set(vars(args)) - self.reads):
@@ -201,16 +197,10 @@ def _losses(
 
 
 def cmd_gen_fixture(opts: Options) -> bool:
-    config_payload = dict(FIXTURE_MODEL_DEFAULTS)
-    config_payload.update(opts.file.get("config", {}))
-    for key in FIXTURE_MODEL_DEFAULTS:
-        flag_value = getattr(opts.args, key, None)
-        if flag_value is not None:
-            config_payload[key] = flag_value
     fields = ("n_tasks", "tau_scale", "dataset_size", "seq_len", "seed")
-    options = {key: opts.get(key) for key in fields}
     spec = FixtureSpec.from_json_dict(
-        {"config": config_payload, **{key: v for key, v in options.items() if v is not None}}
+        {"config": {key: opts.get(key) for key in MODEL_SIZES}}
+        | {key: opts.get(key) for key in fields if opts.get(key) is not None}
     )
     paths = gen_fixture(spec, opts.out_dir())
     print(f"wrote fixture: {paths['manifest']}")
@@ -329,7 +319,7 @@ def cmd_analyze(opts: Options) -> bool:
 
 def _solve_params(opts: Options, default_level: str | None = None) -> dict:
     """The linear-solve options, as the keyword arguments of `merge_linear_solve`."""
-    params = {key: opts.get(key) for key in METHOD_PARAMS["linear_solve"]}
+    params = {key: opts.get(key) for key in METHODS["linear_solve"].params}
     params["level"] = Granularity.parse(opts.get("level", default_level)).value
     return params
 
@@ -339,14 +329,11 @@ def _merged(
 ) -> tuple[TensorArchive, MergeWeights | None]:
     """The archive merged by `method` with its recorded `params`, and its
     solved weights (None for the methods that solve nothing)."""
-    if method == "linear_solve":
-        return merge_linear_solve(base, models, datasets=datasets, **params)
-    merge = {
-        "weight_avg": merge_weight_average,
-        "task_arithmetic": merge_task_arithmetic,
-        "dare": merge_dare,
-    }[method]
-    return merge(base, models, **params), None
+    merge, _, inputs = METHODS[method]
+    given = {"datasets": datasets}
+    result = merge(base, models, **params, **{key: given[key] for key in inputs})
+    # Only merge_linear_solve returns its solved weights with the archive.
+    return result if isinstance(result, tuple) else (result, None)
 
 
 def _file_entry(path: Path) -> dict:
@@ -379,7 +366,7 @@ def cmd_merge(opts: Options) -> bool:
     else:
         alpha = float(opts.get("alpha", 1.0 / len(models)))
         values = {"alpha": alpha, "drop_p": float(opts.get("drop_p")), "seed": opts.get("seed")}
-        params = {key: values[key] for key in METHOD_PARAMS[method]}
+        params = {key: values[key] for key in METHODS[method].params}
     out = opts.out_dir()
     merged, weights = _merged(method, params, base, models, datasets)
     merged_path = out / "merged.ta"
@@ -494,10 +481,9 @@ SOLVES = ("solve", "merge", "compare")  # the commands that read the linear-solv
 # it. A command takes only the flags of the options it reads.
 Option = namedtuple("Option", "key flags kind default commands")
 OPTIONS = {option.key: option for option in [
-    # --config names the file; the file's "config" key is the gen-fixture
-    # model-size object, read with the FIXTURE_MODEL_DEFAULTS flags.
+    # --config names the file, so it is no config key.
     Option("config", {"--config": {"type": Path, "help": "JSON file of option defaults"}},
-           "an object", None, tuple(COMMANDS)),
+           None, None, tuple(COMMANDS)),
     Option("out", {"--out": {"type": Path, "help": "output directory (default: cwd)"}},
            "a string", ".", tuple(COMMANDS)),
     Option("base", {"--base": {"type": Path, "help": "base checkpoint archive"}},
@@ -525,9 +511,16 @@ OPTIONS = {option.key: option for option in [
     Option("tau_scale", {"--tau-scale": {"type": float}}, "a number", None, ("gen-fixture",)),
     Option("dataset_size", {"--dataset-size": {"type": int}}, "an integer", None, ("gen-fixture",)),
     Option("seq_len", {"--seq-len": {"type": int}}, "an integer", None, ("gen-fixture",)),
+    # The fixture's MODEL_SIZES.
+    Option("d_model", {"--d-model": {"type": int}}, "an integer", 32, ("gen-fixture",)),
+    Option("n_heads", {"--n-heads": {"type": int}}, "an integer", 4, ("gen-fixture",)),
+    Option("n_layers", {"--n-layers": {"type": int}}, "an integer", 4, ("gen-fixture",)),
+    Option("d_ff", {"--d-ff": {"type": int}}, "an integer", 64, ("gen-fixture",)),
+    Option("vocab_size", {"--vocab-size": {"type": int}}, "an integer", 64, ("gen-fixture",)),
+    Option("max_seq", {"--max-seq": {"type": int}}, "an integer", 64, ("gen-fixture",)),
 ]}
 # The JSON kind each config-file key must have.
-CONFIG_TYPES = {key: option.kind for key, option in OPTIONS.items()}
+CONFIG_TYPES = {key: option.kind for key, option in OPTIONS.items() if option.kind}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,9 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
             if command in option.commands:
                 for flag, keywords in option.flags.items():
                     p.add_argument(flag, dest=option.key, default=None, **keywords)
-        if command == "gen-fixture":
-            for key in FIXTURE_MODEL_DEFAULTS:
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     return parser
 
 

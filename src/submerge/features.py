@@ -45,7 +45,7 @@ from .archive import TensorArchive, combine, require_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup
 from .errors import CoeffError, CompatError, InputError, PlanError, SampleError
 from .model import ATTENTION_PARAMS, BoundModel, ModelConfig, attention_block, attention_contexts
-from .model import forward_taps, mlp_block, output_block, validated_tokens
+from .model import forward_logits, forward_taps, mlp_block, output_block, validated_tokens
 
 
 @dataclass
@@ -59,7 +59,6 @@ class FeatureStore:
     """
 
     plan: DecompositionPlan
-    config: ModelConfig
     n_tasks: int
     weights: Mapping[str, np.ndarray]
     inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
@@ -69,7 +68,9 @@ class FeatureStore:
 
     def rows(self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]) -> np.ndarray:
         """The group's rows on one task's inputs under `group_parameters` weights."""
-        return _group_rows(group, weights, self.inputs[(group.id, task)], self.config)
+        if self.plan.group(group.id) != group:
+            raise PlanError(f"group {group.id!r} is not the stored plan's group of that id")
+        return _group_rows(group, weights, self.inputs[(group.id, task)], self.plan.config)
 
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
         """The group's output rows on one task's inputs under the traced weights."""
@@ -169,7 +170,7 @@ class DeltaStore:
     def _head_deltas(self, group: SubmoduleGroup) -> None:
         """Deltas of a head group above 0, read off its layer's contexts."""
         features, layer = self.features, group.layer
-        config = features.config
+        config = features.plan.config
         o_proj_name = f"layers.{layer}.attn.o_proj"
         if self.context_layer != layer:
             # Free the held layer's contexts before building this one's.
@@ -245,8 +246,7 @@ def _group_rows(
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
         if kind == "model_logits":
-            taps = forward_taps(config, weights, batch.astype(np.int64))
-            return next(value for tap, value in taps if tap == "logits")
+            return forward_logits(config, weights, batch.astype(np.int64))
         if kind == "embed_rows":
             return weights["embed"][batch.astype(np.int64)]
         x = batch.astype(np.float64)
@@ -346,9 +346,9 @@ def collect_base_features(
     """
     if sample_n < 1:
         raise SampleError(f"sample count must be >= 1, got {sample_n}")
-    store = FeatureStore(
-        plan=plan, config=base.config, n_tasks=len(datasets), weights=base.weights
-    )
+    if plan.config != base.config:
+        raise PlanError("the plan was made for another model config than the traced model's")
+    store = FeatureStore(plan=plan, n_tasks=len(datasets), weights=base.weights)
     taps = {group.input_tap for group in plan.groups}
     for task, dataset in enumerate(datasets):
         if len(dataset) < sample_n:

@@ -36,6 +36,8 @@ from .errors import BindError, ConfigError, InputError, decode_json
 # `layers.{i}.`, in the order each block reads them.
 ATTENTION_PARAMS = ("norm1", "attn.q_proj", "attn.k_proj", "attn.v_proj", "attn.o_proj")
 MLP_PARAMS = ("norm2", "mlp.gate_proj", "mlp.up_proj", "mlp.down_proj")
+# The integer size fields of ModelConfig.
+MODEL_SIZES = ("d_model", "n_heads", "n_layers", "d_ff", "vocab_size", "max_seq")
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class ModelConfig:
     rope_theta: float = 10000.0
 
     def __post_init__(self) -> None:
-        for field in ("d_model", "n_heads", "n_layers", "d_ff", "vocab_size", "max_seq"):
+        for field in MODEL_SIZES:
             value = getattr(self, field)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
@@ -265,6 +267,13 @@ def forward_pass(
     return dict(forward_taps(config, weights, tokens))
 
 
+def forward_logits(
+    config: ModelConfig, weights: Mapping[str, np.ndarray], tokens: np.ndarray
+) -> np.ndarray:
+    """The logits of `forward_taps`; every other tap is dropped as it is computed."""
+    return next(value for tap, value in forward_taps(config, weights, tokens) if tap == "logits")
+
+
 def validated_tokens(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
     try:
         arr = np.asarray(tokens, dtype=np.int64)
@@ -289,7 +298,7 @@ def eval_cross_entropy(model: BoundModel, dataset: Sequence[Sequence[int]]) -> f
         arr = validated_tokens(model.config, seq)
         if arr.size < 2:
             raise InputError("sequences must have length >= 2 to score next tokens")
-        logits = forward_pass(model.config, model.weights, arr)["logits"][:-1]
+        logits = forward_logits(model.config, model.weights, arr)[:-1]
         targets = arr[1:]
         total += float(np.sum(logsumexp(logits, axis=1) - logits[np.arange(len(targets)), targets]))
         count += len(targets)

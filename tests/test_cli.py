@@ -18,7 +18,6 @@ from submerge import ConfigError, SubmergeError, TensorArchive, read_archive, wr
 from submerge.cli import (
     COMMANDS,
     CONFIG_TYPES,
-    FIXTURE_MODEL_DEFAULTS,
     JSON_TYPE_CHECKS,
     METHODS,
     OPTIONS,
@@ -76,6 +75,25 @@ class TestGenFixture:
         assert rc == 0
         for name in ("base.ta", "task0.ta", "task1.jsonl", "fixture.json"):
             assert (tmp_path / name).read_bytes() == (fixture_dir / name).read_bytes()
+
+    def test_model_sizes_in_config_match_the_flags(self, tmp_path):
+        sizes = {"d_model": 16, "n_heads": 2, "n_layers": 2, "d_ff": 32, "vocab_size": 17, "max_seq": 16}
+        flags = [part for key, value in sizes.items() for part in (f"--{key.replace('_', '-')}", str(value))]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({**sizes, "seed": 4}))
+        assert main(["gen-fixture", *flags, "--seed", "4", "--out", str(tmp_path / "flags")]) == 0
+        assert main(["gen-fixture", "--config", str(config_path), "--out", str(tmp_path / "config")]) == 0
+        for name in ("base.ta", "task0.ta", "task1.ta", "task0.jsonl", "task1.jsonl", "fixture.json"):
+            assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    def test_nested_model_config_object_exits_2_before_writing(self, tmp_path, capsys):
+        # The model sizes are top-level keys; a "config" object is not read as defaults.
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"config": {"d_model": 16, "n_heads": 2}}))
+        out = tmp_path / "out"
+        rc = main(["gen-fixture", "--config", str(config_path), "--out", str(out)])
+        assert "unknown config key 'config'" in assert_input_error(rc, capsys)
+        assert not out.exists()
 
     def test_invalid_spec_exits_2(self, tmp_path):
         rc = main(
@@ -818,7 +836,7 @@ class TestCompare:
                 ["--method", "linear_solve", "--level", "attn_mlp", "--samples-per-task", "4"],
             ),
         ],
-        ids=METHODS,
+        ids=list(METHODS),
     )
     def test_row_is_merge_then_eval(self, fixture_dir, compare_dir, tmp_path, row_id, flags):
         payload = json.loads((compare_dir / "compare.json").read_text())
@@ -954,7 +972,7 @@ class TestDecodeBoundary:
         assert not out.exists()
 
 
-CONFIG_BYTES = json.dumps({"seed": 3, "levels": ["layer"], "config": {"d_model": 16}}).encode()
+CONFIG_BYTES = json.dumps({"seed": 3, "levels": ["layer"], "d_model": 16}).encode()
 
 
 @settings(max_examples=300, deadline=None)
@@ -1007,15 +1025,13 @@ def test_config_value_is_of_declared_kind_or_config_error(config_path, key, valu
 
 def test_config_types_match_parser_options():
     """Each command's parser has exactly the flags of the OPTIONS rows that name
-    the command as a reader (plus the gen-fixture model sizes), and every row is
-    a config key, so a new option is a flag and a config key at once."""
+    the command as a reader, and every row but --config is a config key, so a
+    new option is a flag and a config key at once."""
     parser = build_parser()
     for command in COMMANDS:
         dests = set(vars(parser.parse_args([command]))) - {"func", "command"}
-        if command == "gen-fixture":
-            dests -= set(FIXTURE_MODEL_DEFAULTS)
         assert dests == {key for key, option in OPTIONS.items() if command in option.commands}
-    assert set(CONFIG_TYPES) == set(OPTIONS)
+    assert set(CONFIG_TYPES) == set(OPTIONS) - {"config"}
 
 
 def command_inputs(fixture_dir, command):

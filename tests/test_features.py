@@ -157,6 +157,25 @@ class TestCollect:
             tracemalloc.stop()
         assert peak - rows.nbytes < trace_bytes / 2
 
+    @pytest.mark.parametrize(
+        "traced, planned, level",
+        [
+            ((2, 2), (4, 2), Granularity.HEAD_MLP),
+            ((4, 2), (4, 3), Granularity.LAYER),
+            ((4, 2), (2, 2), Granularity.HEAD_MLP),
+        ],
+        ids=["more_heads", "more_layers", "fewer_heads"],
+    )
+    def test_plan_for_another_model_config(self, traced, planned, level):
+        # Each once failed later (a reshape error, a KeyError) or mislabelled head groups.
+        def config(n_heads, n_layers):
+            return ModelConfig(32, n_heads, n_layers, d_ff=64, vocab_size=64, max_seq=16)
+
+        model = bind_weights(random_checkpoint(config(*traced), 3), config(*traced))
+        plan = plan_decomposition(config(*planned), level)
+        with pytest.raises(PlanError, match="another model config"):
+            collect_base_features(model, [[[1, 2, 3, 4], [5, 6, 7]]], plan, sample_n=2)
+
     def test_too_small_dataset(self, tiny_config, setup):
         model, datasets, _ = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from submerge import CoeffError, CompatError, DegenerateError, InputError, TensorArchive, task_vector
+from submerge import (
+    CoeffError, CompatError, DegenerateError, InputError, PlanError, TensorArchive, task_vector,
+)
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import collect_base_features, compute_delta_outputs
 from submerge.linearity import (
@@ -173,6 +176,18 @@ class TestInputsAreChecked:
         bad = [taus[0], mismatched_task_vector(taus[1], kind)]
         with pytest.raises(CompatError, match=f"task vector 1: .*{MISMATCHES[kind]}"):
             metric_sweep(store, deltas, tiny_checkpoint, bad, plan.group("layer.0"), grid=[[0.5, 0.5]])
+
+    @pytest.mark.parametrize("kind", ["other_plan", "same_id"])
+    def test_non_linearity_score_rejects_a_group_of_another_plan(
+        self, tiny_config, tiny_checkpoint, pipeline, kind
+    ):
+        plan, store, taus, _ = pipeline
+        if kind == "other_plan":
+            group = plan_decomposition(tiny_config, Granularity.ATTN_MLP).group("attn.0")
+        else:
+            group = dataclasses.replace(plan.group("layer.0"), input_tap="attn_in.1")
+        with pytest.raises(PlanError, match="'(attn|layer).0'"):
+            non_linearity_score(store, tiny_checkpoint, taus[0], group, n_points=2)
 
     def test_non_linearity_score_base_must_be_the_traced_model(self, tiny_checkpoint, pipeline):
         # Interpolating from another base would score a different path silently.
