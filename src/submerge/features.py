@@ -18,33 +18,38 @@ block written into its sequences' token rows in input order. Base outputs
 and output deltas are computed when a group is first read and held one
 group at a time: the base rows per task, and the [n_models, rows, width]
 delta block per data task that the solver reads.
-A group's base rows live from their first read until another group's base
-rows or deltas are read: in `analyze` they are the k = 0 interpolation step
-of `non_linearity_score` and the subtrahend of the group's deltas and of
-every sweep alpha's merged delta, computed once per group and task.
+A group's base rows live from their first read until another group is held
+(`FeatureStore._hold`, which also checks that the group is the plan's): in
+`analyze` they are the k = 0 interpolation step of `non_linearity_score`
+and the subtrahend of every sweep alpha's merged delta, computed once per
+group and task.
 
-Head groups 1..H-1 of a layer read `norm1` at its base value, and heads are
-independent given the normed input, so their deltas come from the layer's
-full attention contexts: one `attention_contexts` call per task under the
-base weights and one per fine-tuned model under its q/k/v_proj and the base
-`norm1`. Head h's rows are the columns of the contexts that match the
-o_proj columns the group owns, times those columns.
-`DeltaStore` holds one layer's float64 contexts while its head groups are
-read and frees them as soon as a group that is not a head group is read.
-Head 0 owns `norm1` and is evaluated alone, like every other group.
+`DeltaStore.grouped` is the one delta loop: per data task, a group supplies
+its base rows and then each fine-tuned model's rows, and each model's
+delta is its rows minus the base rows. Most groups read `base_rows` and
+`rows`. Head groups 1..H-1 of a layer read `norm1` at its base value, and
+heads are independent given the normed input, so their rows come from the
+layer's full attention contexts: one `attention_contexts` call per task
+under the base weights and one per fine-tuned model under its q/k/v_proj
+and the base `norm1`. Head h's rows are the columns of the contexts that
+match the o_proj columns the group owns, times those columns, rounded to
+f32. `DeltaStore` holds one layer's float64 contexts while that layer's
+heads above 0 are read and frees them as soon as any other group is.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .archive import TensorArchive, combine, require_compatible
-from .decompose import DecompositionPlan, SubmoduleGroup
+from .decompose import FULL, DecompositionPlan, SubmoduleGroup
 from .errors import CoeffError, CompatError, InputError, PlanError, SampleError
-from .model import ATTENTION_PARAMS, BoundModel, ModelConfig, attention_block, attention_contexts
+from .model import BoundModel, ModelConfig, attention_block, attention_contexts
 from .model import forward_logits, forward_taps, mlp_block, output_block, validated_tokens
 
 
@@ -55,7 +60,8 @@ class FeatureStore:
 
     `base_outputs[(group id, task)]` holds the base rows of every sequence
     stacked in input order. `base_rows` fills it on first use with the
-    traced `weights` and drops the rows of any other group.
+    traced `weights` and drops the rows of any other group; a group that is
+    not the plan's raises `PlanError` and drops nothing.
     """
 
     plan: DecompositionPlan
@@ -68,30 +74,28 @@ class FeatureStore:
 
     def rows(self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]) -> np.ndarray:
         """The group's rows on one task's inputs under `group_parameters` weights."""
-        if self.plan.group(group.id) != group:
-            raise PlanError(f"group {group.id!r} is not the stored plan's group of that id")
+        self._require_planned(group)
         return _group_rows(group, weights, self.inputs[(group.id, task)], self.plan.config)
 
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
         """The group's output rows on one task's inputs under the traced weights."""
+        self._hold(group)
         key = (group.id, task)
         rows = self.base_outputs.get(key)
         if rows is None:
-            self.hold_base_rows(group.id)
             rows = self.rows(group, task, group_parameters(group, self.weights))
             self.base_outputs[key] = rows
         return rows
 
-    def hold_base_rows(self, group_id: str) -> None:
-        """Drop the held base rows unless they are `group_id`'s."""
-        if any(held != group_id for held, _ in self.base_outputs):
+    def _hold(self, group: SubmoduleGroup) -> None:
+        """Raise `PlanError` unless `group` is the plan's; then drop other groups' base rows."""
+        self._require_planned(group)
+        if any(held != group.id for held, _ in self.base_outputs):
             self.base_outputs.clear()
 
-    def delta_rows(
-        self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]
-    ) -> np.ndarray:
-        """The group's rows on one task's inputs under `weights`, minus the base rows."""
-        return self.rows(group, task, weights) - self.base_rows(group, task)
+    def _require_planned(self, group: SubmoduleGroup) -> None:
+        if self.plan.group(group.id) != group:
+            raise PlanError(f"group {group.id!r} is not the stored plan's group of that id")
 
     def require_traced_base(self, base: TensorArchive) -> None:
         """Raise `CompatError` unless `base` holds exactly the traced weights.
@@ -119,9 +123,10 @@ class DeltaStore:
     the held group. The plan and the base weights are the `features`
     store's.
 
-    While head groups above 0 are read, `contexts` holds the attention
-    contexts of layer `context_layer`: per weight set (the base, then each
-    model), its float64 o_proj and one [rows, d_model] context per data task.
+    While a layer's head groups above 0 are read, `contexts` holds the
+    attention contexts of layer `context_layer`: per weight set (the base,
+    then each model), its float64 o_proj and one [rows, d_model] context per
+    data task.
     """
 
     features: FeatureStore
@@ -132,79 +137,75 @@ class DeltaStore:
     context_layer: int | None = field(default=None, init=False)
 
     @property
-    def n_tasks(self) -> int:
-        return self.features.n_tasks
-
-    @property
     def n_models(self) -> int:
         return len(self.fine_tuned)
 
     def grouped(self, group_id: str) -> list[np.ndarray]:
         """Per data task, an array [n_models, rows, width]."""
+        features = self.features
         if self.held != group_id:
-            features = self.features
             group = features.plan.group(group_id)
+            features._hold(group)
             self.deltas.clear()
-            features.hold_base_rows(group_id)
             self.held = None
-            if group.output_kind != "head_branch":
-                self.contexts, self.context_layer = [], None
-            if group.output_kind == "head_branch" and group.head_index > 0:
-                self._head_deltas(group)
-            else:
-                params = [
-                    group_parameters(group, features.weights, source=archive.tensors)
-                    for archive in self.fine_tuned
-                ]
-                for task in range(self.n_tasks):
-                    self.deltas[(group_id, task)] = np.stack(
-                        [features.delta_rows(group, task, p) for p in params]
-                    )
+            task_rows = self._task_rows(group)
+            for task in range(features.n_tasks):
+                rows = task_rows(task)
+                base = next(rows)
+                self.deltas[(group_id, task)] = np.stack([model - base for model in rows])
             self.held = group_id
-        return [self.deltas[(group_id, task)] for task in range(self.n_tasks)]
+        return [self.deltas[(group_id, task)] for task in range(features.n_tasks)]
 
     def pooled(self, group_id: str) -> np.ndarray:
         """Float64 [n_models, rows of every data task, width]."""
         return np.concatenate(self.grouped(group_id), axis=1, dtype=np.float64)
 
-    def _head_deltas(self, group: SubmoduleGroup) -> None:
-        """Deltas of a head group above 0, read off its layer's contexts."""
+    def _task_rows(self, group: SubmoduleGroup) -> Callable[[int], Iterator[np.ndarray]]:
+        """Per data task, the group's f32 base rows and then each model's rows.
+
+        A head group above 0 reads them off its layer's contexts, built unless
+        held; every other group evaluates its block and holds no contexts.
+        """
         features, layer = self.features, group.layer
-        config = features.plan.config
+        if not group.head_index:
+            self.contexts, self.context_layer = [], None
+            params = [
+                group_parameters(group, features.weights, source=archive.tensors)
+                for archive in self.fine_tuned
+            ]
+            return lambda task: itertools.chain(
+                [features.base_rows(group, task)], (features.rows(group, task, p) for p in params)
+            )
         o_proj_name = f"layers.{layer}.attn.o_proj"
         if self.context_layer != layer:
             # Free the held layer's contexts before building this one's.
             self.contexts, self.context_layer = [], None
+            # Each model's q/k/v/o_proj whole; norm1 stays at the base.
+            whole = dataclasses.replace(group, params=dict.fromkeys(group.params, FULL))
             weight_sets = [features.weights] + [
-                _attention_weights(layer, features.weights, archive.tensors)
+                group_parameters(whole, features.weights, source=archive.tensors)
                 for archive in self.fine_tuned
             ]
-            self.contexts = [
-                (
-                    weights[o_proj_name],
-                    [
-                        _rows_in_order(
-                            features.inputs[(group.id, task)],
-                            lambda x: attention_contexts(x.astype(np.float64), weights, config, layer),
-                            np.float64,
-                        )
-                        for task in range(self.n_tasks)
-                    ],
-                )
-                for weights in weight_sets
-            ]
+            config = features.plan.config
+
+            def layer_contexts(weights: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+                return [
+                    _rows_in_order(
+                        features.inputs[(group.id, task)],
+                        lambda x: attention_contexts(x.astype(np.float64), weights, config, layer),
+                        np.float64,
+                    )
+                    for task in range(features.n_tasks)
+                ]
+
+            self.contexts = [(w[o_proj_name], layer_contexts(w)) for w in weight_sets]
             self.context_layer = layer
         # All rows and the head's columns: of o_proj, and of the [rows, d_model] contexts.
         cols = group.params[o_proj_name]
-        (base_o_proj, base_contexts), *models = self.contexts
-        for task in range(self.n_tasks):
-            base_rows = (base_contexts[task][cols] @ base_o_proj[cols].T).astype(np.float32)
-            self.deltas[(group.id, task)] = np.stack(
-                [
-                    (contexts[task][cols] @ weight[cols].T).astype(np.float32) - base_rows
-                    for weight, contexts in models
-                ]
-            )
+        return lambda task: (
+            (contexts[task][cols] @ o_proj[cols].T).astype(np.float32)
+            for o_proj, contexts in self.contexts
+        )
 
 
 def _length_buckets(seqs: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
@@ -281,16 +282,6 @@ def apply_group(
                     f"group {group.id!r} expects [seq x {config.d_model}] inputs, got {arr.shape}"
                 )
     return _group_rows(group, group_parameters(group, params), inputs, config)
-
-
-def _attention_weights(
-    layer: int, base: Mapping[str, np.ndarray], source: Mapping[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """One layer's float64 attention weights: norm1 from `base`, q/k/v/o_proj from `source`."""
-    norm1, *projections = (f"layers.{layer}.{name}" for name in ATTENTION_PARAMS)
-    weights = {norm1: np.asarray(base[norm1], dtype=np.float64)}
-    weights.update((name, np.asarray(source[name], dtype=np.float64)) for name in projections)
-    return weights
 
 
 def group_parameters(

@@ -170,7 +170,10 @@ def merged_group_deltas(
     weights = group_parameters(
         group, store.weights, taus=[tau.tensors for tau in taus], coeffs=alpha
     )
-    rows = [store.delta_rows(group, task, weights) for task in range(store.n_tasks)]
+    rows = [
+        store.rows(group, task, weights) - store.base_rows(group, task)
+        for task in range(store.n_tasks)
+    ]
     return np.concatenate(rows, dtype=np.float64)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import submerge.features
 from submerge import CoeffError, CompatError, InputError, PlanError, SampleError, TensorArchive, task_vector
-from submerge.decompose import Granularity, plan_decomposition
+from submerge.decompose import FULL, Granularity, plan_decomposition
 from submerge.features import (
     apply_group,
     collect_base_features,
@@ -433,33 +433,31 @@ class TestDeltas:
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
     ):
         # Head groups above 0 read their deltas off the layer's attention
-        # contexts, built from one weight set per (layer, model); every other
-        # group builds its parameters once per (group, model). Calls without a
-        # source build base weights for the base rows and are not counted.
+        # contexts, built from one weight set per (layer, model): the head
+        # group's parameters widened to whole tensors. Every other group builds
+        # its parameters once per (group, model). Calls without a source build
+        # base weights for the base rows and are not counted.
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         calls: dict[tuple[str, int], int] = {}
         layer_calls: dict[tuple[int, int], int] = {}
         original = submerge.features.group_parameters
-        original_weights = submerge.features._attention_weights
 
         def model_index(source):
             return next(t for t, ft in enumerate(fine_tuned) if ft.tensors is source)
 
         def counting(group, base, source=None, **kwargs):
-            if source is not None:
+            if source is not None and group.head_index:
+                assert all(idx is FULL for idx in group.params.values()), group.id
+                key = (group.layer, model_index(source))
+                layer_calls[key] = layer_calls.get(key, 0) + 1
+            elif source is not None:
                 key = (group.id, model_index(source))
                 calls[key] = calls.get(key, 0) + 1
             return original(group, base, source=source, **kwargs)
 
-        def counting_weights(layer, base, source):
-            key = (layer, model_index(source))
-            layer_calls[key] = layer_calls.get(key, 0) + 1
-            return original_weights(layer, base, source)
-
         monkeypatch.setattr(submerge.features, "group_parameters", counting)
-        monkeypatch.setattr(submerge.features, "_attention_weights", counting_weights)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         solve_plan(plan, deltas)
         alone = [g for g in plan.groups if g.output_kind != "head_branch" or g.head_index == 0]
@@ -493,7 +491,7 @@ class TestDeltas:
             for t, archive in enumerate(fine_tuned):
                 params = group_parameters(group, base.tensors, source=archive.tensors)
                 for task in range(2):
-                    direct = store.delta_rows(group, task, params)
+                    direct = store.rows(group, task, params) - store.base_rows(group, task)
                     np.testing.assert_allclose(expected[group.id][task][t], direct, rtol=0, atol=1e-6)
         order = [
             "head.1.2", "head.0.3", "head.1.1", "head.1.3", "mlp.0", "head.1.2",
@@ -571,6 +569,25 @@ class TestGroupParameters:
             group_parameters(group, base, taus=taus, coeffs=[0.5])
         with pytest.raises(InputError, match="not both"):
             group_parameters(group, base, source=taus[0], taus=taus[1:], coeffs=[0.5])
+
+
+class TestBaseRows:
+    @pytest.mark.parametrize("kind", ["other_plan", "same_id"])
+    def test_a_group_of_another_plan_is_refused_and_the_held_rows_kept(
+        self, tiny_config, setup, kind
+    ):
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        held = {task: store.base_rows(plan.group("layer.0"), task) for task in range(2)}
+        if kind == "other_plan":
+            group = plan_decomposition(tiny_config, Granularity.ATTN_MLP).group("attn.0")
+        else:
+            group = dataclasses.replace(plan.group("layer.0"), input_tap="attn_in.1")
+        with pytest.raises(PlanError, match="'(attn|layer).0'"):
+            store.base_rows(group, 0)
+        assert store.base_outputs.keys() == {("layer.0", task) for task in held}
+        assert all(store.base_outputs[("layer.0", task)] is rows for task, rows in held.items())
 
 
 class TestInterpolation:
