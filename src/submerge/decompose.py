@@ -77,7 +77,22 @@ def head_slices(config: ModelConfig, layer: int, head: int) -> dict[str, Index]:
         raise PlanError(f"layer {layer} out of range for n_layers={config.n_layers}")
     if not 0 <= head < config.n_heads:
         raise PlanError(f"head {head} out of range for n_heads={config.n_heads}")
-    rows = slice(head * config.head_dim, (head + 1) * config.head_dim)
+    return _head_rows(layer, slice(head * config.head_dim, (head + 1) * config.head_dim))
+
+
+def context_slices(config: ModelConfig, layer: int, head: int) -> tuple[dict[str, Index], Index]:
+    """For head group `head` >= 1 of `layer`: the q/k/v_proj rows and o_proj
+    columns of heads 1..H-1, which read `norm1` at its base value and so share
+    one attention context per weight set (head 0 owns `norm1`), and the index
+    of this head's columns in those contexts and in that o_proj slice."""
+    width = config.head_dim
+    return _head_rows(layer, slice(width, config.d_model)), (
+        slice(None),
+        slice((head - 1) * width, head * width),
+    )
+
+
+def _head_rows(layer: int, rows: slice) -> dict[str, Index]:
     pre = f"layers.{layer}.attn"
     return {
         f"{pre}.q_proj": rows,

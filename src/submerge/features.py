@@ -1,23 +1,25 @@
 """Collect submodule input features from the base model and apply groups.
 
-The base model runs once over the sampled sequences, one batched forward
-pass per sequence length; every group's input is read off that single trace
-(base-input discipline: fine-tuned and interpolated groups are always
-evaluated on the base model's features, never on their own forward pass).
-The pass streams its taps (`forward_taps`): each tap a group reads is
-rounded to f32 and stored as soon as it is computed, and every other tap is
-dropped, so no whole float64 trace is held. A group's function is its
-`model` block on the parameter slices the group owns, plus the parameters
-it only reads, whole. `group_parameters` builds exactly those float64
-weights for one parameter set (a source model's slices, or base + sum_t
-c_t tau_t; the read-only ones at the base value), and `FeatureStore.rows`
-evaluates the block on them, on all stored sequences of one length in a
-single call, so identical weights reproduce identical bytes. A group's
-outputs on one task are one f32 [rows, width] matrix, each length bucket's
-block written into its sequences' token rows in input order. Base outputs
-and output deltas are computed when a group is first read and held one
-group at a time: the base rows per task, and the [n_models, rows, width]
-delta block per data task that the solver reads.
+The base model runs once over the sampled sequences; every group's input is
+read off that single trace (base-input discipline: fine-tuned and
+interpolated groups are always evaluated on the base model's features, never
+on their own forward pass). Every evaluation, the trace included, is batched
+by `model.length_buckets`: sequences of one length, stacked in input-order
+slices of at most `model.MAX_BATCH`, one call per slice, so the float64
+temporaries do not grow with the sample count. The pass streams its taps
+(`forward_taps`): each tap a group reads is rounded to f32 and stored as
+soon as it is computed, and every other tap is dropped, so no whole float64
+trace is held. A group's function is its `model` block on the parameter
+slices the group owns, plus the parameters it only reads, whole.
+`group_parameters` builds exactly those float64 weights for one parameter
+set (a source model's slices, or base + sum_t c_t tau_t; the read-only ones
+at the base value), and `FeatureStore.rows` evaluates the block on them, one
+call per batch, so identical weights reproduce identical bytes. A group's
+outputs on one task are one f32 [rows, width] matrix, each batch's block
+written into its sequences' token rows in input order. Base outputs and
+output deltas are computed when a group is first read and held one group at
+a time: the base rows per task, and the [n_models, rows, width] delta block
+per data task that the solver reads.
 A group's base rows live from their first read until another group is held
 (`FeatureStore._hold`, which also checks that the group is the plan's): in
 `analyze` they are the k = 0 interpolation step of `non_linearity_score`
@@ -29,12 +31,14 @@ its base rows and then each fine-tuned model's rows, and each model's
 delta is its rows minus the base rows. Most groups read `base_rows` and
 `rows`. Head groups 1..H-1 of a layer read `norm1` at its base value, and
 heads are independent given the normed input, so their rows come from the
-layer's full attention contexts: one `attention_contexts` call per task
-under the base weights and one per fine-tuned model under its q/k/v_proj
-and the base `norm1`. Head h's rows are the columns of the contexts that
-match the o_proj columns the group owns, times those columns, rounded to
-f32. `DeltaStore` holds one layer's float64 contexts while that layer's
-heads above 0 are read and frees them as soon as any other group is.
+layer's shared attention contexts of heads 1..H-1
+(`decompose.context_slices`): one `attention_contexts` call per batch under
+the base weights and one per fine-tuned model under its q/k/v_proj rows of
+those heads and the base `norm1`. Head h's rows are its columns of the
+contexts, at offset (h-1) * head_dim, times the same columns of the o_proj
+slice, rounded to f32. `DeltaStore` holds one layer's float64 contexts while
+that layer's heads above 0 are read and frees them as soon as any other
+group is.
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .archive import TensorArchive, combine, require_compatible
-from .decompose import FULL, DecompositionPlan, SubmoduleGroup
+from .decompose import DecompositionPlan, SubmoduleGroup, context_slices
 from .errors import CoeffError, CompatError, InputError, PlanError, SampleError
 from .model import BoundModel, ModelConfig, attention_block, attention_contexts
-from .model import forward_logits, forward_taps, mlp_block, output_block, validated_tokens
+from .model import forward_logits, forward_taps, length_buckets, mlp_block, output_block
+from .model import validated_tokens
 
 
 @dataclass
@@ -124,9 +129,10 @@ class DeltaStore:
     store's.
 
     While a layer's head groups above 0 are read, `contexts` holds the
-    attention contexts of layer `context_layer`: per weight set (the base,
-    then each model), its float64 o_proj and one [rows, d_model] context per
-    data task.
+    attention contexts of heads 1..H-1 of layer `context_layer`: per weight
+    set (the base, then each model), the float64 o_proj columns of those
+    heads, [d_model, d_model - head_dim], and one [rows, d_model - head_dim]
+    context per data task.
     """
 
     features: FeatureStore
@@ -176,17 +182,16 @@ class DeltaStore:
             return lambda task: itertools.chain(
                 [features.base_rows(group, task)], (features.rows(group, task, p) for p in params)
             )
-        o_proj_name = f"layers.{layer}.attn.o_proj"
+        config = features.plan.config
+        shared, cols = context_slices(config, layer, group.head_index)
         if self.context_layer != layer:
             # Free the held layer's contexts before building this one's.
             self.contexts, self.context_layer = [], None
-            # Each model's q/k/v/o_proj whole; norm1 stays at the base.
-            whole = dataclasses.replace(group, params=dict.fromkeys(group.params, FULL))
-            weight_sets = [features.weights] + [
-                group_parameters(whole, features.weights, source=archive.tensors)
-                for archive in self.fine_tuned
-            ]
-            config = features.plan.config
+            # Heads 1..H-1's q/k/v rows and o_proj columns from each weight
+            # set, the base first; norm1 stays at the base.
+            heads = dataclasses.replace(group, params=shared)
+            sources = [features.weights] + [archive.tensors for archive in self.fine_tuned]
+            weight_sets = [group_parameters(heads, features.weights, source=s) for s in sources]
 
             def layer_contexts(weights: Mapping[str, np.ndarray]) -> list[np.ndarray]:
                 return [
@@ -198,32 +203,24 @@ class DeltaStore:
                     for task in range(features.n_tasks)
                 ]
 
+            o_proj_name = f"layers.{layer}.attn.o_proj"
             self.contexts = [(w[o_proj_name], layer_contexts(w)) for w in weight_sets]
             self.context_layer = layer
-        # All rows and the head's columns: of o_proj, and of the [rows, d_model] contexts.
-        cols = group.params[o_proj_name]
+        # All rows and this head's columns of the o_proj slice and of the contexts.
         return lambda task: (
             (contexts[task][cols] @ o_proj[cols].T).astype(np.float32)
             for o_proj, contexts in self.contexts
         )
 
 
-def _length_buckets(seqs: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
-    """Sequences grouped by length: (positions in `seqs`, stacked batch) per length."""
-    by_length: dict[int, list[int]] = {}
-    for index, seq in enumerate(seqs):
-        by_length.setdefault(len(seq), []).append(index)
-    return [(pos, np.stack([seqs[i] for i in pos])) for pos in by_length.values()]
-
-
 def _rows_in_order(
     inputs: Sequence[np.ndarray], evaluate: Callable[[np.ndarray], np.ndarray], dtype: type
 ) -> np.ndarray:
-    """`evaluate` on each length bucket of `inputs`, written into one `dtype`
-    [rows, width] result: every input's rows, in input order."""
+    """`evaluate` on each `length_buckets` batch of `inputs`, written into one
+    `dtype` [rows, width] result: every input's rows, in input order."""
     starts = np.cumsum([0] + [len(seq) for seq in inputs])
     result = None
-    for positions, batch in _length_buckets(inputs):
+    for positions, batch in length_buckets(inputs):
         block = evaluate(batch)
         if result is None:
             result = np.empty((starts[-1], block.shape[-1]), dtype)
@@ -241,7 +238,7 @@ def _group_rows(
     """One group's block on stored inputs under `weights` as `group_parameters`
     builds them; returns an f32 [rows, width], each input's rows in input order.
 
-    Inputs of one length are stacked and evaluated in one call.
+    Inputs of one length are stacked and evaluated in batches of at most `MAX_BATCH`.
     """
     kind, layer = group.output_kind, group.layer
 
@@ -356,7 +353,7 @@ def collect_base_features(
             except InputError as exc:
                 raise InputError(f"task {task} sequence {index}: {exc}") from None
         values = {tap: [np.empty(0)] * len(sequences) for tap in taps}
-        for positions, batch in _length_buckets(sequences):
+        for positions, batch in length_buckets(sequences):
             for tap, stacked in _traced_taps(base, batch, taps):
                 for position, value in zip(positions, stacked):
                     values[tap][position] = value

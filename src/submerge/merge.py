@@ -162,5 +162,7 @@ def merge_linear_solve(
     store = collect_base_features(model, datasets, plan, samples_per_task, seed=seed)
     deltas = compute_delta_outputs(store, base, fine_tuned, plan)
     weights = solve_plan(plan, deltas, normalized=normalized)
+    # The traced model, its features and the held deltas are not read again.
+    del model, store, deltas
     merged = apply_merge_weights(base, fine_tuned, plan, weights)
     return merged, weights

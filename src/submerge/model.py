@@ -38,6 +38,9 @@ ATTENTION_PARAMS = ("norm1", "attn.q_proj", "attn.k_proj", "attn.v_proj", "attn.
 MLP_PARAMS = ("norm2", "mlp.gate_proj", "mlp.up_proj", "mlp.down_proj")
 # The integer size fields of ModelConfig.
 MODEL_SIZES = ("d_model", "n_heads", "n_layers", "d_ff", "vocab_size", "max_seq")
+# The most sequences one batched evaluation stacks: it bounds the float64
+# temporaries of the base trace, every group evaluation and `eval_cross_entropy`.
+MAX_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -288,18 +291,43 @@ def validated_tokens(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
     return arr
 
 
+def length_buckets(seqs: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Sequences grouped by length, each length in input-order slices of at most
+    `MAX_BATCH`: (positions in `seqs`, stacked batch) per slice, stacked as read."""
+    by_length: dict[int, list[int]] = {}
+    for index, seq in enumerate(seqs):
+        by_length.setdefault(len(seq), []).append(index)
+    for positions in by_length.values():
+        for start in range(0, len(positions), MAX_BATCH):
+            part = positions[start : start + MAX_BATCH]
+            yield part, np.stack([seqs[i] for i in part])
+
+
 def eval_cross_entropy(model: BoundModel, dataset: Sequence[Sequence[int]]) -> float:
-    """Mean next-token cross-entropy in nats, pooled over all positions."""
+    """Mean next-token cross-entropy in nats, pooled over all positions.
+
+    Every sequence is checked first. Then each `length_buckets` batch runs
+    one forward pass, each sequence's loss is summed on its own, and the
+    sums are added in dataset order.
+    """
     if len(dataset) == 0:
         raise InputError("empty dataset")
-    total = 0.0
-    count = 0
+    seqs = []
     for seq in dataset:
         arr = validated_tokens(model.config, seq)
         if arr.size < 2:
             raise InputError("sequences must have length >= 2 to score next tokens")
-        logits = forward_logits(model.config, model.weights, arr)[:-1]
-        targets = arr[1:]
-        total += float(np.sum(logsumexp(logits, axis=1) - logits[np.arange(len(targets)), targets]))
-        count += len(targets)
-    return total / count
+        seqs.append(arr)
+    sums = [0.0] * len(seqs)
+    for positions, batch in length_buckets(seqs):
+        batch_logits = forward_logits(model.config, model.weights, batch)
+        for position, arr, logits in zip(positions, batch, batch_logits):
+            logits, targets = logits[:-1], arr[1:]
+            sums[position] = float(
+                np.sum(logsumexp(logits, axis=1) - logits[np.arange(len(targets)), targets])
+            )
+    # Left to right, as a loop over the sequences adds (`sum` compensates from Python 3.12).
+    total = 0.0
+    for loss in sums:
+        total += loss
+    return total / sum(len(arr) - 1 for arr in seqs)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import submerge.features
+import submerge.model
 from submerge import CoeffError, CompatError, InputError, PlanError, SampleError, TensorArchive, task_vector
-from submerge.decompose import FULL, Granularity, plan_decomposition
+from submerge.decompose import Granularity, context_slices, plan_decomposition
 from submerge.features import (
     apply_group,
     collect_base_features,
@@ -18,7 +19,7 @@ from submerge.features import (
     group_parameters,
 )
 from submerge.linearity import metric_sweep
-from submerge.model import ModelConfig, bind_weights, forward_pass
+from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, length_buckets
 from submerge.solver import solve_plan
 
 from conftest import random_checkpoint
@@ -433,10 +434,11 @@ class TestDeltas:
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
     ):
         # Head groups above 0 read their deltas off the layer's attention
-        # contexts, built from one weight set per (layer, model): the head
-        # group's parameters widened to whole tensors. Every other group builds
-        # its parameters once per (group, model). Calls without a source build
-        # base weights for the base rows and are not counted.
+        # contexts, built from one weight set per (layer, source), the base
+        # and each model: the q/k/v rows and o_proj columns of heads 1..H-1.
+        # Every other group builds its parameters once per (group, model).
+        # Calls without a source build base weights for the base rows and are
+        # not counted.
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
@@ -444,16 +446,20 @@ class TestDeltas:
         layer_calls: dict[tuple[int, int], int] = {}
         original = submerge.features.group_parameters
 
-        def model_index(source):
-            return next(t for t, ft in enumerate(fine_tuned) if ft.tensors is source)
+        # Source 0 is the traced base, source t + 1 fine-tuned model t.
+        sources = [store.weights] + [ft.tensors for ft in fine_tuned]
+
+        def source_index(source):
+            return next(t for t, s in enumerate(sources) if s is source)
 
         def counting(group, base, source=None, **kwargs):
             if source is not None and group.head_index:
-                assert all(idx is FULL for idx in group.params.values()), group.id
-                key = (group.layer, model_index(source))
+                shared, _ = context_slices(tiny_config, group.layer, group.head_index)
+                assert group.params == shared, group.id
+                key = (group.layer, source_index(source))
                 layer_calls[key] = layer_calls.get(key, 0) + 1
             elif source is not None:
-                key = (group.id, model_index(source))
+                key = (group.id, source_index(source))
                 calls[key] = calls.get(key, 0) + 1
             return original(group, base, source=source, **kwargs)
 
@@ -462,10 +468,11 @@ class TestDeltas:
         solve_plan(plan, deltas)
         alone = [g for g in plan.groups if g.output_kind != "head_branch" or g.head_index == 0]
         assert len(alone) < len(plan.groups)
-        assert set(calls) == {(g.id, t) for g in alone for t in range(len(fine_tuned))}
+        models = range(1, len(sources))
+        assert set(calls) == {(g.id, t) for g in alone for t in models}
         assert set(calls.values()) == {1}
         layers = range(tiny_config.n_layers)
-        assert set(layer_calls) == {(layer, t) for layer in layers for t in range(len(fine_tuned))}
+        assert set(layer_calls) == {(layer, t) for layer in layers for t in range(len(sources))}
         assert set(layer_calls.values()) == {1}
         # Reading the held group again computes nothing.
         pooled = deltas.pooled(plan.groups[-1].id)
@@ -518,10 +525,12 @@ class TestDeltas:
             elif group.head_index > 0:
                 assert deltas.context_layer == group.layer
                 assert len(deltas.contexts) == len(fine_tuned) + 1
+                # Heads 1..H-1 only: head 0 owns norm1 and runs its own block.
+                width = tiny_config.d_model - tiny_config.head_dim
                 for o_proj, contexts in deltas.contexts:
-                    assert o_proj.shape == (tiny_config.d_model, tiny_config.d_model)
+                    assert o_proj.shape == (tiny_config.d_model, width)
                     rows = [sum(map(len, store.inputs[(group.id, t)])) for t in range(2)]
-                    assert [c.shape for c in contexts] == [(n, tiny_config.d_model) for n in rows]
+                    assert [c.shape for c in contexts] == [(n, width) for n in rows]
                     assert all(c.dtype == np.float64 for c in contexts)
         assert deltas.held == "lm_head" and deltas.contexts == []
 
@@ -538,6 +547,59 @@ class TestDeltas:
         np.testing.assert_allclose(
             deltas.grouped("embed")[0][0], diff[tokens].astype(np.float32), atol=1e-7
         )
+
+
+class TestBatchCap:
+    """Evaluations run in length buckets sliced to at most `MAX_BATCH` sequences;
+    every slicing gives the bytes of one call per length."""
+
+    def test_length_buckets_slice_each_length_in_input_order(self, monkeypatch):
+        monkeypatch.setattr(submerge.model, "MAX_BATCH", 2)
+        seqs = [np.arange(n) for n in (3, 5, 3, 3, 5, 3)]
+        got = [(positions, batch.shape) for positions, batch in length_buckets(seqs)]
+        assert got == [([0, 2], (2, 3)), ([3, 5], (2, 3)), ([1, 4], (2, 5))]
+
+    @staticmethod
+    def outputs(config, base, fine_tuned, datasets):
+        """Trace inputs and rows of every group at every level, the head_mlp
+        deltas and the losses, keyed by what they are."""
+        model = bind_weights(base, config)
+        out = {("loss", task): eval_cross_entropy(model, ds) for task, ds in enumerate(datasets)}
+        for level in Granularity:
+            plan = plan_decomposition(config, level)
+            store = collect_base_features(model, datasets, plan, sample_n=6)
+            for group in plan.groups:
+                params = group_parameters(group, base.tensors, source=fine_tuned[0].tensors)
+                for task in range(len(datasets)):
+                    for i, arr in enumerate(store.inputs[(group.id, task)]):
+                        out[("inputs", level, group.id, task, i)] = arr
+                    out[("rows", level, group.id, task)] = store.rows(group, task, params)
+            if level is Granularity.HEAD_MLP:
+                deltas = compute_delta_outputs(store, base, fine_tuned, plan)
+                for group in plan.groups:
+                    for task, block in enumerate(deltas.grouped(group.id)):
+                        out[("grouped", group.id, task)] = block
+        return out
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_outputs_match_one_call_per_length(self, monkeypatch, cap):
+        config = ModelConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, vocab_size=11, max_seq=16)
+        base = random_checkpoint(config, 3)
+        fine_tuned = [perturbed(base, seed=s) for s in (4, 5)]
+        lengths = [[5, 3, 7, 3, 5, 3, 5, 3], [2, 6, 2, 6, 2, 6]]
+        datasets = [
+            [[(3 * i + j + t) % 11 for j in range(n)] for i, n in enumerate(task_lengths)]
+            for t, task_lengths in enumerate(lengths)
+        ]
+        # Every length bucket fits the committed cap. Task 1's six sequences
+        # are all sampled: two lengths of three, more than either tested cap.
+        assert submerge.model.MAX_BATCH >= 8
+        uncapped = self.outputs(config, base, fine_tuned, datasets)
+        monkeypatch.setattr(submerge.model, "MAX_BATCH", cap)
+        capped = self.outputs(config, base, fine_tuned, datasets)
+        assert capped.keys() == uncapped.keys()
+        for key, want in uncapped.items():
+            assert np.array_equal(capped[key], want), key
 
 
 class TestGroupParameters:
