@@ -21,7 +21,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -185,7 +185,9 @@ def read_archive(path) -> TensorArchive:
     return TensorArchive(tensors=tensors, meta=meta)
 
 
-def require_compatible(a: TensorArchive, b: TensorArchive, what: str) -> None:
+def require_compatible(
+    a: TensorArchive | TaskVector, b: TensorArchive | TaskVector, what: str
+) -> None:
     """Raise CompatError, naming a tensor that differs, unless `a` and `b` have equal shapes."""
     ours, theirs = a.shapes(), b.shapes()
     if ours == theirs:
@@ -197,12 +199,53 @@ def require_compatible(a: TensorArchive, b: TensorArchive, what: str) -> None:
     raise CompatError(f"{what}: tensor {off!r} shapes differ ({ours[off]} vs {theirs[off]})")
 
 
-def task_vector(fine_tuned: TensorArchive, base: TensorArchive) -> TensorArchive:
-    """Elementwise difference fine_tuned - base; one that overflows float32 raises DataError."""
+class _Differences(Mapping[str, np.ndarray]):
+    """fine[n] - base[n] in float32 for every name n of `base`, computed on each read."""
+
+    def __init__(self, fine: Mapping[str, np.ndarray], base: Mapping[str, np.ndarray]) -> None:
+        self._fine, self._base = fine, base
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._fine[name] - self._base[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._base)
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: arr.shape for name, arr in self._base.items()}
+
+
+@dataclass(frozen=True, eq=False)
+class TaskVector:
+    """A read-only view fine_tuned - base of two compatible archives, in name order.
+
+    It holds no array of its own: `tensors[n]` computes the float32 difference
+    each time it is read, so a task vector costs no memory beyond its two
+    archives. `meta` is the base's plus `kind: task_vector`.
+    """
+
+    tensors: _Differences
+    meta: Mapping[str, str]
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return self.tensors.shapes()
+
+
+def task_vector(fine_tuned: TensorArchive, base: TensorArchive) -> TaskVector:
+    """The view fine_tuned - base. Every difference is checked once here, in name order,
+    and discarded; one that overflows float32 raises DataError naming the tensor."""
     require_compatible(fine_tuned, base, "task_vector")
+    tensors = _Differences(fine_tuned.tensors, base.tensors)
+    # Overflow to inf is reported here, by tensor name; a difference that is
+    # finite once is finite on every later read, so reads need no errstate.
     with np.errstate(over="ignore"):
-        tensors = {name: fine_tuned.tensors[name] - base.tensors[name] for name in base.tensors}
-    return TensorArchive(tensors=tensors, meta={**base.meta, "kind": "task_vector"})
+        for name, diff in tensors.items():
+            if not np.isfinite(diff).all():
+                raise DataError(f"tensor {name!r} overflows float32 or is not finite")
+    return TaskVector(tensors, MappingProxyType({**base.meta, "kind": "task_vector"}))
 
 
 def combine(base: np.ndarray, terms: Sequence[np.ndarray], coeffs: Sequence[float]) -> np.ndarray:
@@ -215,7 +258,7 @@ def combine(base: np.ndarray, terms: Sequence[np.ndarray], coeffs: Sequence[floa
 
 
 def linear_combine(
-    base: TensorArchive, vectors: Sequence[TensorArchive], coeffs: Sequence[float]
+    base: TensorArchive, vectors: Sequence[TensorArchive | TaskVector], coeffs: Sequence[float]
 ) -> TensorArchive:
     """out[n] = base[n] + sum_t coeffs[t] * vectors[t][n] for every name n.
 

@@ -19,7 +19,9 @@ outputs on one task are one f32 [rows, width] matrix, each batch's block
 written into its sequences' token rows in input order. Base outputs and
 output deltas are computed when a group is first read and held one group at
 a time: the base rows per task, and the [n_models, rows, width] delta block
-per data task that the solver reads.
+per data task that the solver reads. The linearity sweep reads a group's
+deltas once, as `DeltaStore.pooled`'s float64 pool, which drops those f32
+blocks, so the sweep holds one copy of a group's deltas, not two.
 A group's base rows live from their first read until another group is held
 (`FeatureStore._hold`, which also checks that the group is the plan's): in
 `analyze` they are the k = 0 interpolation step of `non_linearity_score`
@@ -121,12 +123,14 @@ class FeatureStore:
 class DeltaStore:
     """Output deltas of one group at a time, laid out as the solver reads them.
 
-    `grouped` or `pooled` computes a group's deltas the first time that group
-    is asked for, replacing the group held before and its base rows (the
-    group's own base rows, if already held, are kept):
-    `deltas[(group id, data task)]` is an [n_models, rows, width] block for
-    the held group. The plan and the base weights are the `features`
-    store's.
+    `grouped` computes a group's deltas the first time that group is asked
+    for, replacing the group held before and its base rows (the group's own
+    base rows, if already held, are kept): `deltas[(group id, data task)]`
+    is an [n_models, rows, width] f32 block for the held group `held`, and
+    reading it again computes nothing. `pooled` returns the group's deltas
+    as one float64 array and holds no block after it, so a sweep keeps one
+    copy of a group's deltas, not two. The plan and the base weights are
+    the `features` store's.
 
     While a layer's head groups above 0 are read, `contexts` holds the
     attention contexts of heads 1..H-1 of layer `context_layer`: per weight
@@ -163,8 +167,13 @@ class DeltaStore:
         return [self.deltas[(group_id, task)] for task in range(features.n_tasks)]
 
     def pooled(self, group_id: str) -> np.ndarray:
-        """Float64 [n_models, rows of every data task, width]."""
-        return np.concatenate(self.grouped(group_id), axis=1, dtype=np.float64)
+        """Float64 [n_models, rows of every data task, width], handed over: the
+        float32 blocks it is built from are dropped, so the caller's pool is the
+        group's one copy of its deltas. A later `grouped` computes them again."""
+        pool = np.concatenate(self.grouped(group_id), axis=1, dtype=np.float64)
+        self.deltas.clear()
+        self.held = None
+        return pool
 
     def _task_rows(self, group: SubmoduleGroup) -> Callable[[int], Iterator[np.ndarray]]:
         """Per data task, the group's f32 base rows and then each model's rows.

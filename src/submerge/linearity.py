@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archive import TensorArchive, require_compatible
+from .archive import TaskVector, TensorArchive, require_compatible
 from .decompose import SubmoduleGroup
 from .errors import DegenerateError, InputError
 from .features import DeltaStore, FeatureStore, group_parameters
@@ -77,7 +77,7 @@ def interpolation_scores(
 def non_linearity_score(
     store: FeatureStore,
     base: TensorArchive,
-    tau: TensorArchive,
+    tau: TaskVector,
     group: SubmoduleGroup,
     task: int = 0,
     n_points: int = 10,
@@ -161,7 +161,7 @@ def default_alpha_grid(n_models: int) -> list[list[float]]:
 
 def merged_group_deltas(
     store: FeatureStore,
-    taus: Sequence[TensorArchive],
+    taus: Sequence[TaskVector],
     group: SubmoduleGroup,
     alpha: Sequence[float],
 ) -> np.ndarray:
@@ -181,7 +181,7 @@ def metric_sweep(
     store: FeatureStore,
     deltas: DeltaStore,
     base: TensorArchive,
-    taus: Sequence[TensorArchive],
+    taus: Sequence[TaskVector],
     group: SubmoduleGroup,
     grid: Sequence[Sequence[float]] | None = None,
 ) -> list[LinearityRecord]:

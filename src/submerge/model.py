@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .archive import TensorArchive
 from .errors import BindError, ConfigError, InputError, decode_json
@@ -303,6 +302,19 @@ def length_buckets(seqs: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.n
             yield part, np.stack([seqs[i] for i in part])
 
 
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a finite [rows, n] array, bit-equal to SciPy 1.17's
+    `scipy.special.logsumexp(a, axis=1)` by the same steps: the row max and the count m
+    of entries equal to it are taken out of the sum, s sums exp(a - max) over the other
+    entries, and the result is log1p(s / m) + log(m) + max. On finite rows m >= 1, so
+    s / m is already 0 where SciPy keeps s = 0."""
+    a_max = np.max(a, axis=1, keepdims=True)
+    at_max = a == a_max
+    m = np.count_nonzero(at_max, axis=1, keepdims=True).astype(a.dtype)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=1, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+
+
 def eval_cross_entropy(model: BoundModel, dataset: Sequence[Sequence[int]]) -> float:
     """Mean next-token cross-entropy in nats, pooled over all positions.
 
@@ -324,7 +336,7 @@ def eval_cross_entropy(model: BoundModel, dataset: Sequence[Sequence[int]]) -> f
         for position, arr, logits in zip(positions, batch, batch_logits):
             logits, targets = logits[:-1], arr[1:]
             sums[position] = float(
-                np.sum(logsumexp(logits, axis=1) - logits[np.arange(len(targets)), targets])
+                np.sum(logsumexp_rows(logits) - logits[np.arange(len(targets)), targets])
             )
     # Left to right, as a loop over the sequences adds (`sum` compensates from Python 3.12).
     total = 0.0

@@ -347,6 +347,35 @@ class TestTaskVector:
         with pytest.raises(DataError, match="tensor 'm' overflows float32"):
             task_vector(fine, _arc({"n": [1.0], "m": [-3e38]}))
 
+    def test_first_overflow_in_name_order_raises_at_construction(self):
+        fine = _arc({"z": [3e38], "n": [1.0], "b": [-3e38]})
+        with pytest.raises(DataError, match="tensor 'b' overflows float32"):
+            task_vector(fine, _arc({"z": [-3e38], "n": [1.0], "b": [3e38]}))
+
+    def test_view_reads_each_difference_and_holds_no_array(self):
+        rng = np.random.default_rng(5)
+        shapes = {"w": (3, 4), "b": (4,), "e": (2, 3, 2)}
+        base, fine = (
+            _arc({n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()})
+            for _ in range(2)
+        )
+        tau = task_vector(fine, base)
+        assert list(tau.tensors) == sorted(shapes) and len(tau.tensors) == len(shapes)
+        assert tau.shapes() == base.shapes()
+        for name in shapes:
+            want = fine.tensors[name] - base.tensors[name]
+            got = tau.tensors[name]
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got, want)
+            # Computed on each read, not stored.
+            assert got is not tau.tensors[name]
+        held = [*vars(tau).values(), *vars(tau.tensors).values()]
+        assert not any(isinstance(value, np.ndarray) for value in held)
+        with pytest.raises(TypeError):
+            tau.tensors["w"] = base.tensors["w"]
+        with pytest.raises(TypeError):
+            tau.meta["kind"] = "archive"
+
 
 class TestCombine:
     def test_accumulates_in_float64_in_order_without_touching_base(self):

@@ -427,8 +427,23 @@ class TestDeltas:
         taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
         for group in plan.groups:
             metric_sweep(store, deltas, tiny_checkpoint, taus, group, grid=[[0.5, 0.5]])
-            assert_one_group()
-            assert deltas.held == group.id
+            # The sweep's pool was the one copy of the deltas: no block is held
+            # after it, only the group's base rows.
+            assert not deltas.deltas and deltas.held is None
+            assert set(store.base_outputs) == {(group.id, t) for t in range(store.n_tasks)}
+
+    @pytest.mark.parametrize("level", [Granularity.ATTN_MLP, Granularity.HEAD_MLP])
+    def test_pooled_hands_the_deltas_over(self, tiny_config, tiny_checkpoint, setup, level):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, level)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        for group in plan.groups:
+            pool = deltas.pooled(group.id)
+            assert deltas.deltas == {} and deltas.held is None
+            expected = np.concatenate(deltas.grouped(group.id), axis=1, dtype=np.float64)
+            assert pool.dtype == np.float64
+            assert np.array_equal(pool, expected), group.id
 
     def test_group_parameters_built_once_per_group_and_model(
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
@@ -475,11 +490,17 @@ class TestDeltas:
         assert set(layer_calls) == {(layer, t) for layer in layers for t in range(len(sources))}
         assert set(layer_calls.values()) == {1}
         # Reading the held group again computes nothing.
-        pooled = deltas.pooled(plan.groups[-1].id)
-        blocks = deltas.grouped(plan.groups[-1].id)
+        last = plan.groups[-1].id
+        blocks = deltas.grouped(last)
+        assert set(calls.values()) == {1}
+        assert blocks[1] is deltas.grouped(last)[1]
+        # `pooled` hands the deltas over, so the next `grouped` computes them again.
+        pooled = deltas.pooled(last)
         assert set(calls.values()) == {1}
         assert np.array_equal(pooled, np.concatenate(blocks, axis=1))
-        assert blocks[1] is deltas.grouped(plan.groups[-1].id)[1]
+        deltas.grouped(last)
+        assert {key for key, n in calls.items() if n != 1} == {(last, t) for t in models}
+        assert set(calls.values()) == {1, 2}
 
     def test_head_groups_out_of_plan_order_match_plan_order(self):
         config = ModelConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, vocab_size=11, max_seq=16)

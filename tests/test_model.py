@@ -7,12 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from submerge import BindError, InputError, TensorArchive
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, forward_taps
 from submerge.model import attention_block, attention_contexts
-from submerge.model import causal_attention, rms_norm, rope_rotate, swiglu, validated_tokens
+from submerge.model import causal_attention, logsumexp_rows, rms_norm, rope_rotate, swiglu
+from submerge.model import validated_tokens
 
 from conftest import random_checkpoint
 from reference_forward import reference_forward
@@ -324,6 +325,22 @@ class TestCrossEntropy:
     def test_empty_dataset(self, bound):
         with pytest.raises(InputError):
             eval_cross_entropy(bound, [])
+
+    def test_logsumexp_rows_equals_scipy_bit_for_bit(self):
+        # Rounded blocks tie the row max and other entries; the constant rows are
+        # all ties, the one-hot rows have a single max far above the rest.
+        rng = np.random.default_rng(17)
+        blocks = []
+        for k in range(60):
+            a = rng.normal(scale=(0.1, 1.0, 8.0, 40.0)[k % 4], size=(31, 128))
+            blocks.append(np.round(a) if k % 3 == 0 else a)
+        tied = np.round(rng.normal(size=(31, 128)))
+        tied[:4] = 2.5
+        tied[4:8] = np.where(np.arange(128) == 7, 900.0, -900.0)
+        blocks += [tied, rng.normal(size=(1, 11)), np.float64([[0.0, 0.0, -1e-300]])]
+        for a in blocks:
+            got, want = logsumexp_rows(a), logsumexp(a, axis=1)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_short_sequence(self, bound):
         with pytest.raises(InputError):
