@@ -282,6 +282,8 @@ def cmd_analyze(opts: Options) -> bool:
                         + [f"{a:.10g}" for a in alpha]
                         + [_float_cell(_json_number(record.value))]
                     )
+            # Nothing reads this group's inputs again; a tap's arrays go with its last reader.
+            store.release(group)
             row = [means.get(column) for column in HEAT_COLUMNS]
             heat_rows.append(row)
             group_entries[group.id] = {

@@ -22,6 +22,11 @@ a time: the base rows per task, and the [n_models, rows, width] delta block
 per data task that the solver reads. The linearity sweep reads a group's
 deltas once, as `DeltaStore.pooled`'s float64 pool, which drops those f32
 blocks, so the sweep holds one copy of a group's deltas, not two.
+A group's stored inputs live until `FeatureStore.release` drops them, which
+`analyze` calls once a group's metrics are done, so a tap's arrays are
+freed with the last group that reads them. `solve_plan` releases nothing:
+a merge peaks at the first layer's heads, before any input is dead, and
+callers may read deltas after solving.
 A group's base rows live from their first read until another group is held
 (`FeatureStore._hold`, which also checks that the group is the plan's): in
 `analyze` they are the k = 0 interpolation step of `non_linearity_score`
@@ -62,13 +67,14 @@ from .model import validated_tokens
 
 @dataclass
 class FeatureStore:
-    """Per (group id, task): input matrices, one per sequence, kept for the
-    whole plan; and the base output rows of one group at a time.
+    """Per (group id, task): input matrices, one per sequence, kept until the
+    group is released; and the base output rows of one group at a time.
 
     `base_outputs[(group id, task)]` holds the base rows of every sequence
     stacked in input order. `base_rows` fills it on first use with the
     traced `weights` and drops the rows of any other group; a group that is
-    not the plan's raises `PlanError` and drops nothing.
+    not the plan's, or is `released`, raises `PlanError` and drops nothing,
+    and a task that is not a data task raises `InputError`.
     """
 
     plan: DecompositionPlan
@@ -77,12 +83,12 @@ class FeatureStore:
     inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
+    released: set[str] = field(default_factory=set)
     _verified: TensorArchive | None = field(default=None, init=False, repr=False, compare=False)
 
     def rows(self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]) -> np.ndarray:
         """The group's rows on one task's inputs under `group_parameters` weights."""
-        self._require_planned(group)
-        return _group_rows(group, weights, self.inputs[(group.id, task)], self.plan.config)
+        return _group_rows(group, weights, self._inputs(group, task), self.plan.config)
 
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
         """The group's output rows on one task's inputs under the traced weights."""
@@ -94,8 +100,27 @@ class FeatureStore:
             self.base_outputs[key] = rows
         return rows
 
+    def release(self, group: SubmoduleGroup) -> None:
+        """Drop the group's stored inputs and base rows for good. A tap's arrays
+        are freed once every group that reads them is released; reading a
+        released group again raises `PlanError`."""
+        self._require_planned(group)
+        self.released.add(group.id)
+        for task in range(self.n_tasks):
+            self.inputs.pop((group.id, task), None)
+            self.base_outputs.pop((group.id, task), None)
+
+    def _inputs(self, group: SubmoduleGroup, task: int) -> list[np.ndarray]:
+        """The group's stored inputs on one data task: `PlanError` unless the group
+        is the plan's and not released, `InputError` unless `task` is a data task."""
+        self._require_planned(group)
+        if not (isinstance(task, (int, np.integer)) and 0 <= task < self.n_tasks):
+            raise InputError(f"task {task!r} is not one of the store's {self.n_tasks} data tasks")
+        return self.inputs[(group.id, task)]
+
     def _hold(self, group: SubmoduleGroup) -> None:
-        """Raise `PlanError` unless `group` is the plan's; then drop other groups' base rows."""
+        """Raise `PlanError` unless `group` is the plan's and not released; then
+        drop other groups' base rows."""
         self._require_planned(group)
         if any(held != group.id for held, _ in self.base_outputs):
             self.base_outputs.clear()
@@ -103,6 +128,8 @@ class FeatureStore:
     def _require_planned(self, group: SubmoduleGroup) -> None:
         if self.plan.group(group.id) != group:
             raise PlanError(f"group {group.id!r} is not the stored plan's group of that id")
+        if group.id in self.released:
+            raise PlanError(f"group {group.id!r} was released; its stored inputs are gone")
 
     def require_traced_base(self, base: TensorArchive) -> None:
         """Raise `CompatError` unless `base` holds exactly the traced weights.
@@ -153,9 +180,9 @@ class DeltaStore:
     def grouped(self, group_id: str) -> list[np.ndarray]:
         """Per data task, an array [n_models, rows, width]."""
         features = self.features
+        group = features.plan.group(group_id)
+        features._hold(group)
         if self.held != group_id:
-            group = features.plan.group(group_id)
-            features._hold(group)
             self.deltas.clear()
             self.held = None
             task_rows = self._task_rows(group)
@@ -205,7 +232,7 @@ class DeltaStore:
             def layer_contexts(weights: Mapping[str, np.ndarray]) -> list[np.ndarray]:
                 return [
                     _rows_in_order(
-                        features.inputs[(group.id, task)],
+                        features._inputs(group, task),
                         lambda x: attention_contexts(x.astype(np.float64), weights, config, layer),
                         np.float64,
                     )

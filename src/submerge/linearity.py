@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -91,8 +91,9 @@ def non_linearity_score(
     if n_points < 2:
         raise InputError("n_points must be >= 2")
     coeffs = [k / n_points for k in range(1, n_points + 1)]
+    owned = _owned_tensors(group, tau)
     outputs = [store.base_rows(group, task)] + [
-        store.rows(group, task, group_parameters(group, store.weights, taus=[tau.tensors], coeffs=[c]))
+        store.rows(group, task, group_parameters(group, store.weights, taus=[owned], coeffs=[c]))
         for c in coeffs
     ]
     scores, skipped, ratio_matrix = interpolation_scores(outputs)
@@ -159,17 +160,21 @@ def default_alpha_grid(n_models: int) -> list[list[float]]:
     return [list(combo) for combo in itertools.product(values, repeat=n_models)]
 
 
+def _owned_tensors(group: SubmoduleGroup, tau: TaskVector) -> dict[str, np.ndarray]:
+    """The whole tensors of `tau` that `group` owns, each read (subtracted) once, so
+    that every coefficient set of one call reuses them."""
+    return {name: tau.tensors[name] for name in group.params}
+
+
 def merged_group_deltas(
     store: FeatureStore,
-    taus: Sequence[TaskVector],
+    taus: Sequence[Mapping[str, np.ndarray]],
     group: SubmoduleGroup,
     alpha: Sequence[float],
 ) -> np.ndarray:
     """Float64 output delta of the group merged with `alpha` on the traced base, rows of
-    all tasks."""
-    weights = group_parameters(
-        group, store.weights, taus=[tau.tensors for tau in taus], coeffs=alpha
-    )
+    all tasks. `taus` holds each task vector's tensors, the group's owned ones at least."""
+    weights = group_parameters(group, store.weights, taus=taus, coeffs=alpha)
     rows = [
         store.rows(group, task, weights) - store.base_rows(group, task)
         for task in range(store.n_tasks)
@@ -197,9 +202,10 @@ def metric_sweep(
     if not grid:
         raise InputError("alpha grid must be non-empty")
     task_deltas = deltas.pooled(group.id)
+    owned = [_owned_tensors(group, tau) for tau in taus]
     records: list[LinearityRecord] = []
     for alpha in grid:
-        merged = merged_group_deltas(store, taus, group, alpha)
+        merged = merged_group_deltas(store, owned, group, alpha)
         try:
             results = merge_metrics(task_deltas, alpha, merged)
         except DegenerateError as exc:

@@ -3,8 +3,11 @@
 Pre-norm residual blocks: RMSNorm, multi-head causal attention with rotary
 position embeddings on q/k, and a SwiGLU MLP. No biases, no dropout.
 Weights are stored as [out x in] matrices applied as y = W @ x; checkpoint
-values are f32 and upcast to float64 for the actual arithmetic. Kernels and
-blocks take any number of leading batch axes before [seq, ...].
+values are f32, and a bound model holds the archive's own f32 arrays. Every
+block upcasts each weight it reads to float64 when it reads it (a float64
+weight is used as it is), so the arithmetic is float64 and a forward pass
+holds the float64 weights of one block at a time, never a copy of the model.
+Kernels and blocks take any number of leading batch axes before [seq, ...].
 
 The forward pass and the groups of `features.py` run the same blocks
 (`attention_contexts`, `attention_block`, `mlp_block`, `output_block`), each
@@ -103,7 +106,9 @@ class BoundModel:
 
 
 def bind_weights(archive: TensorArchive, config: ModelConfig) -> BoundModel:
-    """Validate names and shapes, upcast to float64, freeze."""
+    """Validate names and shapes and bind the archive's own read-only f32 arrays,
+    in forward-pass order. Nothing is copied: the blocks upcast each weight to
+    float64 when they read it."""
     expected = config.param_shapes()
     missing = sorted(set(expected) - set(archive.tensors))
     if missing:
@@ -116,8 +121,16 @@ def bind_weights(archive: TensorArchive, config: ModelConfig) -> BoundModel:
         arr = archive.tensors[name]
         if arr.shape != shape:
             raise BindError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-        weights[name] = np.ascontiguousarray(arr, dtype=np.float64)
+        weights[name] = arr
     return BoundModel(config=config, weights=weights)
+
+
+def _float64(weight: np.ndarray) -> np.ndarray:
+    """A float64 weight as it is; any other upcast whole to a C-contiguous float64
+    copy. Upcast first, not mixed-dtype matmul, which NumPy may round differently."""
+    if weight.dtype == np.float64:
+        return weight
+    return np.ascontiguousarray(weight, dtype=np.float64)
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
@@ -192,7 +205,7 @@ def attention_contexts(
     """Attention contexts (the o_proj input) of one layer on [..., seq, d_model]
     inputs, for the whole heads whose rows q/k/v_proj hold, in order."""
     norm1, q_proj, k_proj, v_proj = (
-        weights[f"layers.{layer}.{name}"] for name in ATTENTION_PARAMS[:4]
+        _float64(weights[f"layers.{layer}.{name}"]) for name in ATTENTION_PARAMS[:4]
     )
     normed = rms_norm(x, norm1, config.norm_eps)
 
@@ -212,14 +225,14 @@ def attention_block(
     """Attention branch of one layer: (contexts @ o_proj.T, contexts), with the
     o_proj columns of the heads whose q/k/v_proj rows are given."""
     ctx = attention_contexts(x, weights, config, layer)
-    return ctx @ weights[f"layers.{layer}.attn.o_proj"].T, ctx
+    return ctx @ _float64(weights[f"layers.{layer}.attn.o_proj"]).T, ctx
 
 
 def mlp_block(
     x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """MLP branch of one layer on [..., seq, d_model]; returns (output, down_proj input)."""
-    norm2, gate, up, down = (weights[f"layers.{layer}.{name}"] for name in MLP_PARAMS)
+    norm2, gate, up, down = (_float64(weights[f"layers.{layer}.{name}"]) for name in MLP_PARAMS)
     return swiglu(rms_norm(x, norm2, config.norm_eps), gate, up, down)
 
 
@@ -227,21 +240,22 @@ def output_block(
     x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final norm and LM head on [..., seq, d_model]; returns (logits, normed hidden)."""
-    hidden = rms_norm(x, weights["norm_final"], config.norm_eps)
-    return hidden @ np.asarray(weights["lm_head"], dtype=np.float64).T, hidden
+    hidden = rms_norm(x, _float64(weights["norm_final"]), config.norm_eps)
+    return hidden @ _float64(weights["lm_head"]).T, hidden
 
 
 def forward_taps(
     config: ModelConfig, weights: Mapping[str, np.ndarray], tokens: np.ndarray
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Every tap of the forward pass as (name, value), yielded as it is computed,
-    in forward order; weights may be any float dtype.
+    in forward order; weights may be any float dtype, each upcast to float64
+    as its block reads it.
 
     Tokens are [seq] or [batch, seq]; every tap keeps those leading axes and
     adds a feature axis. A tap the caller drops is freed once no later tap
     is computed from it.
     """
-    x = np.asarray(weights["embed"], dtype=np.float64)[tokens]
+    x = _float64(weights["embed"])[tokens]
     for i in range(config.n_layers):
         yield f"layer_in.{i}", x
         yield f"attn_in.{i}", x

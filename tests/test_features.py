@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from submerge.features import (
     compute_delta_outputs,
     group_parameters,
 )
-from submerge.linearity import metric_sweep
+from submerge.linearity import metric_sweep, non_linearity_score
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, length_buckets
 from submerge.solver import solve_plan
 
@@ -671,6 +673,70 @@ class TestBaseRows:
             store.base_rows(group, 0)
         assert store.base_outputs.keys() == {("layer.0", task) for task in held}
         assert all(store.base_outputs[("layer.0", task)] is rows for task, rows in held.items())
+
+
+class TestRelease:
+    def test_a_tap_is_freed_with_its_last_reader(self, tiny_config, setup):
+        # Every head group of a layer reads that layer's attn_in tap, so its
+        # stored arrays live until the last of those heads is released.
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=3, seed=1)
+        heads = [group for group in plan.groups if group.id.startswith("head.0.")]
+        assert len(heads) == tiny_config.n_heads
+        stacked = store.inputs[(heads[0].id, 0)][0].base
+        assert all(store.inputs[(head.id, 0)][0].base is stacked for head in heads)
+        tap = weakref.ref(stacked)
+        del stacked
+        store.base_rows(heads[0], 0)
+        for head in heads:
+            gc.collect()
+            assert tap() is not None
+            store.release(head)
+        gc.collect()
+        assert tap() is None
+        assert not any(key[0] in {h.id for h in heads} for key in store.inputs)
+        assert not store.base_outputs
+
+    def test_a_released_group_is_refused(self, tiny_config, tiny_checkpoint, setup):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        group, other = plan.group("attn.0"), plan.group("mlp.0")
+        deltas.grouped(group.id)
+        held = store.base_rows(other, 0)
+        store.release(group)
+        weights = group_parameters(group, store.weights)
+        taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
+        reads = [
+            lambda: store.rows(group, 0, weights),
+            lambda: store.base_rows(group, 1),
+            lambda: deltas.grouped(group.id),
+            lambda: non_linearity_score(store, tiny_checkpoint, taus[0], group, n_points=2),
+            lambda: metric_sweep(store, deltas, tiny_checkpoint, taus, group, grid=[[0.5, 0.5]]),
+        ]
+        for read in reads:
+            with pytest.raises(PlanError, match="'attn.0' was released"):
+                read()
+        assert store.base_outputs[("mlp.0", 0)] is held
+        assert deltas.grouped(other.id)[0].shape[0] == len(fine_tuned)
+
+    def test_a_task_out_of_range_is_an_input_error(self, tiny_config, tiny_checkpoint, setup):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        group = plan.group("attn.0")
+        tau = task_vector(fine_tuned[0], tiny_checkpoint)
+        weights = group_parameters(group, store.weights)
+        for task in (len(datasets), -1, "0"):
+            with pytest.raises(InputError, match="is not one of the store's 2 data tasks"):
+                store.base_rows(group, task)
+            with pytest.raises(InputError, match="is not one of the store's 2 data tasks"):
+                store.rows(group, task, weights)
+            with pytest.raises(InputError, match="is not one of the store's 2 data tasks"):
+                non_linearity_score(store, tiny_checkpoint, tau, group, task=task, n_points=2)
+        assert store.base_rows(group, np.int64(1)) is store.base_rows(group, 1)
 
 
 class TestInterpolation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -203,6 +204,42 @@ class TestBind:
         extra["mystery"] = np.zeros(3, dtype=np.float32)
         with pytest.raises(BindError, match="mystery"):
             bind_weights(TensorArchive(tensors=extra, meta={}), tiny_config)
+
+
+    def test_binds_the_archives_own_read_only_arrays(self):
+        # Binding copies nothing: each weight is the archive's f32 array, so a
+        # job holds one copy of the base model, not a float64 one beside it.
+        config = ModelConfig(d_model=32, n_heads=4, n_layers=2, d_ff=64, vocab_size=50, max_seq=16)
+        archive = random_checkpoint(config, 3)
+        bind_weights(archive, config)
+        tracemalloc.start()
+        try:
+            model = bind_weights(archive, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(model.weights) == list(config.param_shapes())
+        for name, weight in model.weights.items():
+            assert weight.dtype == np.float32 and not weight.flags.writeable
+            assert np.shares_memory(weight, archive.tensors[name])
+        payload = sum(arr.nbytes for arr in archive.tensors.values())
+        assert peak < payload / 10
+
+    def test_forward_on_f32_weights_equals_float64_copies(self):
+        # Each block upcasts a weight whole before its products. At this shape
+        # NumPy's mixed-dtype matmul rounds differently, so a block that used
+        # it would not match the float64 copies bit for bit.
+        config = ModelConfig(d_model=32, n_heads=4, n_layers=2, d_ff=64, vocab_size=50, max_seq=16)
+        archive = random_checkpoint(config, 3)
+        tokens = np.random.default_rng(0).integers(0, config.vocab_size, size=(16, 12))
+        copies = {name: arr.astype(np.float64) for name, arr in archive.tensors.items()}
+        bound = forward_pass(config, bind_weights(archive, config).weights, tokens)
+        upcast = forward_pass(config, copies, tokens)
+        assert bound.keys() == upcast.keys()
+        for tap, value in upcast.items():
+            assert bound[tap].dtype == np.float64 and np.array_equal(bound[tap], value), tap
+        x, q_proj = upcast["attn_in.0"], archive.tensors["layers.0.attn.q_proj"]
+        assert not np.array_equal(x @ q_proj.T, x @ copies["layers.0.attn.q_proj"].T)
 
 
 class TestForwardContracts:
