@@ -53,7 +53,6 @@ from .linearity import (
     default_alpha_grid,
     interpolation_scores,
     merge_metrics,
-    merged_group_deltas,
     metric_sweep,
     non_linearity_score,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "non_linearity_score",
     "merge_metrics",
     "default_alpha_grid",
-    "merged_group_deltas",
     "metric_sweep",
     "GramTensor",
     "GroupWeights",

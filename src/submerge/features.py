@@ -19,12 +19,14 @@ outputs on one task are one f32 [rows, width] matrix, each batch's block
 written into its sequences' token rows in input order. Base outputs and
 output deltas are computed when a group is first read and held one group at
 a time: the base rows per task, and the [n_models, rows, width] delta block
-per data task that the solver reads. The linearity sweep reads a group's
-deltas once, as `DeltaStore.pooled`'s float64 pool, which drops those f32
-blocks, so the sweep holds one copy of a group's deltas, not two.
+per data task that the solver reads; the dict keys are the one record of
+the group held. The linearity sweep reads a group's deltas once, as
+`DeltaStore.pooled`'s float64 pool, which drops those f32 blocks, so the
+sweep holds one copy of a group's deltas, not two.
 A group's stored inputs live until `FeatureStore.release` drops them, which
 `analyze` calls once a group's metrics are done, so a tap's arrays are
-freed with the last group that reads them. `solve_plan` releases nothing:
+freed with the last group that reads them; a group whose inputs are gone is
+released, and reading it raises `PlanError`. `solve_plan` releases nothing:
 a merge peaks at the first layer's heads, before any input is dead, and
 callers may read deltas after solving.
 A group's base rows live from their first read until another group is held
@@ -43,9 +45,9 @@ layer's shared attention contexts of heads 1..H-1
 the base weights and one per fine-tuned model under its q/k/v_proj rows of
 those heads and the base `norm1`. Head h's rows are its columns of the
 contexts, at offset (h-1) * head_dim, times the same columns of the o_proj
-slice, rounded to f32. `DeltaStore` holds one layer's float64 contexts while
-that layer's heads above 0 are read and frees them as soon as any other
-group is.
+slice, rounded to f32. `DeltaStore.contexts` holds one layer's float64
+contexts, keyed by that layer, while its heads above 0 are read and frees
+them as soon as any other group is.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ from .model import forward_logits, forward_taps, length_buckets, mlp_block, outp
 from .model import validated_tokens
 
 
+def is_integer(value) -> bool:
+    """An int or NumPy integer, and not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class FeatureStore:
     """Per (group id, task): input matrices, one per sequence, kept until the
@@ -72,9 +79,9 @@ class FeatureStore:
 
     `base_outputs[(group id, task)]` holds the base rows of every sequence
     stacked in input order. `base_rows` fills it on first use with the
-    traced `weights` and drops the rows of any other group; a group that is
-    not the plan's, or is `released`, raises `PlanError` and drops nothing,
-    and a task that is not a data task raises `InputError`.
+    traced `weights` and drops the rows of any other group; a group not the
+    plan's, or released (its `inputs` gone), raises `PlanError` and drops
+    nothing, and a task that is not a data task raises `InputError`.
     """
 
     plan: DecompositionPlan
@@ -83,8 +90,6 @@ class FeatureStore:
     inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
-    released: set[str] = field(default_factory=set)
-    _verified: TensorArchive | None = field(default=None, init=False, repr=False, compare=False)
 
     def rows(self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]) -> np.ndarray:
         """The group's rows on one task's inputs under `group_parameters` weights."""
@@ -105,7 +110,6 @@ class FeatureStore:
         are freed once every group that reads them is released; reading a
         released group again raises `PlanError`."""
         self._require_planned(group)
-        self.released.add(group.id)
         for task in range(self.n_tasks):
             self.inputs.pop((group.id, task), None)
             self.base_outputs.pop((group.id, task), None)
@@ -114,7 +118,7 @@ class FeatureStore:
         """The group's stored inputs on one data task: `PlanError` unless the group
         is the plan's and not released, `InputError` unless `task` is a data task."""
         self._require_planned(group)
-        if not (isinstance(task, (int, np.integer)) and 0 <= task < self.n_tasks):
+        if not (is_integer(task) and 0 <= task < self.n_tasks):
             raise InputError(f"task {task!r} is not one of the store's {self.n_tasks} data tasks")
         return self.inputs[(group.id, task)]
 
@@ -128,22 +132,21 @@ class FeatureStore:
     def _require_planned(self, group: SubmoduleGroup) -> None:
         if self.plan.group(group.id) != group:
             raise PlanError(f"group {group.id!r} is not the stored plan's group of that id")
-        if group.id in self.released:
+        if (group.id, 0) not in self.inputs:
             raise PlanError(f"group {group.id!r} was released; its stored inputs are gone")
 
     def require_traced_base(self, base: TensorArchive) -> None:
         """Raise `CompatError` unless `base` holds exactly the traced weights.
 
-        Archives are read-only, so the archive last found equal is not compared again.
+        `bind_weights` binds the archive's own arrays, so the traced archive
+        passes by identity; any other archive is compared by value.
         """
-        if base is self._verified:
-            return
         traced = self.weights
         if set(base.tensors) != set(traced) or not all(
-            np.array_equal(base.tensors[name], weight) for name, weight in traced.items()
+            base.tensors[name] is weight or np.array_equal(base.tensors[name], weight)
+            for name, weight in traced.items()
         ):
             raise CompatError("the base archive is not the traced base model")
-        self._verified = base
 
 
 @dataclass
@@ -153,25 +156,23 @@ class DeltaStore:
     `grouped` computes a group's deltas the first time that group is asked
     for, replacing the group held before and its base rows (the group's own
     base rows, if already held, are kept): `deltas[(group id, data task)]`
-    is an [n_models, rows, width] f32 block for the held group `held`, and
+    is an [n_models, rows, width] f32 block of the one held group, and
     reading it again computes nothing. `pooled` returns the group's deltas
     as one float64 array and holds no block after it, so a sweep keeps one
     copy of a group's deltas, not two. The plan and the base weights are
     the `features` store's.
 
-    While a layer's head groups above 0 are read, `contexts` holds the
-    attention contexts of heads 1..H-1 of layer `context_layer`: per weight
-    set (the base, then each model), the float64 o_proj columns of those
-    heads, [d_model, d_model - head_dim], and one [rows, d_model - head_dim]
-    context per data task.
+    While a layer's head groups above 0 are read, `contexts[layer]` holds the
+    attention contexts of that layer's heads 1..H-1: per weight set (the
+    base, then each model), the float64 o_proj columns of those heads,
+    [d_model, d_model - head_dim], and one [rows, d_model - head_dim] context
+    per data task.
     """
 
     features: FeatureStore
     fine_tuned: Sequence[TensorArchive]
     deltas: dict[tuple[str, int], np.ndarray] = field(default_factory=dict, init=False)
-    held: str | None = field(default=None, init=False)
-    contexts: list[tuple[np.ndarray, list[np.ndarray]]] = field(default_factory=list, init=False)
-    context_layer: int | None = field(default=None, init=False)
+    contexts: dict[int, list] = field(default_factory=dict, init=False)
 
     @property
     def n_models(self) -> int:
@@ -182,15 +183,14 @@ class DeltaStore:
         features = self.features
         group = features.plan.group(group_id)
         features._hold(group)
-        if self.held != group_id:
+        # The last data task's block is stored last, so its key marks a whole group.
+        if (group_id, features.n_tasks - 1) not in self.deltas:
             self.deltas.clear()
-            self.held = None
             task_rows = self._task_rows(group)
             for task in range(features.n_tasks):
                 rows = task_rows(task)
                 base = next(rows)
                 self.deltas[(group_id, task)] = np.stack([model - base for model in rows])
-            self.held = group_id
         return [self.deltas[(group_id, task)] for task in range(features.n_tasks)]
 
     def pooled(self, group_id: str) -> np.ndarray:
@@ -199,7 +199,6 @@ class DeltaStore:
         group's one copy of its deltas. A later `grouped` computes them again."""
         pool = np.concatenate(self.grouped(group_id), axis=1, dtype=np.float64)
         self.deltas.clear()
-        self.held = None
         return pool
 
     def _task_rows(self, group: SubmoduleGroup) -> Callable[[int], Iterator[np.ndarray]]:
@@ -210,7 +209,7 @@ class DeltaStore:
         """
         features, layer = self.features, group.layer
         if not group.head_index:
-            self.contexts, self.context_layer = [], None
+            self.contexts.clear()
             params = [
                 group_parameters(group, features.weights, source=archive.tensors)
                 for archive in self.fine_tuned
@@ -220,9 +219,9 @@ class DeltaStore:
             )
         config = features.plan.config
         shared, cols = context_slices(config, layer, group.head_index)
-        if self.context_layer != layer:
+        if layer not in self.contexts:
             # Free the held layer's contexts before building this one's.
-            self.contexts, self.context_layer = [], None
+            self.contexts.clear()
             # Heads 1..H-1's q/k/v rows and o_proj columns from each weight
             # set, the base first; norm1 stays at the base.
             heads = dataclasses.replace(group, params=shared)
@@ -240,12 +239,11 @@ class DeltaStore:
                 ]
 
             o_proj_name = f"layers.{layer}.attn.o_proj"
-            self.contexts = [(w[o_proj_name], layer_contexts(w)) for w in weight_sets]
-            self.context_layer = layer
+            self.contexts[layer] = [(w[o_proj_name], layer_contexts(w)) for w in weight_sets]
         # All rows and this head's columns of the o_proj slice and of the contexts.
         return lambda task: (
             (contexts[task][cols] @ o_proj[cols].T).astype(np.float32)
-            for o_proj, contexts in self.contexts
+            for o_proj, contexts in self.contexts[layer]
         )
 
 
@@ -368,8 +366,10 @@ def collect_base_features(
     Groups that read the same tap share its stored arrays. No base outputs
     are computed here; `FeatureStore.base_rows` computes them per group.
     """
-    if sample_n < 1:
-        raise SampleError(f"sample count must be >= 1, got {sample_n}")
+    if not (is_integer(sample_n) and sample_n >= 1):
+        raise SampleError(f"sample count must be >= 1 and an integer, got {sample_n!r}")
+    if not datasets:
+        raise SampleError("need at least one dataset to sample")
     if plan.config != base.config:
         raise PlanError("the plan was made for another model config than the traced model's")
     store = FeatureStore(plan=plan, n_tasks=len(datasets), weights=base.weights)

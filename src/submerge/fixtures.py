@@ -25,7 +25,7 @@ import numpy as np
 
 from .archive import TensorArchive, combine, write_archive
 from .errors import DataError, IoError, ParamError, decode_json
-from .model import BoundModel, ModelConfig, bind_weights, forward_pass
+from .model import BoundModel, ModelConfig, bind_weights, forward_taps
 
 DIRICHLET_CONC = 0.5
 
@@ -128,12 +128,13 @@ def _branch_input_means(
     of the base model on the task's data, each normalized: the per-sequence
     token means of one batched trace, summed over sequences."""
     batch = np.asarray(dataset[:STATS_SEQUENCES], dtype=np.int64)
-    trace = forward_pass(base.config, base.weights, batch)
+    means = {
+        tap: _unit_frobenius(value.mean(axis=1).sum(axis=0))
+        for tap, value in forward_taps(base.config, base.weights, batch)
+        if tap.startswith(("oproj_in.", "dproj_in."))
+    }
     layers = range(base.config.n_layers)
-    return tuple(
-        [_unit_frobenius(trace[f"{tap}.{i}"].mean(axis=1).sum(axis=0)) for i in layers]
-        for tap in ("oproj_in", "dproj_in")
-    )
+    return tuple([means[f"{tap}.{i}"] for i in layers] for tap in ("oproj_in", "dproj_in"))
 
 
 def _task_direction(

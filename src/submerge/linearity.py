@@ -25,7 +25,7 @@ import numpy as np
 from .archive import TaskVector, TensorArchive, require_compatible
 from .decompose import SubmoduleGroup
 from .errors import DegenerateError, InputError
-from .features import DeltaStore, FeatureStore, group_parameters
+from .features import DeltaStore, FeatureStore, group_parameters, is_integer
 
 NORM_FLOOR = 1e-12
 METRICS = ("cosine_merge", "projection_distance")
@@ -88,8 +88,8 @@ def non_linearity_score(
     weights. `base` must be the model `store` traced, and `tau` must match its shapes."""
     store.require_traced_base(base)
     require_compatible(tau, base, "non_linearity_score task vector")
-    if n_points < 2:
-        raise InputError("n_points must be >= 2")
+    if not (is_integer(n_points) and n_points >= 2):
+        raise InputError(f"n_points must be >= 2 and an integer, got {n_points!r}")
     coeffs = [k / n_points for k in range(1, n_points + 1)]
     owned = _owned_tensors(group, tau)
     outputs = [store.base_rows(group, task)] + [

@@ -8,7 +8,8 @@ both sides are contractions of a per-data-task Gram tensor B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import contextlib
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +29,7 @@ RIDGE_REL = 1e-8
 class GramTensor:
     """B[a, b, c] = mean over task-a samples of <delta_b(x), delta_c(x)>."""
 
-    group_id: str
     B: np.ndarray
-    normalized: bool
     samples: tuple[int, ...]
     skipped: tuple[int, ...]
 
@@ -52,16 +51,12 @@ class MergeWeights:
     level: str
     normalized: bool
     groups: tuple[GroupWeights, ...]
-    _by_id: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._by_id = {g.group_id: g for g in self.groups}
 
     def group(self, group_id: str) -> GroupWeights:
-        try:
-            return self._by_id[group_id]
-        except KeyError:
-            raise CoeffError(f"no solved weights for group {group_id!r}") from None
+        for weights in self.groups:
+            if weights.group_id == group_id:
+                return weights
+        raise CoeffError(f"no solved weights for group {group_id!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,7 +120,7 @@ def compute_gram(
         samples.append(retained)
     if not np.isfinite(B).all():
         raise NumericError(f"group {group_id!r}: non-finite Gram entries")
-    return GramTensor(group_id, B, normalized, tuple(samples), tuple(skipped))
+    return GramTensor(B, tuple(samples), tuple(skipped))
 
 
 def assemble_system(gram: GramTensor) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +136,7 @@ def solve_alpha(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
     Returns (alpha, diagnostics) where diagnostics carries the condition
     estimate, any ridge used, the residual against the original system,
     fallback/zero-signal flags, and a note naming the fallback ("" if none).
+    Zero signal is a trace below `ENERGY_FLOOR`; a ridged solve is the other fallback.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -150,40 +146,27 @@ def solve_alpha(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
         raise InputError("system matrix must be symmetric")
     n = A.shape[0]
     trace = float(np.trace(A))
-    if trace < ENERGY_FLOOR:
-        alpha = np.full(n, 1.0 / n)
-        return alpha, {
-            "condition": float("inf"),
-            "ridge": 0.0,
-            "residual": float(np.linalg.norm(A @ alpha - b)),
-            "fallback": True,
-            "zero_signal": True,
-            "note": "zero signal: uniform weights",
-        }
-    condition = float(np.linalg.cond(A))
-    alpha = None
+    zero_signal = trace < ENERGY_FLOOR
     ridge = 0.0
-    fallback = False
-    note = ""
-    if condition <= COND_LIMIT:
-        try:
-            alpha = scipy.linalg.solve(A, b, assume_a="sym")
-        except scipy.linalg.LinAlgError:
-            alpha = None
-        if alpha is not None and not np.isfinite(alpha).all():
-            alpha = None
-    if alpha is None:
-        ridge = RIDGE_REL * trace / n
-        fallback = True
-        reason = "condition above limit" if condition > COND_LIMIT else "direct solve failed"
-        note = f"{reason}: solved with a ridge"
-        alpha = scipy.linalg.solve(A + ridge * np.eye(n), b, assume_a="pos")
+    if zero_signal:
+        alpha, condition, note = np.full(n, 1.0 / n), float("inf"), "zero signal: uniform weights"
+    else:
+        condition = float(np.linalg.cond(A))
+        alpha, note = None, ""
+        if condition <= COND_LIMIT:
+            with contextlib.suppress(scipy.linalg.LinAlgError):
+                alpha = scipy.linalg.solve(A, b, assume_a="sym")
+        if alpha is None or not np.isfinite(alpha).all():
+            ridge = RIDGE_REL * trace / n
+            reason = "condition above limit" if condition > COND_LIMIT else "direct solve failed"
+            note = f"{reason}: solved with a ridge"
+            alpha = scipy.linalg.solve(A + ridge * np.eye(n), b, assume_a="pos")
     return alpha, {
         "condition": condition,
         "ridge": ridge,
         "residual": float(np.linalg.norm(A @ alpha - b)),
-        "fallback": fallback,
-        "zero_signal": False,
+        "fallback": zero_signal or ridge > 0,
+        "zero_signal": zero_signal,
         "note": note,
     }
 

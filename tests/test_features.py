@@ -185,7 +185,15 @@ class TestCollect:
         with pytest.raises(SampleError):
             collect_base_features(model, datasets, plan, sample_n=9, seed=0)
 
-    @pytest.mark.parametrize("sample_n", [0, -1])
+    def test_no_dataset(self, tiny_config, setup):
+        # A store with no data task would have no inputs to tell a released group by.
+        model, _, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        with pytest.raises(SampleError, match="at least one dataset"):
+            collect_base_features(model, [], plan, sample_n=1)
+
+    # Python counts a bool as an int; neither a bool nor a float is a sample count.
+    @pytest.mark.parametrize("sample_n", [0, -1, 2.0, True])
     def test_non_positive_sample_count(self, tiny_config, setup, sample_n):
         model, datasets, _ = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
@@ -356,7 +364,8 @@ class TestDeltas:
                 compute_delta_outputs(store, other, fine_tuned, plan)
 
     def test_traced_base_check_compares_values(self, tiny_config, tiny_checkpoint, setup, monkeypatch):
-        # The archive last found equal is not compared again; any other archive is.
+        # `bind_weights` bound the traced archive's own arrays, so that archive
+        # passes by identity; any other archive is compared by value on every call.
         model, datasets, _ = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
@@ -368,17 +377,15 @@ class TestDeltas:
         compared = []
         array_equal = np.array_equal
         monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b))
-        store.require_traced_base(tiny_checkpoint)
-        once = len(compared)
-        assert once == len(store.weights)
-        store.require_traced_base(tiny_checkpoint)
-        assert len(compared) == once
-        store.require_traced_base(equal)
-        assert len(compared) == 2 * once
+        for _ in range(2):
+            store.require_traced_base(tiny_checkpoint)
+        assert compared == []
+        for calls in (1, 2):
+            store.require_traced_base(equal)
+            assert len(compared) == calls * len(store.weights)
         for _ in range(2):
             with pytest.raises(CompatError, match="traced base"):
                 store.require_traced_base(one_off)
-        store.require_traced_base(equal)
         store.require_traced_base(tiny_checkpoint)
 
     def test_widths_and_row_alignment(self, tiny_config, tiny_checkpoint, setup):
@@ -420,9 +427,9 @@ class TestDeltas:
         assert not deltas.deltas
         def assert_one_group():
             assert len(deltas.deltas) == store.n_tasks
-            assert len({key[0] for key in deltas.deltas}) == 1
+            (held,) = {key[0] for key in deltas.deltas}
             assert all(block.shape[0] == len(fine_tuned) for block in deltas.deltas.values())
-            assert set(store.base_outputs) == {(deltas.held, t) for t in range(store.n_tasks)}
+            assert set(store.base_outputs) == {(held, t) for t in range(store.n_tasks)}
 
         solve_plan(plan, deltas)
         assert_one_group()
@@ -431,7 +438,7 @@ class TestDeltas:
             metric_sweep(store, deltas, tiny_checkpoint, taus, group, grid=[[0.5, 0.5]])
             # The sweep's pool was the one copy of the deltas: no block is held
             # after it, only the group's base rows.
-            assert not deltas.deltas and deltas.held is None
+            assert not deltas.deltas
             assert set(store.base_outputs) == {(group.id, t) for t in range(store.n_tasks)}
 
     @pytest.mark.parametrize("level", [Granularity.ATTN_MLP, Granularity.HEAD_MLP])
@@ -442,7 +449,7 @@ class TestDeltas:
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         for group in plan.groups:
             pool = deltas.pooled(group.id)
-            assert deltas.deltas == {} and deltas.held is None
+            assert deltas.deltas == {}
             expected = np.concatenate(deltas.grouped(group.id), axis=1, dtype=np.float64)
             assert pool.dtype == np.float64
             assert np.array_equal(pool, expected), group.id
@@ -543,19 +550,19 @@ class TestDeltas:
             # above 0 reads none.
             held = {key[0] for key in store.base_outputs}
             assert held == (set() if group.head_index else {group.id}), group.id
-            if group.output_kind != "head_branch":
-                assert deltas.contexts == [] and deltas.context_layer is None, group.id
-            elif group.head_index > 0:
-                assert deltas.context_layer == group.layer
-                assert len(deltas.contexts) == len(fine_tuned) + 1
+            if not group.head_index:
+                assert deltas.contexts == {}, group.id
+            else:
+                assert list(deltas.contexts) == [group.layer]
+                assert len(deltas.contexts[group.layer]) == len(fine_tuned) + 1
                 # Heads 1..H-1 only: head 0 owns norm1 and runs its own block.
                 width = tiny_config.d_model - tiny_config.head_dim
-                for o_proj, contexts in deltas.contexts:
+                for o_proj, contexts in deltas.contexts[group.layer]:
                     assert o_proj.shape == (tiny_config.d_model, width)
                     rows = [sum(map(len, store.inputs[(group.id, t)])) for t in range(2)]
                     assert [c.shape for c in contexts] == [(n, width) for n in rows]
                     assert all(c.dtype == np.float64 for c in contexts)
-        assert deltas.held == "lm_head" and deltas.contexts == []
+        assert set(deltas.deltas) == {("lm_head", t) for t in range(2)} and deltas.contexts == {}
 
     def test_embed_delta_is_exact_row_gather(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
@@ -729,7 +736,8 @@ class TestRelease:
         group = plan.group("attn.0")
         tau = task_vector(fine_tuned[0], tiny_checkpoint)
         weights = group_parameters(group, store.weights)
-        for task in (len(datasets), -1, "0"):
+        # Python counts a bool as an int, but True is not task 1.
+        for task in (len(datasets), -1, "0", True):
             with pytest.raises(InputError, match="is not one of the store's 2 data tasks"):
                 store.base_rows(group, task)
             with pytest.raises(InputError, match="is not one of the store's 2 data tasks"):

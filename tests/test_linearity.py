@@ -189,6 +189,13 @@ class TestInputsAreChecked:
         with pytest.raises(PlanError, match="'(attn|layer).0'"):
             non_linearity_score(store, tiny_checkpoint, taus[0], group, n_points=2)
 
+    # The step count is an integer of at least 2, and a bool is not one.
+    @pytest.mark.parametrize("n_points", [1, 2.5, True])
+    def test_n_points_must_be_an_integer_of_at_least_two(self, tiny_checkpoint, pipeline, n_points):
+        plan, store, taus, _ = pipeline
+        with pytest.raises(InputError, match="n_points must be >= 2"):
+            non_linearity_score(store, tiny_checkpoint, taus[0], plan.group("layer.0"), n_points=n_points)
+
     def test_non_linearity_score_base_must_be_the_traced_model(self, tiny_checkpoint, pipeline):
         # Interpolating from another base would score a different path silently.
         plan, store, taus, _ = pipeline

@@ -188,7 +188,7 @@ class TestComputeGram:
 
 class TestAssembleSystem:
     def test_single_task_collapse(self):
-        gram = GramTensor("g", np.array([[[2.5]]]), False, (4,), (0,))
+        gram = GramTensor(np.array([[[2.5]]]), (4,), (0,))
         A, b = assemble_system(gram)
         np.testing.assert_allclose(A, [[2.5]])
         np.testing.assert_allclose(b, [2.5])
