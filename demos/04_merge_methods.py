@@ -41,7 +41,10 @@ candidates = {
     "model 0": fixture.models[0],
     "model 1": fixture.models[1],
     "weight_avg": merge_weight_average(fixture.base, fixture.models),
-    "task_arith a=0.5": merge_task_arithmetic(fixture.base, fixture.models, alpha=0.5),
+    **{
+        f"task_arith a={a}": merge_task_arithmetic(fixture.base, fixture.models, alpha=a)
+        for a in (0.5, 0.7, 1.0)
+    },
     "dare p=0.5 a=0.5": merge_dare(fixture.base, fixture.models, alpha=0.5, drop_p=0.5, seed=0),
 }
 merged, weights = merge_linear_solve(
@@ -55,11 +58,13 @@ merged, weights = merge_linear_solve(
 candidates["linear_solve"] = merged
 
 print(f"{'candidate':>18}  {'task 0':>8}  {'task 1':>8}  {'mean':>8}")
+means = {}
 for name, archive in candidates.items():
     vals = losses(archive)
-    print(f"{name:>18}  {vals[0]:8.4f}  {vals[1]:8.4f}  {np.mean(vals):8.4f}")
+    means[name] = np.mean(vals)
+    print(f"{name:>18}  {vals[0]:8.4f}  {vals[1]:8.4f}  {means[name]:8.4f}")
 
 n_fallback = sum(g.fallback for g in weights.groups)
 print(f"\nlinear_solve solved {len(weights.groups)} groups ({n_fallback} fallbacks)")
-print("Each specialist wins its own column; the merges trade a little of")
-print("that for balance, and solved per-group weights give the best mean.")
+merges = [name for name in candidates if name not in ("base", "model 0", "model 1")]
+print(f"Lowest mean among the merges: {min(merges, key=means.get)}")

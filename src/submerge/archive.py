@@ -25,15 +25,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CoeffError,
-    CompatError,
-    DataError,
-    FormatError,
-    IoError,
-    TruncationError,
-    decode_json,
-)
+from .errors import CoeffError, CompatError, DataError, FormatError, TruncationError
+from .errors import decode_json, io_boundary
 
 _HEADER_PREFIX = struct.Struct("<Q")
 _DTYPE_TAG = "f32"
@@ -113,11 +106,8 @@ def archive_digest(archive: TensorArchive) -> str:
 
 def write_archive(archive: TensorArchive, path) -> None:
     data = archive_bytes(archive)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise IoError(f"cannot write archive to {path}: {exc}") from exc
+    with io_boundary(f"cannot write archive to {path}"), open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _parse_header(blob: bytes) -> tuple[dict, bytes]:
@@ -134,11 +124,8 @@ def _parse_header(blob: bytes) -> tuple[dict, bytes]:
 
 
 def read_archive(path) -> TensorArchive:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read archive from {path}: {exc}") from exc
+    with io_boundary(f"cannot read archive from {path}"), open(path, "rb") as fh:
+        blob = fh.read()
     header, payload = _parse_header(blob)
 
     entries = header["tensors"]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .archive import TensorArchive, read_archive, task_vector, write_archive
 from .decompose import Granularity, plan_decomposition
-from .errors import ConfigError, DegenerateError, IoError, SubmergeError, decode_json
+from .errors import ConfigError, DegenerateError, SubmergeError, decode_json, io_boundary, write_json
 from .features import collect_base_features, compute_delta_outputs
 from .fixtures import FixtureSpec, file_sha256, gen_fixture, read_dataset
 from .linearity import metric_sweep, non_linearity_score
@@ -76,21 +76,11 @@ JSON_TYPE_CHECKS = {
 }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with io_boundary(f"cannot write {path}"), open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class Options:
@@ -106,10 +96,8 @@ class Options:
         # The directories `out_dir` made, innermost first.
         self.created: list[Path] = []
         if args.config is not None:
-            try:
+            with io_boundary("cannot read config file", ConfigError):
                 blob = Path(args.config).read_bytes()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from exc
             payload = decode_json(blob, ConfigError, "config file is not valid JSON")
             if not isinstance(payload, dict):
                 raise ConfigError("config file must hold a JSON object")
@@ -152,10 +140,8 @@ class Options:
     def out_dir(self) -> Path:
         out = Path(self.get("out"))
         self.created += [path for path in (out, *out.parents) if not path.exists()]
-        try:
+        with io_boundary(f"cannot create output directory {out}"):
             out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoError(f"cannot create output directory {out}: {exc}") from exc
         return out
 
     def read_inputs(self):
@@ -311,7 +297,7 @@ def cmd_analyze(opts: Options) -> bool:
             ["group", "metric", *alpha_header, "value"],
             sweep_rows,
         )
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     print(f"wrote report: {out / 'report.json'}")
     for level in levels:
         summary = report["levels"][level.value]["summary"]["non_linearity"]
@@ -351,7 +337,7 @@ def cmd_solve(opts: Options) -> bool:
     params = _solve_params(opts)
     out = opts.out_dir()
     _, weights = _merged("linear_solve", params, base, models, datasets)
-    _write_json(out / "weights.json", weights.to_json_dict())
+    write_json(out / "weights.json", weights.to_json_dict())
     print(f"wrote weights: {out / 'weights.json'}")
     for g in weights.groups:
         alphas = ", ".join(f"{a:.4f}" for a in g.alpha)
@@ -375,7 +361,7 @@ def cmd_merge(opts: Options) -> bool:
     write_archive(merged, merged_path)
     outputs = {"merged.ta": file_sha256(merged_path)}
     if weights is not None:
-        _write_json(out / "weights.json", weights.to_json_dict())
+        write_json(out / "weights.json", weights.to_json_dict())
         outputs["weights.json"] = file_sha256(out / "weights.json")
     manifest = {
         "command": "merge",
@@ -388,7 +374,7 @@ def cmd_merge(opts: Options) -> bool:
         },
         "outputs": outputs,
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     print(f"wrote merged archive: {merged_path}")
     print(f"wrote manifest: {out / 'manifest.json'}")
     return _fell_back(weights)
@@ -409,7 +395,7 @@ def cmd_eval(opts: Options) -> bool:
         "per_task": per_task,
         "mean": mean,
     }
-    _write_json(out / "metrics.json", metrics)
+    write_json(out / "metrics.json", metrics)
     print(f"wrote metrics: {out / 'metrics.json'}")
     for name in sorted(per_task):
         print(f"  {name}: {per_task[name]['loss']:.6f}")
@@ -454,7 +440,7 @@ def cmd_compare(opts: Options) -> bool:
         column: rows[int(np.argmin([values[column] for values in table]))]["id"]
         for column in columns
     }
-    _write_json(out / "compare.json", {"tasks": tasks, "rows": rows, "best": best})
+    write_json(out / "compare.json", {"tasks": tasks, "rows": rows, "best": best})
     csv_rows = [
         [row["id"], row["method"], json.dumps(row["params"], sort_keys=True)]
         + [f"{values[c]:.10g}" + ("*" if best[c] == row["id"] else "") for c in columns]

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one JSON decoder.
+"""Exception types shared across the package, and its boundary with the outside:
+`io_boundary` maps OS errors, `decode_json` reads JSON and `write_json` writes it.
 
 Every error raised by the library derives from SubmergeError so callers
 (and the CLI) can distinguish our failures from genuine bugs.
@@ -7,6 +8,8 @@ Every error raised by the library derives from SubmergeError so callers
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class SubmergeError(Exception):
@@ -67,6 +70,22 @@ class ParamError(SubmergeError):
 
 class ConfigError(SubmergeError):
     """Invalid run configuration handed to the CLI."""
+
+
+@contextmanager
+def io_boundary(what: str, error: type[SubmergeError] = IoError):
+    """An `OSError` raised in the block raises `error` with the message
+    `what: reason`, the `OSError` as its cause."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"{what}: {exc}") from exc
+
+
+def write_json(path: str | Path, payload) -> None:
+    """`payload` written to `path` as indented, sorted-key JSON and a newline."""
+    with io_boundary(f"cannot write {path}"):
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def decode_json(data: bytes | str, error: type[SubmergeError], context: str):

@@ -271,6 +271,7 @@ def _group_rows(
 ) -> np.ndarray:
     """One group's block on stored inputs under `weights` as `group_parameters`
     builds them; returns an f32 [rows, width], each input's rows in input order.
+    Token inputs are `validated_tokens` int64 arrays.
 
     Inputs of one length are stacked and evaluated in batches of at most `MAX_BATCH`.
     """
@@ -278,9 +279,9 @@ def _group_rows(
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
         if kind == "model_logits":
-            return forward_logits(config, weights, batch.astype(np.int64))
+            return forward_logits(config, weights, batch)
         if kind == "embed_rows":
-            return weights["embed"][batch.astype(np.int64)]
+            return weights["embed"][batch]
         x = batch.astype(np.float64)
         if kind == "logits":
             return output_block(x, weights, config)[0]
@@ -303,10 +304,13 @@ def apply_group(
     config: ModelConfig,
 ) -> np.ndarray:
     """One group's function under whole tensors `params` on [seq] token or
-    [seq, d_model] feature inputs; returns an f32 [rows, width] in input order."""
+    [seq, d_model] feature inputs; returns an f32 [rows, width] in input order.
+    Token inputs are checked by `validated_tokens`."""
     if not inputs:
         raise InputError(f"group {group.id!r} needs at least one input")
-    if group.output_kind not in ("model_logits", "embed_rows"):
+    if group.input_tap == "tokens":
+        inputs = [validated_tokens(config, arr) for arr in inputs]
+    else:
         for arr in inputs:
             if arr.ndim != 2 or arr.shape[1] != config.d_model:
                 raise InputError(
@@ -346,12 +350,14 @@ def _traced_taps(
     base: BoundModel, batch: np.ndarray, taps: set[str]
 ) -> Iterator[tuple[str, np.ndarray]]:
     """The `taps` of one batched base forward pass: the tokens as given, then each
-    feature tap rounded to f32 as soon as it is computed. Every other tap is dropped."""
+    feature tap rounded to f32 as soon as it is computed. Every other tap is dropped,
+    and no pass runs when `taps` holds no tap besides the tokens."""
     if "tokens" in taps:
         yield "tokens", batch
-    for tap, value in forward_taps(base.config, base.weights, batch):
-        if tap in taps:
-            yield tap, value.astype(np.float32)
+    if taps - {"tokens"}:
+        for tap, value in forward_taps(base.config, base.weights, batch):
+            if tap in taps:
+                yield tap, value.astype(np.float32)
 
 
 def collect_base_features(

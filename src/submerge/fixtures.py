@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .archive import TensorArchive, combine, write_archive
-from .errors import DataError, IoError, ParamError, decode_json
+from .errors import DataError, ParamError, decode_json, io_boundary, write_json
 from .model import BoundModel, ModelConfig, bind_weights, forward_taps
 
 DIRICHLET_CONC = 0.5
@@ -214,18 +214,14 @@ def write_dataset(path: str | Path, task: str, sequences: Sequence[Sequence[int]
         json.dumps({"task": task, "tokens": [int(t) for t in seq]}, sort_keys=True)
         for seq in sequences
     ]
-    try:
+    with io_boundary(f"cannot write dataset {path}"):
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write dataset {path}: {exc}") from exc
 
 
 def read_dataset(path: str | Path) -> list[list[int]]:
     """Token sequences from a JSONL file of {"task": ..., "tokens": [...]}."""
-    try:
+    with io_boundary(f"cannot read dataset {path}"):
         blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read dataset {path}: {exc}") from exc
     sequences = []
     for lineno, line in enumerate(blob.splitlines(), start=1):
         if not line.strip():
@@ -244,7 +240,8 @@ def read_dataset(path: str | Path) -> list[list[int]]:
 
 
 def file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with io_boundary(f"cannot read {path}"):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def gen_fixture(spec: FixtureSpec, out_dir: str | Path) -> dict:
@@ -253,10 +250,8 @@ def gen_fixture(spec: FixtureSpec, out_dir: str | Path) -> dict:
     Outputs are byte-identical across reruns with the same spec.
     """
     out = Path(out_dir)
-    try:
+    with io_boundary(f"cannot create fixture dir {out}"):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create fixture dir {out}: {exc}") from exc
     fixture = build_fixture(spec)
     paths = {
         "base": out / "base.ta",
@@ -278,10 +273,5 @@ def gen_fixture(spec: FixtureSpec, out_dir: str | Path) -> dict:
         },
         "digests": {p.name: file_sha256(p) for p in tracked},
     }
-    try:
-        paths["manifest"].write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoError(f"cannot write fixture manifest: {exc}") from exc
+    write_json(paths["manifest"], manifest)
     return paths

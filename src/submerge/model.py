@@ -291,10 +291,15 @@ def forward_logits(
 
 
 def validated_tokens(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
+    """`tokens` as a 1-D int64 array of 1..max_seq ids below vocab_size, else `InputError`.
+    Floats and bools are refused, not cast: a cast would read 1.7 as token 1."""
     try:
-        arr = np.asarray(tokens, dtype=np.int64)
+        arr = np.asarray(tokens)
     except (OverflowError, TypeError, ValueError):
-        raise InputError("tokens must be integers in int64 range") from None
+        arr = None
+    if arr is None or (arr.size and arr.dtype.kind not in "iu"):
+        raise InputError("tokens must be integers in int64 range")
+    arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 1 or arr.size < 1:
         raise InputError("tokens must be a non-empty 1-D sequence")
     if arr.size > config.max_seq:

@@ -28,7 +28,9 @@ from submerge import (
     write_archive,
 )
 from submerge.archive import combine
-from submerge.model import bind_weights, eval_cross_entropy
+from submerge.errors import write_json
+from submerge.fixtures import FixtureSpec, file_sha256, gen_fixture, read_dataset, write_dataset
+from submerge.model import ModelConfig, bind_weights, eval_cross_entropy
 
 
 def small_archive() -> TensorArchive:
@@ -272,6 +274,51 @@ class TestFormatErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             read_archive(tmp_path / "nope.ta")
+
+
+class TestIoBoundary:
+    """Every file reader and writer turns an `OSError` into an `IoError` that names
+    the path, the `OSError` as its cause. Each path is refused whoever runs the test:
+    missing, a directory, or below a regular file."""
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("read_archive_directory", "cannot read archive from {path}"),
+            ("write_archive_below_file", "cannot write archive to {path}"),
+            ("read_dataset_missing", "cannot read dataset {path}"),
+            ("write_dataset_below_file", "cannot write dataset {path}"),
+            ("gen_fixture_below_file", "cannot create fixture dir {path}"),
+            ("gen_fixture_manifest_directory", "cannot write {path}"),
+            ("write_json_below_file", "cannot write {path}"),
+            ("file_sha256_missing", "cannot read {path}"),
+        ],
+    )
+    def test_os_error_becomes_io_error(self, tmp_path, case, message):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        (tmp_path / "fx" / "fixture.json").mkdir(parents=True)
+        spec = FixtureSpec(
+            ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, vocab_size=11, max_seq=8),
+            dataset_size=2,
+            seq_len=4,
+        )
+        call, path = {
+            "read_archive_directory": (read_archive, tmp_path),
+            "write_archive_below_file": (lambda p: write_archive(small_archive(), p), taken / "a.ta"),
+            "read_dataset_missing": (read_dataset, tmp_path / "nope.jsonl"),
+            "write_dataset_below_file": (lambda p: write_dataset(p, "t", [[1]]), taken / "d.jsonl"),
+            "gen_fixture_below_file": (lambda p: gen_fixture(spec, p), taken / "fx"),
+            "gen_fixture_manifest_directory": (
+                lambda p: gen_fixture(spec, p.parent), tmp_path / "fx" / "fixture.json"
+            ),
+            "write_json_below_file": (lambda p: write_json(p, {}), taken / "x.json"),
+            "file_sha256_missing": (file_sha256, tmp_path / "nope.ta"),
+        }[case]
+        with pytest.raises(IoError) as excinfo:
+            call(path)
+        assert str(excinfo.value).startswith(message.format(path=path) + ": ")
+        assert isinstance(excinfo.value.__cause__, OSError)
 
 
 class TestReadOnly:

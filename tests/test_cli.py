@@ -491,26 +491,39 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("case", ["out_is_file", "out_below_file", "output_is_directory"])
     @pytest.mark.parametrize(
-        "command, output",
+        "command, output, writer",
         [
-            (["solve", "--samples-per-task", "4"], "weights.json"),
+            (["solve", "--samples-per-task", "4"], "weights.json", "cannot write"),
             (
                 ["analyze", "--levels", "layer", "--n-points", "2", "--samples-per-task", "4"],
                 "heatmap_layer.csv",
+                "cannot write",
             ),
-            (["eval"], "metrics.json"),
-            (["compare", "--samples-per-task", "4"], "compare.json"),
-            (["merge", "--method", "weight_avg"], "merged.ta"),
-            (["gen-fixture"], "base.ta"),
+            (["eval"], "metrics.json", "cannot write"),
+            (["compare", "--samples-per-task", "4"], "compare.json", "cannot write"),
+            (["merge", "--method", "weight_avg"], "merged.ta", "cannot write archive to"),
+            (["gen-fixture"], "base.ta", "cannot write archive to"),
+            (["gen-fixture"], "task1.jsonl", "cannot write dataset"),
+            (["gen-fixture"], "fixture.json", "cannot write"),
         ],
-        ids=["solve", "analyze", "eval", "compare", "merge", "gen_fixture"],
+        ids=[
+            "solve", "analyze", "eval", "compare", "merge", "gen_fixture",
+            "gen_fixture_dataset", "gen_fixture_manifest",
+        ],
     )
-    def test_unwritable_out_exits_2(self, fixture_dir, tmp_path, capsys, command, output, case):
+    def test_unwritable_out_exits_2(
+        self, fixture_dir, tmp_path, capsys, command, output, writer, case
+    ):
+        # Each error names the path the OS refused; an --out made before the
+        # failed write stays only if it existed before the run.
         taken = tmp_path / "taken"
         taken.write_text("")
         out = {"out_is_file": taken, "out_below_file": taken / "sub"}.get(case, tmp_path / "out")
         if case == "output_is_directory":
             (out / output).mkdir(parents=True)
+            message = f"error: {writer} {out / output}: "
+        else:
+            message = f"error: cannot create output directory {out}: "
         if command[0] == "gen-fixture":
             inputs = []
         elif command[0] == "eval":
@@ -518,7 +531,20 @@ class TestBadInputs:
         else:
             inputs = io_flags(fixture_dir, datasets=command[0] != "merge")
         rc = main([*command, *inputs, "--out", str(out)])
-        assert "cannot" in assert_input_error(rc, capsys)
+        assert assert_input_error(rc, capsys).startswith(message)
+        assert out.is_dir() == (case == "output_is_directory")
+
+    @pytest.mark.parametrize(
+        "case, reader", [("base_is_directory", "archive from"), ("dataset_missing", "dataset")]
+    )
+    def test_unreadable_input_exits_2_before_out(self, fixture_dir, tmp_path, capsys, case, reader):
+        flags = io_flags(fixture_dir)
+        path = {"base_is_directory": tmp_path, "dataset_missing": tmp_path / "nope.jsonl"}[case]
+        flags[flags.index("--base" if case == "base_is_directory" else "--dataset") + 1] = str(path)
+        out = tmp_path / "made" / "out"
+        rc = main(["solve", *flags, "--out", str(out)])
+        assert assert_input_error(rc, capsys).startswith(f"error: cannot read {reader} {path}: ")
+        assert not (tmp_path / "made").exists()
 
     @pytest.mark.parametrize("existing", [False, True], ids=["made_out", "existing_out"])
     @pytest.mark.parametrize("case", ["eval_token_past_vocab", "solve_too_few_sequences"])
@@ -927,15 +953,22 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("{not json", "config file is not valid JSON"), (None, "cannot read config file")],
-        ids=["not_json", "unreadable"],
+        [
+            ("{not json", "config file is not valid JSON"),
+            (None, "cannot read config file: [Errno 2]"),
+            ("directory", "cannot read config file: [Errno 21]"),
+        ],
+        ids=["not_json", "unreadable", "directory"],
     )
     def test_config_that_cannot_be_loaded_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.json"
-        if text is not None:
+        if text == "directory":
+            path.mkdir()
+        elif text is not None:
             path.write_text(text)
         rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
         assert message in assert_input_error(rc, capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_level_flag_is_usage_error(self, fixture_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

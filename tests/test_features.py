@@ -179,6 +179,29 @@ class TestCollect:
         with pytest.raises(PlanError, match="another model config"):
             collect_base_features(model, [[[1, 2, 3, 4], [5, 6, 7]]], plan, sample_n=2)
 
+    def test_base_pass_runs_only_for_taps_besides_the_tokens(self, tiny_config, setup, monkeypatch):
+        # The model group reads only the tokens, so its trace runs no forward pass; every
+        # other level runs one per length bucket, and each task's sequences share a length.
+        model, datasets, _ = setup
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return submerge.model.forward_taps(*args)
+
+        monkeypatch.setattr(submerge.features, "forward_taps", counted)
+        stores = {}
+        for level in Granularity:
+            calls.clear()
+            plan = plan_decomposition(tiny_config, level)
+            stores[level] = collect_base_features(model, datasets, plan, sample_n=3, seed=1)
+            assert len(calls) == (0 if level is Granularity.MODEL else len(datasets)), level
+        for task in range(len(datasets)):
+            tokens = stores[Granularity.MODEL].inputs[("model", task)]
+            embed = stores[Granularity.LAYER].inputs[("embed", task)]
+            assert [a.dtype for a in tokens] == [np.dtype(np.int64)] * 3
+            assert all(np.array_equal(a, b) for a, b in zip(tokens, embed, strict=True))
+
     def test_too_small_dataset(self, tiny_config, setup):
         model, datasets, _ = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
@@ -294,6 +317,19 @@ class TestApplyGroup:
         group = plan_decomposition(tiny_config, Granularity.ATTN_MLP).group("mlp.0")
         with pytest.raises(InputError, match=r"expects \[seq x 8\] inputs, got \(3, 5\)"):
             apply_group(group, model.weights, [np.zeros((3, 5))], tiny_config)
+
+    # vocab 11, max_seq 16: a cast would read -1 as the last row and 1.7 as token 1.
+    @pytest.mark.parametrize(
+        "tokens",
+        [np.array([3, -1]), np.array([3.0, 1.7]), np.zeros(17, dtype=np.int64), np.array([3, 11])],
+        ids=["negative_id", "float_id", "longer_than_max_seq", "id_past_vocab"],
+    )
+    @pytest.mark.parametrize("level, group_id", [("layer", "embed"), ("model", "model")])
+    def test_bad_tokens(self, tiny_config, setup, level, group_id, tokens):
+        model, _, _ = setup
+        group = plan_decomposition(tiny_config, Granularity(level)).group(group_id)
+        with pytest.raises(InputError):
+            apply_group(group, model.weights, [np.array([1, 2]), tokens], tiny_config)
 
     def test_no_inputs(self, tiny_config, setup):
         model, _, _ = setup

@@ -326,6 +326,12 @@ class TestForwardContracts:
         with pytest.raises(InputError):
             validated_tokens(tiny_config, [-1])
 
+    # A cast would read 1.7 as token 1 and True as token 1.
+    @pytest.mark.parametrize("tokens", [[0, 1.7], np.array([0.0, 1.0]), [True, False]])
+    def test_non_integer_tokens(self, tiny_config, tokens):
+        with pytest.raises(InputError, match="must be integers"):
+            validated_tokens(tiny_config, tokens)
+
     def test_sequence_length_limits(self, tiny_config):
         with pytest.raises(InputError):
             validated_tokens(tiny_config, [])
