@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CoeffError, CompatError, DataError, FormatError, TruncationError
-from .errors import decode_json, io_boundary
+from .errors import decode_json, io_boundary, record_digest
 
 _HEADER_PREFIX = struct.Struct("<Q")
 _DTYPE_TAG = "f32"
@@ -104,10 +104,12 @@ def archive_digest(archive: TensorArchive) -> str:
     return hashlib.sha256(archive_bytes(archive)).hexdigest()
 
 
-def write_archive(archive: TensorArchive, path) -> None:
+def write_archive(archive: TensorArchive, path, digests: dict | None = None) -> None:
+    """The canonical bytes of `archive` written to `path`; `record_digest` records them."""
     data = archive_bytes(archive)
     with io_boundary(f"cannot write archive to {path}"), open(path, "wb") as fh:
         fh.write(data)
+    record_digest(digests, path, data)
 
 
 def _parse_header(blob: bytes) -> tuple[dict, bytes]:
@@ -123,9 +125,11 @@ def _parse_header(blob: bytes) -> tuple[dict, bytes]:
     return header, body[header_len:]
 
 
-def read_archive(path) -> TensorArchive:
+def read_archive(path, digests: dict | None = None) -> TensorArchive:
+    """The archive in the file at `path`; `record_digest` records the bytes parsed."""
     with io_boundary(f"cannot read archive from {path}"), open(path, "rb") as fh:
         blob = fh.read()
+    record_digest(digests, path, blob)
     header, payload = _parse_header(blob)
 
     entries = header["tensors"]

@@ -26,7 +26,7 @@ from .archive import TensorArchive, read_archive, task_vector, write_archive
 from .decompose import Granularity, plan_decomposition
 from .errors import ConfigError, DegenerateError, SubmergeError, decode_json, io_boundary, write_json
 from .features import collect_base_features, compute_delta_outputs
-from .fixtures import FixtureSpec, file_sha256, gen_fixture, read_dataset
+from .fixtures import FixtureSpec, gen_fixture, read_dataset
 from .linearity import metric_sweep, non_linearity_score
 from .merge import (
     config_for,
@@ -144,10 +144,11 @@ class Options:
             out.mkdir(parents=True, exist_ok=True)
         return out
 
-    def read_inputs(self):
+    def read_inputs(self, digests: dict[Path, str] | None = None):
         """Read and check every archive and dataset the command (for merge, its --method)
         reads, before the command creates --out: the --base or --archive archive, the
-        --model archives, the datasets, that archive's model config, and the paths read."""
+        --model archives, the datasets, that archive's model config, and the paths read.
+        `digests`, if given, receives each path's sha256 of the bytes parsed."""
         paths = {"models": [], "datasets": []}
         for key in ("base", "archive", "models", "datasets"):
             if key in self.reads:
@@ -159,9 +160,9 @@ class Options:
         n_models, n_datasets = len(paths["models"]), len(paths["datasets"])
         if n_models and n_datasets and n_models != n_datasets:
             raise ConfigError(f"{n_models} models need {n_models} datasets, got {n_datasets}")
-        archive = read_archive(paths.get("base") or paths["archive"])
-        models = [read_archive(p) for p in paths["models"]]
-        datasets = [read_dataset(p) for p in paths["datasets"]]
+        archive = read_archive(paths.get("base") or paths["archive"], digests)
+        models = [read_archive(p, digests) for p in paths["models"]]
+        datasets = [read_dataset(p, digests) for p in paths["datasets"]]
         return archive, models, datasets, config_for(archive), paths
 
 
@@ -324,8 +325,8 @@ def _merged(
     return result if isinstance(result, tuple) else (result, None)
 
 
-def _file_entry(path: Path) -> dict:
-    return {"path": str(path), "sha256": file_sha256(path)}
+def _file_entry(path: Path, digests: dict[Path, str]) -> dict:
+    return {"path": str(path), "sha256": digests[path]}
 
 
 def _fell_back(weights: MergeWeights | None) -> bool:
@@ -348,7 +349,8 @@ def cmd_solve(opts: Options) -> bool:
 
 def cmd_merge(opts: Options) -> bool:
     method = opts.get("method")
-    base, models, datasets, _, paths = opts.read_inputs()
+    digests: dict[Path, str] = {}
+    base, models, datasets, _, paths = opts.read_inputs(digests)
     if method == "linear_solve":
         params = _solve_params(opts)
     else:
@@ -358,19 +360,19 @@ def cmd_merge(opts: Options) -> bool:
     out = opts.out_dir()
     merged, weights = _merged(method, params, base, models, datasets)
     merged_path = out / "merged.ta"
-    write_archive(merged, merged_path)
-    outputs = {"merged.ta": file_sha256(merged_path)}
+    write_archive(merged, merged_path, digests)
+    outputs = {"merged.ta": digests[merged_path]}
     if weights is not None:
-        write_json(out / "weights.json", weights.to_json_dict())
-        outputs["weights.json"] = file_sha256(out / "weights.json")
+        write_json(out / "weights.json", weights.to_json_dict(), digests)
+        outputs["weights.json"] = digests[out / "weights.json"]
     manifest = {
         "command": "merge",
         "method": method,
         "params": params,
         "inputs": {
-            "base": _file_entry(paths["base"]),
-            "models": [_file_entry(p) for p in paths["models"]],
-            "datasets": [_file_entry(p) for p in paths["datasets"]],
+            "base": _file_entry(paths["base"], digests),
+            "models": [_file_entry(p, digests) for p in paths["models"]],
+            "datasets": [_file_entry(p, digests) for p in paths["datasets"]],
         },
         "outputs": outputs,
     }
@@ -381,7 +383,8 @@ def cmd_merge(opts: Options) -> bool:
 
 
 def cmd_eval(opts: Options) -> bool:
-    archive, _, datasets, config, paths = opts.read_inputs()
+    digests: dict[Path, str] = {}
+    archive, _, datasets, config, paths = opts.read_inputs(digests)
     out = opts.out_dir()
     losses = _losses(archive, config, datasets)
     per_task = {
@@ -391,7 +394,7 @@ def cmd_eval(opts: Options) -> bool:
     mean = float(np.mean(losses))
     metrics = {
         "archive": str(paths["archive"]),
-        "sha256": file_sha256(paths["archive"]),
+        "sha256": digests[paths["archive"]],
         "per_task": per_task,
         "mean": mean,
     }

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and its boundary with the outside:
-`io_boundary` maps OS errors, `decode_json` reads JSON and `write_json` writes it.
+`io_boundary` maps OS errors, `decode_json` reads JSON, `write_json` writes it
+and `record_digest` hashes the bytes a reader or writer already holds.
 
 Every error raised by the library derives from SubmergeError so callers
 (and the CLI) can distinguish our failures from genuine bugs.
@@ -7,6 +8,7 @@ Every error raised by the library derives from SubmergeError so callers
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -82,10 +84,20 @@ def io_boundary(what: str, error: type[SubmergeError] = IoError):
         raise error(f"{what}: {exc}") from exc
 
 
-def write_json(path: str | Path, payload) -> None:
-    """`payload` written to `path` as indented, sorted-key JSON and a newline."""
+def record_digest(digests: dict | None, path, data: bytes) -> None:
+    """If `digests` is given, map `path` to the sha256 of `data`, the bytes
+    read from or written to it, so no file is read a second time to hash it."""
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+
+
+def write_json(path: str | Path, payload, digests: dict | None = None) -> None:
+    """`payload` written to `path` as indented, sorted-key JSON and a newline;
+    `record_digest` records the bytes written."""
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
     with io_boundary(f"cannot write {path}"):
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        Path(path).write_bytes(data)
+    record_digest(digests, path, data)
 
 
 def decode_json(data: bytes | str, error: type[SubmergeError], context: str):

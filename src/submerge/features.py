@@ -16,13 +16,15 @@ set (a source model's slices, or base + sum_t c_t tau_t; the read-only ones
 at the base value), and `FeatureStore.rows` evaluates the block on them, one
 call per batch, so identical weights reproduce identical bytes. A group's
 outputs on one task are one f32 [rows, width] matrix, each batch's block
-written into its sequences' token rows in input order. Base outputs and
-output deltas are computed when a group is first read and held one group at
-a time: the base rows per task, and the [n_models, rows, width] delta block
-per data task that the solver reads; the dict keys are the one record of
-the group held. The linearity sweep reads a group's deltas once, as
-`DeltaStore.pooled`'s float64 pool, which drops those f32 blocks, so the
-sweep holds one copy of a group's deltas, not two.
+written into its sequences' token rows in input order. Base outputs are
+computed when a group is first read and held one group at a time, per task;
+the dict keys are the one record of the group held. Output deltas are
+streamed: `DeltaStore.blocks` yields one [n_models, rows, width] f32 block
+per data task as it is computed and keeps none, so the solver, which folds
+each block into its Gram term before reading the next, holds one task's
+block at a time. The linearity sweep reads a group's deltas once, as
+`DeltaStore.pooled`'s float64 pool built from that stream, so the sweep
+holds one copy of a group's deltas, not two.
 A group's stored inputs live until `FeatureStore.release` drops them, which
 `analyze` calls once a group's metrics are done, so a tap's arrays are
 freed with the last group that reads them; a group whose inputs are gone is
@@ -35,12 +37,12 @@ A group's base rows live from their first read until another group is held
 and the subtrahend of every sweep alpha's merged delta, computed once per
 group and task.
 
-`DeltaStore.grouped` is the one delta loop: per data task, a group supplies
-its base rows and then each fine-tuned model's rows, and each model's
-delta is its rows minus the base rows. Most groups read `base_rows` and
-`rows`. Head groups 1..H-1 of a layer read `norm1` at its base value, and
-heads are independent given the normed input, so their rows come from the
-layer's shared attention contexts of heads 1..H-1
+`DeltaStore.blocks` is the one delta loop: per data task, each fine-tuned
+model's rows are written into its slot of the block and the group's base
+rows are subtracted in place, so no per-model copy is made. Most groups
+read `base_rows` and `rows`. Head groups 1..H-1 of a layer read `norm1` at
+its base value, and heads are independent given the normed input, so their
+rows come from the layer's shared attention contexts of heads 1..H-1
 (`decompose.context_slices`): one `attention_contexts` call per batch under
 the base weights and one per fine-tuned model under its q/k/v_proj rows of
 those heads and the base `norm1`. Head h's rows are its columns of the
@@ -53,7 +55,6 @@ them as soon as any other group is.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -91,9 +92,16 @@ class FeatureStore:
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
 
-    def rows(self, group: SubmoduleGroup, task: int, weights: Mapping[str, np.ndarray]) -> np.ndarray:
-        """The group's rows on one task's inputs under `group_parameters` weights."""
-        return _group_rows(group, weights, self._inputs(group, task), self.plan.config)
+    def rows(
+        self,
+        group: SubmoduleGroup,
+        task: int,
+        weights: Mapping[str, np.ndarray],
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The group's rows on one task's inputs under `group_parameters` weights,
+        written into `out` if given, an f32 [rows, width]."""
+        return _group_rows(group, weights, self._inputs(group, task), self.plan.config, out)
 
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
         """The group's output rows on one task's inputs under the traced weights."""
@@ -153,13 +161,15 @@ class FeatureStore:
 class DeltaStore:
     """Output deltas of one group at a time, laid out as the solver reads them.
 
-    `grouped` computes a group's deltas the first time that group is asked
-    for, replacing the group held before and its base rows (the group's own
-    base rows, if already held, are kept): `deltas[(group id, data task)]`
-    is an [n_models, rows, width] f32 block of the one held group, and
-    reading it again computes nothing. `pooled` returns the group's deltas
-    as one float64 array and holds no block after it, so a sweep keeps one
-    copy of a group's deltas, not two. The plan and the base weights are
+    `blocks` streams a group's deltas: per data task, an [n_models, rows,
+    width] f32 block, computed when the stream reaches it and kept by no one
+    but the reader, so a reader that drops each block before asking for the
+    next holds one task's block at a time. `grouped` keeps a group's blocks
+    in `deltas[(group id, data task)]`, so reading that group again computes
+    nothing; `blocks` and `pooled` hold none and drop those of any group held
+    before. `pooled` returns the group's deltas as one float64 array. Every
+    reader replaces the group held before and its base rows (the group's own
+    base rows, if already held, are kept). The plan and the base weights are
     the `features` store's.
 
     While a layer's head groups above 0 are read, `contexts[layer]` holds the
@@ -178,34 +188,42 @@ class DeltaStore:
     def n_models(self) -> int:
         return len(self.fine_tuned)
 
-    def grouped(self, group_id: str) -> list[np.ndarray]:
-        """Per data task, an array [n_models, rows, width]."""
+    def blocks(self, group_id: str) -> Iterator[np.ndarray]:
+        """Per data task in order, the group's [n_models, rows, width] f32 deltas.
+
+        The group is checked and held when this is called, before any block
+        is computed: a group not the plan's, or released, raises `PlanError`
+        here. Each block is computed when the stream reaches it.
+        """
         features = self.features
         group = features.plan.group(group_id)
         features._hold(group)
+        self.deltas.clear()
+        task_block = self._task_block(group)
+        return (task_block(task) for task in range(features.n_tasks))
+
+    def grouped(self, group_id: str) -> list[np.ndarray]:
+        """Per data task, an array [n_models, rows, width], kept until another
+        group is read."""
+        features = self.features
+        features._hold(features.plan.group(group_id))
         # The last data task's block is stored last, so its key marks a whole group.
         if (group_id, features.n_tasks - 1) not in self.deltas:
-            self.deltas.clear()
-            task_rows = self._task_rows(group)
-            for task in range(features.n_tasks):
-                rows = task_rows(task)
-                base = next(rows)
-                self.deltas[(group_id, task)] = np.stack([model - base for model in rows])
+            for task, block in enumerate(self.blocks(group_id)):
+                self.deltas[(group_id, task)] = block
         return [self.deltas[(group_id, task)] for task in range(features.n_tasks)]
 
     def pooled(self, group_id: str) -> np.ndarray:
-        """Float64 [n_models, rows of every data task, width], handed over: the
-        float32 blocks it is built from are dropped, so the caller's pool is the
-        group's one copy of its deltas. A later `grouped` computes them again."""
-        pool = np.concatenate(self.grouped(group_id), axis=1, dtype=np.float64)
-        self.deltas.clear()
-        return pool
+        """Float64 [n_models, rows of every data task, width]: the caller's pool
+        is the group's one copy of its deltas, and the store holds no block."""
+        return np.concatenate(list(self.blocks(group_id)), axis=1, dtype=np.float64)
 
-    def _task_rows(self, group: SubmoduleGroup) -> Callable[[int], Iterator[np.ndarray]]:
-        """Per data task, the group's f32 base rows and then each model's rows.
+    def _task_block(self, group: SubmoduleGroup) -> Callable[[int], np.ndarray]:
+        """Per data task, the group's f32 delta block: each model's rows written
+        into its slot, then the base rows subtracted in place.
 
-        A head group above 0 reads them off its layer's contexts, built unless
-        held; every other group evaluates its block and holds no contexts.
+        A head group above 0 reads its rows off its layer's contexts, built
+        unless held; every other group evaluates its block and holds no contexts.
         """
         features, layer = self.features, group.layer
         if not group.head_index:
@@ -214,19 +232,26 @@ class DeltaStore:
                 group_parameters(group, features.weights, source=archive.tensors)
                 for archive in self.fine_tuned
             ]
-            return lambda task: itertools.chain(
-                [features.base_rows(group, task)], (features.rows(group, task, p) for p in params)
-            )
+
+            def evaluated(task: int) -> np.ndarray:
+                base = features.base_rows(group, task)
+                block = np.empty((len(params), *base.shape), np.float32)
+                for slot, weights in zip(block, params):
+                    features.rows(group, task, weights, out=slot)
+                    np.subtract(slot, base, out=slot)
+                return block
+
+            return evaluated
         config = features.plan.config
         shared, cols = context_slices(config, layer, group.head_index)
         if layer not in self.contexts:
             # Free the held layer's contexts before building this one's.
             self.contexts.clear()
             # Heads 1..H-1's q/k/v rows and o_proj columns from each weight
-            # set, the base first; norm1 stays at the base.
+            # set, the base first, built one set at a time; norm1 stays at the base.
             heads = dataclasses.replace(group, params=shared)
             sources = [features.weights] + [archive.tensors for archive in self.fine_tuned]
-            weight_sets = [group_parameters(heads, features.weights, source=s) for s in sources]
+            weight_sets = (group_parameters(heads, features.weights, source=s) for s in sources)
 
             def layer_contexts(weights: Mapping[str, np.ndarray]) -> list[np.ndarray]:
                 return [
@@ -240,20 +265,30 @@ class DeltaStore:
 
             o_proj_name = f"layers.{layer}.attn.o_proj"
             self.contexts[layer] = [(w[o_proj_name], layer_contexts(w)) for w in weight_sets]
-        # All rows and this head's columns of the o_proj slice and of the contexts.
-        return lambda task: (
-            (contexts[task][cols] @ o_proj[cols].T).astype(np.float32)
-            for o_proj, contexts in self.contexts[layer]
-        )
+
+        def from_contexts(task: int) -> np.ndarray:
+            # All rows and this head's columns of the o_proj slice and of the contexts.
+            (base_o_proj, base_contexts), *models = self.contexts[layer]
+            base = (base_contexts[task][cols] @ base_o_proj[cols].T).astype(np.float32)
+            block = np.empty((len(models), *base.shape), np.float32)
+            for slot, (o_proj, contexts) in zip(block, models):
+                np.copyto(slot, contexts[task][cols] @ o_proj[cols].T, casting="same_kind")
+                np.subtract(slot, base, out=slot)
+            return block
+
+        return from_contexts
 
 
 def _rows_in_order(
-    inputs: Sequence[np.ndarray], evaluate: Callable[[np.ndarray], np.ndarray], dtype: type
+    inputs: Sequence[np.ndarray],
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    dtype: type,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """`evaluate` on each `length_buckets` batch of `inputs`, written into one
-    `dtype` [rows, width] result: every input's rows, in input order."""
+    `dtype` [rows, width] result, `out` if given: every input's rows, in input order."""
     starts = np.cumsum([0] + [len(seq) for seq in inputs])
-    result = None
+    result = out
     for positions, batch in length_buckets(inputs):
         block = evaluate(batch)
         if result is None:
@@ -268,10 +303,11 @@ def _group_rows(
     weights: Mapping[str, np.ndarray],
     inputs: Sequence[np.ndarray],
     config: ModelConfig,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One group's block on stored inputs under `weights` as `group_parameters`
-    builds them; returns an f32 [rows, width], each input's rows in input order.
-    Token inputs are `validated_tokens` int64 arrays.
+    builds them; returns an f32 [rows, width], `out` if given, each input's rows
+    in input order. Token inputs are `validated_tokens` int64 arrays.
 
     Inputs of one length are stacked and evaluated in batches of at most `MAX_BATCH`.
     """
@@ -294,7 +330,7 @@ def _group_rows(
             return x + mlp_block(x, weights, config, layer)[0]
         raise InputError(f"unknown output kind {kind!r}")
 
-    return _rows_in_order(inputs, evaluate, np.float32)
+    return _rows_in_order(inputs, evaluate, np.float32, out)
 
 
 def apply_group(

@@ -14,7 +14,6 @@ both measurable with cross entropy at desk scale.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .archive import TensorArchive, combine, write_archive
-from .errors import DataError, ParamError, decode_json, io_boundary, write_json
+from .errors import DataError, ParamError, decode_json, io_boundary, record_digest, write_json
 from .model import BoundModel, ModelConfig, bind_weights, forward_taps
 
 DIRICHLET_CONC = 0.5
@@ -209,19 +208,26 @@ def build_fixture(spec: FixtureSpec) -> Fixture:
     return Fixture(spec, base, models, datasets)
 
 
-def write_dataset(path: str | Path, task: str, sequences: Sequence[Sequence[int]]) -> None:
+def write_dataset(
+    path: str | Path, task: str, sequences: Sequence[Sequence[int]], digests: dict | None = None
+) -> None:
+    """`sequences` written to `path` as JSONL; `record_digest` records the bytes written."""
     lines = [
         json.dumps({"task": task, "tokens": [int(t) for t in seq]}, sort_keys=True)
         for seq in sequences
     ]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
     with io_boundary(f"cannot write dataset {path}"):
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_bytes(data)
+    record_digest(digests, path, data)
 
 
-def read_dataset(path: str | Path) -> list[list[int]]:
-    """Token sequences from a JSONL file of {"task": ..., "tokens": [...]}."""
+def read_dataset(path: str | Path, digests: dict | None = None) -> list[list[int]]:
+    """Token sequences from a JSONL file of {"task": ..., "tokens": [...]};
+    `record_digest` records the bytes parsed."""
     with io_boundary(f"cannot read dataset {path}"):
         blob = Path(path).read_bytes()
+    record_digest(digests, path, blob)
     sequences = []
     for lineno, line in enumerate(blob.splitlines(), start=1):
         if not line.strip():
@@ -239,11 +245,6 @@ def read_dataset(path: str | Path) -> list[list[int]]:
     return sequences
 
 
-def file_sha256(path: Path) -> str:
-    with io_boundary(f"cannot read {path}"):
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def gen_fixture(spec: FixtureSpec, out_dir: str | Path) -> dict:
     """Write base.ta, task{t}.ta, task{t}.jsonl and a fixture.json manifest.
 
@@ -259,10 +260,11 @@ def gen_fixture(spec: FixtureSpec, out_dir: str | Path) -> dict:
         "datasets": [out / f"task{t}.jsonl" for t in range(spec.n_tasks)],
         "manifest": out / "fixture.json",
     }
-    write_archive(fixture.base, paths["base"])
+    digests: dict[Path, str] = {}
+    write_archive(fixture.base, paths["base"], digests)
     for t in range(spec.n_tasks):
-        write_archive(fixture.models[t], paths["models"][t])
-        write_dataset(paths["datasets"][t], f"task{t}", fixture.datasets[t])
+        write_archive(fixture.models[t], paths["models"][t], digests)
+        write_dataset(paths["datasets"][t], f"task{t}", fixture.datasets[t], digests)
     tracked = [paths["base"], *paths["models"], *paths["datasets"]]
     manifest = {
         "spec": spec.to_json_dict(),
@@ -271,7 +273,7 @@ def gen_fixture(spec: FixtureSpec, out_dir: str | Path) -> dict:
             "models": [p.name for p in paths["models"]],
             "datasets": [p.name for p in paths["datasets"]],
         },
-        "digests": {p.name: file_sha256(p) for p in tracked},
+        "digests": {p.name: digests[p] for p in tracked},
     }
     write_json(paths["manifest"], manifest)
     return paths

@@ -215,7 +215,10 @@ def attention_contexts(
 
     q = rope_rotate(project(q_proj), config.rope_theta)
     k = rope_rotate(project(k_proj), config.rope_theta)
-    ctx = causal_attention(q, k, project(v_proj))
+    v = project(v_proj)
+    # Drop the input and its normed copy before the attention scores are built.
+    del x, normed
+    ctx = causal_attention(q, k, v)
     return ctx.reshape(*ctx.shape[:-2], -1)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.linalg
@@ -75,52 +75,63 @@ class MergeWeights:
 
 
 def compute_gram(
-    task_blocks: Sequence[np.ndarray], normalized: bool = True, group_id: str = ""
+    task_blocks: Iterable[np.ndarray], normalized: bool = True, group_id: str = ""
 ) -> GramTensor:
-    """Gram tensor over data tasks; blocks are [n_models, rows, width].
+    """Gram tensor over data tasks; blocks are [n_models, rows, width], read
+    from any iterable in data-task order.
 
     Normalized mode divides each sample's contribution by the mean delta
     energy across models and skips samples where that energy underflows.
-    Every block's shape is checked first; each is upcast to float64 only
-    while its own contribution is computed.
+    Each block's shape is checked as it arrives and the block is upcast to
+    float64 only while its own contribution is computed; it is dropped before
+    the next is read, so a stream holds one task's block at a time. A task
+    with no samples left raises `DegenerateError` once every block has passed
+    its shape check.
     """
-    if not task_blocks:
-        raise InputError("need at least one data task block")
-    shapes = [np.shape(block) for block in task_blocks]
-    n_models = shapes[0][0] if shapes[0] else 0
-    for shape in shapes:
+    B, samples, skipped = [], [], []
+    n_models = None
+    for block in task_blocks:
+        shape = np.shape(block)
+        if n_models is None:
+            n_models = shape[0] if shape else 0
         if len(shape) != 3 or shape[0] != n_models:
             raise InputError(
                 f"blocks must be [n_models x rows x width] with n_models={n_models}, "
                 f"got {shape}"
             )
-    B = np.zeros((len(task_blocks), n_models, n_models))
-    samples = []
-    skipped = []
-    for a, block in enumerate(task_blocks):
-        block = np.asarray(block, dtype=np.float64)
-        outer = np.einsum("brw,crw->rbc", block, block)
-        if normalized:
-            energy = np.einsum("rtt->r", outer) / n_models
-            keep = energy >= ENERGY_FLOOR
-            retained = int(keep.sum())
-            skipped.append(block.shape[1] - retained)
-            if retained == 0:
-                raise DegenerateError(
-                    f"group {group_id!r}: data task {a} has no samples with "
-                    "non-zero delta energy"
-                )
-            B[a] = (outer[keep] / energy[keep, None, None]).mean(axis=0)
-        else:
-            skipped.append(0)
-            retained = block.shape[1]
-            if retained == 0:
-                raise DegenerateError(f"group {group_id!r}: data task {a} has no samples")
-            B[a] = outer.mean(axis=0)
+        B_a, retained = _task_gram(block, normalized)
+        # Not held while the stream computes the next block.
+        del block
+        B.append(B_a)
         samples.append(retained)
+        skipped.append(shape[1] - retained)
+    if not samples:
+        raise InputError("need at least one data task block")
+    if 0 in samples:
+        reason = "no samples with non-zero delta energy" if normalized else "no samples"
+        raise DegenerateError(f"group {group_id!r}: data task {samples.index(0)} has {reason}")
+    B = np.stack(B)
     if not np.isfinite(B).all():
         raise NumericError(f"group {group_id!r}: non-finite Gram entries")
     return GramTensor(B, tuple(samples), tuple(skipped))
+
+
+def _task_gram(block: np.ndarray, normalized: bool) -> tuple[np.ndarray | None, int]:
+    """One data task's Gram term and its number of retained samples; the term
+    is None when no sample is retained."""
+    block = np.asarray(block, dtype=np.float64)
+    outer = np.einsum("brw,crw->rbc", block, block)
+    n_models = len(block)
+    # The upcast is dropped before the normalization temporaries are made.
+    del block
+    if not normalized:
+        return (outer.mean(axis=0) if len(outer) else None), len(outer)
+    energy = np.einsum("rtt->r", outer) / n_models
+    keep = energy >= ENERGY_FLOOR
+    retained = int(keep.sum())
+    if retained == 0:
+        return None, 0
+    return (outer[keep] / energy[keep, None, None]).mean(axis=0), retained
 
 
 def assemble_system(gram: GramTensor) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +190,7 @@ def solve_plan(
     results = []
     for group_id in plan.group_ids():
         try:
-            gram = compute_gram(deltas.grouped(group_id), normalized, group_id=group_id)
+            gram = compute_gram(deltas.blocks(group_id), normalized, group_id=group_id)
             alpha, diag = solve_alpha(*assemble_system(gram))
             results.append(GroupWeights(group_id, tuple(float(a) for a in alpha), **diag))
         except (DegenerateError, NumericError) as exc:

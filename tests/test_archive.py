@@ -29,7 +29,7 @@ from submerge import (
 )
 from submerge.archive import combine
 from submerge.errors import write_json
-from submerge.fixtures import FixtureSpec, file_sha256, gen_fixture, read_dataset, write_dataset
+from submerge.fixtures import FixtureSpec, gen_fixture, read_dataset, write_dataset
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy
 
 
@@ -291,7 +291,6 @@ class TestIoBoundary:
             ("gen_fixture_below_file", "cannot create fixture dir {path}"),
             ("gen_fixture_manifest_directory", "cannot write {path}"),
             ("write_json_below_file", "cannot write {path}"),
-            ("file_sha256_missing", "cannot read {path}"),
         ],
     )
     def test_os_error_becomes_io_error(self, tmp_path, case, message):
@@ -313,7 +312,6 @@ class TestIoBoundary:
                 lambda p: gen_fixture(spec, p.parent), tmp_path / "fx" / "fixture.json"
             ),
             "write_json_below_file": (lambda p: write_json(p, {}), taken / "x.json"),
-            "file_sha256_missing": (file_sha256, tmp_path / "nope.ta"),
         }[case]
         with pytest.raises(IoError) as excinfo:
             call(path)

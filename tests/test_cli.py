@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import builtins
+import hashlib
+import io
 import json
 import math
 import shlex
@@ -155,9 +158,9 @@ class TestAnalyze:
         calls = []
         rows = FeatureStore.rows
 
-        def counting(self, group, task, weights):
+        def counting(self, group, task, weights, out=None):
             calls.append(group.id)
-            return rows(self, group, task, weights)
+            return rows(self, group, task, weights, out)
 
         monkeypatch.setattr(FeatureStore, "rows", counting)
         levels, n_points = list(Granularity), 3
@@ -777,6 +780,65 @@ class TestMerge:
     def test_missing_method_exits_2(self, fixture_dir, tmp_path):
         rc = main(["merge", *io_flags(fixture_dir), "--out", str(tmp_path)])
         assert rc == 2
+
+    @staticmethod
+    def count_opens(monkeypatch):
+        """The number of times each file is opened, keyed by its path; archives
+        go through `open`, datasets and JSON outputs through `pathlib`'s `io.open`."""
+        opens: dict[str, int] = {}
+        real_open = io.open
+
+        def counting(file, *args, **kwargs):
+            if isinstance(file, (str, Path)):
+                opens[str(file)] = opens.get(str(file), 0) + 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting)
+        monkeypatch.setattr(io, "open", counting)
+        return opens
+
+    def test_each_file_is_read_once_and_hashed_from_its_bytes(
+        self, fixture_dir, tmp_path, monkeypatch
+    ):
+        # The manifest's digests are of the bytes the run parsed or wrote: no
+        # input is opened a second time to hash it, and no output is read back.
+        opens = self.count_opens(monkeypatch)
+        out = tmp_path / "merge"
+        rc = main(
+            [
+                "merge", *io_flags(fixture_dir),
+                "--method", "linear_solve", "--samples-per-task", "2",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        monkeypatch.undo()
+        inputs = [fixture_dir / name for name in ("base.ta", "task0.ta", "task1.ta", "task0.jsonl", "task1.jsonl")]
+        outputs = [out / name for name in ("merged.ta", "weights.json", "manifest.json")]
+        assert opens == {str(path): 1 for path in inputs + outputs}
+        manifest = json.loads((out / "manifest.json").read_text())
+        entries = [manifest["inputs"]["base"], *manifest["inputs"]["models"], *manifest["inputs"]["datasets"]]
+        assert [entry["path"] for entry in entries] == [str(path) for path in inputs]
+        for path, entry in zip(inputs, entries):
+            assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, digest in manifest["outputs"].items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+        # `eval` reads its archive once too.
+        opens = self.count_opens(monkeypatch)
+        flags = ["--archive", str(out / "merged.ta"), "--dataset", str(inputs[3])]
+        assert main(["eval", *flags, "--out", str(tmp_path / "eval")]) == 0
+        monkeypatch.undo()
+        assert opens[str(out / "merged.ta")] == 1
+        metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert metrics["sha256"] == manifest["outputs"]["merged.ta"]
+
+    def test_analyze_hashes_nothing(self, fixture_dir, tmp_path, monkeypatch):
+        hashed = []
+        real = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *args: hashed.append(args) or real(*args))
+        flags = ["--levels", "attn_mlp", "--samples-per-task", "2", "--out", str(tmp_path)]
+        assert main(["analyze", *io_flags(fixture_dir), *flags]) == 0
+        assert hashed == []
 
 
 class TestEval:

@@ -468,6 +468,12 @@ class TestDeltas:
             assert set(store.base_outputs) == {(held, t) for t in range(store.n_tasks)}
 
         solve_plan(plan, deltas)
+        # The solve streamed every group's blocks and kept none; only the last
+        # group's base rows are held.
+        assert not deltas.deltas
+        last = plan.groups[-1].id
+        assert set(store.base_outputs) == {(last, t) for t in range(store.n_tasks)}
+        deltas.grouped(plan.groups[0].id)
         assert_one_group()
         taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
         for group in plan.groups:
@@ -534,18 +540,75 @@ class TestDeltas:
         layers = range(tiny_config.n_layers)
         assert set(layer_calls) == {(layer, t) for layer in layers for t in range(len(sources))}
         assert set(layer_calls.values()) == {1}
-        # Reading the held group again computes nothing.
+        # The solve kept no block, so `grouped` computes the last group again,
+        # and reading it once more computes nothing.
         last = plan.groups[-1].id
+        assert last in {g.id for g in alone}
         blocks = deltas.grouped(last)
-        assert set(calls.values()) == {1}
-        assert blocks[1] is deltas.grouped(last)[1]
-        # `pooled` hands the deltas over, so the next `grouped` computes them again.
-        pooled = deltas.pooled(last)
-        assert set(calls.values()) == {1}
-        assert np.array_equal(pooled, np.concatenate(blocks, axis=1))
-        deltas.grouped(last)
         assert {key for key, n in calls.items() if n != 1} == {(last, t) for t in models}
+        assert blocks[1] is deltas.grouped(last)[1]
         assert set(calls.values()) == {1, 2}
+        # `pooled` streams the group once more and keeps no block.
+        pooled = deltas.pooled(last)
+        assert not deltas.deltas
+        assert np.array_equal(pooled, np.concatenate(blocks, axis=1))
+        assert set(calls.values()) == {1, 3}
+
+    def test_blocks_refuse_a_released_or_foreign_group_at_the_call(
+        self, tiny_config, tiny_checkpoint, setup, monkeypatch
+    ):
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        released, other = plan.group("head.0.1"), plan.group("mlp.0")
+        store.release(released)
+        held = deltas.grouped(other.id)
+        evaluations = []
+        monkeypatch.setattr(submerge.features, "_rows_in_order", lambda *a: evaluations.append(a))
+        for group_id, match in (("head.0.1", "was released"), ("attn.0", "no group 'attn.0'")):
+            # The error comes from the call itself, before the stream is read.
+            with pytest.raises(PlanError, match=match):
+                deltas.blocks(group_id)
+        assert evaluations == []
+        assert deltas.contexts == {}
+        assert all(a is b for a, b in zip(deltas.grouped(other.id), held))
+
+    @pytest.mark.parametrize("level", [Granularity.ATTN_MLP, Granularity.HEAD_MLP])
+    def test_solve_holds_one_task_block_at_a_time(
+        self, tiny_config, tiny_checkpoint, setup, monkeypatch, level
+    ):
+        # Each block the solver reads is dead before the stream computes the
+        # next, and the store keeps none after the solve.
+        model, datasets, fine_tuned = setup
+        plan = plan_decomposition(tiny_config, level)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        deltas.grouped(plan.groups[0].id)
+        blocks = type(deltas).blocks
+        read = []
+
+        def watched(self, group_id):
+            stream = blocks(self, group_id)
+
+            def reading():
+                for task in range(store.n_tasks):
+                    if task:
+                        assert read[-1]() is None, (group_id, task)
+                    block = next(stream)
+                    read.append(weakref.ref(block))
+                    yield block
+                    del block
+
+            return reading()
+
+        monkeypatch.setattr(type(deltas), "blocks", watched)
+        weights = solve_plan(plan, deltas)
+        assert len(read) == store.n_tasks * len(plan.groups)
+        assert not deltas.deltas
+        monkeypatch.undo()
+        fresh = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        assert solve_plan(plan, fresh).to_json_dict() == weights.to_json_dict()
 
     def test_head_groups_out_of_plan_order_match_plan_order(self):
         config = ModelConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, vocab_size=11, max_seq=16)

@@ -168,6 +168,30 @@ class TestComputeGram:
         with pytest.raises(InputError, match="n_models x rows x width"):
             compute_gram([np.zeros(shape, dtype=np.float32) for shape in shapes])
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_a_stream_gives_the_bytes_of_a_list(self, normalized):
+        rng = np.random.default_rng(4)
+        blocks = [block.astype(np.float32) for block in random_blocks(rng, n_tasks=3, rows=7)]
+        blocks[1][:, 2] = 0.0
+        listed = compute_gram(blocks, normalized)
+        streamed = compute_gram(iter(blocks), normalized)
+        assert streamed.B.tobytes() == listed.B.tobytes()
+        assert (streamed.samples, streamed.skipped) == (listed.samples, listed.skipped)
+        assert listed.skipped == ((0, 1, 0) if normalized else (0, 0, 0))
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_a_bad_shape_after_a_degenerate_block_is_an_input_error(self, normalized):
+        # Every block's shape is checked before a degenerate task is reported.
+        blocks = [np.zeros((2, 0, 3)), np.ones((2, 4, 3)), np.ones((3, 4, 3))]
+        with pytest.raises(InputError, match="n_models x rows x width"):
+            compute_gram(iter(blocks), normalized)
+        with pytest.raises(DegenerateError, match="'g': data task 0 has no samples"):
+            compute_gram(iter(blocks[:2]), normalized, group_id="g")
+
+    def test_an_empty_stream_is_rejected(self):
+        with pytest.raises(InputError, match="at least one data task block"):
+            compute_gram(iter([]))
+
     def test_peak_upcasts_one_block_at_a_time(self):
         # Each float32 block is upcast only while its own contribution is
         # computed, so the peak stays below two float64 blocks; upcasting all
@@ -400,8 +424,8 @@ class TestSolvePlan:
         class NonFiniteDeltas:
             n_models = 2
 
-            def grouped(self, group_id):
-                return [np.full((2, 3, 4), np.nan)]
+            def blocks(self, group_id):
+                return iter([np.full((2, 3, 4), np.nan)])
 
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
         weights = solve_plan(plan, NonFiniteDeltas(), normalized=False)
@@ -415,8 +439,8 @@ class TestSolvePlan:
         class ZeroDeltas:
             n_models = 2
 
-            def grouped(self, group_id):
-                return [np.zeros((2, 3, 4))]
+            def blocks(self, group_id):
+                return iter([np.zeros((2, 3, 4))])
 
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
         for g in solve_plan(plan, ZeroDeltas()).groups:
