@@ -62,7 +62,7 @@ import numpy as np
 
 from .archive import TensorArchive, combine, require_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup, context_slices
-from .errors import CoeffError, CompatError, InputError, PlanError, SampleError
+from .errors import CoeffError, CompatError, InputError, ParamError, PlanError, SampleError
 from .model import BoundModel, ModelConfig, attention_block, attention_contexts
 from .model import forward_logits, forward_taps, length_buckets, mlp_block, output_block
 from .model import validated_tokens
@@ -71,6 +71,11 @@ from .model import validated_tokens
 def is_integer(value) -> bool:
     """An int or NumPy integer, and not a bool, which Python counts as an int."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_seed(seed) -> None:
+    if not (is_integer(seed) and seed >= 0):
+        raise ParamError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass
@@ -257,7 +262,7 @@ class DeltaStore:
                 return [
                     _rows_in_order(
                         features._inputs(group, task),
-                        lambda x: attention_contexts(x.astype(np.float64), weights, config, layer),
+                        lambda x: attention_contexts(x, weights, config, layer),
                         np.float64,
                     )
                     for task in range(features.n_tasks)
@@ -318,15 +323,15 @@ def _group_rows(
             return forward_logits(config, weights, batch)
         if kind == "embed_rows":
             return weights["embed"][batch]
-        x = batch.astype(np.float64)
         if kind == "logits":
-            return output_block(x, weights, config)[0]
+            return output_block(batch, weights, config)[0]
         if kind in ("attn_branch", "head_branch"):
-            return attention_block(x, weights, config, layer)[0]
+            return attention_block(batch, weights, config, layer)[0]
         if kind == "mlp_branch":
-            return mlp_block(x, weights, config, layer)[0]
+            return mlp_block(batch, weights, config, layer)[0]
         if kind == "layer_out":
-            x = x + attention_block(x, weights, config, layer)[0]
+            # f32 + float64 upcasts elementwise: the float64 residual sum.
+            x = batch + attention_block(batch, weights, config, layer)[0]
             return x + mlp_block(x, weights, config, layer)[0]
         raise InputError(f"unknown output kind {kind!r}")
 
@@ -410,6 +415,7 @@ def collect_base_features(
     """
     if not (is_integer(sample_n) and sample_n >= 1):
         raise SampleError(f"sample count must be >= 1 and an integer, got {sample_n!r}")
+    require_seed(seed)
     if not datasets:
         raise SampleError("need at least one dataset to sample")
     if plan.config != base.config:

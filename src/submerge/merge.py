@@ -17,7 +17,7 @@ import numpy as np
 from .archive import TensorArchive, combine, linear_combine, require_compatible, task_vector
 from .decompose import DecompositionPlan, Granularity, plan_decomposition
 from .errors import CoeffError, CompatError, ConfigError, InputError, ParamError
-from .features import collect_base_features, compute_delta_outputs
+from .features import collect_base_features, compute_delta_outputs, require_seed
 from .model import ModelConfig, bind_weights
 from .solver import MergeWeights, solve_plan
 
@@ -83,6 +83,7 @@ def merge_dare(
     _require_finite_alpha(alpha)
     if not 0.0 <= drop_p < 1.0:
         raise ParamError(f"drop_p must lie in [0, 1), got {drop_p}")
+    require_seed(seed)
     _require_models(fine_tuned)
     taus = []
     for task, ft in enumerate(fine_tuned):

@@ -4,9 +4,9 @@ Pre-norm residual blocks: RMSNorm, multi-head causal attention with rotary
 position embeddings on q/k, and a SwiGLU MLP. No biases, no dropout.
 Weights are stored as [out x in] matrices applied as y = W @ x; checkpoint
 values are f32, and a bound model holds the archive's own f32 arrays. Every
-block upcasts each weight it reads to float64 when it reads it (a float64
-weight is used as it is), so the arithmetic is float64 and a forward pass
-holds the float64 weights of one block at a time, never a copy of the model.
+block upcasts its input and each weight it reads to float64 as it reads them
+(a float64 array is used as it is), so the arithmetic is float64 and a forward
+pass holds the float64 weights of one block at a time, never a copy of the model.
 Kernels and blocks take any number of leading batch axes before [seq, ...].
 
 The forward pass and the groups of `features.py` run the same blocks
@@ -125,12 +125,12 @@ def bind_weights(archive: TensorArchive, config: ModelConfig) -> BoundModel:
     return BoundModel(config=config, weights=weights)
 
 
-def _float64(weight: np.ndarray) -> np.ndarray:
-    """A float64 weight as it is; any other upcast whole to a C-contiguous float64
-    copy. Upcast first, not mixed-dtype matmul, which NumPy may round differently."""
-    if weight.dtype == np.float64:
-        return weight
-    return np.ascontiguousarray(weight, dtype=np.float64)
+def _float64(a: np.ndarray) -> np.ndarray:
+    """A float64 array as it is, else a C-contiguous float64 copy. The blocks upcast each
+    weight and their input first, not mixed-dtype arithmetic, which may round differently."""
+    if a.dtype == np.float64:
+        return a
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
@@ -207,7 +207,7 @@ def attention_contexts(
     norm1, q_proj, k_proj, v_proj = (
         _float64(weights[f"layers.{layer}.{name}"]) for name in ATTENTION_PARAMS[:4]
     )
-    normed = rms_norm(x, norm1, config.norm_eps)
+    normed = rms_norm(_float64(x), norm1, config.norm_eps)
 
     def project(weight: np.ndarray) -> np.ndarray:
         out = normed @ weight.T
@@ -216,8 +216,8 @@ def attention_contexts(
     q = rope_rotate(project(q_proj), config.rope_theta)
     k = rope_rotate(project(k_proj), config.rope_theta)
     v = project(v_proj)
-    # Drop the input and its normed copy before the attention scores are built.
-    del x, normed
+    # Drop the normed input before the attention scores are built.
+    del normed
     ctx = causal_attention(q, k, v)
     return ctx.reshape(*ctx.shape[:-2], -1)
 
@@ -236,14 +236,14 @@ def mlp_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """MLP branch of one layer on [..., seq, d_model]; returns (output, down_proj input)."""
     norm2, gate, up, down = (_float64(weights[f"layers.{layer}.{name}"]) for name in MLP_PARAMS)
-    return swiglu(rms_norm(x, norm2, config.norm_eps), gate, up, down)
+    return swiglu(rms_norm(_float64(x), norm2, config.norm_eps), gate, up, down)
 
 
 def output_block(
     x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final norm and LM head on [..., seq, d_model]; returns (logits, normed hidden)."""
-    hidden = rms_norm(x, _float64(weights["norm_final"]), config.norm_eps)
+    hidden = rms_norm(_float64(x), _float64(weights["norm_final"]), config.norm_eps)
     return hidden @ _float64(weights["lm_head"]).T, hidden
 
 

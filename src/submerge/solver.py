@@ -192,17 +192,9 @@ def solve_plan(
         try:
             gram = compute_gram(deltas.blocks(group_id), normalized, group_id=group_id)
             alpha, diag = solve_alpha(*assemble_system(gram))
-            results.append(GroupWeights(group_id, tuple(float(a) for a in alpha), **diag))
         except (DegenerateError, NumericError) as exc:
-            results.append(
-                GroupWeights(
-                    group_id=group_id,
-                    alpha=tuple(1.0 / n for _ in range(n)),
-                    fallback=True,
-                    residual=0.0,
-                    condition=float("inf"),
-                    zero_signal=isinstance(exc, DegenerateError),
-                    note=str(exc),
-                )
-            )
+            alpha = np.full(n, 1.0 / n)
+            diag = dict(condition=np.inf, ridge=0.0, residual=0.0, fallback=True,
+                        zero_signal=isinstance(exc, DegenerateError), note=str(exc))
+        results.append(GroupWeights(group_id, tuple(float(a) for a in alpha), **diag))
     return MergeWeights(plan.granularity.value, normalized, tuple(results))

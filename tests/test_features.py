@@ -622,13 +622,13 @@ class TestDeltas:
         store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n=3)
         in_order = compute_delta_outputs(store, base, fine_tuned, plan)
         expected = {g.id: [block.copy() for block in in_order.grouped(g.id)] for g in plan.groups}
-        # Per-head evaluation agrees up to float64 rounding in the o_proj products.
+        # Every group's block, a head's above 0 included, is its own evaluation's.
         for group in plan.groups:
             for t, archive in enumerate(fine_tuned):
                 params = group_parameters(group, base.tensors, source=archive.tensors)
                 for task in range(2):
                     direct = store.rows(group, task, params) - store.base_rows(group, task)
-                    np.testing.assert_allclose(expected[group.id][task][t], direct, rtol=0, atol=1e-6)
+                    np.testing.assert_array_equal(expected[group.id][task][t], direct)
         order = [
             "head.1.2", "head.0.3", "head.1.1", "head.1.3", "mlp.0", "head.1.2",
             "head.0.0", "head.0.2", "lm_head", "head.1.0", "head.0.1", "head.1.3",
@@ -637,6 +637,33 @@ class TestDeltas:
         for group_id in order:
             for got, want in zip(shuffled.grouped(group_id), expected[group_id]):
                 assert np.array_equal(got, want), group_id
+
+    @pytest.mark.parametrize("d_model, n_heads", [(16, 4), (24, 6), (32, 8)])
+    def test_head_context_blocks_equal_each_heads_own_block(self, d_model, n_heads):
+        # A head above 0 reads its deltas off its layer's shared contexts; the
+        # head's own block on its own slices (analyze's path) gives the same bytes.
+        config = ModelConfig(
+            d_model=d_model, n_heads=n_heads, n_layers=2, d_ff=32, vocab_size=11, max_seq=16
+        )
+        base = random_checkpoint(config, 3)
+        fine_tuned = [perturbed(base, seed=s) for s in (4, 5, 6)]
+        lengths = [[5, 3, 8, 3], [4, 6, 7], [8, 3, 5, 6]]
+        datasets = [
+            [[(k * i + j) % 11 for j in range(n)] for i, n in enumerate(task)]
+            for k, task in enumerate(lengths, 3)
+        ]
+        plan = plan_decomposition(config, Granularity.HEAD_MLP)
+        store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n=3)
+        deltas = compute_delta_outputs(store, base, fine_tuned, plan)
+        heads = [group for group in plan.groups if group.head_index]
+        assert len(heads) == (n_heads - 1) * config.n_layers
+        for group in heads:
+            blocks = deltas.grouped(group.id)
+            for m, archive in enumerate(fine_tuned):
+                params = group_parameters(group, store.weights, source=archive.tensors)
+                for task, block in enumerate(blocks):
+                    direct = store.rows(group, task, params) - store.base_rows(group, task)
+                    np.testing.assert_array_equal(block[m], direct, err_msg=f"{group.id} {task} {m}")
 
     def test_no_contexts_held_with_a_non_head_group(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup

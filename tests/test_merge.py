@@ -16,6 +16,7 @@ from submerge import (
     task_vector,
 )
 from submerge.decompose import Granularity, plan_decomposition
+from submerge.features import collect_base_features
 from submerge.merge import (
     apply_merge_weights,
     config_for,
@@ -26,7 +27,7 @@ from submerge.merge import (
 )
 from submerge.solver import GroupWeights, MergeWeights
 
-from submerge.model import ModelConfig
+from submerge.model import ModelConfig, bind_weights
 
 from conftest import random_checkpoint
 from test_features import perturbed
@@ -412,3 +413,38 @@ class TestLinearSolveMerge:
 def test_config_for_needs_a_model_config():
     with pytest.raises(ConfigError, match="carries no model_config"):
         config_for(tiny_archive([1.0]))
+
+
+def _sampled(base, fine_tuned, datasets, seed):
+    config = config_for(base)
+    plan = plan_decomposition(config, Granularity.LAYER)
+    return collect_base_features(bind_weights(base, config), datasets, plan, 2, seed=seed).sampled
+
+
+# Each library function that seeds a random stream, and what it returns for a seed.
+SEEDED = {
+    "collect_base_features": _sampled,
+    "merge_dare": lambda base, fine_tuned, datasets, seed: archive_digest(
+        merge_dare(base, fine_tuned, 0.5, 0.3, seed)
+    ),
+    "merge_linear_solve": lambda base, fine_tuned, datasets, seed: archive_digest(
+        merge_linear_solve(base, fine_tuned, "layer", datasets, samples_per_task=2, seed=seed)[0]
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+@pytest.mark.parametrize("call", SEEDED)
+def test_a_seed_not_an_integer_at_least_0_is_a_param_error(tiny_checkpoint, merge_setup, call, seed):
+    # NumPy would raise its own ValueError or TypeError for the first two and
+    # read True and "3" as the seeds 1 and 3.
+    datasets, fine_tuned = merge_setup
+    with pytest.raises(ParamError, match=r"seed must be an integer >= 0"):
+        SEEDED[call](tiny_checkpoint, fine_tuned, datasets, seed)
+
+
+@pytest.mark.parametrize("call", SEEDED)
+def test_a_numpy_integer_seed_is_that_seed(tiny_checkpoint, merge_setup, call):
+    datasets, fine_tuned = merge_setup
+    got = SEEDED[call](tiny_checkpoint, fine_tuned, datasets, np.int64(2))
+    assert got == SEEDED[call](tiny_checkpoint, fine_tuned, datasets, 2)

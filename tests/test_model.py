@@ -12,7 +12,7 @@ from scipy.special import expit, logsumexp
 
 from submerge import BindError, InputError, TensorArchive
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, forward_taps
-from submerge.model import attention_block, attention_contexts
+from submerge.model import attention_block, attention_contexts, mlp_block, output_block
 from submerge.model import causal_attention, logsumexp_rows, rms_norm, rope_rotate, swiglu
 from submerge.model import validated_tokens
 
@@ -240,6 +240,22 @@ class TestBind:
             assert bound[tap].dtype == np.float64 and np.array_equal(bound[tap], value), tap
         x, q_proj = upcast["attn_in.0"], archive.tensors["layers.0.attn.q_proj"]
         assert not np.array_equal(x @ q_proj.T, x @ copies["layers.0.attn.q_proj"].T)
+
+    @pytest.mark.parametrize("block", [attention_contexts, attention_block, mlp_block, output_block])
+    def test_a_block_on_an_f32_input_equals_its_float64_upcast(self, bound, tiny_config, block):
+        # Each block upcasts its input as it reads it, so a caller passes a
+        # stored f32 activation as it is. An f32 input normalized in f32 would
+        # not give the bytes of its float64 upcast.
+        x = np.random.default_rng(5).normal(size=(3, 7, tiny_config.d_model)).astype(np.float32)
+        layer = () if block is output_block else (1,)
+        got = block(x, bound.weights, tiny_config, *layer)
+        want = block(x.astype(np.float64), bound.weights, tiny_config, *layer)
+        if block is attention_contexts:
+            got, want = (got,), (want,)
+        assert len(got) == len(want)
+        for got_part, want_part in zip(got, want):
+            assert got_part.dtype == np.float64
+            np.testing.assert_array_equal(got_part, want_part)
 
 
 class TestForwardContracts:

@@ -434,6 +434,7 @@ class TestSolvePlan:
             assert not g.zero_signal
             assert "non-finite Gram" in g.note
             assert g.alpha == (0.5, 0.5)
+            assert (g.residual, g.condition, g.ridge) == (0.0, np.inf, 0.0)
 
     def test_degenerate_group_is_zero_signal(self, tiny_config):
         class ZeroDeltas:
@@ -447,6 +448,8 @@ class TestSolvePlan:
             assert g.fallback
             assert g.zero_signal
             assert "non-zero delta energy" in g.note
+            assert g.alpha == (0.5, 0.5)
+            assert (g.residual, g.condition, g.ridge) == (0.0, np.inf, 0.0)
 
     def test_first_order_optimality_on_pipeline(self, pipeline):
         plan, _, deltas = pipeline
