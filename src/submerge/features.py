@@ -19,9 +19,10 @@ outputs on one task are one f32 [rows, width] matrix, each batch's block
 written into its sequences' token rows in input order. Base outputs are
 computed when a group is first read and held one group at a time, per task;
 the dict keys are the one record of the group held. Output deltas are
-streamed: `DeltaStore.blocks` yields one [n_models, rows, width] f32 block
-per data task as it is computed and keeps none, so the solver, which folds
-each block into its Gram term before reading the next, holds one task's
+computed per (group, data task): `DeltaStore.block` returns one [n_models,
+rows, width] f32 block and keeps none, and `DeltaStore.blocks` streams a
+group's blocks in task order. The solver reads task-major, folding each
+block into its group's Gram term before reading the next, so it holds one
 block at a time. The linearity sweep reads a group's deltas once, as
 `DeltaStore.pooled`'s float64 pool built from that stream, so the sweep
 holds one copy of a group's deltas, not two.
@@ -29,17 +30,17 @@ A group's stored inputs live until `FeatureStore.release` drops them, which
 `analyze` calls once a group's metrics are done, so a tap's arrays are
 freed with the last group that reads them; a group whose inputs are gone is
 released, and reading it raises `PlanError`. `solve_plan` releases nothing:
-a merge peaks at the first layer's heads, before any input is dead, and
-callers may read deltas after solving.
+it reads every group on every data task, and callers may read deltas after
+solving.
 A group's base rows live from their first read until another group is held
 (`FeatureStore._hold`, which also checks that the group is the plan's): in
 `analyze` they are the k = 0 interpolation step of `non_linearity_score`
 and the subtrahend of every sweep alpha's merged delta, computed once per
 group and task.
 
-`DeltaStore.blocks` is the one delta loop: per data task, each fine-tuned
-model's rows are written into its slot of the block and the group's base
-rows are subtracted in place, so no per-model copy is made. Most groups
+`DeltaStore.block` is the one delta reader: each fine-tuned model's rows
+are written into its slot of the block and the group's base rows are
+subtracted in place, so no per-model copy is made. Most groups
 read `base_rows` and `rows`. Head groups 1..H-1 of a layer read `norm1` at
 its base value, and heads are independent given the normed input, so their
 rows come from the layer's shared attention contexts of heads 1..H-1
@@ -48,8 +49,10 @@ the base weights and one per fine-tuned model under its q/k/v_proj rows of
 those heads and the base `norm1`. Head h's rows are its columns of the
 contexts, at offset (h-1) * head_dim, times the same columns of the o_proj
 slice, rounded to f32. `DeltaStore.contexts` holds one layer's float64
-contexts, keyed by that layer, while its heads above 0 are read and frees
-them as soon as any other group is.
+contexts, keyed by (layer, data task) and built on a task's first read,
+while its heads above 0 are read, and frees them as soon as any other group
+is: the task-major solve holds one task's contexts, a group-by-group reader
+every task's.
 """
 
 from __future__ import annotations
@@ -166,32 +169,40 @@ class FeatureStore:
 class DeltaStore:
     """Output deltas of one group at a time, laid out as the solver reads them.
 
-    `blocks` streams a group's deltas: per data task, an [n_models, rows,
-    width] f32 block, computed when the stream reaches it and kept by no one
-    but the reader, so a reader that drops each block before asking for the
-    next holds one task's block at a time. `grouped` keeps a group's blocks
-    in `deltas[(group id, data task)]`, so reading that group again computes
-    nothing; `blocks` and `pooled` hold none and drop those of any group held
-    before. `pooled` returns the group's deltas as one float64 array. Every
-    reader replaces the group held before and its base rows (the group's own
-    base rows, if already held, are kept). The plan and the base weights are
-    the `features` store's.
+    `block` computes a group's deltas on one data task, an [n_models, rows,
+    width] f32 block kept by no one but the reader; `blocks` streams them in
+    task order, each computed when the stream reaches it, so a reader that
+    drops each block before asking for the next holds one block at a time.
+    `grouped` keeps a group's blocks in `deltas[(group id, data task)]`, so
+    reading that group again computes nothing; the other readers hold none
+    and drop those of any group held before. `pooled` returns the group's
+    deltas as one float64 array. Every reader replaces the group held before
+    and its base rows (the group's own base rows, if already held, are
+    kept). The plan and the base weights are the `features` store's.
 
-    While a layer's head groups above 0 are read, `contexts[layer]` holds the
-    attention contexts of that layer's heads 1..H-1: per weight set (the
-    base, then each model), the float64 o_proj columns of those heads,
-    [d_model, d_model - head_dim], and one [rows, d_model - head_dim] context
-    per data task.
+    While a layer's head groups above 0 are read, `contexts[(layer, task)]`
+    holds the attention contexts of that layer's heads 1..H-1 on a data task
+    read so far: per weight set (the base, then each model), the float64
+    o_proj columns of those heads, [d_model, d_model - head_dim], and the
+    [rows, d_model - head_dim] context.
     """
 
     features: FeatureStore
     fine_tuned: Sequence[TensorArchive]
     deltas: dict[tuple[str, int], np.ndarray] = field(default_factory=dict, init=False)
-    contexts: dict[int, list] = field(default_factory=dict, init=False)
+    contexts: dict[tuple[int, int], list] = field(default_factory=dict, init=False)
 
     @property
     def n_models(self) -> int:
         return len(self.fine_tuned)
+
+    @property
+    def n_tasks(self) -> int:
+        return self.features.n_tasks
+
+    def block(self, group_id: str, task: int) -> np.ndarray:
+        """One data task's [n_models, rows, width] f32 deltas, held as by `blocks`."""
+        return self._block(self._held(group_id), task)
 
     def blocks(self, group_id: str) -> Iterator[np.ndarray]:
         """Per data task in order, the group's [n_models, rows, width] f32 deltas.
@@ -200,12 +211,8 @@ class DeltaStore:
         is computed: a group not the plan's, or released, raises `PlanError`
         here. Each block is computed when the stream reaches it.
         """
-        features = self.features
-        group = features.plan.group(group_id)
-        features._hold(group)
-        self.deltas.clear()
-        task_block = self._task_block(group)
-        return (task_block(task) for task in range(features.n_tasks))
+        group = self._held(group_id)
+        return (self._block(group, task) for task in range(self.n_tasks))
 
     def grouped(self, group_id: str) -> list[np.ndarray]:
         """Per data task, an array [n_models, rows, width], kept until another
@@ -223,65 +230,59 @@ class DeltaStore:
         is the group's one copy of its deltas, and the store holds no block."""
         return np.concatenate(list(self.blocks(group_id)), axis=1, dtype=np.float64)
 
-    def _task_block(self, group: SubmoduleGroup) -> Callable[[int], np.ndarray]:
-        """Per data task, the group's f32 delta block: each model's rows written
-        into its slot, then the base rows subtracted in place.
+    def _held(self, group_id: str) -> SubmoduleGroup:
+        """The plan's group of that id, checked and held; the kept blocks are dropped."""
+        group = self.features.plan.group(group_id)
+        self.features._hold(group)
+        self.deltas.clear()
+        return group
 
-        A head group above 0 reads its rows off its layer's contexts, built
+    def _block(self, group: SubmoduleGroup, task: int) -> np.ndarray:
+        """One data task's f32 delta block: each model's rows written into its
+        slot, then the base rows subtracted in place.
+
+        A head group above 0 reads its rows off the (layer, task) contexts, built
         unless held; every other group evaluates its block and holds no contexts.
         """
         features, layer = self.features, group.layer
         if not group.head_index:
             self.contexts.clear()
-            params = [
-                group_parameters(group, features.weights, source=archive.tensors)
-                for archive in self.fine_tuned
-            ]
-
-            def evaluated(task: int) -> np.ndarray:
-                base = features.base_rows(group, task)
-                block = np.empty((len(params), *base.shape), np.float32)
-                for slot, weights in zip(block, params):
-                    features.rows(group, task, weights, out=slot)
-                    np.subtract(slot, base, out=slot)
-                return block
-
-            return evaluated
+            base = features.base_rows(group, task)
+            block = np.empty((self.n_models, *base.shape), np.float32)
+            for slot, archive in zip(block, self.fine_tuned):
+                weights = group_parameters(group, features.weights, source=archive.tensors)
+                features.rows(group, task, weights, out=slot)
+                np.subtract(slot, base, out=slot)
+            return block
         config = features.plan.config
         shared, cols = context_slices(config, layer, group.head_index)
-        if layer not in self.contexts:
-            # Free the held layer's contexts before building this one's.
+        if any(held != layer for held, _ in self.contexts):
             self.contexts.clear()
+        if (layer, task) not in self.contexts:
             # Heads 1..H-1's q/k/v rows and o_proj columns from each weight
             # set, the base first, built one set at a time; norm1 stays at the base.
             heads = dataclasses.replace(group, params=shared)
             sources = [features.weights] + [archive.tensors for archive in self.fine_tuned]
             weight_sets = (group_parameters(heads, features.weights, source=s) for s in sources)
-
-            def layer_contexts(weights: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-                return [
-                    _rows_in_order(
-                        features._inputs(group, task),
-                        lambda x: attention_contexts(x, weights, config, layer),
-                        np.float64,
-                    )
-                    for task in range(features.n_tasks)
-                ]
-
+            inputs = features._inputs(group, task)
             o_proj_name = f"layers.{layer}.attn.o_proj"
-            self.contexts[layer] = [(w[o_proj_name], layer_contexts(w)) for w in weight_sets]
-
-        def from_contexts(task: int) -> np.ndarray:
-            # All rows and this head's columns of the o_proj slice and of the contexts.
-            (base_o_proj, base_contexts), *models = self.contexts[layer]
-            base = (base_contexts[task][cols] @ base_o_proj[cols].T).astype(np.float32)
-            block = np.empty((len(models), *base.shape), np.float32)
-            for slot, (o_proj, contexts) in zip(block, models):
-                np.copyto(slot, contexts[task][cols] @ o_proj[cols].T, casting="same_kind")
-                np.subtract(slot, base, out=slot)
-            return block
-
-        return from_contexts
+            self.contexts[(layer, task)] = [
+                (
+                    w[o_proj_name],
+                    _rows_in_order(
+                        inputs, lambda x: attention_contexts(x, w, config, layer), np.float64
+                    ),
+                )
+                for w in weight_sets
+            ]
+        # All rows and this head's columns of the o_proj slice and of the contexts.
+        (base_o_proj, base_context), *models = self.contexts[(layer, task)]
+        base = (base_context[cols] @ base_o_proj[cols].T).astype(np.float32)
+        block = np.empty((len(models), *base.shape), np.float32)
+        for slot, (o_proj, context) in zip(block, models):
+            np.copyto(slot, context[cols] @ o_proj[cols].T, casting="same_kind")
+            np.subtract(slot, base, out=slot)
+        return block
 
 
 def _rows_in_order(

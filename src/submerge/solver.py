@@ -88,32 +88,42 @@ def compute_gram(
     with no samples left raises `DegenerateError` once every block has passed
     its shape check.
     """
-    B, samples, skipped = [], [], []
-    n_models = None
+    terms, n_models = [], None
     for block in task_blocks:
-        shape = np.shape(block)
         if n_models is None:
+            shape = np.shape(block)
             n_models = shape[0] if shape else 0
-        if len(shape) != 3 or shape[0] != n_models:
-            raise InputError(
-                f"blocks must be [n_models x rows x width] with n_models={n_models}, "
-                f"got {shape}"
-            )
-        B_a, retained = _task_gram(block, normalized)
+        terms.append(_block_term(block, normalized, n_models))
         # Not held while the stream computes the next block.
         del block
-        B.append(B_a)
-        samples.append(retained)
-        skipped.append(shape[1] - retained)
-    if not samples:
+    return _finish_gram(terms, normalized, group_id)
+
+
+def _block_term(block: np.ndarray, normalized: bool, n_models: int) -> tuple:
+    """One data task's (Gram term, retained samples, skipped samples) from its
+    [n_models, rows, width] block; `InputError` on any other shape."""
+    shape = np.shape(block)
+    if len(shape) != 3 or shape[0] != n_models:
+        raise InputError(
+            f"blocks must be [n_models x rows x width] with n_models={n_models}, got {shape}"
+        )
+    B_a, retained = _task_gram(block, normalized)
+    return B_a, retained, shape[1] - retained
+
+
+def _finish_gram(terms: list[tuple], normalized: bool, group_id: str) -> GramTensor:
+    """The Gram tensor of one group's `_block_term`s in data-task order:
+    `DegenerateError` if a task kept no sample, `NumericError` on a non-finite entry."""
+    if not terms:
         raise InputError("need at least one data task block")
+    B, samples, skipped = zip(*terms)
     if 0 in samples:
         reason = "no samples with non-zero delta energy" if normalized else "no samples"
         raise DegenerateError(f"group {group_id!r}: data task {samples.index(0)} has {reason}")
     B = np.stack(B)
     if not np.isfinite(B).all():
         raise NumericError(f"group {group_id!r}: non-finite Gram entries")
-    return GramTensor(B, tuple(samples), tuple(skipped))
+    return GramTensor(B, samples, skipped)
 
 
 def _task_gram(block: np.ndarray, normalized: bool) -> tuple[np.ndarray | None, int]:
@@ -185,12 +195,22 @@ def solve_alpha(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
 def solve_plan(
     plan: DecompositionPlan, deltas: DeltaStore, normalized: bool = True
 ) -> MergeWeights:
-    """Solve one alpha vector per group; failures fall back to uniform."""
+    """Solve one alpha vector per group; failures fall back to uniform.
+
+    The Gram tensor is a sum over data tasks, so the solve is task-major: per
+    task, each group's `deltas.block` is folded into that group's term before
+    the next is read, and a layer's head contexts are held for one task. Each
+    group's terms are then checked and solved as `compute_gram` would.
+    """
     n = deltas.n_models
+    terms = {group_id: [] for group_id in plan.group_ids()}
+    for task in range(deltas.n_tasks):
+        for group_id, group_terms in terms.items():
+            group_terms.append(_block_term(deltas.block(group_id, task), normalized, n))
     results = []
-    for group_id in plan.group_ids():
+    for group_id, group_terms in terms.items():
         try:
-            gram = compute_gram(deltas.blocks(group_id), normalized, group_id=group_id)
+            gram = _finish_gram(group_terms, normalized, group_id)
             alpha, diag = solve_alpha(*assemble_system(gram))
         except (DegenerateError, NumericError) as exc:
             alpha = np.full(n, 1.0 / n)

@@ -468,11 +468,11 @@ class TestDeltas:
             assert set(store.base_outputs) == {(held, t) for t in range(store.n_tasks)}
 
         solve_plan(plan, deltas)
-        # The solve streamed every group's blocks and kept none; only the last
-        # group's base rows are held.
+        # The solve read every group's blocks task by task and kept none; only
+        # the last group's base rows on the last data task are held.
         assert not deltas.deltas
         last = plan.groups[-1].id
-        assert set(store.base_outputs) == {(last, t) for t in range(store.n_tasks)}
+        assert set(store.base_outputs) == {(last, store.n_tasks - 1)}
         deltas.grouped(plan.groups[0].id)
         assert_one_group()
         taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
@@ -499,18 +499,20 @@ class TestDeltas:
     def test_group_parameters_built_once_per_group_and_model(
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
     ):
-        # Head groups above 0 read their deltas off the layer's attention
-        # contexts, built from one weight set per (layer, source), the base
-        # and each model: the q/k/v rows and o_proj columns of heads 1..H-1.
-        # Every other group builds its parameters once per (group, model).
-        # Calls without a source build base weights for the base rows and are
-        # not counted.
+        # Head groups above 0 read their deltas off the (layer, task) attention
+        # contexts, built from one weight set per (layer, source, task), the
+        # base and each model: the q/k/v rows and o_proj columns of heads 1..H-1.
+        # Every other group builds its parameters once per (group, model, task)
+        # block. Calls without a source build base weights for the base rows
+        # and are not counted.
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
-        calls: dict[tuple[str, int], int] = {}
-        layer_calls: dict[tuple[int, int], int] = {}
+        calls: dict[tuple[str, int, int | None], int] = {}
+        layer_calls: dict[tuple[int, int, int], int] = {}
         original = submerge.features.group_parameters
+        block = submerge.features.DeltaStore.block
+        reading = {}
 
         # Source 0 is the traced base, source t + 1 fine-tuned model t.
         sources = [store.weights] + [ft.tensors for ft in fine_tuned]
@@ -522,37 +524,49 @@ class TestDeltas:
             if source is not None and group.head_index:
                 shared, _ = context_slices(tiny_config, group.layer, group.head_index)
                 assert group.params == shared, group.id
-                key = (group.layer, source_index(source))
+                key = (group.layer, source_index(source), reading["task"])
                 layer_calls[key] = layer_calls.get(key, 0) + 1
             elif source is not None:
-                key = (group.id, source_index(source))
+                key = (group.id, source_index(source), reading["task"])
                 calls[key] = calls.get(key, 0) + 1
             return original(group, base, source=source, **kwargs)
 
+        def task_block(self, group_id, task):
+            reading["task"] = task
+            return block(self, group_id, task)
+
         monkeypatch.setattr(submerge.features, "group_parameters", counting)
+        monkeypatch.setattr(submerge.features.DeltaStore, "block", task_block)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         solve_plan(plan, deltas)
         alone = [g for g in plan.groups if g.output_kind != "head_branch" or g.head_index == 0]
         assert len(alone) < len(plan.groups)
-        models = range(1, len(sources))
-        assert set(calls) == {(g.id, t) for g in alone for t in models}
+        models, tasks = range(1, len(sources)), range(store.n_tasks)
+        assert set(calls) == {(g.id, m, t) for g in alone for m in models for t in tasks}
         assert set(calls.values()) == {1}
         layers = range(tiny_config.n_layers)
-        assert set(layer_calls) == {(layer, t) for layer in layers for t in range(len(sources))}
+        assert set(layer_calls) == {
+            (layer, s, t) for layer in layers for s in range(len(sources)) for t in tasks
+        }
         assert set(layer_calls.values()) == {1}
         # The solve kept no block, so `grouped` computes the last group again,
-        # and reading it once more computes nothing.
+        # one build per (model, task), and reading it once more computes nothing.
+        monkeypatch.setattr(submerge.features.DeltaStore, "block", block)
+        calls.clear()
+        # `grouped` and `pooled` read through `blocks`, not `block`.
+        reading["task"] = None
         last = plan.groups[-1].id
         assert last in {g.id for g in alone}
         blocks = deltas.grouped(last)
-        assert {key for key, n in calls.items() if n != 1} == {(last, t) for t in models}
+        once = {(last, m, None): store.n_tasks for m in models}
+        assert calls == once
         assert blocks[1] is deltas.grouped(last)[1]
-        assert set(calls.values()) == {1, 2}
+        assert calls == once
         # `pooled` streams the group once more and keeps no block.
         pooled = deltas.pooled(last)
         assert not deltas.deltas
         assert np.array_equal(pooled, np.concatenate(blocks, axis=1))
-        assert set(calls.values()) == {1, 3}
+        assert calls == {key: 2 * n for key, n in once.items()}
 
     def test_blocks_refuse_a_released_or_foreign_group_at_the_call(
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
@@ -578,37 +592,71 @@ class TestDeltas:
     def test_solve_holds_one_task_block_at_a_time(
         self, tiny_config, tiny_checkpoint, setup, monkeypatch, level
     ):
-        # Each block the solver reads is dead before the stream computes the
-        # next, and the store keeps none after the solve.
+        # The solve reads blocks task-major, and each block it reads is dead
+        # before the next is computed; the store keeps none after the solve.
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, level)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         deltas.grouped(plan.groups[0].id)
-        blocks = type(deltas).blocks
-        read = []
+        block = type(deltas).block
+        read, order = [], []
 
-        def watched(self, group_id):
-            stream = blocks(self, group_id)
+        def watched(self, group_id, task):
+            if read:
+                assert read[-1]() is None, (group_id, task)
+            got = block(self, group_id, task)
+            read.append(weakref.ref(got))
+            order.append((group_id, task))
+            return got
 
-            def reading():
-                for task in range(store.n_tasks):
-                    if task:
-                        assert read[-1]() is None, (group_id, task)
-                    block = next(stream)
-                    read.append(weakref.ref(block))
-                    yield block
-                    del block
-
-            return reading()
-
-        monkeypatch.setattr(type(deltas), "blocks", watched)
+        monkeypatch.setattr(type(deltas), "block", watched)
         weights = solve_plan(plan, deltas)
-        assert len(read) == store.n_tasks * len(plan.groups)
+        assert order == [(g, t) for t in range(store.n_tasks) for g in plan.group_ids()]
         assert not deltas.deltas
         monkeypatch.undo()
         fresh = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         assert solve_plan(plan, fresh).to_json_dict() == weights.to_json_dict()
+
+    def test_solve_builds_each_layer_task_context_once(self, monkeypatch):
+        # Each (layer, task) context set is built once in a head_mlp solve, one
+        # `attention_contexts` call per weight set and batch, and at every block
+        # read the store holds at most the contexts of that block's (layer, task).
+        config = ModelConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, vocab_size=11, max_seq=16)
+        base = random_checkpoint(config, 3)
+        fine_tuned = [perturbed(base, seed=s) for s in (4, 5, 6)]
+        lengths = [[5, 3, 8, 3], [4, 6, 7], [8, 3, 5, 6]]
+        datasets = [
+            [[(k * i + j) % 11 for j in range(n)] for i, n in enumerate(task)]
+            for k, task in enumerate(lengths, 3)
+        ]
+        plan = plan_decomposition(config, Granularity.HEAD_MLP)
+        store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n=3)
+        deltas = compute_delta_outputs(store, base, fine_tuned, plan)
+        attention_contexts = submerge.features.attention_contexts
+        block = type(deltas).block
+        built = []
+
+        def counting(x, weights, config, layer):
+            built.append(layer)
+            return attention_contexts(x, weights, config, layer)
+
+        def watched(self, group_id, task):
+            got = block(self, group_id, task)
+            group = plan.group(group_id)
+            held = [(group.layer, task)] if group.head_index else []
+            assert list(self.contexts) == held, (group_id, task)
+            return got
+
+        monkeypatch.setattr(submerge.features, "attention_contexts", counting)
+        monkeypatch.setattr(type(deltas), "block", watched)
+        solve_plan(plan, deltas)
+        batches = sum(
+            len(list(length_buckets(store.inputs[("head.0.1", t)]))) for t in range(store.n_tasks)
+        )
+        assert batches > store.n_tasks
+        assert len(built) == config.n_layers * (len(fine_tuned) + 1) * batches
+        assert deltas.contexts == {}
 
     def test_head_groups_out_of_plan_order_match_plan_order(self):
         config = ModelConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, vocab_size=11, max_seq=16)
@@ -679,15 +727,17 @@ class TestDeltas:
             if not group.head_index:
                 assert deltas.contexts == {}, group.id
             else:
-                assert list(deltas.contexts) == [group.layer]
-                assert len(deltas.contexts[group.layer]) == len(fine_tuned) + 1
+                # A group-by-group reader holds its layer's contexts on every task.
+                assert list(deltas.contexts) == [(group.layer, t) for t in range(2)]
                 # Heads 1..H-1 only: head 0 owns norm1 and runs its own block.
                 width = tiny_config.d_model - tiny_config.head_dim
-                for o_proj, contexts in deltas.contexts[group.layer]:
-                    assert o_proj.shape == (tiny_config.d_model, width)
-                    rows = [sum(map(len, store.inputs[(group.id, t)])) for t in range(2)]
-                    assert [c.shape for c in contexts] == [(n, width) for n in rows]
-                    assert all(c.dtype == np.float64 for c in contexts)
+                for (_, task), weight_sets in deltas.contexts.items():
+                    assert len(weight_sets) == len(fine_tuned) + 1
+                    rows = sum(map(len, store.inputs[(group.id, task)]))
+                    for o_proj, context in weight_sets:
+                        assert o_proj.shape == (tiny_config.d_model, width)
+                        assert context.shape == (rows, width)
+                        assert context.dtype == np.float64
         assert set(deltas.deltas) == {("lm_head", t) for t in range(2)} and deltas.contexts == {}
 
     def test_embed_delta_is_exact_row_gather(self, tiny_config, tiny_checkpoint, setup):

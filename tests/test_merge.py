@@ -448,3 +448,56 @@ def test_a_numpy_integer_seed_is_that_seed(tiny_checkpoint, merge_setup, call):
     datasets, fine_tuned = merge_setup
     got = SEEDED[call](tiny_checkpoint, fine_tuned, datasets, np.int64(2))
     assert got == SEEDED[call](tiny_checkpoint, fine_tuned, datasets, 2)
+
+
+# Each library merge and its call with one coefficient replaced.
+COEFFICIENTS = {
+    "task_arithmetic alpha": lambda base, fine_tuned, value: merge_task_arithmetic(
+        base, fine_tuned, alpha=value
+    ),
+    "dare alpha": lambda base, fine_tuned, value: merge_dare(
+        base, fine_tuned, alpha=value, drop_p=0.3, seed=0
+    ),
+    "dare drop_p": lambda base, fine_tuned, value: merge_dare(
+        base, fine_tuned, alpha=0.5, drop_p=value, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value, match",
+    [
+        ("0.5", "must be a real number"),
+        (None, "must be a real number"),
+        ([1.0], "must be a real number"),
+        (True, "must be a real number"),
+        (False, "must be a real number"),
+        (np.bool_(True), "must be a real number"),
+        (10**400, "must be finite"),
+        (-(10**400), "must be finite"),
+    ],
+    ids=["str", "None", "list", "True", "False", "numpy bool", "10**400", "-10**400"],
+)
+@pytest.mark.parametrize("call", COEFFICIENTS)
+def test_a_coefficient_not_a_finite_real_is_a_param_error(
+    tiny_checkpoint, merge_setup, call, value, match
+):
+    # Without the check, Python raises its own TypeError or OverflowError for
+    # the strings, None, lists and huge ints, and reads bools as 1 and 0.
+    _, fine_tuned = merge_setup
+    name = call.split()[1]
+    with pytest.raises(ParamError, match=f"{name} {match}"):
+        COEFFICIENTS[call](tiny_checkpoint, fine_tuned, value)
+
+
+@pytest.mark.parametrize("call", COEFFICIENTS)
+def test_a_numpy_real_coefficient_is_that_number(tiny_checkpoint, merge_setup, call):
+    _, fine_tuned = merge_setup
+    for value in (np.float64(0.5), np.int64(0)):
+        got = COEFFICIENTS[call](tiny_checkpoint, fine_tuned, value)
+        assert archive_digest(got) == archive_digest(
+            COEFFICIENTS[call](tiny_checkpoint, fine_tuned, value.item())
+        )
+    if call != "dare drop_p":
+        got = COEFFICIENTS[call](tiny_checkpoint, fine_tuned, np.int64(1))
+        assert archive_digest(got) == archive_digest(COEFFICIENTS[call](tiny_checkpoint, fine_tuned, 1))

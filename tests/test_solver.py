@@ -13,15 +13,18 @@ import scipy.linalg
 from submerge import DegenerateError, InputError, NumericError, task_vector
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import collect_base_features, compute_delta_outputs
-from submerge.model import bind_weights
+from submerge.model import ModelConfig, bind_weights
 from submerge.solver import (
     GramTensor,
+    GroupWeights,
+    MergeWeights,
     assemble_system,
     compute_gram,
     solve_alpha,
     solve_plan,
 )
 
+from conftest import random_checkpoint
 from test_features import perturbed
 
 
@@ -422,10 +425,10 @@ class TestSolvePlan:
 
     def test_non_finite_gram_is_not_zero_signal(self, tiny_config):
         class NonFiniteDeltas:
-            n_models = 2
+            n_models, n_tasks = 2, 1
 
-            def blocks(self, group_id):
-                return iter([np.full((2, 3, 4), np.nan)])
+            def block(self, group_id, task):
+                return np.full((2, 3, 4), np.nan)
 
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
         weights = solve_plan(plan, NonFiniteDeltas(), normalized=False)
@@ -438,10 +441,10 @@ class TestSolvePlan:
 
     def test_degenerate_group_is_zero_signal(self, tiny_config):
         class ZeroDeltas:
-            n_models = 2
+            n_models, n_tasks = 2, 1
 
-            def blocks(self, group_id):
-                return iter([np.zeros((2, 3, 4))])
+            def block(self, group_id, task):
+                return np.zeros((2, 3, 4))
 
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
         for g in solve_plan(plan, ZeroDeltas()).groups:
@@ -450,6 +453,33 @@ class TestSolvePlan:
             assert "non-zero delta energy" in g.note
             assert g.alpha == (0.5, 0.5)
             assert (g.residual, g.condition, g.ridge) == (0.0, np.inf, 0.0)
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("level", [Granularity.HEAD_MLP, Granularity.ATTN_MLP])
+    def test_task_major_solve_equals_group_by_group(self, level, normalized):
+        # The solve reads blocks task by task; every record equals the one
+        # solved from each group's whole `grouped` deltas through `compute_gram`.
+        config = ModelConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, vocab_size=11, max_seq=16)
+        base = random_checkpoint(config, 3)
+        fine_tuned = [perturbed(base, seed=s) for s in (4, 5, 6)]
+        lengths = [[5, 3, 8, 3], [4, 6, 7], [8, 3, 5, 6]]
+        datasets = [
+            [[(k * i + j) % 11 for j in range(n)] for i, n in enumerate(task)]
+            for k, task in enumerate(lengths, 3)
+        ]
+        plan = plan_decomposition(config, level)
+        store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n=3)
+        deltas = compute_delta_outputs(store, base, fine_tuned, plan)
+        weights = solve_plan(plan, deltas, normalized=normalized)
+        expected = []
+        for group_id in plan.group_ids():
+            gram = compute_gram(deltas.grouped(group_id), normalized, group_id=group_id)
+            alpha, diag = solve_alpha(*assemble_system(gram))
+            expected.append(GroupWeights(group_id, tuple(float(a) for a in alpha), **diag))
+        assert not any(g.fallback for g in expected)
+        assert weights.groups == tuple(expected)
+        reference = MergeWeights(level.value, normalized, tuple(expected))
+        assert weights.to_json_dict() == reference.to_json_dict()
 
     def test_first_order_optimality_on_pipeline(self, pipeline):
         plan, _, deltas = pipeline
