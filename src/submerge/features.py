@@ -1,16 +1,17 @@
 """Collect submodule input features from the base model and apply groups.
 
-The base model runs once over the sampled sequences; every group's input is
-read off that single trace (base-input discipline: fine-tuned and
-interpolated groups are always evaluated on the base model's features, never
-on their own forward pass). Every evaluation, the trace included, is batched
-by `model.length_buckets`: sequences of one length, stacked in input-order
-slices of at most `model.MAX_BATCH`, one call per slice, so the float64
-temporaries do not grow with the sample count. The pass streams its taps
-(`forward_taps`): each tap a group reads is rounded to f32 and stored as
-soon as it is computed, and every other tap is dropped, so no whole float64
-trace is held. A group's function is its `model` block on the parameter
-slices the group owns, plus the parameters it only reads, whole.
+The base model runs once per data task over its sampled sequences; every
+group's input on a task is read off that task's trace (base-input
+discipline: fine-tuned and interpolated groups are always evaluated on the
+base model's features, never on their own forward pass). Every evaluation,
+the trace included, is batched by `model.length_buckets`: sequences of one
+length, stacked in input-order slices of at most `model.MAX_BATCH`, one call
+per slice, so the float64 temporaries do not grow with the sample count.
+The pass streams its taps (`forward_taps`): each tap a group reads is
+rounded to f32 and stored as soon as it is computed, and every other tap is
+dropped, so no whole float64 trace is held. A group's function is its
+`model` block on the parameter slices the group owns, plus the parameters
+it only reads, whole.
 `group_parameters` builds exactly those float64 weights for one parameter
 set (a source model's slices, or base + sum_t c_t tau_t; the read-only ones
 at the base value), and `FeatureStore.rows` evaluates the block on them, one
@@ -26,12 +27,15 @@ block into its group's Gram term before reading the next, so it holds one
 block at a time. The linearity sweep reads a group's deltas once, as
 `DeltaStore.pooled`'s float64 pool built from that stream, so the sweep
 holds one copy of a group's deltas, not two.
-A group's stored inputs live until `FeatureStore.release` drops them, which
-`analyze` calls once a group's metrics are done, so a tap's arrays are
-freed with the last group that reads them; a group whose inputs are gone is
-released, and reading it raises `PlanError`. `solve_plan` releases nothing:
-it reads every group on every data task, and callers may read deltas after
-solving.
+`collect_base_features` checks every task's tokens and traces the first
+task; any other is traced when one of its inputs is first read. `analyze`
+keeps every task and calls `FeatureStore.release` once a group's metrics
+are done, so a tap's arrays are freed with the last group that reads them;
+reading a released group raises `PlanError`, and no later trace stores its
+inputs. `solve_plan` calls `DeltaStore.release_task` once every group's
+block on a task is folded, dropping that task's inputs, base rows and
+contexts, so it holds one task's inputs; a dropped task read again (say by
+`grouped` after the solve) is traced again, to the same bytes.
 A group's base rows live from their first read until another group is held
 (`FeatureStore._hold`, which also checks that the group is the plan's): in
 `analyze` they are the k = 0 interpolation step of `non_linearity_score`
@@ -58,6 +62,7 @@ every task's.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -81,24 +86,48 @@ def require_seed(seed) -> None:
         raise ParamError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+class _TracedInputs(dict):
+    """`FeatureStore.inputs`: a missing key of a planned group not released, on a
+    data task, traces that task (`FeatureStore._trace`) and is then read."""
+
+    def __init__(self, store: FeatureStore):
+        super().__init__()
+        self._store = weakref.ref(store)
+
+    def __missing__(self, key: tuple[str, int]) -> list[np.ndarray]:
+        store, (group_id, task) = self._store(), key
+        planned = store is not None and group_id in store.plan.group_ids()
+        if not (planned and task in store.sequences and group_id not in store.released):
+            raise KeyError(key)
+        store._trace(task)
+        return self[key]
+
+
 @dataclass
 class FeatureStore:
-    """Per (group id, task): input matrices, one per sequence, kept until the
-    group is released; and the base output rows of one group at a time.
+    """Per (group id, data task): input matrices, one per sequence; and the base
+    output rows of one group at a time.
 
-    `base_outputs[(group id, task)]` holds the base rows of every sequence
-    stacked in input order. `base_rows` fills it on first use with the
-    traced `weights` and drops the rows of any other group; a group not the
-    plan's, or released (its `inputs` gone), raises `PlanError` and drops
+    `inputs[(group id, task)]` traces the task from its sampled `sequences` on
+    the first read (`_trace`); a task dropped by `DeltaStore.release_task` is
+    traced again, to the same bytes. `base_outputs[(group id, task)]` holds
+    the base rows of every sequence stacked in input order. `base_rows` fills
+    it on first use with the traced `weights` and drops the rows of any other
+    group; a group not the plan's, or `released`, raises `PlanError` and drops
     nothing, and a task that is not a data task raises `InputError`.
     """
 
     plan: DecompositionPlan
     n_tasks: int
     weights: Mapping[str, np.ndarray]
-    inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
+    inputs: dict[tuple[str, int], list[np.ndarray]] = field(init=False)
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
+    sequences: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    released: set[str] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.inputs = _TracedInputs(self)
 
     def rows(
         self,
@@ -126,9 +155,26 @@ class FeatureStore:
         are freed once every group that reads them is released; reading a
         released group again raises `PlanError`."""
         self._require_planned(group)
+        self.released.add(group.id)
         for task in range(self.n_tasks):
             self.inputs.pop((group.id, task), None)
             self.base_outputs.pop((group.id, task), None)
+
+    def _trace(self, task: int) -> None:
+        """Store the task's inputs for every group not released: its sequences
+        for the tokens, and each feature tap of one base pass per length bucket,
+        rounded to f32 as soon as it is computed while every other tap is
+        dropped. Groups that read one tap share its arrays."""
+        groups = [group for group in self.plan.groups if group.id not in self.released]
+        taps, sequences = {group.input_tap for group in groups} - {"tokens"}, self.sequences[task]
+        values = {"tokens": sequences} | {tap: [np.empty(0)] * len(sequences) for tap in taps}
+        for positions, batch in length_buckets(sequences) if taps else ():
+            for tap, value in forward_taps(self.plan.config, self.weights, batch):
+                if tap in taps:
+                    for position, row in zip(positions, value.astype(np.float32)):
+                        values[tap][position] = row
+        for group in groups:
+            self.inputs[(group.id, task)] = list(values[group.input_tap])
 
     def _inputs(self, group: SubmoduleGroup, task: int) -> list[np.ndarray]:
         """The group's stored inputs on one data task: `PlanError` unless the group
@@ -148,7 +194,7 @@ class FeatureStore:
     def _require_planned(self, group: SubmoduleGroup) -> None:
         if self.plan.group(group.id) != group:
             raise PlanError(f"group {group.id!r} is not the stored plan's group of that id")
-        if (group.id, 0) not in self.inputs:
+        if group.id in self.released:
             raise PlanError(f"group {group.id!r} was released; its stored inputs are gone")
 
     def require_traced_base(self, base: TensorArchive) -> None:
@@ -229,6 +275,13 @@ class DeltaStore:
         """Float64 [n_models, rows of every data task, width]: the caller's pool
         is the group's one copy of its deltas, and the store holds no block."""
         return np.concatenate(list(self.blocks(group_id)), axis=1, dtype=np.float64)
+
+    def release_task(self, task: int) -> None:
+        """Drop one data task's stored inputs, base rows and head contexts; the
+        next read of that task traces it again."""
+        for held in (self.features.inputs, self.features.base_outputs, self.contexts):
+            for key in [key for key in held if key[1] == task]:
+                del held[key]
 
     def _held(self, group_id: str) -> SubmoduleGroup:
         """The plan's group of that id, checked and held; the kept blocks are dropped."""
@@ -388,20 +441,6 @@ def group_parameters(
     return weights
 
 
-def _traced_taps(
-    base: BoundModel, batch: np.ndarray, taps: set[str]
-) -> Iterator[tuple[str, np.ndarray]]:
-    """The `taps` of one batched base forward pass: the tokens as given, then each
-    feature tap rounded to f32 as soon as it is computed. Every other tap is dropped,
-    and no pass runs when `taps` holds no tap besides the tokens."""
-    if "tokens" in taps:
-        yield "tokens", batch
-    if taps - {"tokens"}:
-        for tap, value in forward_taps(base.config, base.weights, batch):
-            if tap in taps:
-                yield tap, value.astype(np.float32)
-
-
 def collect_base_features(
     base: BoundModel,
     datasets: Sequence[Sequence[Sequence[int]]],
@@ -409,7 +448,8 @@ def collect_base_features(
     sample_n: int,
     seed: int = 0,
 ) -> FeatureStore:
-    """Sample sequences per task, trace the base model, store group inputs.
+    """Sample and check every task's sequences, then trace the first task; the
+    store traces each other task when it is first read.
 
     Groups that read the same tap share its stored arrays. No base outputs
     are computed here; `FeatureStore.base_rows` computes them per group.
@@ -422,7 +462,6 @@ def collect_base_features(
     if plan.config != base.config:
         raise PlanError("the plan was made for another model config than the traced model's")
     store = FeatureStore(plan=plan, n_tasks=len(datasets), weights=base.weights)
-    taps = {group.input_tap for group in plan.groups}
     for task, dataset in enumerate(datasets):
         if len(dataset) < sample_n:
             raise SampleError(
@@ -437,13 +476,9 @@ def collect_base_features(
                 sequences.append(validated_tokens(base.config, dataset[index]))
             except InputError as exc:
                 raise InputError(f"task {task} sequence {index}: {exc}") from None
-        values = {tap: [np.empty(0)] * len(sequences) for tap in taps}
-        for positions, batch in length_buckets(sequences):
-            for tap, stacked in _traced_taps(base, batch, taps):
-                for position, value in zip(positions, stacked):
-                    values[tap][position] = value
-        for group in plan.groups:
-            store.inputs[(group.id, task)] = list(values[group.input_tap])
+        # Copied, so a later trace reads these tokens even if the caller's arrays change.
+        store.sequences[task] = [np.array(seq) for seq in sequences]
+    store._trace(0)
     return store
 
 

@@ -199,14 +199,16 @@ def solve_plan(
 
     The Gram tensor is a sum over data tasks, so the solve is task-major: per
     task, each group's `deltas.block` is folded into that group's term before
-    the next is read, and a layer's head contexts are held for one task. Each
-    group's terms are then checked and solved as `compute_gram` would.
+    the next is read, then `deltas.release_task` drops the task, so its traced
+    inputs and a layer's head contexts are held for one task. Each group's
+    terms are then checked and solved as `compute_gram` would.
     """
     n = deltas.n_models
     terms = {group_id: [] for group_id in plan.group_ids()}
     for task in range(deltas.n_tasks):
         for group_id, group_terms in terms.items():
             group_terms.append(_block_term(deltas.block(group_id, task), normalized, n))
+        deltas.release_task(task)
     results = []
     for group_id, group_terms in terms.items():
         try:

@@ -21,6 +21,7 @@ from submerge.features import (
     group_parameters,
 )
 from submerge.linearity import metric_sweep, non_linearity_score
+from submerge.merge import merge_linear_solve
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, length_buckets
 from submerge.solver import solve_plan
 
@@ -45,6 +46,32 @@ def traced_model():
     dataset = [rng.integers(0, 64, size=32).tolist() for _ in range(8)]
     trace = forward_pass(config, model.weights, np.array(dataset))
     return model, dataset, sum({id(arr): arr.nbytes for arr in trace.values()}.values())
+
+
+def stored_bytes(store) -> int:
+    """The bytes of the store's held inputs; the views of one array count it once."""
+    owners = {}
+    for rows in store.inputs.values():
+        for arr in rows:
+            owner = arr if arr.base is None else arr.base
+            owners[id(owner)] = owner.nbytes
+    return sum(owners.values())
+
+
+def three_task_deltas(level: Granularity):
+    """A 2-layer, 4-head model, three fine-tuned models and three data tasks of
+    mixed lengths: the plan at `level` and its feature and delta stores."""
+    config = ModelConfig(d_model=16, n_heads=4, n_layers=2, d_ff=32, vocab_size=11, max_seq=16)
+    base = random_checkpoint(config, 3)
+    fine_tuned = [perturbed(base, seed=s) for s in (4, 5, 6)]
+    lengths = [[5, 3, 8, 3], [4, 6, 7], [8, 3, 5, 6]]
+    datasets = [
+        [[(k * i + j) % 11 for j in range(n)] for i, n in enumerate(task)]
+        for k, task in enumerate(lengths, 3)
+    ]
+    plan = plan_decomposition(config, level)
+    store = collect_base_features(bind_weights(base, config), datasets, plan, sample_n=3)
+    return plan, store, compute_delta_outputs(store, base, fine_tuned, plan)
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +102,11 @@ class TestCollect:
         a = collect_base_features(model, datasets, plan, sample_n=3, seed=7)
         b = collect_base_features(model, datasets, plan, sample_n=3, seed=7)
         assert a.sampled == b.sampled
-        assert all(len(a.inputs[key]) == 3 for key in a.inputs)
-        for key in a.inputs:
-            for left, right in zip(a.inputs[key], b.inputs[key]):
+        # Every (group, task) pair, each later task traced on its first read.
+        keys = [(group.id, task) for group in plan.groups for task in range(len(datasets))]
+        assert all(len(a.inputs[key]) == 3 for key in keys)
+        for key in keys:
+            for left, right in zip(a.inputs[key], b.inputs[key], strict=True):
                 assert np.array_equal(left, right)
         c = collect_base_features(model, datasets, plan, sample_n=3, seed=8)
         assert a.sampled != c.sampled
@@ -97,7 +126,8 @@ class TestCollect:
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=3, seed=0)
         assert store.base_outputs == {}
-        assert len(store.inputs) == len(plan.groups) * len(datasets)
+        # Only the first data task is traced; a later one is traced when first read.
+        assert set(store.inputs) == {(group.id, 0) for group in plan.groups}
 
     def test_peak_holds_one_trace_at_a_time(self):
         # Three equal tasks may add to the one-task peak only the two extra
@@ -127,6 +157,30 @@ class TestCollect:
         assert slack < trace_bytes / 4
         assert three_peak - one_peak <= 2 * one_task_inputs + slack
 
+    def test_merge_peak_holds_one_tasks_inputs(self):
+        # The solve traces a data task when it first reads it and drops it once
+        # done, so three equal tasks add to the one-task peak less than one
+        # task's stored inputs; holding every task's, as a whole trace up front
+        # does, would add two tasks' inputs.
+        config = ModelConfig(d_model=32, n_heads=4, n_layers=4, d_ff=64, vocab_size=16, max_seq=32)
+        base = random_checkpoint(config, 7)
+        models = [perturbed(base, seed=s) for s in (1, 2, 3)]
+        rng = np.random.default_rng(0)
+        dataset = [rng.integers(0, 16, size=32).tolist() for _ in range(16)]
+        plan = plan_decomposition(config, Granularity.LAYER)
+        store = collect_base_features(bind_weights(base, config), [dataset], plan, sample_n=16)
+        one_task_inputs = stored_bytes(store)
+
+        def peak(n_tasks):
+            tracemalloc.start()
+            try:
+                merge_linear_solve(base, models[:n_tasks], "layer", [dataset] * n_tasks, 16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3) - peak(1) < one_task_inputs
+
     def test_peak_holds_no_full_trace(self):
         # Each tap the plan reads is rounded to f32 as it is traced and every
         # other tap is dropped as soon as the next layer no longer reads it, so
@@ -141,8 +195,7 @@ class TestCollect:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stored = {id(arr.base): arr.base.nbytes for rows in store.inputs.values() for arr in rows}
-        assert peak - sum(stored.values()) < trace_bytes / 2
+        assert peak - stored_bytes(store) < trace_bytes / 2
 
     def test_model_group_rows_hold_no_full_trace(self):
         # The model group reads only the logits of its forward pass.
@@ -182,6 +235,7 @@ class TestCollect:
     def test_base_pass_runs_only_for_taps_besides_the_tokens(self, tiny_config, setup, monkeypatch):
         # The model group reads only the tokens, so its trace runs no forward pass; every
         # other level runs one per length bucket, and each task's sequences share a length.
+        # The first task is traced by the collect, every other one on its first read.
         model, datasets, _ = setup
         calls = []
 
@@ -195,7 +249,12 @@ class TestCollect:
             calls.clear()
             plan = plan_decomposition(tiny_config, level)
             stores[level] = collect_base_features(model, datasets, plan, sample_n=3, seed=1)
-            assert len(calls) == (0 if level is Granularity.MODEL else len(datasets)), level
+            passes = 0 if level is Granularity.MODEL else 1
+            assert len(calls) == passes, level
+            for task in range(len(datasets)):
+                for group in plan.groups:
+                    stores[level].inputs[(group.id, task)]
+                    assert len(calls) == passes * (task + 1), (level, group.id, task)
         for task in range(len(datasets)):
             tokens = stores[Granularity.MODEL].inputs[("model", task)]
             embed = stores[Granularity.LAYER].inputs[("embed", task)]
@@ -207,6 +266,24 @@ class TestCollect:
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
         with pytest.raises(SampleError):
             collect_base_features(model, datasets, plan, sample_n=9, seed=0)
+
+    @pytest.mark.parametrize(
+        "last, error, match",
+        [([[1, 2, 99]] * 5, InputError, "task 2 sequence"), ([[1, 2]] * 2, SampleError, "task 2 has 2")],
+        ids=["bad_token", "too_short"],
+    )
+    def test_the_last_task_is_checked_before_any_base_pass(
+        self, tiny_config, setup, monkeypatch, last, error, match
+    ):
+        # Only the first task is traced by the collect, after every task is sampled
+        # and checked, so the last task's error comes before any forward pass.
+        model, datasets, _ = setup
+        calls = []
+        monkeypatch.setattr(submerge.features, "forward_taps", lambda *args: calls.append(args))
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        with pytest.raises(error, match=match):
+            collect_base_features(model, [*datasets, last], plan, sample_n=3, seed=0)
+        assert calls == []
 
     def test_no_dataset(self, tiny_config, setup):
         # A store with no data task would have no inputs to tell a released group by.
@@ -468,11 +545,10 @@ class TestDeltas:
             assert set(store.base_outputs) == {(held, t) for t in range(store.n_tasks)}
 
         solve_plan(plan, deltas)
-        # The solve read every group's blocks task by task and kept none; only
-        # the last group's base rows on the last data task are held.
+        # The solve read every group's blocks task by task and kept none, and
+        # dropped each task's inputs, base rows and contexts once done with it.
         assert not deltas.deltas
-        last = plan.groups[-1].id
-        assert set(store.base_outputs) == {(last, store.n_tasks - 1)}
+        assert not store.inputs and not store.base_outputs and not deltas.contexts
         deltas.grouped(plan.groups[0].id)
         assert_one_group()
         taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
@@ -617,6 +693,48 @@ class TestDeltas:
         monkeypatch.undo()
         fresh = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         assert solve_plan(plan, fresh).to_json_dict() == weights.to_json_dict()
+
+    @pytest.mark.parametrize("level", [Granularity.ATTN_MLP, Granularity.HEAD_MLP])
+    def test_solve_traces_each_task_once_and_holds_only_it(self, monkeypatch, level):
+        # The solve traces a data task when it first reads it and drops it once
+        # every group's block on it is folded, so each block read finds the store
+        # holding that task's inputs only. Counting the collect's trace of the
+        # first task, the base pass runs once per task and length bucket.
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return submerge.model.forward_taps(*args)
+
+        monkeypatch.setattr(submerge.features, "forward_taps", counted)
+        plan, store, deltas = three_task_deltas(level)
+        block = type(deltas).block
+
+        def watched(self, group_id, task):
+            got = block(self, group_id, task)
+            assert {t for _, t in store.inputs} == {task}, (group_id, task)
+            return got
+
+        monkeypatch.setattr(type(deltas), "block", watched)
+        solve_plan(plan, deltas)
+        buckets = [len(list(length_buckets(store.sequences[t]))) for t in range(store.n_tasks)]
+        assert min(buckets) > 1
+        assert len(passes) == sum(buckets)
+        assert not store.inputs and not store.base_outputs and not deltas.contexts
+
+    def test_reads_after_a_solve_retrace_the_same_bytes(self):
+        # A task the solve dropped is traced again when next read: every group's
+        # `grouped` blocks equal those read before the solve, byte for byte, and
+        # a second solve on the same stores gives the same records.
+        plan, store, deltas = three_task_deltas(Granularity.HEAD_MLP)
+        before = {g: [b.copy() for b in deltas.grouped(g)] for g in plan.group_ids()}
+        first = solve_plan(plan, deltas)
+        assert not store.inputs
+        for group_id, blocks in before.items():
+            after = deltas.grouped(group_id)
+            assert [b.dtype for b in after] == [b.dtype for b in blocks], group_id
+            assert [b.tobytes() for b in after] == [b.tobytes() for b in blocks], group_id
+        assert solve_plan(plan, deltas).groups == first.groups
 
     def test_solve_builds_each_layer_task_context_once(self, monkeypatch):
         # Each (layer, task) context set is built once in a head_mlp solve, one
@@ -880,6 +998,25 @@ class TestRelease:
         assert tap() is None
         assert not any(key[0] in {h.id for h in heads} for key in store.inputs)
         assert not store.base_outputs
+
+    def test_a_group_released_before_a_task_is_traced_gets_none_of_it(
+        self, tiny_config, setup, monkeypatch
+    ):
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        group, other = plan.group("attn.0"), plan.group("mlp.0")
+        store.release(group)
+        assert {task for _, task in store.inputs} == {0}
+        store.base_rows(other, 1)
+        assert {g for g, task in store.inputs if task == 1} == set(plan.group_ids()) - {group.id}
+        calls = []
+        monkeypatch.setattr(submerge.features, "forward_taps", lambda *args: calls.append(args))
+        with pytest.raises(PlanError, match="'attn.0' was released"):
+            store.base_rows(group, 1)
+        with pytest.raises(KeyError):
+            store.inputs[(group.id, 1)]
+        assert calls == []
 
     def test_a_released_group_is_refused(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup

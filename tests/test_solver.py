@@ -430,6 +430,9 @@ class TestSolvePlan:
             def block(self, group_id, task):
                 return np.full((2, 3, 4), np.nan)
 
+            def release_task(self, task):
+                pass
+
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
         weights = solve_plan(plan, NonFiniteDeltas(), normalized=False)
         for g in weights.groups:
@@ -445,6 +448,9 @@ class TestSolvePlan:
 
             def block(self, group_id, task):
                 return np.zeros((2, 3, 4))
+
+            def release_task(self, task):
+                pass
 
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
         for g in solve_plan(plan, ZeroDeltas()).groups:
