@@ -22,13 +22,11 @@ computed when a group is first read and held one group at a time, per task;
 the dict keys are the one record of the group held. Output deltas are
 computed per (group, data task): `DeltaStore.block` returns one [n_models,
 rows, width] f32 block and keeps none, and `DeltaStore.blocks` streams a
-group's blocks in task order. The solver reads task-major, folding each
-block into its group's Gram term before reading the next, so it holds one
-block at a time. The linearity sweep reads a group's deltas once, as
-`DeltaStore.pooled`'s float64 pool built from that stream, so the sweep
-holds one copy of a group's deltas, not two.
-`collect_base_features` checks every task's tokens and traces the first
-task; any other is traced when one of its inputs is first read. `analyze`
+group's blocks in task order. The solver folds each block into its group's
+Gram term before reading the next, task-major, so it holds one block at a
+time; the linearity sweep keeps a group's blocks for its alpha grid.
+`collect_base_features` checks every task's tokens and traces the first;
+`FeatureStore.group_inputs` traces any other on its first read. `analyze`
 keeps every task and calls `FeatureStore.release` once a group's metrics
 are done, so a tap's arrays are freed with the last group that reads them;
 reading a released group raises `PlanError`, and no later trace stores its
@@ -62,7 +60,8 @@ every task's.
 from __future__ import annotations
 
 import dataclasses
-import weakref
+import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -86,21 +85,16 @@ def require_seed(seed) -> None:
         raise ParamError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-class _TracedInputs(dict):
-    """`FeatureStore.inputs`: a missing key of a planned group not released, on a
-    data task, traces that task (`FeatureStore._trace`) and is then read."""
-
-    def __init__(self, store: FeatureStore):
-        super().__init__()
-        self._store = weakref.ref(store)
-
-    def __missing__(self, key: tuple[str, int]) -> list[np.ndarray]:
-        store, (group_id, task) = self._store(), key
-        planned = store is not None and group_id in store.plan.group_ids()
-        if not (planned and task in store.sequences and group_id not in store.released):
-            raise KeyError(key)
-        store._trace(task)
-        return self[key]
+def require_real(name: str, value) -> None:
+    """An int, float or NumPy real, and not a bool, checked before any arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParamError(f"{name} must be a real number, got {reprlib.repr(value)}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ParamError(f"{name} must be finite, got {reprlib.repr(value)}")
 
 
 @dataclass
@@ -108,26 +102,24 @@ class FeatureStore:
     """Per (group id, data task): input matrices, one per sequence; and the base
     output rows of one group at a time.
 
-    `inputs[(group id, task)]` traces the task from its sampled `sequences` on
-    the first read (`_trace`); a task dropped by `DeltaStore.release_task` is
-    traced again, to the same bytes. `base_outputs[(group id, task)]` holds
-    the base rows of every sequence stacked in input order. `base_rows` fills
-    it on first use with the traced `weights` and drops the rows of any other
-    group; a group not the plan's, or `released`, raises `PlanError` and drops
-    nothing, and a task that is not a data task raises `InputError`.
+    `inputs[(group id, task)]` holds the traced tasks; `group_inputs` traces a
+    task from its sampled `sequences` when it is not stored (`_trace`), so one
+    dropped by `DeltaStore.release_task` is traced again, to the same bytes.
+    `base_outputs[(group id, task)]` holds the base rows of every sequence
+    stacked in input order. `base_rows` fills it on first use with the traced
+    `weights` and drops the rows of any other group; a group not the plan's,
+    or `released`, raises `PlanError` and drops nothing, and a task that is
+    not a data task raises `InputError`.
     """
 
     plan: DecompositionPlan
     n_tasks: int
     weights: Mapping[str, np.ndarray]
-    inputs: dict[tuple[str, int], list[np.ndarray]] = field(init=False)
+    inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
     sequences: dict[int, list[np.ndarray]] = field(default_factory=dict)
     released: set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.inputs = _TracedInputs(self)
 
     def rows(
         self,
@@ -138,7 +130,7 @@ class FeatureStore:
     ) -> np.ndarray:
         """The group's rows on one task's inputs under `group_parameters` weights,
         written into `out` if given, an f32 [rows, width]."""
-        return _group_rows(group, weights, self._inputs(group, task), self.plan.config, out)
+        return _group_rows(group, weights, self.group_inputs(group, task), self.plan.config, out)
 
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
         """The group's output rows on one task's inputs under the traced weights."""
@@ -176,12 +168,15 @@ class FeatureStore:
         for group in groups:
             self.inputs[(group.id, task)] = list(values[group.input_tap])
 
-    def _inputs(self, group: SubmoduleGroup, task: int) -> list[np.ndarray]:
-        """The group's stored inputs on one data task: `PlanError` unless the group
-        is the plan's and not released, `InputError` unless `task` is a data task."""
+    def group_inputs(self, group: SubmoduleGroup, task: int) -> list[np.ndarray]:
+        """The group's stored inputs on one data task, which is traced first if it
+        is not stored: `PlanError` unless the group is the plan's and not
+        released, `InputError` unless `task` is a data task."""
         self._require_planned(group)
         if not (is_integer(task) and 0 <= task < self.n_tasks):
             raise InputError(f"task {task!r} is not one of the store's {self.n_tasks} data tasks")
+        if (group.id, task) not in self.inputs:
+            self._trace(task)
         return self.inputs[(group.id, task)]
 
     def _hold(self, group: SubmoduleGroup) -> None:
@@ -221,10 +216,9 @@ class DeltaStore:
     drops each block before asking for the next holds one block at a time.
     `grouped` keeps a group's blocks in `deltas[(group id, data task)]`, so
     reading that group again computes nothing; the other readers hold none
-    and drop those of any group held before. `pooled` returns the group's
-    deltas as one float64 array. Every reader replaces the group held before
-    and its base rows (the group's own base rows, if already held, are
-    kept). The plan and the base weights are the `features` store's.
+    and drop those of any group held before. Every reader replaces the
+    group held before and its base rows (the group's own base rows, if
+    already held, are kept). The plan and base weights are `features`'.
 
     While a layer's head groups above 0 are read, `contexts[(layer, task)]`
     holds the attention contexts of that layer's heads 1..H-1 on a data task
@@ -271,11 +265,6 @@ class DeltaStore:
                 self.deltas[(group_id, task)] = block
         return [self.deltas[(group_id, task)] for task in range(features.n_tasks)]
 
-    def pooled(self, group_id: str) -> np.ndarray:
-        """Float64 [n_models, rows of every data task, width]: the caller's pool
-        is the group's one copy of its deltas, and the store holds no block."""
-        return np.concatenate(list(self.blocks(group_id)), axis=1, dtype=np.float64)
-
     def release_task(self, task: int) -> None:
         """Drop one data task's stored inputs, base rows and head contexts; the
         next read of that task traces it again."""
@@ -317,7 +306,7 @@ class DeltaStore:
             heads = dataclasses.replace(group, params=shared)
             sources = [features.weights] + [archive.tensors for archive in self.fine_tuned]
             weight_sets = (group_parameters(heads, features.weights, source=s) for s in sources)
-            inputs = features._inputs(group, task)
+            inputs = features.group_inputs(group, task)
             o_proj_name = f"layers.{layer}.attn.o_proj"
             self.contexts[(layer, task)] = [
                 (

@@ -11,7 +11,9 @@ Three measurements, all over token-position samples:
 - projection distance: |1 - E[projection ratio]| of the merged delta onto
   the weighted delta sum; zero when combining parameters combines outputs.
 
-Both merge metrics of an alpha come from one weighted sum (`merge_metrics`).
+Both merge metrics of an alpha are means over every data task's rows, taken
+in one pass over the group's per-task f32 delta blocks (`merge_metrics`),
+the blocks the solver reads.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from .archive import TaskVector, TensorArchive, require_compatible
 from .decompose import SubmoduleGroup
-from .errors import DegenerateError, InputError
-from .features import DeltaStore, FeatureStore, group_parameters, is_integer
+from .errors import CoeffError, DegenerateError, InputError
+from .features import DeltaStore, FeatureStore, group_parameters, is_integer, require_real
 
 NORM_FLOOR = 1e-12
 METRICS = ("cosine_merge", "projection_distance")
@@ -107,33 +109,41 @@ def non_linearity_score(
 
 
 def merge_metrics(
-    task_deltas: Sequence[np.ndarray],
+    task_blocks: Sequence[np.ndarray],
     alpha: Sequence[float],
-    merged_deltas: np.ndarray,
+    merged_deltas: Sequence[np.ndarray],
 ) -> dict[str, tuple[float, dict]]:
-    """Both merge metrics of one alpha, keyed by `METRICS`, from one weighted sum.
+    """Both merge metrics of one alpha, keyed by `METRICS`, over every data task's rows.
 
-    One pass: the weighted sum is one BLAS product over the stacked task
-    deltas, and the merged and summed squared norms and their dot products
-    are one row-wise einsum each; the norms are their square roots.
+    Per data task, one [n_models, rows, width] block of `task_blocks` and the
+    merged group's [rows, width] delta: the block is upcast as it is read, the
+    weighted sum is one BLAS product over its models, and the summed and merged
+    squared norms and their dot products are one row-wise einsum each. Every
+    task's per-row values are joined before the masks and means.
 
     The cosine averages over rows where the merged delta and the weighted sum
     both have norm >= NORM_FLOOR; the projection over rows where the weighted
     sum's squared norm is >= NORM_FLOOR**2. Aux holds each metric's skipped row
     count and the projection's mean ratio.
     """
-    if len(task_deltas) == 0 or len(task_deltas) != len(alpha):
-        raise InputError("need at least one task delta, and alpha length must match their number")
-    merged = np.asarray(merged_deltas, dtype=np.float64)
-    # A task delta of another shape would broadcast into the weighted sum.
-    if merged.ndim != 2 or any(np.shape(delta) != merged.shape for delta in task_deltas):
-        raise InputError(f"deltas must share one [rows, width] shape, merged is {merged.shape}")
-    deltas = np.asarray(task_deltas, dtype=np.float64)
-    target = np.tensordot(np.asarray(alpha, dtype=np.float64), deltas, 1)
-    target_sq = np.einsum("rw,rw->r", target, target)
-    merged_norm = np.sqrt(np.einsum("rw,rw->r", merged, merged))
-    target_norm = np.sqrt(target_sq)
-    dots = np.einsum("rw,rw->r", merged, target)
+    if len(task_blocks) == 0 or len(task_blocks) != len(merged_deltas):
+        raise InputError("need at least one task block, and one merged delta per block")
+    coeffs = np.asarray(alpha, dtype=np.float64)
+    if coeffs.ndim != 1 or coeffs.size == 0:
+        raise InputError("need at least one model, and alpha length must match their number")
+    per_row = []
+    for block, merged in zip(task_blocks, merged_deltas):
+        # A block of another shape would broadcast into the weighted sum.
+        shape = np.shape(merged)
+        if len(shape) != 2 or np.shape(block) != (coeffs.size, *shape):
+            raise InputError(f"block shape {np.shape(block)} != (alpha length, *{shape})")
+        target = np.tensordot(coeffs, np.asarray(block, dtype=np.float64), 1)
+        # Upcast after the product, so its float64 block is freed first.
+        merged = np.asarray(merged, dtype=np.float64)
+        pairs = ((target, target), (merged, merged), (merged, target))
+        per_row.append([np.einsum("rw,rw->r", a, b) for a, b in pairs])
+    target_sq, merged_sq, dots = (np.concatenate(values) for values in zip(*per_row))
+    merged_norm, target_norm = np.sqrt(merged_sq), np.sqrt(target_sq)
     cos_keep = (merged_norm >= NORM_FLOOR) & (target_norm >= NORM_FLOOR)
     proj_keep = target_sq >= NORM_FLOOR**2
     if not cos_keep.any():
@@ -171,15 +181,29 @@ def merged_group_deltas(
     taus: Sequence[Mapping[str, np.ndarray]],
     group: SubmoduleGroup,
     alpha: Sequence[float],
-) -> np.ndarray:
-    """Float64 output delta of the group merged with `alpha` on the traced base, rows of
-    all tasks. `taus` holds each task vector's tensors, the group's owned ones at least."""
+) -> list[np.ndarray]:
+    """Per data task, the f32 [rows, width] output delta of the group merged with `alpha`
+    on the traced base. `taus` holds each task vector's tensors, the group's owned ones at least."""
     weights = group_parameters(group, store.weights, taus=taus, coeffs=alpha)
-    rows = [
-        store.rows(group, task, weights) - store.base_rows(group, task)
-        for task in range(store.n_tasks)
-    ]
-    return np.concatenate(rows, dtype=np.float64)
+    return [store.rows(group, t, weights) - store.base_rows(group, t) for t in range(store.n_tasks)]
+
+
+def _checked_grid(grid: Sequence[Sequence[float]], n_models: int) -> list[list]:
+    """The grid's alphas as lists, each checked to hold `n_models` finite reals."""
+    checked = []
+    for alpha in grid:
+        try:
+            alpha = list(alpha)
+        except TypeError:
+            raise CoeffError(f"alpha {alpha!r} is not a sequence of coefficients") from None
+        if len(alpha) != n_models:
+            raise CoeffError(f"{len(alpha)} coefficients for {n_models} task vectors")
+        for value in alpha:
+            require_real("alpha coefficient", value)
+        checked.append(alpha)
+    if not checked:
+        raise InputError("alpha grid must be non-empty")
+    return checked
 
 
 def metric_sweep(
@@ -191,27 +215,27 @@ def metric_sweep(
     grid: Sequence[Sequence[float]] | None = None,
 ) -> list[LinearityRecord]:
     """Cosine and projection metrics for every alpha in the grid, plus means. `base` must
-    be the model `store` traced, `taus` must match its shapes and `deltas` must read `store`."""
+    be the model `store` traced, `taus` must match its shapes and `deltas` must read `store`.
+    Every alpha is checked before the group's per-task f32 delta blocks are read."""
     store.require_traced_base(base)
     for t, tau in enumerate(taus):
         require_compatible(tau, base, f"metric_sweep task vector {t}")
     if deltas.features is not store:
         raise InputError("the deltas were not computed on this feature store")
-    if grid is None:
-        grid = default_alpha_grid(len(taus))
-    if not grid:
-        raise InputError("alpha grid must be non-empty")
-    task_deltas = deltas.pooled(group.id)
+    if len(taus) != deltas.n_models:
+        raise InputError(f"{len(taus)} task vectors for {deltas.n_models} fine-tuned models")
+    grid = _checked_grid(default_alpha_grid(len(taus)) if grid is None else grid, len(taus))
+    task_blocks = list(deltas.blocks(group.id))
     owned = [_owned_tensors(group, tau) for tau in taus]
     records: list[LinearityRecord] = []
     for alpha in grid:
         merged = merged_group_deltas(store, owned, group, alpha)
         try:
-            results = merge_metrics(task_deltas, alpha, merged)
+            results = merge_metrics(task_blocks, alpha, merged)
         except DegenerateError as exc:
             failed = (float("nan"), {"degenerate": True, "error": str(exc)})
             results = dict.fromkeys(METRICS, failed)
-        # Freed before the next alpha's merged delta is built.
+        # Freed before the next alpha's merged deltas are built.
         del merged
         for metric in METRICS:
             value, aux = results[metric]

@@ -9,8 +9,6 @@ output deltas, and recombines parameters slice by slice.
 
 from __future__ import annotations
 
-import math
-import reprlib
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +16,7 @@ import numpy as np
 from .archive import TensorArchive, combine, linear_combine, require_compatible, task_vector
 from .decompose import DecompositionPlan, Granularity, plan_decomposition
 from .errors import CoeffError, CompatError, ConfigError, InputError, ParamError
-from .features import collect_base_features, compute_delta_outputs, require_seed
+from .features import collect_base_features, compute_delta_outputs, require_real, require_seed
 from .model import ModelConfig, bind_weights
 from .solver import MergeWeights, solve_plan
 
@@ -26,18 +24,6 @@ from .solver import MergeWeights, solve_plan
 def _require_models(fine_tuned: Sequence[TensorArchive]) -> None:
     if not fine_tuned:
         raise InputError("need at least one fine-tuned checkpoint")
-
-
-def _require_real(name: str, value) -> None:
-    """An int, float or NumPy real, and not a bool, checked before any arithmetic."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ParamError(f"{name} must be a real number, got {reprlib.repr(value)}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
-        raise ParamError(f"{name} must be finite, got {reprlib.repr(value)}")
 
 
 def config_for(archive: TensorArchive) -> ModelConfig:
@@ -68,7 +54,7 @@ def merge_task_arithmetic(
     base: TensorArchive, fine_tuned: Sequence[TensorArchive], alpha: float
 ) -> TensorArchive:
     """base + alpha * sum of task vectors, one equal weight for all models."""
-    _require_real("alpha", alpha)
+    require_real("alpha", alpha)
     _require_models(fine_tuned)
     taus = [task_vector(ft, base) for ft in fine_tuned]
     return linear_combine(base, taus, [alpha] * len(taus))
@@ -88,8 +74,8 @@ def merge_dare(
     the expected task vector unchanged. At drop_p = 0 every entry is kept and
     divided by 1, so the result is task arithmetic's, bit for bit.
     """
-    _require_real("alpha", alpha)
-    _require_real("drop_p", drop_p)
+    require_real("alpha", alpha)
+    require_real("drop_p", drop_p)
     if not 0.0 <= drop_p < 1.0:
         raise ParamError(f"drop_p must lie in [0, 1), got {drop_p}")
     require_seed(seed)

@@ -103,11 +103,11 @@ class TestCollect:
         b = collect_base_features(model, datasets, plan, sample_n=3, seed=7)
         assert a.sampled == b.sampled
         # Every (group, task) pair, each later task traced on its first read.
-        keys = [(group.id, task) for group in plan.groups for task in range(len(datasets))]
-        assert all(len(a.inputs[key]) == 3 for key in keys)
-        for key in keys:
-            for left, right in zip(a.inputs[key], b.inputs[key], strict=True):
-                assert np.array_equal(left, right)
+        for group in plan.groups:
+            for task in range(len(datasets)):
+                left, right = a.group_inputs(group, task), b.group_inputs(group, task)
+                assert len(left) == len(right) == 3
+                assert all(np.array_equal(x, y) for x, y in zip(left, right, strict=True))
         c = collect_base_features(model, datasets, plan, sample_n=3, seed=8)
         assert a.sampled != c.sampled
 
@@ -253,7 +253,7 @@ class TestCollect:
             assert len(calls) == passes, level
             for task in range(len(datasets)):
                 for group in plan.groups:
-                    stores[level].inputs[(group.id, task)]
+                    stores[level].group_inputs(group, task)
                     assert len(calls) == passes * (task + 1), (level, group.id, task)
         for task in range(len(datasets)):
             tokens = stores[Granularity.MODEL].inputs[("model", task)]
@@ -319,9 +319,7 @@ class TestApplyGroup:
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=3)
         for group in plan.groups:
             for task in range(2):
-                outs = apply_group(
-                    group, model.weights, store.inputs[(group.id, task)], tiny_config
-                )
+                outs = apply_group(group, model.weights, store.group_inputs(group, task), tiny_config)
                 assert np.array_equal(outs, store.base_rows(group, task)), (group.id, task)
 
     @pytest.mark.parametrize("level", list(Granularity))
@@ -359,7 +357,7 @@ class TestApplyGroup:
         for group in plan.groups:
             weights = group_parameters(group, whole)
             for task in range(2):
-                outs = apply_group(group, whole, store.inputs[(group.id, task)], tiny_config)
+                outs = apply_group(group, whole, store.group_inputs(group, task), tiny_config)
                 assert np.array_equal(outs, store.rows(group, task, weights)), (group.id, task)
 
     def test_head_outputs_sum_to_attention_branch(self, tiny_config, setup):
@@ -554,23 +552,36 @@ class TestDeltas:
         taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
         for group in plan.groups:
             metric_sweep(store, deltas, tiny_checkpoint, taus, group, grid=[[0.5, 0.5]])
-            # The sweep's pool was the one copy of the deltas: no block is held
+            # The sweep kept the group's blocks itself: the store holds no block
             # after it, only the group's base rows.
             assert not deltas.deltas
             assert set(store.base_outputs) == {(group.id, t) for t in range(store.n_tasks)}
 
     @pytest.mark.parametrize("level", [Granularity.ATTN_MLP, Granularity.HEAD_MLP])
-    def test_pooled_hands_the_deltas_over(self, tiny_config, tiny_checkpoint, setup, level):
+    def test_sweep_computes_each_task_block_once(
+        self, tiny_config, tiny_checkpoint, setup, monkeypatch, level
+    ):
+        # One sweep over a grid of three alphas reads each of the group's
+        # (group, task) blocks once, for every alpha, and leaves none in the store.
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, level)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
+        block, computed = submerge.features.DeltaStore._block, []
+
+        def counted(self, group, task):
+            computed.append((group.id, task))
+            return block(self, group, task)
+
+        monkeypatch.setattr(submerge.features.DeltaStore, "_block", counted)
+        grid = [[0.5, 0.5], [0.2, 0.9], [1.0, 0.3]]
         for group in plan.groups:
-            pool = deltas.pooled(group.id)
+            computed.clear()
+            records = metric_sweep(store, deltas, tiny_checkpoint, taus, group, grid=grid)
+            assert computed == [(group.id, task) for task in range(store.n_tasks)]
+            assert len(records) == 2 * len(grid) + 2
             assert deltas.deltas == {}
-            expected = np.concatenate(deltas.grouped(group.id), axis=1, dtype=np.float64)
-            assert pool.dtype == np.float64
-            assert np.array_equal(pool, expected), group.id
 
     def test_group_parameters_built_once_per_group_and_model(
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
@@ -629,7 +640,7 @@ class TestDeltas:
         # one build per (model, task), and reading it once more computes nothing.
         monkeypatch.setattr(submerge.features.DeltaStore, "block", block)
         calls.clear()
-        # `grouped` and `pooled` read through `blocks`, not `block`.
+        # `grouped` reads through `blocks`, not `block`.
         reading["task"] = None
         last = plan.groups[-1].id
         assert last in {g.id for g in alone}
@@ -638,11 +649,6 @@ class TestDeltas:
         assert calls == once
         assert blocks[1] is deltas.grouped(last)[1]
         assert calls == once
-        # `pooled` streams the group once more and keeps no block.
-        pooled = deltas.pooled(last)
-        assert not deltas.deltas
-        assert np.array_equal(pooled, np.concatenate(blocks, axis=1))
-        assert calls == {key: 2 * n for key, n in once.items()}
 
     def test_blocks_refuse_a_released_or_foreign_group_at_the_call(
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
@@ -769,8 +775,9 @@ class TestDeltas:
         monkeypatch.setattr(submerge.features, "attention_contexts", counting)
         monkeypatch.setattr(type(deltas), "block", watched)
         solve_plan(plan, deltas)
+        head = plan.group("head.0.1")
         batches = sum(
-            len(list(length_buckets(store.inputs[("head.0.1", t)]))) for t in range(store.n_tasks)
+            len(list(length_buckets(store.group_inputs(head, t)))) for t in range(store.n_tasks)
         )
         assert batches > store.n_tasks
         assert len(built) == config.n_layers * (len(fine_tuned) + 1) * batches
@@ -895,7 +902,7 @@ class TestBatchCap:
             for group in plan.groups:
                 params = group_parameters(group, base.tensors, source=fine_tuned[0].tensors)
                 for task in range(len(datasets)):
-                    for i, arr in enumerate(store.inputs[(group.id, task)]):
+                    for i, arr in enumerate(store.group_inputs(group, task)):
                         out[("inputs", level, group.id, task, i)] = arr
                     out[("rows", level, group.id, task)] = store.rows(group, task, params)
             if level is Granularity.HEAD_MLP:

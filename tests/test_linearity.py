@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from submerge import (
-    CoeffError, CompatError, DegenerateError, InputError, PlanError, TensorArchive, task_vector,
+    CoeffError, CompatError, DegenerateError, InputError, ParamError, PlanError, TensorArchive,
+    task_vector,
 )
 from submerge.decompose import Granularity, plan_decomposition
-from submerge.features import collect_base_features, compute_delta_outputs
+from submerge.features import DeltaStore, collect_base_features, compute_delta_outputs
 from submerge.fixtures import FixtureSpec, build_fixture
 from submerge.linearity import (
     METRICS,
@@ -236,12 +237,17 @@ def reference_projection(task_deltas, alpha, merged_deltas):
     return abs(1.0 - mean_ratio), int(keep.size - keep.sum()), mean_ratio
 
 
+def one_block(task_deltas, alpha, merged):
+    """`merge_metrics` on one data task: the per-model deltas as its one block."""
+    return merge_metrics([np.array(task_deltas)], alpha, [merged])
+
+
 def cosine(task_deltas, alpha, merged):
-    return merge_metrics(task_deltas, alpha, merged)["cosine_merge"]
+    return one_block(task_deltas, alpha, merged)["cosine_merge"]
 
 
 def projection(task_deltas, alpha, merged):
-    return merge_metrics(task_deltas, alpha, merged)["projection_distance"]
+    return one_block(task_deltas, alpha, merged)["projection_distance"]
 
 
 class TestCosineMerge:
@@ -308,7 +314,7 @@ class TestMergeMetrics:
     def test_keyed_by_metric_names(self):
         rng = np.random.default_rng(3)
         deltas = [rng.normal(size=(4, 3)) for _ in range(2)]
-        results = merge_metrics(deltas, [0.5, 0.5], rng.normal(size=(4, 3)))
+        results = one_block(deltas, [0.5, 0.5], rng.normal(size=(4, 3)))
         assert tuple(results) == METRICS
         assert set(results["projection_distance"][1]) == {"skipped", "mean_ratio"}
 
@@ -332,7 +338,7 @@ class TestMergeMetrics:
             cos_value, cos_skipped = reference_cosine(deltas, alpha, merged)
             proj_value, proj_skipped, mean_ratio = reference_projection(deltas, alpha, merged)
             for given in (deltas, deltas.astype(np.float64), list(deltas)):
-                results = merge_metrics(given, alpha, merged)
+                results = one_block(given, alpha, merged)
                 value, aux = results["cosine_merge"]
                 assert math.isclose(value, cos_value, rel_tol=1e-12, abs_tol=1e-13)
                 assert aux == {"skipped": cos_skipped}
@@ -344,26 +350,65 @@ class TestMergeMetrics:
             dropped_by["projection"] += proj_skipped > 0
         assert dropped_by == {"cosine": 300, "projection": 300}
 
+    def test_ragged_task_splits_match_one_block(self):
+        # Per-row values do not depend on the split; only the weighted sum's
+        # BLAS product may round a few tail elements at a task boundary
+        # differently, depending on the CPU's kernels. So the split agrees with
+        # the one block to 1e-12 relative, and the skipped counts exactly.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n_models, rows, width = rng.integers(1, 5), rng.integers(2, 60), rng.integers(1, 20)
+            block = rng.normal(size=(n_models, rows, width)).astype(np.float32)
+            alpha = rng.uniform(-1.0, 1.5, size=n_models).tolist()
+            merged = np.tensordot(alpha, block, 1) + 0.5 * rng.normal(size=(rows, width))
+            merged = merged.astype(np.float32)
+            block[:, rng.random(rows) < 0.1] = 0.0
+            whole = merge_metrics([block], alpha, [merged])
+            cuts = rng.integers(0, min(rows, 5))
+            ends = np.sort(rng.choice(np.arange(1, rows), size=cuts, replace=False))
+            split = merge_metrics(np.split(block, ends, axis=1), alpha, np.split(merged, ends))
+            for metric in METRICS:
+                (value, aux), (want, want_aux) = split[metric], whole[metric]
+                assert math.isclose(value, want, rel_tol=1e-12), (metric, ends)
+                assert aux.pop("skipped") == want_aux.pop("skipped")
+                for key, got in aux.items():
+                    assert math.isclose(got, want_aux[key], rel_tol=1e-12), (metric, key, ends)
+
     @pytest.mark.parametrize("n_deltas, alpha", [(2, [1.0]), (1, [1.0, 1.0]), (0, [])])
     def test_alpha_of_the_wrong_length(self, n_deltas, alpha):
         with pytest.raises(InputError, match="alpha length"):
-            merge_metrics([np.ones((3, 2))] * n_deltas, alpha, np.ones((3, 2)))
+            one_block([np.ones((3, 2))] * n_deltas, alpha, np.ones((3, 2)))
 
     @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (3,), (3, 2, 1)])
     def test_merged_deltas_of_another_shape(self, shape):
         with pytest.raises(InputError, match="shape"):
-            merge_metrics([np.ones((3, 2))], [1.0], np.ones(shape))
+            one_block([np.ones((3, 2))], [1.0], np.ones(shape))
 
     @pytest.mark.parametrize("shape", [(1, 2), (3, 1), (4, 2)])
     def test_task_delta_of_another_shape(self, shape):
-        # (1, 2) and (3, 1) would broadcast into the weighted sum.
+        # A block whose model deltas have another shape; (1, 2) and (3, 1)
+        # would broadcast into the weighted sum.
         with pytest.raises(InputError, match="shape"):
-            merge_metrics([np.ones((3, 2)), np.ones(shape)], [0.5, 0.5], np.ones((3, 2)))
+            merge_metrics([np.ones((2, *shape))], [0.5, 0.5], [np.ones((3, 2))])
+
+    def test_block_without_a_model_axis(self):
+        # A [rows, width] delta given as a block of one model.
+        with pytest.raises(InputError, match="shape"):
+            merge_metrics([np.ones((3, 2))], [1.0], [np.ones((3, 2))])
+
+    def test_no_task_blocks(self):
+        with pytest.raises(InputError, match="at least one task block"):
+            merge_metrics([], [1.0], [])
+
+    def test_block_and_merged_counts_differ(self):
+        block = np.ones((1, 3, 2))
+        with pytest.raises(InputError, match="one merged delta per block"):
+            merge_metrics([block, block], [1.0], [np.ones((3, 2))])
 
     def test_cosine_degenerate_reported_first(self):
         # Both masks are empty; the cosine's error is the one raised.
         with pytest.raises(DegenerateError, match="zero-norm delta"):
-            merge_metrics([np.zeros((3, 2))], [1.0], np.zeros((3, 2)))
+            one_block([np.zeros((3, 2))], [1.0], np.zeros((3, 2)))
 
 
 class TestSweep:
@@ -418,6 +463,37 @@ class TestSweep:
         with pytest.raises(CoeffError, match="for 2 task vectors"):
             metric_sweep(store, deltas, tiny_checkpoint, taus, plan.group("layer.0"), grid=[alpha])
 
+    @pytest.mark.parametrize(
+        "entry, error, match",
+        [
+            (["a", 0.5], ParamError, "real number"),
+            ([float("nan"), 0.5], ParamError, "finite"),
+            ([float("inf"), 0.5], ParamError, "finite"),
+            ([True, 0.5], ParamError, "real number"),
+            ([0.5], CoeffError, "1 coefficients for 2 task vectors"),
+            (0.5, CoeffError, "not a sequence"),
+        ],
+    )
+    def test_bad_grid_entry_raises_before_any_block(
+        self, tiny_checkpoint, pipeline, monkeypatch, entry, error, match
+    ):
+        # The bad entry comes after a good one; every entry is checked first.
+        plan, store, taus, deltas = pipeline
+        computed = []
+        monkeypatch.setattr(DeltaStore, "_block", lambda *args: computed.append(args))
+        with pytest.raises(error, match=match):
+            grid = [[0.5, 0.5], entry]
+            metric_sweep(store, deltas, tiny_checkpoint, taus, plan.group("layer.0"), grid=grid)
+        assert computed == []
+
+    def test_one_task_vector_per_model(self, tiny_checkpoint, pipeline, monkeypatch):
+        plan, store, taus, deltas = pipeline
+        computed = []
+        monkeypatch.setattr(DeltaStore, "_block", lambda *args: computed.append(args))
+        with pytest.raises(InputError, match="1 task vectors for 2 fine-tuned models"):
+            metric_sweep(store, deltas, tiny_checkpoint, taus[:1], plan.group("embed"), grid=[[1.0]])
+        assert computed == []
+
     def test_empty_grid_rejected(self, tiny_checkpoint, pipeline):
         plan, store, taus, deltas = pipeline
         with pytest.raises(InputError, match="alpha grid must be non-empty"):
@@ -460,10 +536,9 @@ def test_plain_gram_alpha_minimizes_the_realized_objective(n_tasks):
     for group in plan.groups:
         # Task t's own delta on its data task's rows.
         own = [blocks[t].astype(np.float64) for t, blocks in enumerate(deltas.grouped(group.id))]
-        ends = np.cumsum([len(rows) for rows in own])[:-1]
 
         def objective(alpha):
-            merged = np.split(merged_group_deltas(store, taus, group, alpha), ends)
+            merged = merged_group_deltas(store, taus, group, alpha)
             return sum(np.mean(np.sum((m - d) ** 2, axis=1)) for m, d in zip(merged, own))
 
         solved = objective(weights.group(group.id).alpha)
