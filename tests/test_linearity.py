@@ -354,7 +354,7 @@ class TestMergeMetrics:
         # Per-row values do not depend on the split; only the weighted sum's
         # BLAS product may round a few tail elements at a task boundary
         # differently, depending on the CPU's kernels. So the split agrees with
-        # the one block to 1e-12 relative, and the skipped counts exactly.
+        # the one block to 1e-12 relative, and the skipped counts agree exactly.
         rng = np.random.default_rng(12)
         for _ in range(200):
             n_models, rows, width = rng.integers(1, 5), rng.integers(2, 60), rng.integers(1, 20)
@@ -481,8 +481,8 @@ class TestSweep:
         plan, store, taus, deltas = pipeline
         computed = []
         monkeypatch.setattr(DeltaStore, "_block", lambda *args: computed.append(args))
+        grid = [[0.5, 0.5], entry]
         with pytest.raises(error, match=match):
-            grid = [[0.5, 0.5], entry]
             metric_sweep(store, deltas, tiny_checkpoint, taus, plan.group("layer.0"), grid=grid)
         assert computed == []
 
