@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CoeffError, CompatError, DataError, FormatError, TruncationError
-from .errors import decode_json, io_boundary, record_digest
+from .errors import decode_json, io_boundary, is_integer, record_digest
 
 _HEADER_PREFIX = struct.Struct("<Q")
 _DTYPE_TAG = "f32"
@@ -149,17 +149,11 @@ def read_archive(path, digests: dict | None = None) -> TensorArchive:
             raise FormatError(f"tensor entry {name!r} has unexpected fields")
         if entry["dtype"] != _DTYPE_TAG:
             raise FormatError(f"tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        shape = entry["shape"]
-        # `type(...) is int`: a JSON true or false is a bool, which isinstance counts as an int.
-        if not isinstance(shape, list) or any(
-            type(extent) is not int or extent <= 0 for extent in shape
-        ):
+        shape, offsets = entry["shape"], entry["offsets"]
+        if not isinstance(shape, list) or not all(is_integer(n) and n > 0 for n in shape):
             raise FormatError(f"tensor {name!r} has invalid shape {shape!r}")
-        offsets = entry["offsets"]
-        if (
-            not isinstance(offsets, list)
-            or len(offsets) != 2
-            or any(type(o) is not int or o < 0 for o in offsets)
+        if not (isinstance(offsets, list) and len(offsets) == 2) or not all(
+            is_integer(o) and o >= 0 for o in offsets
         ):
             raise FormatError(f"tensor {name!r} has invalid offsets {offsets!r}")
         begin, end = offsets

@@ -24,7 +24,8 @@ import numpy as np
 
 from .archive import TensorArchive, read_archive, task_vector, write_archive
 from .decompose import Granularity, plan_decomposition
-from .errors import ConfigError, DegenerateError, SubmergeError, decode_json, io_boundary, write_json
+from .errors import ConfigError, DegenerateError, SubmergeError, decode_json, io_boundary
+from .errors import is_integer, is_real, require_integer, write_json
 from .features import collect_base_features, compute_delta_outputs
 from .fixtures import FixtureSpec, gen_fixture, read_dataset
 from .linearity import metric_sweep, non_linearity_score
@@ -63,13 +64,13 @@ def _is_string_list(value) -> bool:
 
 
 # Flags are typed by argparse; a config value must have its option's JSON kind,
-# so a string number, a float seed, a single string for a list or an integer
-# past the float range exits 2 instead of being cast, iterated or overflowing.
+# so a string number, a float seed, a single string for a list, a NaN, an
+# infinity or an integer past the float range exits 2 instead of being cast,
+# iterated or overflowing.
 JSON_TYPE_CHECKS = {
     "a boolean": lambda v: isinstance(v, bool),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": lambda v: isinstance(v, float)
-    or (isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    "an integer": is_integer,
+    "a number": is_real,
     "a string": lambda v: isinstance(v, str),
     "a string or a list of strings": lambda v: isinstance(v, str) or _is_string_list(v),
     "a list of strings": _is_string_list,
@@ -116,8 +117,8 @@ class Options:
                 raise ConfigError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
             owned = {name: {*m.params, *m.inputs} for name, m in METHODS.items()}
             self.reads -= set().union(*owned.values()) - owned[method]
-        if "seed" in self.reads and self.get("seed") < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.get('seed')}")
+        if "seed" in self.reads:
+            require_integer("seed", self.get("seed"), 0, ConfigError)
         for key in sorted(set(vars(args)) - self.reads):
             if getattr(args, key) is not None:
                 flags = "/".join(OPTIONS[key].flags)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its boundary with the outside:
-`io_boundary` maps OS errors, `decode_json` reads JSON, `write_json` writes it
-and `record_digest` hashes the bytes a reader or writer already holds.
+`io_boundary` maps OS errors, `decode_json` reads JSON, `write_json` writes it,
+`record_digest` hashes the bytes a reader or writer already holds, and
+`require_integer` and `require_real` check an outside scalar.
 
 Every error raised by the library derives from SubmergeError so callers
 (and the CLI) can distinguish our failures from genuine bugs.
@@ -10,8 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import reprlib
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 
 class SubmergeError(Exception):
@@ -108,3 +113,36 @@ def decode_json(data: bytes | str, error: type[SubmergeError], context: str):
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:
         raise error(f"{context}: {exc}") from exc
+
+
+def is_integer(value) -> bool:
+    """An int or NumPy integer, and not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite integer (`is_integer`), float or NumPy float; an integer past the
+    float range is not finite."""
+    try:
+        number = is_integer(value) or isinstance(value, (float, np.floating))
+        return number and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def require_integer(name: str, value, minimum: int, error: type[Exception]) -> int:
+    """`value` as a Python int if it is an integer (`is_integer`) >= `minimum`,
+    else `error`."""
+    if not (is_integer(value) and value >= minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def require_real(name: str, value, error: type[Exception]) -> int | float:
+    """`value` as a Python int or float if it is a real (`is_real`), else `error`,
+    checked before any arithmetic."""
+    if not (is_integer(value) or isinstance(value, (float, np.floating))):
+        raise error(f"{name} must be a real number, got {reprlib.repr(value)}")
+    if not is_real(value):
+        raise error(f"{name} must be finite, got {reprlib.repr(value)}")
+    return int(value) if is_integer(value) else float(value)

@@ -60,8 +60,6 @@ every task's.
 from __future__ import annotations
 
 import dataclasses
-import math
-import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -70,31 +68,10 @@ import numpy as np
 from .archive import TensorArchive, combine, require_compatible
 from .decompose import DecompositionPlan, SubmoduleGroup, context_slices
 from .errors import CoeffError, CompatError, InputError, ParamError, PlanError, SampleError
+from .errors import is_integer, require_integer
 from .model import BoundModel, ModelConfig, attention_block, attention_contexts
 from .model import forward_logits, forward_taps, length_buckets, mlp_block, output_block
 from .model import validated_tokens
-
-
-def is_integer(value) -> bool:
-    """An int or NumPy integer, and not a bool, which Python counts as an int."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def require_seed(seed) -> None:
-    if not (is_integer(seed) and seed >= 0):
-        raise ParamError(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def require_real(name: str, value) -> None:
-    """An int, float or NumPy real, and not a bool, checked before any arithmetic."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ParamError(f"{name} must be a real number, got {reprlib.repr(value)}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
-        raise ParamError(f"{name} must be finite, got {reprlib.repr(value)}")
 
 
 @dataclass
@@ -443,9 +420,8 @@ def collect_base_features(
     Groups that read the same tap share its stored arrays. No base outputs
     are computed here; `FeatureStore.base_rows` computes them per group.
     """
-    if not (is_integer(sample_n) and sample_n >= 1):
-        raise SampleError(f"sample count must be >= 1 and an integer, got {sample_n!r}")
-    require_seed(seed)
+    require_integer("sample count", sample_n, 1, SampleError)
+    require_integer("seed", seed, 0, ParamError)
     if not datasets:
         raise SampleError("need at least one dataset to sample")
     if plan.config != base.config:

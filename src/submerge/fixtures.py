@@ -15,7 +15,6 @@ both measurable with cross entropy at desk scale.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .archive import TensorArchive, combine, write_archive
-from .errors import DataError, ParamError, decode_json, io_boundary, record_digest, write_json
+from .errors import DataError, ParamError, decode_json, io_boundary, is_integer, record_digest
+from .errors import require_integer, require_real, write_json
 from .model import BoundModel, ModelConfig, bind_weights, forward_taps
 
 DIRICHLET_CONC = 0.5
@@ -53,22 +53,15 @@ class FixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_tasks", "dataset_size", "seq_len", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParamError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.tau_scale, (int, float)) or isinstance(self.tau_scale, bool):
-            raise ParamError(f"tau_scale must be a number, got {self.tau_scale!r}")
-        if self.n_tasks < 1:
-            raise ParamError("n_tasks must be >= 1")
-        if self.seed < 0:
-            raise ParamError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.tau_scale < math.inf:
-            raise ParamError(f"tau_scale must be finite and >= 0, got {self.tau_scale}")
-        if self.dataset_size < 1:
-            raise ParamError("dataset_size must be >= 1")
-        if self.seq_len < 2:
-            raise ParamError("seq_len must be >= 2 (cross entropy needs a target)")
+        # Each field is stored as the checked Python scalar: `to_json_dict` feeds
+        # `json.dumps`, which refuses NumPy ones. Cross entropy needs seq_len >= 2.
+        for name, minimum in (("n_tasks", 1), ("dataset_size", 1), ("seq_len", 2), ("seed", 0)):
+            value = require_integer(name, getattr(self, name), minimum, ParamError)
+            object.__setattr__(self, name, value)
+        tau_scale = require_real("tau_scale", self.tau_scale, ParamError)
+        if tau_scale < 0:
+            raise ParamError(f"tau_scale must be finite and >= 0, got {tau_scale}")
+        object.__setattr__(self, "tau_scale", tau_scale)
         if self.seq_len > self.config.max_seq:
             raise ParamError(
                 f"seq_len {self.seq_len} exceeds model max_seq {self.config.max_seq}"
@@ -235,9 +228,7 @@ def read_dataset(path: str | Path, digests: dict | None = None) -> list[list[int
         where = f"{path}:{lineno}"
         record = decode_json(line, DataError, f"{where}: malformed dataset line")
         tokens = record.get("tokens") if isinstance(record, dict) else None
-        if not isinstance(tokens, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in tokens
-        ):
+        if not isinstance(tokens, list) or not all(map(is_integer, tokens)):
             raise DataError(f"{where}: tokens must be a list of ints")
         sequences.append(tokens)
     if not sequences:

@@ -26,8 +26,9 @@ import numpy as np
 
 from .archive import TaskVector, TensorArchive, require_compatible
 from .decompose import SubmoduleGroup
-from .errors import CoeffError, DegenerateError, InputError
-from .features import DeltaStore, FeatureStore, group_parameters, is_integer, require_real
+from .errors import CoeffError, DegenerateError, InputError, ParamError
+from .errors import require_integer, require_real
+from .features import DeltaStore, FeatureStore, group_parameters
 
 NORM_FLOOR = 1e-12
 METRICS = ("cosine_merge", "projection_distance")
@@ -90,8 +91,7 @@ def non_linearity_score(
     weights. `base` must be the model `store` traced, and `tau` must match its shapes."""
     store.require_traced_base(base)
     require_compatible(tau, base, "non_linearity_score task vector")
-    if not (is_integer(n_points) and n_points >= 2):
-        raise InputError(f"n_points must be >= 2 and an integer, got {n_points!r}")
+    require_integer("n_points", n_points, 2, InputError)
     coeffs = [k / n_points for k in range(1, n_points + 1)]
     owned = _owned_tensors(group, tau)
     outputs = [store.base_rows(group, task)] + [
@@ -199,7 +199,7 @@ def _checked_grid(grid: Sequence[Sequence[float]], n_models: int) -> list[list]:
         if len(alpha) != n_models:
             raise CoeffError(f"{len(alpha)} coefficients for {n_models} task vectors")
         for value in alpha:
-            require_real("alpha coefficient", value)
+            require_real("alpha coefficient", value, ParamError)
         checked.append(alpha)
     if not checked:
         raise InputError("alpha grid must be non-empty")

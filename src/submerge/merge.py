@@ -16,7 +16,8 @@ import numpy as np
 from .archive import TensorArchive, combine, linear_combine, require_compatible, task_vector
 from .decompose import DecompositionPlan, Granularity, plan_decomposition
 from .errors import CoeffError, CompatError, ConfigError, InputError, ParamError
-from .features import collect_base_features, compute_delta_outputs, require_real, require_seed
+from .errors import require_integer, require_real
+from .features import collect_base_features, compute_delta_outputs
 from .model import ModelConfig, bind_weights
 from .solver import MergeWeights, solve_plan
 
@@ -54,7 +55,7 @@ def merge_task_arithmetic(
     base: TensorArchive, fine_tuned: Sequence[TensorArchive], alpha: float
 ) -> TensorArchive:
     """base + alpha * sum of task vectors, one equal weight for all models."""
-    require_real("alpha", alpha)
+    require_real("alpha", alpha, ParamError)
     _require_models(fine_tuned)
     taus = [task_vector(ft, base) for ft in fine_tuned]
     return linear_combine(base, taus, [alpha] * len(taus))
@@ -74,11 +75,11 @@ def merge_dare(
     the expected task vector unchanged. At drop_p = 0 every entry is kept and
     divided by 1, so the result is task arithmetic's, bit for bit.
     """
-    require_real("alpha", alpha)
-    require_real("drop_p", drop_p)
+    require_real("alpha", alpha, ParamError)
+    require_real("drop_p", drop_p, ParamError)
     if not 0.0 <= drop_p < 1.0:
         raise ParamError(f"drop_p must lie in [0, 1), got {drop_p}")
-    require_seed(seed)
+    require_integer("seed", seed, 0, ParamError)
     _require_models(fine_tuned)
     taus = []
     for task, ft in enumerate(fine_tuned):

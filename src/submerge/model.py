@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .archive import TensorArchive
-from .errors import BindError, ConfigError, InputError, decode_json
+from .errors import BindError, ConfigError, InputError, decode_json, require_integer, require_real
 
 # The parameters of each layer's attention and MLP blocks, named under
 # `layers.{i}.`, in the order each block reads them.
@@ -57,18 +56,15 @@ class ModelConfig:
     rope_theta: float = 10000.0
 
     def __post_init__(self) -> None:
+        # Each field is stored as the checked Python scalar: `to_json` refuses NumPy ones.
         for field in MODEL_SIZES:
-            value = getattr(self, field)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{field} must be >= 1")
+            value = require_integer(field, getattr(self, field), 1, ValueError)
+            object.__setattr__(self, field, value)
         for field in ("norm_eps", "rope_theta"):
-            value = getattr(self, field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{field} must be a number, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"{field} must be positive and finite")
+            value = require_real(field, getattr(self, field), ValueError)
+            if value <= 0:
+                raise ValueError(f"{field} must be > 0, got {value!r}")
+            object.__setattr__(self, field, value)
         if self.d_model % self.n_heads != 0:
             raise ValueError("n_heads must divide d_model")
         if (self.d_model // self.n_heads) % 2 != 0:

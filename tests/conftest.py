@@ -22,6 +22,32 @@ def random_checkpoint(config: ModelConfig, seed: int, scale: float = 0.25) -> Te
     return TensorArchive(tensors=tensors, meta={"model_config": config.to_json()})
 
 
+# One table of bad outside scalars for every integer and real check. Each entry
+# names the checks that refuse it: "integer" (an int or NumPy integer, never a
+# bool), "real" (a finite number, never a bool) and "minimum" (any check with a
+# minimum of 0 or more).
+BAD_SCALARS = {
+    "bool": (True, {"integer", "real"}),
+    "float_for_integer": (2.0, {"integer"}),
+    "below_minimum": (-1, {"minimum"}),
+    "nan": (float("nan"), {"integer", "real"}),
+    "inf": (float("inf"), {"integer", "real"}),
+    "-inf": (float("-inf"), {"integer", "real"}),
+    "past_float_range": (10**400, {"real"}),
+}
+
+
+def bad_scalars(fields, *checks) -> list:
+    """A `pytest.param(field, value)` for each field and each BAD_SCALARS entry
+    that one of `checks` refuses."""
+    return [
+        pytest.param(field, value, id=f"{field}-{name}")
+        for field in fields
+        for name, (value, refused_by) in BAD_SCALARS.items()
+        if refused_by & set(checks)
+    ]
+
+
 def byte_mutants(blob: bytes) -> st.SearchStrategy[bytes]:
     """`blob` with one to four bytes replaced, inserted or deleted."""
     kinds = st.sampled_from(["replace", "insert", "delete"])

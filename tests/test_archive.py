@@ -32,6 +32,8 @@ from submerge.errors import write_json
 from submerge.fixtures import FixtureSpec, gen_fixture, read_dataset, write_dataset
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy
 
+from conftest import bad_scalars
+
 
 def small_archive() -> TensorArchive:
     rng = np.random.default_rng(42)
@@ -250,14 +252,23 @@ class TestFormatErrors:
             read_archive(self._patched_file(tmp_path, mutate))
 
     @pytest.mark.parametrize(
-        "field, tensor, value",
-        [("shape", "layers.0.bias", [True, 3]), ("offsets", "a.long.dotted.name", [False, 96])],
-        ids=["boolean_extent", "boolean_offset"],
+        "field, value",
+        [
+            pytest.param("shape", True, id="boolean_extent"),
+            pytest.param("offsets", False, id="boolean_offset"),
+            *bad_scalars(("shape", "offsets"), "integer", "minimum"),
+        ],
     )
-    def test_boolean_in_header_rejected(self, tmp_path, field, tensor, value):
+    def test_boolean_in_header_rejected(self, tmp_path, field, value):
+        # `value` as the first extent of shape [1, 3] or the first of offsets [0, 96]:
         # True would pass as extent 1 and False as offset 0 if bools counted as ints.
+        tensor, entry = {
+            "shape": ("layers.0.bias", [value, 3]),
+            "offsets": ("a.long.dotted.name", [value, 96]),
+        }[field]
+
         def mutate(header, payload):
-            header["tensors"][tensor][field] = value
+            header["tensors"][tensor][field] = entry
             return header, payload
 
         with pytest.raises(FormatError, match=f"invalid {field}"):

@@ -34,7 +34,7 @@ from submerge.features import FeatureStore
 from submerge.linearity import default_alpha_grid
 from submerge.model import ModelConfig
 
-from conftest import byte_mutants
+from conftest import bad_scalars, byte_mutants
 
 FIXTURE_FLAGS = [
     "--d-model", "16", "--n-heads", "2", "--n-layers", "2", "--d-ff", "32",
@@ -105,15 +105,22 @@ class TestGenFixture:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("source", ["--tau-scale=nan", "--tau-scale=inf", "config_nan"])
-    def test_non_finite_tau_scale_exits_2_before_writing(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            pytest.param("--tau-scale=nan", "tau_scale must be finite, got nan", id="--tau-scale=nan"),
+            pytest.param("--tau-scale=inf", "tau_scale must be finite, got inf", id="--tau-scale=inf"),
+            pytest.param("config_nan", "config key 'tau_scale' must be a number, got nan", id="config_nan"),
+        ],
+    )
+    def test_non_finite_tau_scale_exits_2_before_writing(self, tmp_path, capsys, source, message):
         config_path = tmp_path / "run.json"
         config_path.write_text('{"tau_scale": NaN}')
         tau = ["--config", str(config_path)] if source == "config_nan" else [source]
         out = tmp_path / "out"
         rc = main(["gen-fixture", *FIXTURE_FLAGS, *tau, "--out", str(out)])
         err = assert_input_error(rc, capsys)
-        assert "tau_scale must be finite and >= 0" in err
+        assert message in err
         assert not out.exists()
 
 
@@ -373,26 +380,34 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "argv, payload",
         [
-            (["solve"], {"samples_per_task": "abc"}),
-            (["analyze"], {"n_points": "x"}),
-            (["solve"], {"seed": 1.5}),
-            (["merge", "--method", "task_arithmetic"], {"models": "task0.ta"}),
-            (["solve"], {"levl": "model"}),
-            (["solve"], {"normalised": False}),
-            (["solve"], {"model_config": {"d_model": 16}}),
-        ],
-        ids=[
-            "string_samples_per_task", "string_n_points", "float_seed", "string_models",
-            "unknown_key_levl", "unknown_key_normalised", "removed_key_model_config",
+            pytest.param(["solve"], {"samples_per_task": "abc"}, id="string_samples_per_task"),
+            pytest.param(["analyze"], {"n_points": "x"}, id="string_n_points"),
+            pytest.param(["solve"], {"seed": 1.5}, id="float_seed"),
+            pytest.param(
+                ["merge", "--method", "task_arithmetic"], {"models": "task0.ta"}, id="string_models"
+            ),
+            pytest.param(["solve"], {"levl": "model"}, id="unknown_key_levl"),
+            pytest.param(["solve"], {"normalised": False}, id="unknown_key_normalised"),
+            pytest.param(["solve"], {"model_config": {"d_model": 16}}, id="removed_key_model_config"),
+            # Every key is type-checked, read by the command or not.
+            *(
+                pytest.param(["solve"], {case.values[0]: case.values[1]}, id=case.id)
+                for case in [
+                    *bad_scalars(["samples_per_task", "seed"], "integer"),
+                    *bad_scalars(["alpha", "tau_scale"], "real"),
+                ]
+            ),
         ],
     )
     def test_mistyped_config_value_exits_2(self, fixture_dir, tmp_path, capsys, argv, payload):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"samples_per_task": 4, **payload}))
         flags = ["--base", str(fixture_dir / "base.ta")] if "models" in payload else io_flags(fixture_dir)
-        rc = main([*argv, *flags, "--config", str(config_path), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        rc = main([*argv, *flags, "--config", str(config_path), "--out", str(out)])
         key = next(iter(payload))
         assert f"config key {key!r}" in assert_input_error(rc, capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -453,13 +468,13 @@ class TestBadInputs:
                 "--out", str(tmp_path),
             ]
         )
-        assert "n_points must be >= 2" in assert_input_error(rc, capsys)
+        assert "n_points must be an integer >= 2" in assert_input_error(rc, capsys)
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("flag", ["--samples-per-task=0", "--samples-per-task=-1"])
     def test_sample_count_below_one_exits_2(self, fixture_dir, tmp_path, capsys, flag):
         rc = main(["solve", *io_flags(fixture_dir), flag, "--out", str(tmp_path)])
-        assert "sample count must be >= 1" in assert_input_error(rc, capsys)
+        assert "sample count must be an integer >= 1" in assert_input_error(rc, capsys)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
@@ -473,7 +488,7 @@ class TestBadInputs:
         seed = ["--seed=-1"] if source == "flag" else ["--config", str(config_path)]
         inputs = [] if command[0] == "gen-fixture" else io_flags(fixture_dir)
         rc = main([*command, *inputs, *seed, "--out", str(tmp_path / "out")])
-        assert "seed must be >= 0" in assert_input_error(rc, capsys)
+        assert "seed must be an integer >= 0, got -1" in assert_input_error(rc, capsys)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_models, n_datasets", [(2, 1), (1, 2)], ids=["more_models", "more_datasets"])
@@ -600,15 +615,22 @@ class TestBadInputs:
         assert "cannot create output directory" in assert_input_error(rc, capsys)
 
     @pytest.mark.parametrize("method", ["task_arithmetic", "dare"])
-    @pytest.mark.parametrize("source", ["--alpha=inf", "--alpha=-inf", "--alpha=1e309", "config_nan"])
-    def test_non_finite_alpha_exits_2(self, fixture_dir, tmp_path, capsys, method, source):
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            *(pytest.param(flag, "alpha must be finite", id=flag)
+              for flag in ("--alpha=inf", "--alpha=-inf", "--alpha=1e309")),
+            pytest.param("config_nan", "config key 'alpha' must be a number, got nan", id="config_nan"),
+        ],
+    )
+    def test_non_finite_alpha_exits_2(self, fixture_dir, tmp_path, capsys, method, source, message):
         config_path = tmp_path / "run.json"
         config_path.write_text('{"alpha": NaN}')
         alpha = ["--config", str(config_path)] if source == "config_nan" else [source]
         inputs = io_flags(fixture_dir, datasets=False)
         rc = main(["merge", *inputs, "--method", method, *alpha, "--out", str(tmp_path / "out")])
         err = assert_input_error(rc, capsys)
-        assert "alpha must be finite" in err
+        assert message in err
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "out" / "merged.ta").exists()
 
@@ -646,7 +668,19 @@ class TestBadInputs:
         assert "tensor 'layers.0.norm1' overflows float32" in assert_input_error(rc, capsys)
         assert not list(out.glob("*.json")) and not (out / "merged.ta").exists()
 
-    @pytest.mark.parametrize("source", ["archive_meta"])
+    # The model config of --base or --archive with one field of the wrong kind or
+    # out of range. norm_eps or rope_theta past the float range once passed and
+    # then overflowed in rms_norm or the RoPE tables, with a traceback.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("d_model", 16.0, "d_model must be an integer >= 1, got 16.0", id="archive_meta"),
+            pytest.param("norm_eps", 10**400, "norm_eps must be finite", id="archive_meta_norm_eps_10e400"),
+            pytest.param(
+                "rope_theta", 10**400, "rope_theta must be finite", id="archive_meta_rope_theta_10e400"
+            ),
+        ],
+    )
     @pytest.mark.parametrize(
         "command",
         [
@@ -664,10 +698,10 @@ class TestBadInputs:
             "eval", "solve", "compare", "analyze",
         ],
     )
-    def test_float_model_size_exits_2(self, fixture_dir, tmp_path, capsys, command, source):
+    def test_float_model_size_exits_2(self, fixture_dir, tmp_path, capsys, command, field, value, message):
         # Every command reads the model config before it makes --out.
         base = read_archive(fixture_dir / "base.ta")
-        model_config = dict(json.loads(base.meta["model_config"]), d_model=16.0)
+        model_config = dict(json.loads(base.meta["model_config"]), **{field: value})
         base_path = tmp_path / "base.ta"
         meta = dict(base.meta, model_config=json.dumps(model_config))
         write_archive(TensorArchive(base.tensors, meta), base_path)
@@ -679,7 +713,7 @@ class TestBadInputs:
             inputs = ["--base", str(base_path), *io_flags(fixture_dir)[2:]]
             inputs += ["--samples-per-task", "4"]
         rc = main([*command, *inputs, "--out", str(tmp_path / "out")])
-        assert "d_model must be an integer, got 16.0" in assert_input_error(rc, capsys)
+        assert message in assert_input_error(rc, capsys)
         assert not (tmp_path / "out").exists()
 
     def test_unknown_method_in_config_exits_2_before_the_work(self, fixture_dir, tmp_path, capsys):

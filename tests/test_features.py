@@ -25,7 +25,7 @@ from submerge.merge import merge_linear_solve
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, length_buckets
 from submerge.solver import solve_plan
 
-from conftest import random_checkpoint
+from conftest import bad_scalars, random_checkpoint
 
 
 def perturbed(checkpoint: TensorArchive, seed: int, scale: float = 0.05) -> TensorArchive:
@@ -293,11 +293,18 @@ class TestCollect:
             collect_base_features(model, [], plan, sample_n=1)
 
     # Python counts a bool as an int; neither a bool nor a float is a sample count.
-    @pytest.mark.parametrize("sample_n", [0, -1, 2.0, True])
+    @pytest.mark.parametrize(
+        "sample_n",
+        [
+            0, -1, 2.0, True,
+            *(pytest.param(case.values[1], id=case.id)
+              for case in bad_scalars(["sample_n"], "integer", "minimum")),
+        ],
+    )
     def test_non_positive_sample_count(self, tiny_config, setup, sample_n):
         model, datasets, _ = setup
         plan = plan_decomposition(tiny_config, Granularity.LAYER)
-        with pytest.raises(SampleError, match=">= 1"):
+        with pytest.raises(SampleError, match="sample count must be an integer >= 1"):
             collect_base_features(model, datasets, plan, sample_n=sample_n, seed=0)
 
     def test_row_counts_flatten_tokens(self, tiny_config, setup):

@@ -22,7 +22,7 @@ from submerge.fixtures import (
 from submerge.linearity import non_linearity_score
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy
 
-from conftest import byte_mutants
+from conftest import bad_scalars, byte_mutants
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -45,7 +45,8 @@ class TestSpecValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ParamError):
             small_spec(n_tasks=0)
-        for tau_scale in (-0.1, float("nan"), float("inf")):
+        # 10**400 once passed and then overflowed in build_fixture.
+        for tau_scale in (-0.1, float("nan"), float("inf"), 10**400):
             with pytest.raises(ParamError, match="tau_scale"):
                 small_spec(tau_scale=tau_scale)
         with pytest.raises(ParamError):
@@ -54,7 +55,7 @@ class TestSpecValidation:
             small_spec(seq_len=1)
         with pytest.raises(ParamError):
             small_spec(seq_len=99)
-        with pytest.raises(ParamError, match="seed must be >= 0"):
+        with pytest.raises(ParamError, match="seed must be an integer >= 0, got -1"):
             small_spec(seed=-1)
 
     @pytest.mark.parametrize(
@@ -69,6 +70,8 @@ class TestSpecValidation:
             ("tau_scale", "0.5"),
             ("tau_scale", True),
             ("tau_scale", None),
+            *bad_scalars(("n_tasks", "dataset_size", "seq_len", "seed"), "integer", "minimum"),
+            *bad_scalars(("tau_scale",), "real", "minimum"),
         ],
     )
     def test_mistyped_values_rejected(self, field, value):
@@ -81,6 +84,12 @@ class TestSpecValidation:
 
     def test_integer_tau_scale_accepted(self):
         assert small_spec(tau_scale=1).tau_scale == 1
+
+    def test_numpy_scalars_are_stored_as_python_scalars(self):
+        # `to_json_dict` feeds json.dumps, which refuses NumPy scalars.
+        spec = small_spec(n_tasks=np.int64(2), seed=np.int32(1), tau_scale=np.float32(0.5))
+        assert json.dumps(spec.to_json_dict()) == json.dumps(small_spec().to_json_dict())
+        assert type(spec.seed) is int and type(spec.tau_scale) is float
 
     def test_json_round_trip(self):
         spec = small_spec(tau_scale=0.25, seed=7)
@@ -233,6 +242,13 @@ class TestDatasetFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"task": "x", "tokens": [1.5]}\n')
         with pytest.raises(DataError):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("field, value", bad_scalars(["tokens"], "integer"))
+    def test_bad_scalar_token(self, tmp_path, field, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"task": "x", field: [1, value]}) + "\n")
+        with pytest.raises(DataError, match="tokens must be a list of ints"):
             read_dataset(path)
 
     def test_empty_file(self, tmp_path):

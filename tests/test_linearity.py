@@ -29,7 +29,7 @@ from submerge.linearity import (
 from submerge.model import ModelConfig, bind_weights
 from submerge.solver import solve_plan
 
-from conftest import random_checkpoint
+from conftest import bad_scalars, random_checkpoint
 from test_features import perturbed
 
 
@@ -194,10 +194,17 @@ class TestInputsAreChecked:
             non_linearity_score(store, tiny_checkpoint, taus[0], group, n_points=2)
 
     # The step count is an integer of at least 2, and a bool is not one.
-    @pytest.mark.parametrize("n_points", [1, 2.5, True])
+    @pytest.mark.parametrize(
+        "n_points",
+        [
+            1, 2.5, True,
+            *(pytest.param(case.values[1], id=case.id)
+              for case in bad_scalars(["n_points"], "integer", "minimum")),
+        ],
+    )
     def test_n_points_must_be_an_integer_of_at_least_two(self, tiny_checkpoint, pipeline, n_points):
         plan, store, taus, _ = pipeline
-        with pytest.raises(InputError, match="n_points must be >= 2"):
+        with pytest.raises(InputError, match="n_points must be an integer >= 2"):
             non_linearity_score(store, tiny_checkpoint, taus[0], plan.group("layer.0"), n_points=n_points)
 
     def test_non_linearity_score_base_must_be_the_traced_model(self, tiny_checkpoint, pipeline):

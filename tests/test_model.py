@@ -14,9 +14,9 @@ from submerge import BindError, InputError, TensorArchive
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, forward_taps
 from submerge.model import attention_block, attention_contexts, mlp_block, output_block
 from submerge.model import causal_attention, logsumexp_rows, rms_norm, rope_rotate, swiglu
-from submerge.model import validated_tokens
+from submerge.model import MODEL_SIZES, validated_tokens
 
-from conftest import random_checkpoint
+from conftest import bad_scalars, random_checkpoint
 from reference_forward import reference_forward
 
 TOKENS = [3, 1, 4, 1, 5, 9, 2, 6]
@@ -417,15 +417,30 @@ class TestConfig:
             ModelConfig(d_model=3, n_heads=3, n_layers=1, d_ff=4, vocab_size=5)
 
     @pytest.mark.parametrize(
-        "override",
-        [{"d_model": 8.0}, {"n_heads": True}, {"max_seq": "16"}, {"norm_eps": "1e-5"},
-         {"rope_theta": False}, {"norm_eps": float("nan")}, {"rope_theta": float("inf")}],
-        ids=["float_size", "bool_size", "string_size", "string_eps", "bool_theta", "nan_eps", "inf_theta"],
+        "field, value",
+        [
+            pytest.param("d_model", 8.0, id="float_size"),
+            pytest.param("n_heads", True, id="bool_size"),
+            pytest.param("max_seq", "16", id="string_size"),
+            pytest.param("norm_eps", "1e-5", id="string_eps"),
+            pytest.param("rope_theta", False, id="bool_theta"),
+            pytest.param("norm_eps", float("nan"), id="nan_eps"),
+            pytest.param("rope_theta", float("inf"), id="inf_theta"),
+            *bad_scalars(MODEL_SIZES, "integer", "minimum"),
+            *bad_scalars(("norm_eps", "rope_theta"), "real", "minimum"),
+        ],
     )
-    def test_field_types(self, override):
+    def test_field_types(self, field, value):
         sizes = dict(d_model=8, n_heads=2, n_layers=1, d_ff=4, vocab_size=5)
-        with pytest.raises(ValueError):
-            ModelConfig(**{**sizes, **override})
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ModelConfig(**{**sizes, field: value})
+
+    def test_numpy_scalars_are_stored_as_python_scalars(self):
+        # `to_json` goes through json.dumps, which refuses NumPy scalars.
+        sizes = dict(d_model=8, n_heads=2, n_layers=1, d_ff=4, vocab_size=5)
+        config = ModelConfig(**{k: np.int64(v) for k, v in sizes.items()}, rope_theta=np.float32(0.5))
+        assert config.to_json() == ModelConfig(**sizes, rope_theta=0.5).to_json()
+        assert type(config.d_model) is int and type(config.rope_theta) is float
 
     def test_json_round_trip(self, tiny_config):
         assert ModelConfig.from_json(tiny_config.to_json()) == tiny_config
