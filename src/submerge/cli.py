@@ -28,7 +28,7 @@ from .errors import ConfigError, DegenerateError, SubmergeError, decode_json, io
 from .errors import is_integer, is_real, require_integer, write_json
 from .features import collect_base_features, compute_delta_outputs
 from .fixtures import FixtureSpec, gen_fixture, read_dataset
-from .linearity import metric_sweep, non_linearity_score
+from .linearity import metric_sweep, non_linearity_score, require_n_points
 from .merge import (
     config_for,
     merge_dare,
@@ -228,7 +228,8 @@ def cmd_analyze(opts: Options) -> bool:
     levels = _parse_levels(opts)
     sample_n = opts.get("samples_per_task")
     seed = opts.get("seed")
-    n_points = opts.get("n_points")
+    # Checked before --out is made and before any trace.
+    n_points = require_n_points(opts.get("n_points"))
     out = opts.out_dir()
     bound = bind_weights(base, config)
     taus = [task_vector(model, base) for model in models]

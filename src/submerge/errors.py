@@ -130,11 +130,14 @@ def is_real(value) -> bool:
         return False
 
 
-def require_integer(name: str, value, minimum: int, error: type[Exception]) -> int:
+def require_integer(
+    name: str, value, minimum: int, error: type[Exception], maximum: int | None = None
+) -> int:
     """`value` as a Python int if it is an integer (`is_integer`) >= `minimum`,
-    else `error`."""
-    if not (is_integer(value) and value >= minimum):
-        raise error(f"{name} must be an integer >= {minimum}, got {reprlib.repr(value)}")
+    and <= `maximum` if one is given, else `error`."""
+    if not (is_integer(value) and minimum <= value and (maximum is None or value <= maximum)):
+        bound = f">= {minimum}" if maximum is None else f">= {minimum} and <= {maximum}"
+        raise error(f"{name} must be an integer {bound}, got {reprlib.repr(value)}")
     return int(value)
 
 

@@ -71,7 +71,7 @@ from .errors import CoeffError, CompatError, InputError, ParamError, PlanError, 
 from .errors import is_integer, require_integer
 from .model import BoundModel, ModelConfig, attention_block, attention_contexts
 from .model import forward_logits, forward_taps, length_buckets, mlp_block, output_block
-from .model import validated_tokens
+from .model import validated_tokens, weight_rhs
 
 
 @dataclass
@@ -296,10 +296,10 @@ class DeltaStore:
             ]
         # All rows and this head's columns of the o_proj slice and of the contexts.
         (base_o_proj, base_context), *models = self.contexts[(layer, task)]
-        base = (base_context[cols] @ base_o_proj[cols].T).astype(np.float32)
+        base = (base_context[cols] @ weight_rhs(base_o_proj[cols])).astype(np.float32)
         block = np.empty((len(models), *base.shape), np.float32)
         for slot, (o_proj, context) in zip(block, models):
-            np.copyto(slot, context[cols] @ o_proj[cols].T, casting="same_kind")
+            np.copyto(slot, context[cols] @ weight_rhs(o_proj[cols]), casting="same_kind")
             np.subtract(slot, base, out=slot)
         return block
 

@@ -31,6 +31,9 @@ from .errors import require_integer, require_real
 from .features import DeltaStore, FeatureStore, group_parameters
 
 NORM_FLOOR = 1e-12
+# The most interpolation steps `non_linearity_score` takes: `interpolation_scores`
+# holds a float64 [steps, steps, rows] distance tensor, 26 MB at 101 steps x 320 rows.
+MAX_N_POINTS = 100
 METRICS = ("cosine_merge", "projection_distance")
 
 
@@ -77,6 +80,11 @@ def interpolation_scores(
     return scores, skipped, ratios.mean(axis=2)
 
 
+def require_n_points(n_points) -> int:
+    """`n_points` as a Python int if it is an integer in 2..`MAX_N_POINTS`, else `InputError`."""
+    return require_integer("n_points", n_points, 2, InputError, MAX_N_POINTS)
+
+
 def non_linearity_score(
     store: FeatureStore,
     base: TensorArchive,
@@ -91,7 +99,7 @@ def non_linearity_score(
     weights. `base` must be the model `store` traced, and `tau` must match its shapes."""
     store.require_traced_base(base)
     require_compatible(tau, base, "non_linearity_score task vector")
-    require_integer("n_points", n_points, 2, InputError)
+    require_n_points(n_points)
     coeffs = [k / n_points for k in range(1, n_points + 1)]
     owned = _owned_tensors(group, tau)
     outputs = [store.base_rows(group, task)] + [

@@ -4,9 +4,13 @@ Pre-norm residual blocks: RMSNorm, multi-head causal attention with rotary
 position embeddings on q/k, and a SwiGLU MLP. No biases, no dropout.
 Weights are stored as [out x in] matrices applied as y = W @ x; checkpoint
 values are f32, and a bound model holds the archive's own f32 arrays. Every
-block upcasts its input and each weight it reads to float64 as it reads them
-(a float64 array is used as it is), so the arithmetic is float64 and a forward
-pass holds the float64 weights of one block at a time, never a copy of the model.
+block upcasts its input and each weight it reads to float64 as it reads them,
+so the arithmetic is float64 and a forward pass holds the float64 weights of
+one block at a time, never a copy of the model. A weight matrix enters its
+product only through `weight_rhs`, one C-contiguous float64 [in, out] copy:
+OpenBLAS multiplies that layout 1.1-2.3x faster than the transposed view
+`W.T` at fx3 shapes. An f32 weight is still copied once (the upcast), a
+float64 one once more. Norm weights and activations go through `_float64`.
 Kernels and blocks take any number of leading batch axes before [seq, ...].
 
 The forward pass and the groups of `features.py` run the same blocks
@@ -122,11 +126,19 @@ def bind_weights(archive: TensorArchive, config: ModelConfig) -> BoundModel:
 
 
 def _float64(a: np.ndarray) -> np.ndarray:
-    """A float64 array as it is, else a C-contiguous float64 copy. The blocks upcast each
-    weight and their input first, not mixed-dtype arithmetic, which may round differently."""
+    """A float64 array as it is, else a C-contiguous float64 copy: how a block reads its
+    input and a norm weight. The blocks upcast first, not mixed-dtype arithmetic, which
+    may round differently. A weight matrix is read by `weight_rhs` instead."""
     if a.dtype == np.float64:
         return a
     return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def weight_rhs(w: np.ndarray) -> np.ndarray:
+    """An [out, in] weight as the right operand of `x @ W.T`: a C-contiguous float64
+    [in, out] copy, made in one pass whatever `w`'s dtype and layout. OpenBLAS reads
+    this layout faster than the transposed view; a new array also never aliases `w`."""
+    return np.array(w.T, dtype=np.float64, order="C")
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
@@ -183,16 +195,16 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
 def swiglu(
     x: np.ndarray, gate: np.ndarray, up: np.ndarray, down: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SwiGLU on [..., d]; returns (output, hidden activation fed to down)."""
-    pre = x @ gate.T
+    """SwiGLU on [..., d] with [out, in] weights; returns (output, hidden activation fed to down)."""
+    pre = x @ weight_rhs(gate)
     hidden = np.negative(pre)
     # exp overflows to inf for a very negative pre-activation, giving 0 as it should.
     with np.errstate(over="ignore"):
         np.exp(hidden, out=hidden)
     hidden += 1.0
     np.divide(pre, hidden, out=hidden)
-    hidden *= x @ up.T
-    return hidden @ down.T, hidden
+    hidden *= x @ weight_rhs(up)
+    return hidden @ weight_rhs(down), hidden
 
 
 def attention_contexts(
@@ -201,12 +213,12 @@ def attention_contexts(
     """Attention contexts (the o_proj input) of one layer on [..., seq, d_model]
     inputs, for the whole heads whose rows q/k/v_proj hold, in order."""
     norm1, q_proj, k_proj, v_proj = (
-        _float64(weights[f"layers.{layer}.{name}"]) for name in ATTENTION_PARAMS[:4]
+        weights[f"layers.{layer}.{name}"] for name in ATTENTION_PARAMS[:4]
     )
-    normed = rms_norm(_float64(x), norm1, config.norm_eps)
+    normed = rms_norm(_float64(x), _float64(norm1), config.norm_eps)
 
     def project(weight: np.ndarray) -> np.ndarray:
-        out = normed @ weight.T
+        out = normed @ weight_rhs(weight)
         return out.reshape(*out.shape[:-1], -1, config.head_dim)
 
     q = rope_rotate(project(q_proj), config.rope_theta)
@@ -224,15 +236,15 @@ def attention_block(
     """Attention branch of one layer: (contexts @ o_proj.T, contexts), with the
     o_proj columns of the heads whose q/k/v_proj rows are given."""
     ctx = attention_contexts(x, weights, config, layer)
-    return ctx @ _float64(weights[f"layers.{layer}.attn.o_proj"]).T, ctx
+    return ctx @ weight_rhs(weights[f"layers.{layer}.attn.o_proj"]), ctx
 
 
 def mlp_block(
     x: np.ndarray, weights: Mapping[str, np.ndarray], config: ModelConfig, layer: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """MLP branch of one layer on [..., seq, d_model]; returns (output, down_proj input)."""
-    norm2, gate, up, down = (_float64(weights[f"layers.{layer}.{name}"]) for name in MLP_PARAMS)
-    return swiglu(rms_norm(_float64(x), norm2, config.norm_eps), gate, up, down)
+    norm2, gate, up, down = (weights[f"layers.{layer}.{name}"] for name in MLP_PARAMS)
+    return swiglu(rms_norm(_float64(x), _float64(norm2), config.norm_eps), gate, up, down)
 
 
 def output_block(
@@ -240,7 +252,7 @@ def output_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final norm and LM head on [..., seq, d_model]; returns (logits, normed hidden)."""
     hidden = rms_norm(_float64(x), _float64(weights["norm_final"]), config.norm_eps)
-    return hidden @ _float64(weights["lm_head"]).T, hidden
+    return hidden @ weight_rhs(weights["lm_head"]), hidden
 
 
 def forward_taps(

@@ -471,6 +471,23 @@ class TestBadInputs:
         assert "n_points must be an integer >= 2" in assert_input_error(rc, capsys)
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [(["--n-points", "101"], {}), ([], {"n_points": 10**400})],
+        ids=["flag", "config_key_past_float_range"],
+    )
+    def test_n_points_above_the_bound_exits_2_before_any_trace(
+        self, fixture_dir, tmp_path, capsys, argv, payload
+    ):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"samples_per_task": 4, **payload}))
+        out = tmp_path / "out"
+        rc = main(
+            ["analyze", *io_flags(fixture_dir), *argv, "--config", str(config_path), "--out", str(out)]
+        )
+        assert "n_points must be an integer >= 2 and <= 100" in assert_input_error(rc, capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--samples-per-task=0", "--samples-per-task=-1"])
     def test_sample_count_below_one_exits_2(self, fixture_dir, tmp_path, capsys, flag):
         rc = main(["solve", *io_flags(fixture_dir), flag, "--out", str(tmp_path)])

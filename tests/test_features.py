@@ -845,6 +845,24 @@ class TestDeltas:
                     direct = store.rows(group, task, params) - store.base_rows(group, task)
                     np.testing.assert_array_equal(block[m], direct, err_msg=f"{group.id} {task} {m}")
 
+    def test_head_rows_read_o_proj_through_weight_rhs(self, monkeypatch):
+        # A head above 0 multiplies its context columns by one weight_rhs copy of
+        # its o_proj columns per weight set: the base, then each model.
+        plan, store, deltas = three_task_deltas(Granularity.HEAD_MLP)
+        read = []
+
+        def counting(w):
+            read.append(w.shape)
+            return submerge.model.weight_rhs(w)
+
+        monkeypatch.setattr(submerge.features, "weight_rhs", counting)
+        config = plan.config
+        for group in plan.groups:
+            read.clear()
+            deltas.block(group.id, 1)
+            weight_sets = deltas.n_models + 1 if group.head_index else 0
+            assert read == [(config.d_model, config.head_dim)] * weight_sets, group.id
+
     def test_no_contexts_held_with_a_non_head_group(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)

@@ -17,6 +17,7 @@ from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import DeltaStore, collect_base_features, compute_delta_outputs
 from submerge.fixtures import FixtureSpec, build_fixture
 from submerge.linearity import (
+    MAX_N_POINTS,
     METRICS,
     NORM_FLOOR,
     default_alpha_grid,
@@ -25,6 +26,7 @@ from submerge.linearity import (
     merged_group_deltas,
     metric_sweep,
     non_linearity_score,
+    require_n_points,
 )
 from submerge.model import ModelConfig, bind_weights
 from submerge.solver import solve_plan
@@ -193,19 +195,32 @@ class TestInputsAreChecked:
         with pytest.raises(PlanError, match="'(attn|layer).0'"):
             non_linearity_score(store, tiny_checkpoint, taus[0], group, n_points=2)
 
-    # The step count is an integer of at least 2, and a bool is not one.
+    # The step count is an integer of at least 2, and a bool is not one. Above
+    # MAX_N_POINTS the step list and the distance tensor of `interpolation_scores`
+    # would grow without bound.
     @pytest.mark.parametrize(
         "n_points",
         [
             1, 2.5, True,
+            pytest.param(MAX_N_POINTS + 1, id="above_max"),
+            pytest.param(np.int64(10**9), id="numpy_above_max"),
+            pytest.param(10**400, id="past_float_range"),
             *(pytest.param(case.values[1], id=case.id)
               for case in bad_scalars(["n_points"], "integer", "minimum")),
         ],
     )
     def test_n_points_must_be_an_integer_of_at_least_two(self, tiny_checkpoint, pipeline, n_points):
         plan, store, taus, _ = pipeline
-        with pytest.raises(InputError, match="n_points must be an integer >= 2"):
+        with pytest.raises(InputError, match=f"n_points must be an integer >= 2 and <= {MAX_N_POINTS}"):
             non_linearity_score(store, tiny_checkpoint, taus[0], plan.group("layer.0"), n_points=n_points)
+
+    def test_n_points_at_the_bound_is_scored(self, tiny_checkpoint, pipeline):
+        plan, store, taus, _ = pipeline
+        assert require_n_points(np.int64(MAX_N_POINTS)) == MAX_N_POINTS
+        _, aux = non_linearity_score(
+            store, tiny_checkpoint, taus[0], plan.group("layer.0"), n_points=MAX_N_POINTS
+        )
+        assert aux["n"] == MAX_N_POINTS and aux["ratio_matrix"].shape == (MAX_N_POINTS + 1,) * 2
 
     def test_non_linearity_score_base_must_be_the_traced_model(self, tiny_checkpoint, pipeline):
         # Interpolating from another base would score a different path silently.

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.special import expit, logsumexp
 
+import submerge.model
 from submerge import BindError, InputError, TensorArchive
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, forward_taps
 from submerge.model import attention_block, attention_contexts, mlp_block, output_block
 from submerge.model import causal_attention, logsumexp_rows, rms_norm, rope_rotate, swiglu
-from submerge.model import MODEL_SIZES, validated_tokens
+from submerge.model import MODEL_SIZES, validated_tokens, weight_rhs
 
 from conftest import bad_scalars, random_checkpoint
 from reference_forward import reference_forward
@@ -184,6 +185,44 @@ class TestKernels:
             _, hidden = swiglu(x, gate, up, down)
         pre = x @ gate.T
         np.testing.assert_array_equal(hidden, pre * expit(pre) * (x @ up.T))
+
+
+class TestWeightRhs:
+    @pytest.mark.parametrize(
+        "dtype, cols",
+        [(np.float32, slice(None)), (np.float64, slice(None)), (np.float64, slice(8, 16))],
+        ids=["f32", "float64", "o_proj_column_slice"],
+    )
+    def test_a_c_contiguous_float64_copy_of_the_transpose(self, rng, dtype, cols):
+        w = rng.normal(size=(32, 24)).astype(dtype)[:, cols]
+        got = weight_rhs(w)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, w.T)
+        assert not np.shares_memory(got, w)
+
+    @pytest.mark.parametrize(
+        "block, names",
+        [
+            (attention_contexts, [f"layers.1.attn.{n}_proj" for n in "qkv"]),
+            (attention_block, [f"layers.1.attn.{n}_proj" for n in "qkvo"]),
+            (mlp_block, [f"layers.1.mlp.{n}_proj" for n in ("gate", "up", "down")]),
+            (output_block, ["lm_head"]),
+        ],
+    )
+    def test_every_weight_product_reads_weight_rhs(self, monkeypatch, bound, tiny_config, block, names):
+        # Each weight matrix of the block, once, in order: a product on a
+        # transposed view `x @ W.T` would bypass the helper and miss its read.
+        read = []
+
+        def counting(w):
+            read.append(w)
+            return weight_rhs(w)
+
+        monkeypatch.setattr(submerge.model, "weight_rhs", counting)
+        x = np.random.default_rng(2).normal(size=(2, 5, tiny_config.d_model))
+        block(x, bound.weights, tiny_config, *(() if block is output_block else (1,)))
+        assert len(read) == len(names)
+        assert all(got is bound.weights[name] for got, name in zip(read, names))
 
 
 class TestBind:
