@@ -27,7 +27,7 @@ from .decompose import Granularity, plan_decomposition
 from .errors import ConfigError, DegenerateError, SubmergeError, decode_json, io_boundary
 from .errors import is_integer, is_real, require_integer, write_json
 from .features import collect_base_features, compute_delta_outputs
-from .fixtures import FixtureSpec, gen_fixture, read_dataset
+from .fixtures import FixtureSpec, build_fixture, read_dataset, write_fixture
 from .linearity import metric_sweep, non_linearity_score, require_n_points
 from .merge import (
     config_for,
@@ -190,7 +190,8 @@ def cmd_gen_fixture(opts: Options) -> bool:
         {"config": {key: opts.get(key) for key in MODEL_SIZES}}
         | {key: opts.get(key) for key in fields if opts.get(key) is not None}
     )
-    paths = gen_fixture(spec, opts.out_dir())
+    fixture = build_fixture(spec)  # built before --out is made
+    paths = write_fixture(fixture, opts.out_dir())
     print(f"wrote fixture: {paths['manifest']}")
     for entry in [paths["base"], *paths["models"], *paths["datasets"]]:
         print(f"  {entry}")

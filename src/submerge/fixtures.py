@@ -41,6 +41,10 @@ DIRECTION_SHARES = {
 }
 ALIGNED_MIX = 0.9  # aligned rank-one fraction on output projections
 STATS_SEQUENCES = 4  # sequences used for mean-activation statistics
+# Desk-scale bounds: a fixture holds one checkpoint and one dataset per task in
+# memory, so an unbounded count ends in a MemoryError or a run of hours.
+MAX_TASKS = 64
+MAX_DATASET_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,14 @@ class FixtureSpec:
     def __post_init__(self):
         # Each field is stored as the checked Python scalar: `to_json_dict` feeds
         # `json.dumps`, which refuses NumPy ones. Cross entropy needs seq_len >= 2.
-        for name, minimum in (("n_tasks", 1), ("dataset_size", 1), ("seq_len", 2), ("seed", 0)):
-            value = require_integer(name, getattr(self, name), minimum, ParamError)
+        bounds = (
+            ("n_tasks", 1, MAX_TASKS),
+            ("dataset_size", 1, MAX_DATASET_SIZE),
+            ("seq_len", 2, None),
+            ("seed", 0, None),
+        )
+        for name, minimum, maximum in bounds:
+            value = require_integer(name, getattr(self, name), minimum, ParamError, maximum)
             object.__setattr__(self, name, value)
         tau_scale = require_real("tau_scale", self.tau_scale, ParamError)
         if tau_scale < 0:
@@ -237,14 +247,17 @@ def read_dataset(path: str | Path, digests: dict | None = None) -> list[list[int
 
 
 def gen_fixture(spec: FixtureSpec, out_dir: str | Path) -> dict:
-    """Write base.ta, task{t}.ta, task{t}.jsonl and a fixture.json manifest.
+    """Build the fixture, then write it with `write_fixture`; a failed build leaves
+    no directory behind. Outputs are byte-identical across reruns with the same spec."""
+    return write_fixture(build_fixture(spec), out_dir)
 
-    Outputs are byte-identical across reruns with the same spec.
-    """
+
+def write_fixture(fixture: Fixture, out_dir: str | Path) -> dict:
+    """Write base.ta, task{t}.ta, task{t}.jsonl and a fixture.json manifest."""
+    spec = fixture.spec
     out = Path(out_dir)
     with io_boundary(f"cannot create fixture dir {out}"):
         out.mkdir(parents=True, exist_ok=True)
-    fixture = build_fixture(spec)
     paths = {
         "base": out / "base.ta",
         "models": [out / f"task{t}.ta" for t in range(spec.n_tasks)],

@@ -31,6 +31,7 @@ from submerge.cli import (
 )
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import FeatureStore
+from submerge.fixtures import MAX_DATASET_SIZE, MAX_TASKS
 from submerge.linearity import default_alpha_grid
 from submerge.model import ModelConfig
 
@@ -129,7 +130,27 @@ class TestGenFixture:
         rc = main(["gen-fixture", *FIXTURE_FLAGS, "--tau-scale", "1e300", "--out", str(out)])
         err = assert_input_error(rc, capsys)
         assert "tau_scale 1e+300 is too large: tensor '" in err
-        assert not list(out.glob("*.ta"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tasks", "100000000", f"n_tasks must be an integer >= 1 and <= {MAX_TASKS}"),
+            (
+                "--dataset-size",
+                "100000000000",
+                f"dataset_size must be an integer >= 1 and <= {MAX_DATASET_SIZE}",
+            ),
+        ],
+        ids=["tasks", "dataset_size"],
+    )
+    def test_count_past_its_bound_exits_2_before_writing(self, tmp_path, capsys, flag, value, message):
+        # Unbounded, --tasks 100000000 ended in a MemoryError traceback and
+        # --dataset-size 100000000000 ran for minutes, each leaving an empty --out.
+        out = tmp_path / "out"
+        rc = main(["gen-fixture", flag, value, "--out", str(out)])
+        assert f"{message}, got {value}" in assert_input_error(rc, capsys)
+        assert not out.exists()
 
 
 class TestAnalyze:

@@ -13,6 +13,8 @@ from submerge import DataError, ParamError, SubmergeError, read_archive, task_ve
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import collect_base_features
 from submerge.fixtures import (
+    MAX_DATASET_SIZE,
+    MAX_TASKS,
     FixtureSpec,
     build_fixture,
     gen_fixture,
@@ -80,6 +82,19 @@ class TestSpecValidation:
         payload = small_spec().to_json_dict()
         payload[field] = value
         with pytest.raises(ParamError, match=f"{field} must be"):
+            FixtureSpec.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, maximum", [("n_tasks", MAX_TASKS), ("dataset_size", MAX_DATASET_SIZE)]
+    )
+    def test_counts_past_their_bound_rejected(self, field, maximum):
+        # Unbounded, 10**8 tasks ended in a MemoryError and 10**11 sequences ran for minutes.
+        assert getattr(small_spec(**{field: maximum}), field) == maximum
+        message = f"{field} must be an integer >= 1 and <= {maximum}, got {maximum + 1}"
+        with pytest.raises(ParamError, match=message):
+            small_spec(**{field: maximum + 1})
+        payload = dict(small_spec().to_json_dict(), **{field: 10**11})
+        with pytest.raises(ParamError, match=f"{field} must be an integer >= 1 and <= {maximum}"):
             FixtureSpec.from_json_dict(payload)
 
     def test_integer_tau_scale_accepted(self):
@@ -269,6 +284,13 @@ class TestGenFixture:
         for dataset_path in paths["datasets"]:
             seqs = read_dataset(dataset_path)
             assert len(seqs) == spec.dataset_size
+
+    def test_failed_build_leaves_no_directory(self, tmp_path):
+        # tau_scale 1e300 passes the spec check and overflows float32 in the build.
+        out = tmp_path / "made" / "fx"
+        with pytest.raises(ParamError, match="tau_scale 1e\\+300 is too large"):
+            gen_fixture(small_spec(tau_scale=1e300), out)
+        assert not (tmp_path / "made").exists()
 
     def test_manifest_digests_match_files(self, tmp_path):
         paths = gen_fixture(small_spec(), tmp_path / "fx")

@@ -118,6 +118,20 @@ def reference_attention(q, k, v):
     return np.swapaxes(scores @ v, -3, -2)
 
 
+def biased_attention(q, k, v):
+    """The kernel's former formula: an additive -inf bias above the diagonal before
+    the row max and the exp. `causal_attention` must equal it bit for bit."""
+    q, k, v = (np.swapaxes(a, -3, -2) for a in (q, k, v))
+    seq = q.shape[-2]
+    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ np.swapaxes(k, -1, -2)
+    scores += np.triu(np.full((seq, seq), -np.inf), k=1)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    ctx = scores @ v
+    ctx /= scores.sum(axis=-1, keepdims=True)
+    return np.swapaxes(ctx, -3, -2)
+
+
 def reference_swiglu(x, gate, up, down):
     pre = x @ gate.T
     hidden = pre * expit(pre) * (x @ up.T)
@@ -166,6 +180,36 @@ class TestKernels:
             warnings.simplefilter("error")
             out = causal_attention(30 * q, 30 * k, v)
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 1, 2, 2), (3, 2, 2, 2), (2, 5, 3, 2), (10, 32, 8, 8), (16, 32, 7, 8), (16, 32, 1, 8)],
+        ids=["seq1", "seq2", "seq5", "10x32x8x8", "16x32x7x8", "16x32x1x8"],
+    )
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 3e2])
+    def test_causal_attention_equals_the_biased_formula(self, shape, scale, rng):
+        q, k, v = (scale * rng.normal(size=shape) for _ in range(3))
+        np.testing.assert_array_equal(causal_attention(q, k, v), biased_attention(q, k, v))
+
+    def test_future_keys_far_above_the_row_max_do_not_overflow(self):
+        # Key j scores 1414 * j against every query, so each row's first future
+        # key sits more than 710 above its max: exp would overflow without the clamp.
+        seq = 6
+        q = np.zeros((1, seq, 1, 2))
+        k = np.zeros((1, seq, 1, 2))
+        q[..., 0] = 100.0
+        k[0, :, 0, 0] = 20.0 * np.arange(seq)
+        v = np.random.default_rng(3).normal(size=(1, seq, 1, 2))
+        with np.errstate(over="raise", invalid="raise"):
+            out = causal_attention(q, k, v)
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out, biased_attention(q, k, v))
+
+    def test_causal_mask_tables_are_read_only(self):
+        causal, causal01 = submerge.model._causal_mask(4)
+        assert not causal.flags.writeable and not causal01.flags.writeable
+        np.testing.assert_array_equal(causal01, np.tri(4))
+        np.testing.assert_array_equal(causal, np.tri(4, dtype=bool))
 
     def test_swiglu(self, rng):
         x = rng.normal(size=(3, 2, 5, 16))
