@@ -7,17 +7,23 @@ base model's features, never on their own forward pass). Every evaluation,
 the trace included, is batched by `model.length_buckets`: sequences of one
 length, stacked in input-order slices of at most `model.MAX_BATCH`, one call
 per slice, so the float64 temporaries do not grow with the sample count.
-The pass streams its taps (`forward_taps`): each tap a group reads is
-rounded to f32 and stored as soon as it is computed, and every other tap is
-dropped, so no whole float64 trace is held. A group's function is its
-`model` block on the parameter slices the group owns, plus the parameters
-it only reads, whole.
+`collect_base_features` stacks each task's sampled tokens into those batches
+once (`FeatureStore.buckets`), each with the rows its sequences fill in the
+task's [rows, width] outputs: a slice when they are consecutive, as on every
+fixed-length task. The trace runs one pass per token batch and streams its
+taps (`forward_taps`): each tap a group reads is rounded to f32 and stored as
+that bucket's batch as soon as it is computed, and every other tap is
+dropped, so no whole float64 trace is held. Every later read evaluates the
+stored batches in place, with no regrouping or stacking; the per-sequence
+inputs and token sequences are views of the same batches, so no input is
+held twice. A group's function is its `model` block on the parameter slices
+the group owns, plus the parameters it only reads, whole.
 `group_parameters` builds exactly those float64 weights for one parameter
 set (a source model's slices, or base + sum_t c_t tau_t; the read-only ones
 at the base value), and `FeatureStore.rows` evaluates the block on them, one
 call per batch, so identical weights reproduce identical bytes. A group's
 outputs on one task are one f32 [rows, width] matrix, each batch's block
-written into its sequences' token rows in input order. Base outputs are
+written into its rows. Base outputs are
 computed when a group is first read and held one group at a time, per task;
 the dict keys are the one record of the group held. Output deltas are
 computed per (group, data task): `DeltaStore.block` returns one [n_models,
@@ -28,12 +34,13 @@ time; the linearity sweep keeps a group's blocks for its alpha grid.
 `collect_base_features` checks every task's tokens and traces the first;
 `FeatureStore.group_inputs` traces any other on its first read. `analyze`
 keeps every task and calls `FeatureStore.release` once a group's metrics
-are done, so a tap's arrays are freed with the last group that reads them;
+are done, so a tap's batches are freed with the last group that reads them;
 reading a released group raises `PlanError`, and no later trace stores its
 inputs. `solve_plan` calls `DeltaStore.release_task` once every group's
 block on a task is folded, dropping that task's inputs, base rows and
 contexts, so it holds one task's inputs; a dropped task read again (say by
-`grouped` after the solve) is traced again, to the same bytes.
+`grouped` after the solve) is traced again from its token batches, to the
+same bytes.
 A group's base rows live from their first read until another group is held
 (`FeatureStore._hold`, which also checks that the group is the plan's): in
 `analyze` they are the k = 0 interpolation step of `non_linearity_score`
@@ -73,14 +80,27 @@ from .model import BoundModel, ModelConfig, attention_block, attention_contexts
 from .model import forward_logits, forward_taps, length_buckets, mlp_block, output_block
 from .model import validated_tokens, weight_rhs
 
+# A length bucket of one data task's sequences: their positions in input order,
+# the rows they fill in the task's [rows, width] outputs (a slice when those
+# rows are consecutive), and the stacked batch. A stored batch is its rows and
+# one stacked input of the bucket: its tokens, or a feature tap of them.
+Bucket = tuple[list[int], slice | np.ndarray, np.ndarray]
+Batch = tuple[slice | np.ndarray, np.ndarray]
+
 
 @dataclass
 class FeatureStore:
-    """Per (group id, data task): input matrices, one per sequence; and the base
-    output rows of one group at a time.
+    """Per (group id, data task): the group's stacked input batches and their
+    per-sequence views; and the base output rows of one group at a time.
 
-    `inputs[(group id, task)]` holds the traced tasks; `group_inputs` traces a
-    task from its sampled `sequences` when it is not stored (`_trace`), so one
+    `buckets[task]` holds a data task's length buckets, made once when it is
+    sampled: each one's positions in input order, its destination rows and its
+    stacked token batch; `sequences[task]` is every sequence's view of those
+    batches. For each traced task, `batches[(group id, task)]` holds (rows,
+    batch) per bucket, the tokens or the f32 tap the group reads, the same
+    arrays for every group that reads one tap; `inputs[(group id, task)]` is
+    every sequence's view of them, in input order. `group_inputs` traces a
+    task from its token batches when it is not stored (`_trace`), so one
     dropped by `DeltaStore.release_task` is traced again, to the same bytes.
     `base_outputs[(group id, task)]` holds the base rows of every sequence
     stacked in input order. `base_rows` fills it on first use with the traced
@@ -93,9 +113,11 @@ class FeatureStore:
     n_tasks: int
     weights: Mapping[str, np.ndarray]
     inputs: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
+    batches: dict[tuple[str, int], list[Batch]] = field(default_factory=dict)
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
     sequences: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    buckets: dict[int, list[Bucket]] = field(default_factory=dict)
     released: set[str] = field(default_factory=set)
 
     def rows(
@@ -107,7 +129,8 @@ class FeatureStore:
     ) -> np.ndarray:
         """The group's rows on one task's inputs under `group_parameters` weights,
         written into `out` if given, an f32 [rows, width]."""
-        return _group_rows(group, weights, self.group_inputs(group, task), self.plan.config, out)
+        batches = self.batches[self._traced(group, task)]
+        return _group_rows(group, weights, batches, self.plan.config, out)
 
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
         """The group's output rows on one task's inputs under the traced weights."""
@@ -120,41 +143,52 @@ class FeatureStore:
         return rows
 
     def release(self, group: SubmoduleGroup) -> None:
-        """Drop the group's stored inputs and base rows for good. A tap's arrays
-        are freed once every group that reads them is released; reading a
-        released group again raises `PlanError`."""
+        """Drop the group's stored inputs, batches and base rows for good. A tap's
+        batches are freed once every group that reads them is released; reading
+        a released group again raises `PlanError`."""
         self._require_planned(group)
         self.released.add(group.id)
         for task in range(self.n_tasks):
-            self.inputs.pop((group.id, task), None)
-            self.base_outputs.pop((group.id, task), None)
+            for held in (self.inputs, self.batches, self.base_outputs):
+                held.pop((group.id, task), None)
 
     def _trace(self, task: int) -> None:
-        """Store the task's inputs for every group not released: its sequences
-        for the tokens, and each feature tap of one base pass per length bucket,
-        rounded to f32 as soon as it is computed while every other tap is
-        dropped. Groups that read one tap share its arrays."""
+        """Store the task's inputs for every group not released: its token
+        batches, and each feature tap of one base pass per token batch, rounded
+        to f32 as soon as it is computed while every other tap is dropped.
+        Groups that read one tap share its batches."""
         groups = [group for group in self.plan.groups if group.id not in self.released]
-        taps, sequences = {group.input_tap for group in groups} - {"tokens"}, self.sequences[task]
-        values = {"tokens": sequences} | {tap: [np.empty(0)] * len(sequences) for tap in taps}
-        for positions, batch in length_buckets(sequences) if taps else ():
-            for tap, value in forward_taps(self.plan.config, self.weights, batch):
+        buckets = self.buckets[task]
+        taps = {group.input_tap for group in groups} - {"tokens"}
+        stacked = {"tokens": [tokens for _, _, tokens in buckets]} | {tap: [] for tap in taps}
+        for _, _, tokens in buckets if taps else ():
+            for tap, value in forward_taps(self.plan.config, self.weights, tokens):
                 if tap in taps:
-                    for position, row in zip(positions, value.astype(np.float32)):
-                        values[tap][position] = row
+                    stacked[tap].append(value.astype(np.float32))
+        views = {tap: _sequence_views(buckets, batches) for tap, batches in stacked.items()}
+        pairs = {
+            tap: [(rows, batch) for (_, rows, _), batch in zip(buckets, batches)]
+            for tap, batches in stacked.items()
+        }
         for group in groups:
-            self.inputs[(group.id, task)] = list(values[group.input_tap])
+            self.inputs[(group.id, task)] = list(views[group.input_tap])
+            self.batches[(group.id, task)] = pairs[group.input_tap]
 
     def group_inputs(self, group: SubmoduleGroup, task: int) -> list[np.ndarray]:
-        """The group's stored inputs on one data task, which is traced first if it
-        is not stored: `PlanError` unless the group is the plan's and not
-        released, `InputError` unless `task` is a data task."""
+        """The group's stored inputs on one data task, one per sequence, which
+        is traced first if it is not stored: `PlanError` unless the group is
+        the plan's and not released, `InputError` unless `task` is a data task."""
+        return self.inputs[self._traced(group, task)]
+
+    def _traced(self, group: SubmoduleGroup, task: int) -> tuple[str, int]:
+        """The (group id, task) key of the group's stored inputs and batches,
+        tracing the task first if it is not stored; checked as by `group_inputs`."""
         self._require_planned(group)
         if not (is_integer(task) and 0 <= task < self.n_tasks):
             raise InputError(f"task {task!r} is not one of the store's {self.n_tasks} data tasks")
         if (group.id, task) not in self.inputs:
             self._trace(task)
-        return self.inputs[(group.id, task)]
+        return (group.id, task)
 
     def _hold(self, group: SubmoduleGroup) -> None:
         """Raise `PlanError` unless `group` is the plan's and not released; then
@@ -243,9 +277,10 @@ class DeltaStore:
         return [self.deltas[(group_id, task)] for task in range(features.n_tasks)]
 
     def release_task(self, task: int) -> None:
-        """Drop one data task's stored inputs, base rows and head contexts; the
-        next read of that task traces it again."""
-        for held in (self.features.inputs, self.features.base_outputs, self.contexts):
+        """Drop one data task's stored inputs, batches, base rows and head
+        contexts; the next read of that task traces it again."""
+        features = self.features
+        for held in (features.inputs, features.batches, features.base_outputs, self.contexts):
             for key in [key for key in held if key[1] == task]:
                 del held[key]
 
@@ -283,13 +318,13 @@ class DeltaStore:
             heads = dataclasses.replace(group, params=shared)
             sources = [features.weights] + [archive.tensors for archive in self.fine_tuned]
             weight_sets = (group_parameters(heads, features.weights, source=s) for s in sources)
-            inputs = features.group_inputs(group, task)
+            batches = features.batches[features._traced(group, task)]
             o_proj_name = f"layers.{layer}.attn.o_proj"
             self.contexts[(layer, task)] = [
                 (
                     w[o_proj_name],
                     _rows_in_order(
-                        inputs, lambda x: attention_contexts(x, w, config, layer), np.float64
+                        batches, lambda x: attention_contexts(x, w, config, layer), np.float64
                     ),
                 )
                 for w in weight_sets
@@ -304,37 +339,58 @@ class DeltaStore:
         return block
 
 
+def _buckets(seqs: Sequence[np.ndarray]) -> list[Bucket]:
+    """Each `length_buckets` batch of `seqs`, stacked once: its positions in
+    `seqs`, the rows its sequences fill, in input order, of a [rows, width]
+    result (a slice when they are consecutive), and the batch."""
+    starts = np.cumsum([0] + [len(seq) for seq in seqs])
+    buckets: list[Bucket] = []
+    for positions, batch in length_buckets(seqs):
+        rows = (starts[positions][:, None] + np.arange(batch.shape[1])).ravel()
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        buckets.append((positions, rows, batch))
+    return buckets
+
+
+def _sequence_views(buckets: Sequence[Bucket], batches: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each sequence's view of the batch, one per bucket, that holds it, in input order."""
+    views: list[np.ndarray] = [np.empty(0)] * sum(len(positions) for positions, _, _ in buckets)
+    for (positions, _, _), batch in zip(buckets, batches):
+        for position, row in zip(positions, batch):
+            views[position] = row
+    return views
+
+
 def _rows_in_order(
-    inputs: Sequence[np.ndarray],
+    batches: Sequence[Batch],
     evaluate: Callable[[np.ndarray], np.ndarray],
     dtype: type,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`evaluate` on each `length_buckets` batch of `inputs`, written into one
-    `dtype` [rows, width] result, `out` if given: every input's rows, in input order."""
-    starts = np.cumsum([0] + [len(seq) for seq in inputs])
+    """`evaluate` on each batch, written into its rows of one `dtype` [rows,
+    width] result, `out` if given: every sequence's rows, in input order."""
     result = out
-    for positions, batch in length_buckets(inputs):
+    for rows, batch in batches:
         block = evaluate(batch)
         if result is None:
-            result = np.empty((starts[-1], block.shape[-1]), dtype)
-        rows = starts[positions][:, None] + np.arange(batch.shape[1])
-        result[rows.ravel()] = block.reshape(-1, block.shape[-1])
+            n_rows = sum(stacked.shape[0] * stacked.shape[1] for _, stacked in batches)
+            result = np.empty((n_rows, block.shape[-1]), dtype)
+        result[rows] = block.reshape(-1, block.shape[-1])
     return result
 
 
 def _group_rows(
     group: SubmoduleGroup,
     weights: Mapping[str, np.ndarray],
-    inputs: Sequence[np.ndarray],
+    batches: Sequence[Batch],
     config: ModelConfig,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One group's block on stored inputs under `weights` as `group_parameters`
-    builds them; returns an f32 [rows, width], `out` if given, each input's rows
-    in input order. Token inputs are `validated_tokens` int64 arrays.
-
-    Inputs of one length are stacked and evaluated in batches of at most `MAX_BATCH`.
+    """One group's block on stacked input batches under `weights` as
+    `group_parameters` builds them, one call per batch; returns an f32 [rows,
+    width], `out` if given, each batch written into its rows. Token batches
+    hold `validated_tokens` int64 ids.
     """
     kind, layer = group.output_kind, group.layer
 
@@ -355,7 +411,7 @@ def _group_rows(
             return x + mlp_block(x, weights, config, layer)[0]
         raise InputError(f"unknown output kind {kind!r}")
 
-    return _rows_in_order(inputs, evaluate, np.float32, out)
+    return _rows_in_order(batches, evaluate, np.float32, out)
 
 
 def apply_group(
@@ -377,7 +433,8 @@ def apply_group(
                 raise InputError(
                     f"group {group.id!r} expects [seq x {config.d_model}] inputs, got {arr.shape}"
                 )
-    return _group_rows(group, group_parameters(group, params), inputs, config)
+    batches = [(rows, batch) for _, rows, batch in _buckets(inputs)]
+    return _group_rows(group, group_parameters(group, params), batches, config)
 
 
 def group_parameters(
@@ -441,8 +498,10 @@ def collect_base_features(
                 sequences.append(validated_tokens(base.config, dataset[index]))
             except InputError as exc:
                 raise InputError(f"task {task} sequence {index}: {exc}") from None
-        # Copied, so a later trace reads these tokens even if the caller's arrays change.
-        store.sequences[task] = [np.array(seq) for seq in sequences]
+        # Stacked copies, so a later trace reads these tokens even if the caller's arrays change.
+        buckets = _buckets(sequences)
+        store.buckets[task] = buckets
+        store.sequences[task] = _sequence_views(buckets, [batch for _, _, batch in buckets])
     store._trace(0)
     return store
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -43,8 +44,19 @@ from .errors import BindError, ConfigError, InputError, decode_json, require_int
 # `layers.{i}.`, in the order each block reads them.
 ATTENTION_PARAMS = ("norm1", "attn.q_proj", "attn.k_proj", "attn.v_proj", "attn.o_proj")
 MLP_PARAMS = ("norm2", "mlp.gate_proj", "mlp.up_proj", "mlp.down_proj")
-# The integer size fields of ModelConfig.
-MODEL_SIZES = ("d_model", "n_heads", "n_layers", "d_ff", "vocab_size", "max_seq")
+# The integer size fields of ModelConfig, each with its upper bound, and the
+# bound on the parameter count they imply together. Desk scale: a checkpoint is
+# held in memory (in float64 while a fixture is built), so an unbounded size
+# ends in a MemoryError, or in a fixture no command can run.
+MODEL_SIZES = {
+    "d_model": 1024,
+    "n_heads": 512,
+    "n_layers": 256,
+    "d_ff": 65536,
+    "vocab_size": 1 << 20,
+    "max_seq": 2048,
+}
+MAX_PARAMETERS = 1 << 24
 # The most sequences one batched evaluation stacks: it bounds the float64
 # temporaries of the base trace, every group evaluation and `eval_cross_entropy`.
 MAX_BATCH = 16
@@ -63,8 +75,8 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         # Each field is stored as the checked Python scalar: `to_json` refuses NumPy ones.
-        for field in MODEL_SIZES:
-            value = require_integer(field, getattr(self, field), 1, ValueError)
+        for field, maximum in MODEL_SIZES.items():
+            value = require_integer(field, getattr(self, field), 1, ValueError, maximum)
             object.__setattr__(self, field, value)
         for field in ("norm_eps", "rope_theta"):
             value = require_real(field, getattr(self, field), ValueError)
@@ -75,6 +87,11 @@ class ModelConfig:
             raise ValueError("n_heads must divide d_model")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ValueError("head dimension must be even for rotary pairing")
+        n_parameters = sum(math.prod(shape) for shape in self.param_shapes().values())
+        if n_parameters > MAX_PARAMETERS:
+            raise ValueError(
+                f"the model sizes imply {n_parameters} parameters, more than {MAX_PARAMETERS}"
+            )
 
     @property
     def head_dim(self) -> int:

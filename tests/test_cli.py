@@ -33,7 +33,7 @@ from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import FeatureStore
 from submerge.fixtures import MAX_DATASET_SIZE, MAX_TASKS
 from submerge.linearity import default_alpha_grid
-from submerge.model import ModelConfig
+from submerge.model import MAX_PARAMETERS, MODEL_SIZES, ModelConfig
 
 from conftest import bad_scalars, byte_mutants
 
@@ -150,6 +150,34 @@ class TestGenFixture:
         out = tmp_path / "out"
         rc = main(["gen-fixture", flag, value, "--out", str(out)])
         assert f"{message}, got {value}" in assert_input_error(rc, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            (
+                "--vocab-size",
+                "1000000000",
+                f"vocab_size must be an integer >= 1 and <= {MODEL_SIZES['vocab_size']}, got",
+            ),
+            (
+                "--max-seq",
+                "1000000000",
+                f"max_seq must be an integer >= 1 and <= {MODEL_SIZES['max_seq']}, got",
+            ),
+            ("--d-model", "1024", f"parameters, more than {MAX_PARAMETERS}"),
+        ],
+        ids=["vocab_size", "max_seq", "parameters"],
+    )
+    def test_model_size_past_its_bound_exits_2_before_writing(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # Unbounded, --vocab-size 1000000000 ended in a MemoryError traceback and
+        # --max-seq 1000000000 wrote a fixture. Four default layers of width 1024
+        # hold more than MAX_PARAMETERS.
+        out = tmp_path / "out"
+        rc = main(["gen-fixture", flag, value, "--out", str(out)])
+        assert message in assert_input_error(rc, capsys)
         assert not out.exists()
 
 
@@ -712,7 +740,12 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            pytest.param("d_model", 16.0, "d_model must be an integer >= 1, got 16.0", id="archive_meta"),
+            pytest.param(
+                "d_model",
+                16.0,
+                f"d_model must be an integer >= 1 and <= {MODEL_SIZES['d_model']}, got 16.0",
+                id="archive_meta",
+            ),
             pytest.param("norm_eps", 10**400, "norm_eps must be finite", id="archive_meta_norm_eps_10e400"),
             pytest.param(
                 "rope_theta", 10**400, "rope_theta must be finite", id="archive_meta_rope_theta_10e400"

@@ -958,6 +958,76 @@ class TestBatchCap:
             assert np.array_equal(capped[key], want), key
 
 
+class TestStoredBatches:
+    """A traced task is held as its stacked length buckets, each with the rows it
+    fills; every read evaluates those batches in place."""
+
+    def test_rows_are_a_slice_where_a_bucket_is_consecutive(self, tiny_config, setup):
+        model, _, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        # Lengths 5, 5, 3: the length-5 bucket fills rows 0..9, the other 10..12;
+        # lengths 5, 3, 5: the length-5 bucket fills rows 0..4 and 8..12.
+        datasets = [[[1] * 5, [2] * 5, [3] * 3], [[1] * 5, [2] * 3, [3] * 5]]
+        store = collect_base_features(model, datasets, plan, sample_n=3)
+        store.group_inputs(plan.groups[0], 1)
+        (_, first, _), (_, second, _) = store.buckets[0]
+        assert (first, second) == (slice(0, 10), slice(10, 13))
+        (_, ragged, _), (_, last, _) = store.buckets[1]
+        assert ragged.tolist() == [0, 1, 2, 3, 4, 8, 9, 10, 11, 12] and last == slice(5, 8)
+        # The token sequences and every group's inputs are views of the stored batches.
+        for task, buckets in store.buckets.items():
+            for group in plan.groups:
+                inputs, batches = store.inputs[(group.id, task)], store.batches[(group.id, task)]
+                for (positions, rows, tokens), (stored_rows, batch) in zip(buckets, batches, strict=True):
+                    assert stored_rows is rows
+                    assert all(store.sequences[task][p].base is tokens for p in positions)
+                    assert all(inputs[p].base is batch for p in positions)
+
+    @pytest.mark.parametrize("level", list(Granularity))
+    def test_reads_of_a_traced_task_neither_regroup_nor_stack(self, monkeypatch, level):
+        plan, store, deltas = three_task_deltas(level)
+        for task in range(store.n_tasks):
+            store.group_inputs(plan.groups[0], task)
+        calls = []
+
+        def counted(name, function):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            submerge.features, "length_buckets", counted("length_buckets", length_buckets)
+        )
+        monkeypatch.setattr(np, "stack", counted("stack", np.stack))
+        for group in plan.groups:
+            weights = group_parameters(group, store.weights, source=deltas.fine_tuned[0].tensors)
+            for task in range(store.n_tasks):
+                store.rows(group, task, weights)
+                store.base_rows(group, task)
+                deltas.block(group.id, task)
+        assert calls == []
+        # The wrappers do count: `apply_group` batches its arbitrary inputs on each call.
+        group = plan.groups[-1]
+        apply_group(group, store.weights, store.group_inputs(group, 0), plan.config)
+        assert "length_buckets" in calls and "stack" in calls
+
+    def test_a_retrace_rebuilds_the_dropped_batches_to_the_same_bytes(self):
+        plan, store, deltas = three_task_deltas(Granularity.ATTN_MLP)
+        group = plan.group("mlp.1")
+        before = [(rows, batch.copy()) for rows, batch in store.batches[(group.id, 0)]]
+        deltas.release_task(0)
+        assert not any(task == 0 for _, task in store.batches)
+        store.group_inputs(group, 0)
+        after = store.batches[(group.id, 0)]
+        for (rows, batch), (old_rows, old_batch) in zip(after, before, strict=True):
+            assert rows is old_rows
+            assert batch.dtype == old_batch.dtype and batch.tobytes() == old_batch.tobytes()
+        store.release(group)
+        assert not any(key[0] == group.id for key in store.batches)
+
+
 class TestGroupParameters:
     @pytest.mark.parametrize("level", list(Granularity))
     def test_exactly_the_owned_slices_and_the_read_only_params(

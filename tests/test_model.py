@@ -518,6 +518,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             ModelConfig(**{**sizes, field: value})
 
+    @pytest.mark.parametrize("field", MODEL_SIZES)
+    def test_sizes_past_their_bound_rejected(self, field):
+        # Unbounded, vocab_size 10**9 ended in a MemoryError while a fixture was
+        # built, and max_seq 10**9 wrote a fixture.
+        maximum = MODEL_SIZES[field]
+        sizes = dict(d_model=2, n_heads=1, n_layers=1, d_ff=1, vocab_size=1, max_seq=1)
+        if field == "n_heads":
+            sizes["d_model"] = 2 * maximum
+        assert getattr(ModelConfig(**{**sizes, field: maximum}), field) == maximum
+        message = f"{field} must be an integer >= 1 and <= {maximum}, got {maximum + 1}"
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**{**sizes, field: maximum + 1})
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ModelConfig(**{**sizes, field: 10**9})
+
+    def test_parameter_count_past_its_bound_rejected(self):
+        # Each size within its bound, but four layers of width 1024 hold more
+        # than MAX_PARAMETERS; three do not.
+        sizes = dict(d_model=1024, n_heads=2, d_ff=1, vocab_size=1)
+        config = ModelConfig(**sizes, n_layers=3)
+        count = sum(math.prod(shape) for shape in config.param_shapes().values())
+        assert count <= submerge.model.MAX_PARAMETERS
+        with pytest.raises(ValueError, match=r"imply \d+ parameters, more than 16777216"):
+            ModelConfig(**sizes, n_layers=4)
+
     def test_numpy_scalars_are_stored_as_python_scalars(self):
         # `to_json` goes through json.dumps, which refuses NumPy scalars.
         sizes = dict(d_model=8, n_heads=2, n_layers=1, d_ff=4, vocab_size=5)
