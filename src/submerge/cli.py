@@ -15,18 +15,22 @@ import argparse
 import csv
 import json
 import os
+import pickle
+import signal
 import sys
+import threading
+import traceback
 from collections import namedtuple
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .archive import TensorArchive, read_archive, task_vector, write_archive
-from .decompose import Granularity, plan_decomposition
+from .archive import TaskVector, TensorArchive, read_archive, task_vector, write_archive
+from .decompose import Granularity, SubmoduleGroup, plan_decomposition
 from .errors import ConfigError, DegenerateError, SubmergeError, decode_json, io_boundary
 from .errors import is_integer, is_real, require_integer, write_json
-from .features import collect_base_features, compute_delta_outputs
+from .features import DeltaStore, FeatureStore, collect_base_features, compute_delta_outputs
 from .fixtures import FixtureSpec, build_fixture, read_dataset, write_fixture
 from .linearity import metric_sweep, non_linearity_score, require_n_points
 from .merge import (
@@ -224,6 +228,147 @@ def _finite_stats(values: Sequence[float | None]) -> dict:
     }
 
 
+# One group's analyze results: its non-linearity per data task (JSON numbers),
+# its HEAT_COLUMNS means by name, its sweep CSV rows, and whether a metric degenerated.
+GroupResult = namedtuple("GroupResult", "per_task means sweep_rows degraded")
+
+
+def _analyze_group(
+    store: FeatureStore,
+    deltas: DeltaStore,
+    base: TensorArchive,
+    taus: Sequence[TaskVector],
+    group: SubmoduleGroup,
+    n_points: int,
+) -> GroupResult:
+    """One group's interpolation score per task and metric sweep; then the
+    group is released, so a tap's arrays go with the last group that reads them."""
+    degraded = False
+    per_task = []
+    for task in range(len(taus)):
+        try:
+            value, _ = non_linearity_score(
+                store, base, taus[task], group, task=task, n_points=n_points
+            )
+        except DegenerateError:
+            value = float("nan")
+            degraded = True
+        per_task.append(_json_number(value))
+    means = {"non_linearity": _finite_stats(per_task)["mean"]}
+    sweep_rows = []
+    for record in metric_sweep(store, deltas, base, taus, group):
+        if record.aux.get("degenerate"):
+            degraded = True
+        if record.metric.endswith("_grid_mean"):
+            means[record.metric] = _json_number(record.value)
+        else:
+            alpha = record.aux.get("alpha", [])
+            sweep_rows.append(
+                [group.id, record.metric]
+                + [f"{a:.10g}" for a in alpha]
+                + [_float_cell(_json_number(record.value))]
+            )
+    store.release(group)
+    return GroupResult(per_task, means, sweep_rows, degraded)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_in_shares(items: Sequence, run: Callable, release: Callable) -> list:
+    """`[run(item) for item in items]`, one contiguous share of the items per
+    usable CPU, each share but the first run in a forked worker process.
+
+    A worker inherits this process's memory, so it reads what was computed
+    before the fork without copying it. It calls `release` on every item
+    outside its share, and this process calls it on every worker's items,
+    so each process holds only its own share. A worker pickles its results,
+    or the error that stopped it, back through a pipe, writes nothing to
+    stdout or stderr, and ends only through `os._exit`. The results come back
+    in item order, and the error raised is the one a one-process run would
+    raise: the first failing item's, a `SubmergeError` with its class and
+    message, any other error as a `RuntimeError` holding the worker's
+    traceback. Every worker is killed and reaped before this returns or raises.
+
+    With one usable CPU or one item, without `os.fork`, or while another
+    Python thread runs (a forked child inherits no other thread, so a lock
+    one held stays locked in the child), every item runs in this process.
+    """
+    n_shares = min(_usable_cpus(), len(items))
+    if n_shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [run(item) for item in items]
+    bounds = [len(items) * share // n_shares for share in range(n_shares + 1)]
+    workers: list[tuple[int, BinaryIO]] = []  # each worker's pid and the read end of its pipe
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _serve_share(write_end, items, start, stop, run, release)
+            os.close(write_end)
+            workers.append((pid, os.fdopen(read_end, "rb")))
+        for item in items[bounds[1]:]:
+            release(item)
+        results = [run(item) for item in items[: bounds[1]]]
+        for _, pipe in workers:
+            with pipe:
+                payload = pipe.read()
+            try:
+                share_results, error = pickle.loads(payload)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError("a worker process ended before sending its results") from None
+            results += share_results
+            if isinstance(error, str):
+                raise RuntimeError(f"a worker process failed:\n{error}")
+            if error is not None:
+                raise error
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+        for pid, _ in workers:
+            os.waitpid(pid, 0)
+
+
+def _serve_share(
+    write_end: int, items: Sequence, start: int, stop: int, run: Callable, release: Callable
+) -> NoReturn:
+    """A forked worker's whole life: release the items outside `items[start:stop]`,
+    run the share in order until one fails, and send back through `write_end`
+    the pickled results and the failing item's `SubmergeError`, or the
+    traceback of any other error (None if none failed)."""
+    status = 1
+    try:
+        for item in [*items[:start], *items[stop:]]:
+            release(item)
+        results, error = [], None
+        for item in items[start:stop]:
+            try:
+                results.append(run(item))
+            except SubmergeError as exc:
+                error = exc
+                break
+            except BaseException:  # sent to the parent, which raises it
+                error = traceback.format_exc()
+                break
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps((results, error)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def cmd_analyze(opts: Options) -> bool:
     base, models, datasets, config, _ = opts.read_inputs()
     levels = _parse_levels(opts)
@@ -245,40 +390,26 @@ def cmd_analyze(opts: Options) -> bool:
         plan = plan_decomposition(config, level)
         store = collect_base_features(bound, datasets, plan, sample_n, seed=seed)
         deltas = compute_delta_outputs(store, base, models, plan)
+        # Every data task is traced before the groups are shared out, so no
+        # process traces one again.
+        for task in range(len(datasets)):
+            store.group_inputs(plan.groups[0], task)
+        results = _map_in_shares(
+            plan.groups,
+            lambda group: _analyze_group(store, deltas, base, taus, group, n_points),
+            store.release,
+        )
         group_entries = {}
         heat_rows = []  # per group, its HEAT_COLUMNS values as JSON numbers
         sweep_rows = []
-        for group in plan.groups:
-            per_task = []
-            for task in range(len(models)):
-                try:
-                    value, _ = non_linearity_score(
-                        store, base, taus[task], group, task=task, n_points=n_points
-                    )
-                except DegenerateError:
-                    value = float("nan")
-                    degraded = True
-                per_task.append(_json_number(value))
-            means = {"non_linearity": _finite_stats(per_task)["mean"]}
-            for record in metric_sweep(store, deltas, base, taus, group):
-                if record.aux.get("degenerate"):
-                    degraded = True
-                if record.metric.endswith("_grid_mean"):
-                    means[record.metric] = _json_number(record.value)
-                else:
-                    alpha = record.aux.get("alpha", [])
-                    sweep_rows.append(
-                        [group.id, record.metric]
-                        + [f"{a:.10g}" for a in alpha]
-                        + [_float_cell(_json_number(record.value))]
-                    )
-            # Nothing reads this group's inputs again; a tap's arrays go with its last reader.
-            store.release(group)
-            row = [means.get(column) for column in HEAT_COLUMNS]
+        for group, result in zip(plan.groups, results):
+            degraded = result.degraded or degraded
+            sweep_rows += result.sweep_rows
+            row = [result.means.get(column) for column in HEAT_COLUMNS]
             heat_rows.append(row)
             group_entries[group.id] = {
                 **dict(zip(HEAT_COLUMNS, row)),
-                "non_linearity": {"per_task": per_task, "mean": row[0]},
+                "non_linearity": {"per_task": result.per_task, "mean": row[0]},
             }
         report["levels"][level.value] = {
             "groups": group_entries,

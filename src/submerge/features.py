@@ -15,8 +15,7 @@ taps (`forward_taps`): each tap a group reads is rounded to f32 and stored as
 that bucket's batch as soon as it is computed, and every other tap is
 dropped, so no whole float64 trace is held. Every later read evaluates the
 stored batches in place, with no regrouping or stacking; the per-sequence
-inputs and token sequences are views of the same batches, so no input is
-held twice. A group's function is its `model` block on the parameter slices
+inputs are views of the same batches, so no input is held twice. A group's function is its `model` block on the parameter slices
 the group owns, plus the parameters it only reads, whole.
 `group_parameters` builds exactly those float64 weights for one parameter
 set (a source model's slices, or base + sum_t c_t tau_t; the read-only ones
@@ -95,8 +94,7 @@ class FeatureStore:
 
     `buckets[task]` holds a data task's length buckets, made once when it is
     sampled: each one's positions in input order, its destination rows and its
-    stacked token batch; `sequences[task]` is every sequence's view of those
-    batches. For each traced task, `batches[(group id, task)]` holds (rows,
+    stacked token batch. For each traced task, `batches[(group id, task)]` holds (rows,
     batch) per bucket, the tokens or the f32 tap the group reads, the same
     arrays for every group that reads one tap; `inputs[(group id, task)]` is
     every sequence's view of them, in input order. `group_inputs` traces a
@@ -116,7 +114,6 @@ class FeatureStore:
     batches: dict[tuple[str, int], list[Batch]] = field(default_factory=dict)
     base_outputs: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
     sampled: dict[int, list[int]] = field(default_factory=dict)
-    sequences: dict[int, list[np.ndarray]] = field(default_factory=dict)
     buckets: dict[int, list[Bucket]] = field(default_factory=dict)
     released: set[str] = field(default_factory=set)
 
@@ -499,9 +496,7 @@ def collect_base_features(
             except InputError as exc:
                 raise InputError(f"task {task} sequence {index}: {exc}") from None
         # Stacked copies, so a later trace reads these tokens even if the caller's arrays change.
-        buckets = _buckets(sequences)
-        store.buckets[task] = buckets
-        store.sequences[task] = _sequence_views(buckets, [batch for _, _, batch in buckets])
+        store.buckets[task] = _buckets(sequences)
     store._trace(0)
     return store
 

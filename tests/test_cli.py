@@ -8,8 +8,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import submerge.archive
+import submerge.cli
 from submerge import ConfigError, SubmergeError, TensorArchive, read_archive, write_archive
+from submerge.errors import NumericError
 from submerge.cli import (
     COMMANDS,
     CONFIG_TYPES,
@@ -68,6 +72,44 @@ def io_flags(fixture_dir, n_models=2, datasets=True):
         if datasets:
             flags += ["--dataset", str(fixture_dir / f"task{t}.jsonl")]
     return flags
+
+
+def on_cpus(monkeypatch, n: int) -> None:
+    """Make the commands read `n` usable CPUs: `analyze` then runs a level's
+    groups in one process for n = 1, else in this one and n - 1 forked workers."""
+    monkeypatch.setattr(submerge.cli, "_usable_cpus", lambda: n)
+
+
+def assert_no_child_left() -> None:
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Tally:
+    """Lines added by this process and any forked from it: each `add` is one
+    O_APPEND write of one short line, which writes from other processes do
+    not interleave with."""
+
+    def __init__(self, path: Path):
+        self.path = path
+
+    def add(self, text: str) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{text}\n".encode())
+        finally:
+            os.close(fd)
+
+    def lines(self) -> list[str]:
+        return self.path.read_text().splitlines() if self.path.exists() else []
+
+
+# What a four-level `analyze` writes.
+ANALYZE_OUTPUTS = [
+    "report.json",
+    *(f"{kind}_{level.value}.csv" for level in Granularity for kind in ("heatmap", "sweep")),
+]
 
 
 class TestGenFixture:
@@ -210,25 +252,10 @@ class TestAnalyze:
         # Per group and task: N interpolation steps after the base rows (the
         # k = 0 step, reused as the subtrahend of every delta), one merged
         # delta per sweep alpha, and one delta per model unless the group is
-        # a head above 0, whose deltas come from its layer's contexts.
-        calls = []
+        # a head above 0, whose deltas come from its layer's contexts. Counted
+        # across processes, in one process and with a forked worker.
         rows = FeatureStore.rows
-
-        def counting(self, group, task, weights, out=None):
-            calls.append(group.id)
-            return rows(self, group, task, weights, out)
-
-        monkeypatch.setattr(FeatureStore, "rows", counting)
         levels, n_points = list(Granularity), 3
-        rc = main(
-            [
-                "analyze", *io_flags(fixture_dir),
-                "--levels", ",".join(level.value for level in levels),
-                "--samples-per-task", "2", "--n-points", str(n_points),
-                "--out", str(tmp_path),
-            ]
-        )
-        assert rc == 0
         config = ModelConfig.from_json(read_archive(fixture_dir / "base.ta").meta["model_config"])
         n_models = n_tasks = 2
         expected = 0
@@ -238,30 +265,148 @@ class TestAnalyze:
                 per_task = 1 + n_points + len(default_alpha_grid(n_models))
                 per_task += 0 if from_contexts else n_models
                 expected += n_tasks * per_task
-        assert len(calls) == expected
+        for cpus in (1, 2):
+            calls = Tally(tmp_path / f"calls{cpus}")
+
+            def counting(self, group, task, weights, out=None):
+                calls.add(group.id)
+                return rows(self, group, task, weights, out)
+
+            monkeypatch.setattr(FeatureStore, "rows", counting)
+            on_cpus(monkeypatch, cpus)
+            rc = main(
+                [
+                    "analyze", *io_flags(fixture_dir),
+                    "--levels", ",".join(level.value for level in levels),
+                    "--samples-per-task", "2", "--n-points", str(n_points),
+                    "--out", str(tmp_path / f"out{cpus}"),
+                ]
+            )
+            assert rc == 0
+            assert_no_child_left()
+            assert len(calls.lines()) == expected
 
     def test_task_vector_tensors_read_once_per_call(self, fixture_dir, tmp_path, monkeypatch):
         # Each task vector tensor is subtracted once when the vector is checked,
         # once per interpolation call of the group that owns it and once per
         # sweep, not once per coefficient set (at attn_mlp each tensor has one
         # owner): 351 reads on a 3-task, 39-tensor fixture instead of 4,446.
-        reads = []
+        # Counted across processes, in one process and with a forked worker.
         differences = submerge.archive._Differences.__getitem__
-
-        def counting(self, name):
-            reads.append(name)
-            return differences(self, name)
-
-        monkeypatch.setattr(submerge.archive._Differences, "__getitem__", counting)
-        rc = main(
-            [
-                "analyze", *io_flags(fixture_dir), "--levels", "attn_mlp",
-                "--samples-per-task", "2", "--n-points", "4", "--out", str(tmp_path),
-            ]
-        )
-        assert rc == 0
         n_tensors, n_models = len(read_archive(fixture_dir / "base.ta").tensors), 2
-        assert len(reads) == 3 * n_tensors * n_models
+        for cpus in (1, 2):
+            reads = Tally(tmp_path / f"reads{cpus}")
+
+            def counting(self, name):
+                reads.add(name)
+                return differences(self, name)
+
+            monkeypatch.setattr(submerge.archive._Differences, "__getitem__", counting)
+            on_cpus(monkeypatch, cpus)
+            rc = main(
+                [
+                    "analyze", *io_flags(fixture_dir), "--levels", "attn_mlp",
+                    "--samples-per-task", "2", "--n-points", "4",
+                    "--out", str(tmp_path / f"out{cpus}"),
+                ]
+            )
+            assert rc == 0
+            assert_no_child_left()
+            assert len(reads.lines()) == 3 * n_tensors * n_models
+
+    def test_forked_outputs_equal_one_process_bytes(self, fixture_dir, tmp_path, monkeypatch):
+        # Every level's groups in one process, then shared with one and with
+        # two forked workers: the same bytes.
+        args = [
+            "analyze", *io_flags(fixture_dir),
+            "--levels", ",".join(level.value for level in Granularity),
+            "--samples-per-task", "3", "--n-points", "3",
+        ]
+        for cpus in (1, 2, 3):
+            on_cpus(monkeypatch, cpus)
+            assert main([*args, "--out", str(tmp_path / str(cpus))]) == 0
+            assert_no_child_left()
+        for name in ANALYZE_OUTPUTS:
+            one = (tmp_path / "1" / name).read_bytes()
+            assert one == (tmp_path / "2" / name).read_bytes() == (tmp_path / "3" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "failing",
+        [[4], [4, 5], [1, 4], [2]],
+        ids=["second_share", "second_and_third_share", "first_and_second_share", "first_share"],
+    )
+    def test_first_failing_group_raises_its_error(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, failing
+    ):
+        # attn_mlp has 6 groups: on 2 CPUs the shares are groups 0-2 and 3-5,
+        # on 3 CPUs 0-1, 2-3 and 4-5. The run exits 2 with the error of the
+        # first failing group, as in one process, and removes the --out it made.
+        plan = plan_decomposition(
+            ModelConfig.from_json(read_archive(fixture_dir / "base.ta").meta["model_config"]),
+            Granularity.ATTN_MLP,
+        )
+        failing_ids = {plan.groups[index].id for index in failing}
+        sweep = submerge.cli.metric_sweep
+
+        def failing_sweep(store, deltas, base, taus, group):
+            if group.id in failing_ids:
+                raise NumericError(f"non-finite rows in group {group.id!r}")
+            return sweep(store, deltas, base, taus, group)
+
+        monkeypatch.setattr(submerge.cli, "metric_sweep", failing_sweep)
+        args = ["analyze", *io_flags(fixture_dir), "--levels", "attn_mlp", "--samples-per-task", "2"]
+        messages = []
+        for cpus in (1, 2, 3):
+            on_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus) / "out"
+            messages.append(assert_input_error(main([*args, "--out", str(out)]), capsys))
+            assert_no_child_left()
+            assert not (tmp_path / str(cpus)).exists()
+        first = plan.groups[min(failing)].id
+        assert messages == [f"error: non-finite rows in group {first!r}\n"] * 3
+
+    def test_other_error_in_a_worker_raises_with_its_traceback(
+        self, fixture_dir, tmp_path, monkeypatch
+    ):
+        sweep = submerge.cli.metric_sweep
+
+        def failing_sweep(store, deltas, base, taus, group):
+            if group.id == "lm_head":
+                raise ValueError("not a library error")
+            return sweep(store, deltas, base, taus, group)
+
+        monkeypatch.setattr(submerge.cli, "metric_sweep", failing_sweep)
+        args = ["analyze", *io_flags(fixture_dir), "--levels", "attn_mlp", "--samples-per-task", "2"]
+        on_cpus(monkeypatch, 1)
+        with pytest.raises(ValueError, match="not a library error"):
+            main([*args, "--out", str(tmp_path / "one")])
+        on_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="ValueError: not a library error"):
+            main([*args, "--out", str(tmp_path / "forked")])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["one_cpu", "one_group", "other_thread"])
+    def test_one_process_when_forking_cannot_help_or_is_unsafe(
+        self, fixture_dir, tmp_path, monkeypatch, case
+    ):
+        def no_fork():
+            raise AssertionError("forked")
+
+        on_cpus(monkeypatch, 1 if case == "one_cpu" else 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        level = "model" if case == "one_group" else "layer"
+        args = ["analyze", *io_flags(fixture_dir), "--levels", level, "--samples-per-task", "2"]
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        if case == "other_thread":
+            waiting.start()
+        try:
+            assert main([*args, "--out", str(tmp_path)]) == 0
+        finally:
+            release.set()
+            if case == "other_thread":
+                waiting.join(timeout=10)
+        assert not waiting.is_alive()
 
     def test_deterministic_outputs(self, fixture_dir, tmp_path):
         args = [
@@ -938,12 +1083,16 @@ class TestMerge:
         assert metrics["sha256"] == manifest["outputs"]["merged.ta"]
 
     def test_analyze_hashes_nothing(self, fixture_dir, tmp_path, monkeypatch):
-        hashed = []
+        # Counted across processes, in one process and with a forked worker.
         real = hashlib.sha256
-        monkeypatch.setattr(hashlib, "sha256", lambda *args: hashed.append(args) or real(*args))
-        flags = ["--levels", "attn_mlp", "--samples-per-task", "2", "--out", str(tmp_path)]
-        assert main(["analyze", *io_flags(fixture_dir), *flags]) == 0
-        assert hashed == []
+        for cpus in (1, 2):
+            hashed = Tally(tmp_path / f"hashed{cpus}")
+            monkeypatch.setattr(hashlib, "sha256", lambda *args: hashed.add(repr(args)) or real(*args))
+            on_cpus(monkeypatch, cpus)
+            flags = ["--levels", "attn_mlp", "--samples-per-task", "2", "--out", str(tmp_path / f"out{cpus}")]
+            assert main(["analyze", *io_flags(fixture_dir), *flags]) == 0
+            assert_no_child_left()
+            assert hashed.lines() == []
 
 
 class TestEval:

@@ -730,7 +730,7 @@ class TestDeltas:
 
         monkeypatch.setattr(type(deltas), "block", watched)
         solve_plan(plan, deltas)
-        buckets = [len(list(length_buckets(store.sequences[t]))) for t in range(store.n_tasks)]
+        buckets = [len(store.buckets[t]) for t in range(store.n_tasks)]
         assert min(buckets) > 1
         assert len(passes) == sum(buckets)
         assert not store.inputs and not store.base_outputs and not deltas.contexts
@@ -974,13 +974,16 @@ class TestStoredBatches:
         assert (first, second) == (slice(0, 10), slice(10, 13))
         (_, ragged, _), (_, last, _) = store.buckets[1]
         assert ragged.tolist() == [0, 1, 2, 3, 4, 8, 9, 10, 11, 12] and last == slice(5, 8)
-        # The token sequences and every group's inputs are views of the stored batches.
+        # Each token batch stacks its bucket's sampled sequences, and every
+        # group's inputs are views of the stored batches.
         for task, buckets in store.buckets.items():
+            for positions, _, tokens in buckets:
+                sampled = [datasets[task][store.sampled[task][p]] for p in positions]
+                assert tokens.tolist() == sampled
             for group in plan.groups:
                 inputs, batches = store.inputs[(group.id, task)], store.batches[(group.id, task)]
                 for (positions, rows, tokens), (stored_rows, batch) in zip(buckets, batches, strict=True):
                     assert stored_rows is rows
-                    assert all(store.sequences[task][p].base is tokens for p in positions)
                     assert all(inputs[p].base is batch for p in positions)
 
     @pytest.mark.parametrize("level", list(Granularity))
