@@ -5,6 +5,12 @@ line, a --config JSON file of defaults, and built-in defaults. All outputs
 are plain JSON/CSV/archive files with no timestamps, so a rerun with the
 same inputs is byte-identical.
 
+`analyze` measures each group of a level from nothing but the shared base
+trace, so it splits a level's groups into contiguous shares, one per usable
+CPU, and runs every share but the first in a forked worker process
+(`_map_in_shares`); its outputs and errors are those of a one-process run.
+The other commands run in one process.
+
 Exit codes: 0 success, 2 configuration or input error, 3 when --strict is
 set and any solver fell back or a metric degenerated.
 """
@@ -296,7 +302,8 @@ def _map_in_shares(items: Sequence, run: Callable, release: Callable) -> list:
 
     With one usable CPU or one item, without `os.fork`, or while another
     Python thread runs (a forked child inherits no other thread, so a lock
-    one held stays locked in the child), every item runs in this process.
+    one held stays locked in the child), every item runs in this process;
+    so do the shares left when a fork fails, after the workers' shares.
     """
     n_shares = min(_usable_cpus(), len(items))
     if n_shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -308,16 +315,17 @@ def _map_in_shares(items: Sequence, run: Callable, release: Callable) -> list:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except BaseException:
+            except OSError:  # say, a process limit reached: this process runs the rest
                 os.close(read_end)
                 os.close(write_end)
-                raise
+                break
             if pid == 0:
                 os.close(read_end)
                 _serve_share(write_end, items, start, stop, run, release)
             os.close(write_end)
             workers.append((pid, os.fdopen(read_end, "rb")))
-        for item in items[bounds[1]:]:
+        rest = bounds[1 + len(workers)]
+        for item in items[bounds[1] : rest]:
             release(item)
         results = [run(item) for item in items[: bounds[1]]]
         for _, pipe in workers:
@@ -332,7 +340,7 @@ def _map_in_shares(items: Sequence, run: Callable, release: Callable) -> list:
                 raise RuntimeError(f"a worker process failed:\n{error}")
             if error is not None:
                 raise error
-        return results
+        return results + [run(item) for item in items[rest:]]
     finally:
         for pid, pipe in workers:
             pipe.close()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import errno
 import hashlib
 import io
 import json
@@ -384,6 +385,33 @@ class TestAnalyze:
         with pytest.raises(RuntimeError, match="ValueError: not a library error"):
             main([*args, "--out", str(tmp_path / "forked")])
         assert_no_child_left()
+
+    @pytest.mark.parametrize("forks", [0, 1], ids=["first_fork_fails", "second_fork_fails"])
+    def test_shares_left_by_a_failed_fork_run_here(self, fixture_dir, tmp_path, monkeypatch, forks):
+        # On 3 CPUs, a fork that fails (say, at a process limit) leaves its share
+        # and the next to this process: the same bytes as one process.
+        args = [
+            "analyze", *io_flags(fixture_dir), "--levels", "layer,attn_mlp",
+            "--samples-per-task", "2", "--n-points", "3",
+        ]
+        on_cpus(monkeypatch, 1)
+        assert main([*args, "--out", str(tmp_path / "one")]) == 0
+        fork, calls = os.fork, []
+
+        def failing_fork():
+            calls.append(None)
+            if len(calls) > forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        on_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert main([*args, "--out", str(tmp_path / "forked")]) == 0
+        assert_no_child_left()
+        written = sorted(path.name for path in (tmp_path / "one").iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "forked").iterdir())
+        for name in written:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes(), name
 
     @pytest.mark.parametrize("case", ["one_cpu", "one_group", "other_thread"])
     def test_one_process_when_forking_cannot_help_or_is_unsafe(
