@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 import submerge.archive
 import submerge.cli
-from submerge import ConfigError, SubmergeError, TensorArchive, read_archive, write_archive
-from submerge.errors import NumericError
+from submerge import ConfigError, NumericError, SubmergeError, TensorArchive, read_archive, write_archive
 from submerge.cli import (
     COMMANDS,
     CONFIG_TYPES,
@@ -330,6 +329,30 @@ class TestAnalyze:
         for name in ANALYZE_OUTPUTS:
             one = (tmp_path / "1" / name).read_bytes()
             assert one == (tmp_path / "2" / name).read_bytes() == (tmp_path / "3" / name).read_bytes(), name
+
+    def test_each_process_releases_every_group_once(self, fixture_dir, tmp_path, monkeypatch):
+        # Each process holds only its own share: it releases its own groups once
+        # measured, and every other group of the level as soon as it is forked.
+        released = Tally(tmp_path / "released")
+        release = FeatureStore.release
+
+        def counting(self, group):
+            released.add(f"{os.getpid()} {group.id}")
+            return release(self, group)
+
+        monkeypatch.setattr(FeatureStore, "release", counting)
+        on_cpus(monkeypatch, 3)
+        flags = ["--levels", "attn_mlp", "--samples-per-task", "2", "--out", str(tmp_path / "out")]
+        assert main(["analyze", *io_flags(fixture_dir), *flags]) == 0
+        assert_no_child_left()
+        by_process = {}
+        for line in released.lines():
+            pid, group_id = line.split()
+            by_process.setdefault(pid, []).append(group_id)
+        config = ModelConfig.from_json(read_archive(fixture_dir / "base.ta").meta["model_config"])
+        group_ids = sorted(plan_decomposition(config, Granularity.ATTN_MLP).group_ids())
+        assert len(by_process) == 3 and str(os.getpid()) in by_process
+        assert all(sorted(ids) == group_ids for ids in by_process.values())
 
     @pytest.mark.parametrize(
         "failing",
