@@ -22,9 +22,7 @@ set (a source model's slices, or base + sum_t c_t tau_t; the read-only ones
 at the base value), and `FeatureStore.rows` evaluates the block on them, one
 call per batch, so identical weights reproduce identical bytes. A group's
 outputs on one task are one f32 [rows, width] matrix, each batch's block
-written into its rows. Base outputs are
-computed when a group is first read and held one group at a time, per task;
-the dict keys are the one record of the group held. Output deltas are
+written into its rows. Output deltas are
 computed per (group, data task): `DeltaStore.block` returns one [n_models,
 rows, width] f32 block and keeps none, and `DeltaStore.blocks` streams a
 group's blocks in task order. The solver folds each block into its group's
@@ -36,20 +34,20 @@ keeps every task and calls `FeatureStore.release` once a group's metrics
 are done, so a tap's batches are freed with the last group that reads them;
 reading a released group raises `PlanError`, and no later trace stores its
 inputs. `solve_plan` calls `DeltaStore.release_task` once every group's
-block on a task is folded, dropping that task's inputs, base rows and
-contexts, so it holds one task's inputs; a dropped task read again (say by
-`grouped` after the solve) is traced again from its token batches, to the
-same bytes.
-A group's base rows live from their first read until another group is held
-(`FeatureStore._hold`, which also checks that the group is the plan's): in
-`analyze` they are the k = 0 interpolation step of `non_linearity_score`
-and the subtrahend of every sweep alpha's merged delta, computed once per
-group and task.
+block on a task is folded, dropping that task's inputs and contexts, so it
+holds one task's inputs; a dropped task read again (say by `grouped` after
+the solve) is traced again from its token batches, to the same bytes.
+Base rows have one writer and one lifetime: `FeatureStore.base_rows` stores
+a (group, task)'s rows until `release` of the group or `release_task` of
+the task. The linearity readers call it, so in `analyze` they are the k = 0
+interpolation step, the subtrahend of every sweep alpha and of the group's
+delta blocks, computed once per group and task. A delta block with none
+held evaluates them and stores nothing, so the solve holds no base rows.
 
 `DeltaStore.block` is the one delta reader: each fine-tuned model's rows
 are written into its slot of the block and the group's base rows are
 subtracted in place, so no per-model copy is made. Most groups
-read `base_rows` and `rows`. Head groups 1..H-1 of a layer read `norm1` at
+read `rows`. Head groups 1..H-1 of a layer read `norm1` at
 its base value, and heads are independent given the normed input, so their
 rows come from the layer's shared attention contexts of heads 1..H-1
 (`decompose.context_slices`): one `attention_contexts` call per batch under
@@ -89,8 +87,8 @@ Batch = tuple[slice | np.ndarray, np.ndarray]
 
 @dataclass
 class FeatureStore:
-    """Per (group id, data task): the group's stacked input batches and their
-    per-sequence views; and the base output rows of one group at a time.
+    """Per (group id, data task): the group's stacked input batches, their
+    per-sequence views and the base output rows a reader asked for.
 
     `buckets[task]` holds a data task's length buckets, made once when it is
     sampled: each one's positions in input order, its destination rows and its
@@ -101,10 +99,10 @@ class FeatureStore:
     task from its token batches when it is not stored (`_trace`), so one
     dropped by `DeltaStore.release_task` is traced again, to the same bytes.
     `base_outputs[(group id, task)]` holds the base rows of every sequence
-    stacked in input order. `base_rows` fills it on first use with the traced
-    `weights` and drops the rows of any other group; a group not the plan's,
-    or `released`, raises `PlanError` and drops nothing, and a task that is
-    not a data task raises `InputError`.
+    stacked in input order. `base_rows`, its one writer, fills it on first use
+    with the traced `weights`; the rows stay until `release` or
+    `DeltaStore.release_task`. A group not the plan's, or `released`, raises
+    `PlanError`, and a task that is not a data task raises `InputError`.
     """
 
     plan: DecompositionPlan
@@ -130,14 +128,13 @@ class FeatureStore:
         return _group_rows(group, weights, batches, self.plan.config, out)
 
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
-        """The group's output rows on one task's inputs under the traced weights."""
-        self._hold(group)
+        """The group's output rows on one task's inputs under the traced weights,
+        stored until `release(group)` or `DeltaStore.release_task(task)`."""
+        self._require_planned(group)
         key = (group.id, task)
-        rows = self.base_outputs.get(key)
-        if rows is None:
-            rows = self.rows(group, task, group_parameters(group, self.weights))
-            self.base_outputs[key] = rows
-        return rows
+        if key not in self.base_outputs:
+            self.base_outputs[key] = self.rows(group, task, group_parameters(group, self.weights))
+        return self.base_outputs[key]
 
     def release(self, group: SubmoduleGroup) -> None:
         """Drop the group's stored inputs, batches and base rows for good. A tap's
@@ -187,13 +184,6 @@ class FeatureStore:
             self._trace(task)
         return (group.id, task)
 
-    def _hold(self, group: SubmoduleGroup) -> None:
-        """Raise `PlanError` unless `group` is the plan's and not released; then
-        drop other groups' base rows."""
-        self._require_planned(group)
-        if any(held != group.id for held, _ in self.base_outputs):
-            self.base_outputs.clear()
-
     def _require_planned(self, group: SubmoduleGroup) -> None:
         if self.plan.group(group.id) != group:
             raise PlanError(f"group {group.id!r} is not the stored plan's group of that id")
@@ -216,7 +206,7 @@ class FeatureStore:
 
 @dataclass
 class DeltaStore:
-    """Output deltas of one group at a time, laid out as the solver reads them.
+    """Output deltas per (group, data task), laid out as the solver reads them.
 
     `block` computes a group's deltas on one data task, an [n_models, rows,
     width] f32 block kept by no one but the reader; `blocks` streams them in
@@ -224,9 +214,9 @@ class DeltaStore:
     drops each block before asking for the next holds one block at a time.
     `grouped` keeps a group's blocks in `deltas[(group id, data task)]`, so
     reading that group again computes nothing; the other readers hold none
-    and drop those of any group held before. Every reader replaces the
-    group held before and its base rows (the group's own base rows, if
-    already held, are kept). The plan and base weights are `features`'.
+    and drop those of any group held before. A block subtracts the base rows
+    `features` holds, else evaluates them and stores none. The plan and base
+    weights are `features`'.
 
     While a layer's head groups above 0 are read, `contexts[(layer, task)]`
     holds the attention contexts of that layer's heads 1..H-1 on a data task
@@ -266,7 +256,7 @@ class DeltaStore:
         """Per data task, an array [n_models, rows, width], kept until another
         group is read."""
         features = self.features
-        features._hold(features.plan.group(group_id))
+        features._require_planned(features.plan.group(group_id))
         # The last data task's block is stored last, so its key marks a whole group.
         if (group_id, features.n_tasks - 1) not in self.deltas:
             for task, block in enumerate(self.blocks(group_id)):
@@ -282,9 +272,9 @@ class DeltaStore:
                 del held[key]
 
     def _held(self, group_id: str) -> SubmoduleGroup:
-        """The plan's group of that id, checked and held; the kept blocks are dropped."""
+        """The plan's group of that id, checked; the kept blocks are dropped."""
         group = self.features.plan.group(group_id)
-        self.features._hold(group)
+        self.features._require_planned(group)
         self.deltas.clear()
         return group
 
@@ -294,11 +284,14 @@ class DeltaStore:
 
         A head group above 0 reads its rows off the (layer, task) contexts, built
         unless held; every other group evaluates its block and holds no contexts.
+        Its base rows are those `base_rows` holds, else evaluated and not stored.
         """
         features, layer = self.features, group.layer
         if not group.head_index:
             self.contexts.clear()
-            base = features.base_rows(group, task)
+            base = features.base_outputs.get((group.id, task))
+            if base is None:
+                base = features.rows(group, task, group_parameters(group, features.weights))
             block = np.empty((self.n_models, *base.shape), np.float32)
             for slot, archive in zip(block, self.fine_tuned):
                 weights = group_parameters(group, features.weights, source=archive.tensors)

@@ -537,32 +537,43 @@ class TestDeltas:
                     assert got.dtype == expected.dtype
                     assert np.array_equal(got, expected), (group.id, task, t)
 
-    def test_store_holds_one_group_after_solve_and_sweep(self, tiny_config, tiny_checkpoint, setup):
+    def test_base_rows_live_until_release_after_solve_and_sweep(
+        self, tiny_config, tiny_checkpoint, setup
+    ):
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
         assert not deltas.deltas
-        def assert_one_group():
-            assert len(deltas.deltas) == store.n_tasks
-            (held,) = {key[0] for key in deltas.deltas}
-            assert all(block.shape[0] == len(fine_tuned) for block in deltas.deltas.values())
-            assert set(store.base_outputs) == {(held, t) for t in range(store.n_tasks)}
-
         solve_plan(plan, deltas)
-        # The solve read every group's blocks task by task and kept none, and
-        # dropped each task's inputs, base rows and contexts once done with it.
+        # The solve read every group's blocks task by task and kept none, held
+        # no base rows, and dropped each task's inputs and contexts once done with it.
         assert not deltas.deltas
         assert not store.inputs and not store.base_outputs and not deltas.contexts
-        deltas.grouped(plan.groups[0].id)
-        assert_one_group()
+        first = plan.groups[0].id
+        deltas.grouped(first)
+        # `grouped` keeps one group's blocks and, like every delta reader, no base rows.
+        assert set(deltas.deltas) == {(first, t) for t in range(store.n_tasks)}
+        assert all(block.shape[0] == len(fine_tuned) for block in deltas.deltas.values())
+        assert not store.base_outputs
         taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
+        held = {}
         for group in plan.groups:
             metric_sweep(store, deltas, tiny_checkpoint, taus, group, grid=[[0.5, 0.5]])
             # The sweep kept the group's blocks itself: the store holds no block
-            # after it, only the group's base rows.
+            # after it. It stored the group's base rows, and no read of this
+            # group dropped those of a group swept before.
             assert not deltas.deltas
-            assert set(store.base_outputs) == {(group.id, t) for t in range(store.n_tasks)}
+            held.update(((group.id, t), store.base_outputs[(group.id, t)]) for t in range(2))
+            assert store.base_outputs.keys() == held.keys()
+            assert all(store.base_outputs[key] is rows for key, rows in held.items())
+        # Base rows go with their task or their group, and only then.
+        deltas.release_task(0)
+        held = {key: rows for key, rows in held.items() if key[1] != 0}
+        assert store.base_outputs == held
+        store.release(plan.group(first))
+        held = {key: rows for key, rows in held.items() if key[0] != first}
+        assert held and store.base_outputs == held
 
     @pytest.mark.parametrize("level", [Granularity.ATTN_MLP, Granularity.HEAD_MLP])
     def test_sweep_computes_each_task_block_once(
@@ -682,7 +693,8 @@ class TestDeltas:
         self, tiny_config, tiny_checkpoint, setup, monkeypatch, level
     ):
         # The solve reads blocks task-major, and each block it reads is dead
-        # before the next is computed; the store keeps none after the solve.
+        # before the next is computed; the store keeps none after the solve and
+        # holds no base rows while it runs.
         model, datasets, fine_tuned = setup
         plan = plan_decomposition(tiny_config, level)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
@@ -695,6 +707,8 @@ class TestDeltas:
             if read:
                 assert read[-1]() is None, (group_id, task)
             got = block(self, group_id, task)
+            # No base rows are held, not even those of a group read before the solve.
+            assert not self.features.base_outputs, (group_id, task)
             read.append(weakref.ref(got))
             order.append((group_id, task))
             return got
@@ -868,12 +882,15 @@ class TestDeltas:
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        # A linearity reader's base rows for the first group, read by its blocks.
+        first = plan.groups[0]
+        held = {(first.id, t): store.base_rows(first, t) for t in range(2)}
         for group in plan.groups:
             deltas.grouped(group.id)
-            # Base rows are held for the held group only, and a head group
-            # above 0 reads none.
-            held = {key[0] for key in store.base_outputs}
-            assert held == (set() if group.head_index else {group.id}), group.id
+            # Reading any group's deltas, a head's above 0 included, neither
+            # stores base rows nor drops the held ones.
+            assert store.base_outputs.keys() == held.keys(), group.id
+            assert all(store.base_outputs[key] is rows for key, rows in held.items())
             if not group.head_index:
                 assert deltas.contexts == {}, group.id
             else:
@@ -889,6 +906,8 @@ class TestDeltas:
                         assert context.shape == (rows, width)
                         assert context.dtype == np.float64
         assert set(deltas.deltas) == {("lm_head", t) for t in range(2)} and deltas.contexts == {}
+        store.release(first)
+        assert store.base_outputs == {}
 
     def test_embed_delta_is_exact_row_gather(self, tiny_config, tiny_checkpoint, setup):
         model, datasets, fine_tuned = setup

@@ -3,8 +3,9 @@
 Each draw is a tiny model, one to three data tasks of ragged sequences and a
 sample count on either side of `MAX_BATCH`, printed as a `Case` when it fails.
 The stores keep each traced task as its stacked length buckets, so these check
-that no slicing of the buckets, no shared head evaluation and no re-trace can
-change a byte of what they return.
+that no slicing of the buckets, no shared head evaluation, no re-trace and no
+held base rows can change a byte of what they return; and that the task-major
+solve is the group-by-group one, with models equal to the base merging to it.
 """
 
 from __future__ import annotations
@@ -17,15 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import submerge.model
+from submerge import DegenerateError, NumericError
 from submerge.decompose import Granularity, plan_decomposition
 from submerge.features import collect_base_features, compute_delta_outputs, group_parameters
+from submerge.merge import merge_linear_solve
 from submerge.model import ModelConfig, bind_weights
+from submerge.solver import GroupWeights, assemble_system, compute_gram, solve_alpha, solve_plan
 
 from conftest import random_checkpoint
 from test_features import perturbed
 
 # Each draw builds and reads its stores twice; 60 draws per test take about 3 s.
 PIPELINE = settings(max_examples=60, deadline=None)
+# The checks below the first two draw 30 cases each, which keeps the file under 10 s.
+QUICK = settings(max_examples=30, deadline=None)
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,10 @@ def cases(draw, level: Granularity | None = None) -> Case:
     )
 
 
-def stores(case: Case):
-    """The case's plan, feature store and delta store over two fine-tuned models."""
+def stores(case: Case, n_models: int = 2):
+    """The case's plan, feature store and delta store over `n_models` fine-tuned models."""
     base = random_checkpoint(case.config, case.seed)
-    models = [perturbed(base, seed=case.seed + s) for s in (1, 2)]
+    models = [perturbed(base, seed=case.seed + s) for s in range(1, n_models + 1)]
     plan = plan_decomposition(case.config, case.level)
     datasets = [[list(seq) for seq in dataset] for dataset in case.datasets]
     store = collect_base_features(
@@ -129,3 +135,53 @@ def test_head_group_blocks_equal_each_heads_own_block(case):
                 weights = group_parameters(group, store.weights, source=archive.tensors)
                 direct = store.rows(group, task, weights) - store.base_rows(group, task)
                 assert_same_bytes(block[m], direct, (group.id, task, m))
+
+
+@QUICK
+@given(case=cases())
+def test_blocks_do_not_depend_on_held_base_rows(case):
+    # A block evaluates the base rows no one holds and stores none; with the
+    # rows `base_rows` holds it subtracts those, to the same bytes.
+    plan, store, deltas = stores(case)
+    for group in plan.groups:
+        for task in range(store.n_tasks):
+            alone = deltas.block(group.id, task)
+            assert (group.id, task) not in store.base_outputs
+            store.base_rows(group, task)
+            assert_same_bytes(deltas.block(group.id, task), alone, (group.id, task))
+
+
+@QUICK
+@given(case=cases(), normalized=st.booleans())
+def test_task_major_solve_equals_group_by_group(case, normalized):
+    # Data task t's objective targets model t, so there is one model per task.
+    n_models = len(case.datasets)
+    plan, _, deltas = stores(case, n_models)
+    solved = solve_plan(plan, deltas, normalized=normalized)
+    for got, group_id in zip(solved.groups, plan.group_ids(), strict=True):
+        try:
+            gram = compute_gram(deltas.grouped(group_id), normalized, group_id=group_id)
+            alpha, diag = solve_alpha(*assemble_system(gram))
+        except (DegenerateError, NumericError):
+            assert got.fallback and got.alpha == (1.0 / n_models,) * n_models, group_id
+            continue
+        assert got == GroupWeights(group_id, tuple(float(a) for a in alpha), **diag)
+
+
+@QUICK
+@given(case=cases())
+def test_models_equal_to_the_base_merge_to_the_base(case):
+    # Every delta is zero, so every group falls back to uniform weights for
+    # zero signal, and the merged slices are the base's.
+    base = random_checkpoint(case.config, case.seed)
+    datasets = [[list(seq) for seq in dataset] for dataset in case.datasets]
+    n_models = len(datasets)
+    merged, weights = merge_linear_solve(
+        base, [base] * n_models, case.level, datasets, case.sample_n, seed=case.seed
+    )
+    for group in weights.groups:
+        assert group.fallback and group.zero_signal, group.group_id
+        assert group.alpha == (1.0 / n_models,) * n_models, group.group_id
+    assert merged.tensors.keys() == base.tensors.keys()
+    for name, tensor in base.tensors.items():
+        assert_same_bytes(merged.tensors[name], tensor, name)
