@@ -24,10 +24,11 @@ call per batch, so identical weights reproduce identical bytes. A group's
 outputs on one task are one f32 [rows, width] matrix, each batch's block
 written into its rows. Output deltas are
 computed per (group, data task): `DeltaStore.block` returns one [n_models,
-rows, width] f32 block and keeps none, and `DeltaStore.blocks` streams a
-group's blocks in task order. The solver folds each block into its group's
-Gram term before reading the next, task-major, so it holds one block at a
-time; the linearity sweep keeps a group's blocks for its alpha grid.
+rows, width] f32 block, and `DeltaStore.grouped` a new list of a group's
+blocks in task order; the store keeps none. The solver folds each block
+into its group's Gram term before reading the next, task-major, so it holds
+one block at a time; the linearity sweep holds a group's `grouped` blocks
+for its alpha grid.
 `collect_base_features` checks every task's tokens and traces the first;
 `FeatureStore.group_inputs` traces any other on its first read. `analyze`
 keeps every task and calls `FeatureStore.release` once a group's metrics
@@ -44,7 +45,7 @@ interpolation step, the subtrahend of every sweep alpha and of the group's
 delta blocks, computed once per group and task. A delta block with none
 held evaluates them and stores nothing, so the solve holds no base rows.
 
-`DeltaStore.block` is the one delta reader: each fine-tuned model's rows
+Both delta readers build a block one way: each fine-tuned model's rows
 are written into its slot of the block and the group's base rows are
 subtracted in place, so no per-model copy is made. Most groups
 read `rows`. Head groups 1..H-1 of a layer read `norm1` at
@@ -54,18 +55,18 @@ rows come from the layer's shared attention contexts of heads 1..H-1
 the base weights and one per fine-tuned model under its q/k/v_proj rows of
 those heads and the base `norm1`. Head h's rows are its columns of the
 contexts, at offset (h-1) * head_dim, times the same columns of the o_proj
-slice, rounded to f32. `DeltaStore.contexts` holds one layer's float64
-contexts, keyed by (layer, data task) and built on a task's first read,
-while its heads above 0 are read, and frees them as soon as any other group
-is: the task-major solve holds one task's contexts, a group-by-group reader
-every task's.
+slice, rounded to f32. `DeltaStore.contexts` holds float64 contexts keyed
+by (layer, data task), built on a task's first read, under one rule: each
+read of a group drops them unless the group is a head above 0 of the layer
+they hold. The task-major solve holds one task's contexts, a group-by-group
+reader every task's.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -97,11 +98,11 @@ class FeatureStore:
     arrays for every group that reads one tap; `inputs[(group id, task)]` is
     every sequence's view of them, in input order. `group_inputs` traces a
     task from its token batches when it is not stored (`_trace`), so one
-    dropped by `DeltaStore.release_task` is traced again, to the same bytes.
+    dropped by `release_task` is traced again, to the same bytes.
     `base_outputs[(group id, task)]` holds the base rows of every sequence
     stacked in input order. `base_rows`, its one writer, fills it on first use
     with the traced `weights`; the rows stay until `release` or
-    `DeltaStore.release_task`. A group not the plan's, or `released`, raises
+    `release_task`. A group not the plan's, or `released`, raises
     `PlanError`, and a task that is not a data task raises `InputError`.
     """
 
@@ -129,7 +130,7 @@ class FeatureStore:
 
     def base_rows(self, group: SubmoduleGroup, task: int) -> np.ndarray:
         """The group's output rows on one task's inputs under the traced weights,
-        stored until `release(group)` or `DeltaStore.release_task(task)`."""
+        stored until `release(group)` or `release_task(task)`."""
         self._require_planned(group)
         key = (group.id, task)
         if key not in self.base_outputs:
@@ -145,6 +146,13 @@ class FeatureStore:
         for task in range(self.n_tasks):
             for held in (self.inputs, self.batches, self.base_outputs):
                 held.pop((group.id, task), None)
+
+    def release_task(self, task: int) -> None:
+        """Drop one data task's stored inputs, batches and base rows of every
+        group; the next read of that task traces it again."""
+        for held in (self.inputs, self.batches, self.base_outputs):
+            for key in [key for key in held if key[1] == task]:
+                del held[key]
 
     def _trace(self, task: int) -> None:
         """Store the task's inputs for every group not released: its token
@@ -209,24 +217,22 @@ class DeltaStore:
     """Output deltas per (group, data task), laid out as the solver reads them.
 
     `block` computes a group's deltas on one data task, an [n_models, rows,
-    width] f32 block kept by no one but the reader; `blocks` streams them in
-    task order, each computed when the stream reaches it, so a reader that
-    drops each block before asking for the next holds one block at a time.
-    `grouped` keeps a group's blocks in `deltas[(group id, data task)]`, so
-    reading that group again computes nothing; the other readers hold none
-    and drop those of any group held before. A block subtracts the base rows
-    `features` holds, else evaluates them and stores none. The plan and base
-    weights are `features`'.
+    width] f32 block kept by no one but the reader; `grouped` returns a new
+    list of a group's blocks, one per data task, and keeps none either. A
+    block subtracts the base rows `features` holds, else evaluates them and
+    stores none. The plan and base weights are `features`'.
 
     While a layer's head groups above 0 are read, `contexts[(layer, task)]`
     holds the attention contexts of that layer's heads 1..H-1 on a data task
     read so far: per weight set (the base, then each model), the float64
     o_proj columns of those heads, [d_model, d_model - head_dim], and the
-    [rows, d_model - head_dim] context.
+    [rows, d_model - head_dim] context. Reading any other group drops them.
     """
 
     features: FeatureStore
     fine_tuned: Sequence[TensorArchive]
+    # Never written: only `perfbench/spans.py`'s `compute_delta_outputs` counter
+    # reads it, and both go with ROADMAP item 4.
     deltas: dict[tuple[str, int], np.ndarray] = field(default_factory=dict, init=False)
     contexts: dict[tuple[int, int], list] = field(default_factory=dict, init=False)
 
@@ -239,43 +245,30 @@ class DeltaStore:
         return self.features.n_tasks
 
     def block(self, group_id: str, task: int) -> np.ndarray:
-        """One data task's [n_models, rows, width] f32 deltas, held as by `blocks`."""
+        """One data task's [n_models, rows, width] f32 deltas, kept by the caller only."""
         return self._block(self._held(group_id), task)
 
-    def blocks(self, group_id: str) -> Iterator[np.ndarray]:
-        """Per data task in order, the group's [n_models, rows, width] f32 deltas.
-
-        The group is checked and held when this is called, before any block
-        is computed: a group not the plan's, or released, raises `PlanError`
-        here. Each block is computed when the stream reaches it.
-        """
-        group = self._held(group_id)
-        return (self._block(group, task) for task in range(self.n_tasks))
-
     def grouped(self, group_id: str) -> list[np.ndarray]:
-        """Per data task, an array [n_models, rows, width], kept until another
-        group is read."""
-        features = self.features
-        features._require_planned(features.plan.group(group_id))
-        # The last data task's block is stored last, so its key marks a whole group.
-        if (group_id, features.n_tasks - 1) not in self.deltas:
-            for task, block in enumerate(self.blocks(group_id)):
-                self.deltas[(group_id, task)] = block
-        return [self.deltas[(group_id, task)] for task in range(features.n_tasks)]
+        """Per data task in order, the group's [n_models, rows, width] f32
+        deltas, in a new list; a group not the plan's, or released, raises
+        `PlanError` before any block is computed."""
+        group = self._held(group_id)
+        return [self._block(group, task) for task in range(self.n_tasks)]
 
     def release_task(self, task: int) -> None:
-        """Drop one data task's stored inputs, batches, base rows and head
-        contexts; the next read of that task traces it again."""
-        features = self.features
-        for held in (features.inputs, features.batches, features.base_outputs, self.contexts):
-            for key in [key for key in held if key[1] == task]:
-                del held[key]
+        """Drop one data task's feature store entries (`FeatureStore.release_task`)
+        and head contexts; the next read of that task traces it again."""
+        self.features.release_task(task)
+        for key in [key for key in self.contexts if key[1] == task]:
+            del self.contexts[key]
 
     def _held(self, group_id: str) -> SubmoduleGroup:
-        """The plan's group of that id, checked; the kept blocks are dropped."""
+        """The plan's group of that id, checked. The held contexts are dropped
+        unless the group is a head above 0 of the layer they hold."""
         group = self.features.plan.group(group_id)
         self.features._require_planned(group)
-        self.deltas.clear()
+        if not group.head_index or any(layer != group.layer for layer, _ in self.contexts):
+            self.contexts.clear()
         return group
 
     def _block(self, group: SubmoduleGroup, task: int) -> np.ndarray:
@@ -283,12 +276,11 @@ class DeltaStore:
         slot, then the base rows subtracted in place.
 
         A head group above 0 reads its rows off the (layer, task) contexts, built
-        unless held; every other group evaluates its block and holds no contexts.
-        Its base rows are those `base_rows` holds, else evaluated and not stored.
+        unless held; every other group evaluates its block. Its base rows are
+        those `base_rows` holds, else evaluated and not stored.
         """
         features, layer = self.features, group.layer
         if not group.head_index:
-            self.contexts.clear()
             base = features.base_outputs.get((group.id, task))
             if base is None:
                 base = features.rows(group, task, group_parameters(group, features.weights))
@@ -300,8 +292,6 @@ class DeltaStore:
             return block
         config = features.plan.config
         shared, cols = context_slices(config, layer, group.head_index)
-        if any(held != layer for held, _ in self.contexts):
-            self.contexts.clear()
         if (layer, task) not in self.contexts:
             # Heads 1..H-1's q/k/v rows and o_proj columns from each weight
             # set, the base first, built one set at a time; norm1 stays at the base.

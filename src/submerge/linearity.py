@@ -233,7 +233,7 @@ def metric_sweep(
     if len(taus) != deltas.n_models:
         raise InputError(f"{len(taus)} task vectors for {deltas.n_models} fine-tuned models")
     grid = _checked_grid(default_alpha_grid(len(taus)) if grid is None else grid, len(taus))
-    task_blocks = list(deltas.blocks(group.id))
+    task_blocks = deltas.grouped(group.id)
     owned = [_owned_tensors(group, tau) for tau in taus]
     records: list[LinearityRecord] = []
     for alpha in grid:

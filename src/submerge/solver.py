@@ -77,25 +77,18 @@ class MergeWeights:
 def compute_gram(
     task_blocks: Iterable[np.ndarray], normalized: bool = True, group_id: str = ""
 ) -> GramTensor:
-    """Gram tensor over data tasks; blocks are [n_models, rows, width], read
-    from any iterable in data-task order.
+    """Gram tensor over data tasks; blocks are [n_models, rows, width], in
+    data-task order.
 
     Normalized mode divides each sample's contribution by the mean delta
     energy across models and skips samples where that energy underflows.
-    Each block's shape is checked as it arrives and the block is upcast to
-    float64 only while its own contribution is computed; it is dropped before
-    the next is read, so a stream holds one task's block at a time. A task
-    with no samples left raises `DegenerateError` once every block has passed
-    its shape check.
+    Each block is upcast to float64 only while its own term is computed. A
+    task with no samples left raises `DegenerateError` once every block has
+    passed its shape check.
     """
-    terms, n_models = [], None
-    for block in task_blocks:
-        if n_models is None:
-            shape = np.shape(block)
-            n_models = shape[0] if shape else 0
-        terms.append(_block_term(block, normalized, n_models))
-        # Not held while the stream computes the next block.
-        del block
+    blocks = list(task_blocks)
+    n_models = np.shape(blocks[0])[0] if blocks and np.ndim(blocks[0]) else 0
+    terms = [_block_term(block, normalized, n_models) for block in blocks]
     return _finish_gram(terms, normalized, group_id)
 
 
@@ -145,7 +138,14 @@ def _task_gram(block: np.ndarray, normalized: bool) -> tuple[np.ndarray | None, 
 
 
 def assemble_system(gram: GramTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Normal equations: A[j,k] = sum_t B[t,j,k], b[j] = sum_t B[t,j,t]."""
+    """Normal equations: A[j,k] = sum_t B[t,j,k], b[j] = sum_t B[t,j,t].
+
+    Model t is fine-tuned on data task t, so `InputError` unless the Gram
+    has one data task per model.
+    """
+    n_tasks, n_models = gram.B.shape[:2]
+    if n_tasks != n_models:
+        raise InputError(f"{n_models} fine-tuned models need {n_models} data tasks, got {n_tasks}")
     A = gram.B.sum(axis=0)
     b = np.einsum("tjt->j", gram.B)
     return A, b
@@ -198,10 +198,12 @@ def solve_plan(
     """Solve one alpha vector per group; failures fall back to uniform.
 
     The Gram tensor is a sum over data tasks, so the solve is task-major: per
-    task, each group's `deltas.block` is folded into that group's term before
-    the next is read, then `deltas.release_task` drops the task, so its traced
-    inputs and a layer's head contexts are held for one task. Each group's
-    terms are then checked and solved as `compute_gram` would.
+    task, each group's `deltas.block` is folded into that group's term
+    (`_block_term`, as `compute_gram` folds its list) before the next is read,
+    then `deltas.release_task` drops the task, so its traced inputs and a
+    layer's head contexts are held for one task. Each group's terms are then
+    checked as `compute_gram` checks them and solved; a store with other than
+    one data task per model raises `InputError` (`assemble_system`).
     """
     n = deltas.n_models
     terms = {group_id: [] for group_id in plan.group_ids()}

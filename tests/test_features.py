@@ -23,7 +23,7 @@ from submerge.features import (
 from submerge.linearity import metric_sweep, non_linearity_score
 from submerge.merge import merge_linear_solve
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy, forward_pass, length_buckets
-from submerge.solver import solve_plan
+from submerge.solver import compute_gram, solve_plan
 
 from conftest import bad_scalars, random_checkpoint
 
@@ -544,26 +544,26 @@ class TestDeltas:
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
-        assert not deltas.deltas
+        first = plan.groups[0].id
+        assert deltas.block(first, 1).shape[0] == len(fine_tuned)
+        assert deltas.deltas == {} and not store.base_outputs
         solve_plan(plan, deltas)
         # The solve read every group's blocks task by task and kept none, held
         # no base rows, and dropped each task's inputs and contexts once done with it.
-        assert not deltas.deltas
+        assert deltas.deltas == {}
         assert not store.inputs and not store.base_outputs and not deltas.contexts
-        first = plan.groups[0].id
-        deltas.grouped(first)
-        # `grouped` keeps one group's blocks and, like every delta reader, no base rows.
-        assert set(deltas.deltas) == {(first, t) for t in range(store.n_tasks)}
-        assert all(block.shape[0] == len(fine_tuned) for block in deltas.deltas.values())
-        assert not store.base_outputs
+        blocks = deltas.grouped(first)
+        # `grouped`, like every delta reader, keeps no block and no base rows.
+        assert [block.shape[0] for block in blocks] == [len(fine_tuned)] * store.n_tasks
+        assert deltas.deltas == {} and not store.base_outputs
         taus = [task_vector(ft, tiny_checkpoint) for ft in fine_tuned]
         held = {}
         for group in plan.groups:
             metric_sweep(store, deltas, tiny_checkpoint, taus, group, grid=[[0.5, 0.5]])
-            # The sweep kept the group's blocks itself: the store holds no block
+            # The sweep held the group's blocks itself: the store holds no block
             # after it. It stored the group's base rows, and no read of this
             # group dropped those of a group swept before.
-            assert not deltas.deltas
+            assert deltas.deltas == {}
             held.update(((group.id, t), store.base_outputs[(group.id, t)]) for t in range(2))
             assert store.base_outputs.keys() == held.keys()
             assert all(store.base_outputs[key] is rows for key, rows in held.items())
@@ -654,19 +654,25 @@ class TestDeltas:
             (layer, s, t) for layer in layers for s in range(len(sources)) for t in tasks
         }
         assert set(layer_calls.values()) == {1}
-        # The solve kept no block, so `grouped` computes the last group again,
-        # one build per (model, task), and reading it once more computes nothing.
+        # No reader keeps a block, so each `grouped` call computes the last
+        # group again, one build per (model, task), to the same bytes in new arrays.
         monkeypatch.setattr(submerge.features.DeltaStore, "block", block)
-        calls.clear()
-        # `grouped` reads through `blocks`, not `block`.
+        # `grouped` reads through `_block`, not `block`.
         reading["task"] = None
         last = plan.groups[-1].id
         assert last in {g.id for g in alone}
-        blocks = deltas.grouped(last)
         once = {(last, m, None): store.n_tasks for m in models}
-        assert calls == once
-        assert blocks[1] is deltas.grouped(last)[1]
-        assert calls == once
+        read = []
+        for _ in range(2):
+            calls.clear()
+            read.append(deltas.grouped(last))
+            assert calls == once
+        first, again = read
+        assert len(first) == len(again) == store.n_tasks
+        for a, b in zip(first, again):
+            assert not np.shares_memory(a, b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert deltas.deltas == {}
 
     def test_blocks_refuse_a_released_or_foreign_group_at_the_call(
         self, tiny_config, tiny_checkpoint, setup, monkeypatch
@@ -675,18 +681,35 @@ class TestDeltas:
         plan = plan_decomposition(tiny_config, Granularity.HEAD_MLP)
         store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
         deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
-        released, other = plan.group("head.0.1"), plan.group("mlp.0")
+        released, other = plan.group("head.0.1"), plan.group("head.1.1")
         store.release(released)
         held = deltas.grouped(other.id)
+        contexts = dict(deltas.contexts)
+        assert list(contexts) == [(1, t) for t in range(store.n_tasks)]
         evaluations = []
         monkeypatch.setattr(submerge.features, "_rows_in_order", lambda *a: evaluations.append(a))
         for group_id, match in (("head.0.1", "was released"), ("attn.0", "no group 'attn.0'")):
-            # The error comes from the call itself, before the stream is read.
+            # The check comes first: nothing is evaluated and no context is dropped.
             with pytest.raises(PlanError, match=match):
-                deltas.blocks(group_id)
+                deltas.grouped(group_id)
+            with pytest.raises(PlanError, match=match):
+                deltas.block(group_id, 0)
         assert evaluations == []
-        assert deltas.contexts == {}
-        assert all(a is b for a, b in zip(deltas.grouped(other.id), held))
+        assert deltas.contexts == contexts
+        monkeypatch.undo()
+        assert [a.tobytes() for a in deltas.grouped(other.id)] == [a.tobytes() for a in held]
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_gram_of_a_block_generator_is_the_gram_of_grouped(self, normalized):
+        # `compute_gram` takes any iterable: a generator of `block` reads gives
+        # the bytes of the same group's `grouped` list.
+        plan, store, deltas = three_task_deltas(Granularity.HEAD_MLP)
+        for group_id in plan.group_ids():
+            listed = compute_gram(deltas.grouped(group_id), normalized, group_id=group_id)
+            read = (deltas.block(group_id, task) for task in range(store.n_tasks))
+            generated = compute_gram(read, normalized, group_id=group_id)
+            assert generated.B.tobytes() == listed.B.tobytes(), group_id
+            assert (generated.samples, generated.skipped) == (listed.samples, listed.skipped)
 
     @pytest.mark.parametrize("level", [Granularity.ATTN_MLP, Granularity.HEAD_MLP])
     def test_solve_holds_one_task_block_at_a_time(
@@ -894,7 +917,8 @@ class TestDeltas:
             if not group.head_index:
                 assert deltas.contexts == {}, group.id
             else:
-                # A group-by-group reader holds its layer's contexts on every task.
+                # A group-by-group reader holds its layer's contexts on every
+                # task, and no other layer's.
                 assert list(deltas.contexts) == [(group.layer, t) for t in range(2)]
                 # Heads 1..H-1 only: head 0 owns norm1 and runs its own block.
                 width = tiny_config.d_model - tiny_config.head_dim
@@ -905,7 +929,18 @@ class TestDeltas:
                         assert o_proj.shape == (tiny_config.d_model, width)
                         assert context.shape == (rows, width)
                         assert context.dtype == np.float64
-        assert set(deltas.deltas) == {("lm_head", t) for t in range(2)} and deltas.contexts == {}
+        assert deltas.deltas == {} and deltas.contexts == {}
+        # A head of another layer drops the held layer's contexts; one of the
+        # same layer keeps them, and any other group drops them all.
+        deltas.grouped("head.0.1")
+        deltas.block("head.1.1", 1)
+        assert list(deltas.contexts) == [(1, 1)]
+        deltas.block("head.1.1", 0)
+        assert list(deltas.contexts) == [(1, 1), (1, 0)]
+        deltas.block("head.0.1", 0)
+        assert list(deltas.contexts) == [(0, 0)]
+        deltas.block("mlp.0", 0)
+        assert deltas.contexts == {}
         store.release(first)
         assert store.base_outputs == {}
 
@@ -1101,6 +1136,22 @@ class TestBaseRows:
 
 
 class TestRelease:
+    def test_release_task_drops_that_task_only_and_retraces_its_bytes(self, tiny_config, setup):
+        # The feature store drops a task's inputs, batches and base rows itself;
+        # the other task's stay, and the next read traces the task again.
+        model, datasets, _ = setup
+        plan = plan_decomposition(tiny_config, Granularity.ATTN_MLP)
+        store = collect_base_features(model, datasets, plan, sample_n=2, seed=1)
+        rows = {(g.id, t): store.base_rows(g, t).copy() for g in plan.groups for t in range(2)}
+        stores = (store.inputs, store.batches, store.base_outputs)
+        kept = {key: [held[key] for held in stores] for key in rows if key[1] == 0}
+        store.release_task(1)
+        for i, held in enumerate(stores):
+            assert held.keys() == kept.keys()
+            assert all(held[key] is values[i] for key, values in kept.items())
+        for group in plan.groups:
+            assert store.base_rows(group, 1).tobytes() == rows[(group.id, 1)].tobytes()
+
     def test_a_tap_is_freed_with_its_last_reader(self, tiny_config, setup):
         # Every head group of a layer reads that layer's attn_in tap, so its
         # stored arrays live until the last of those heads is released.

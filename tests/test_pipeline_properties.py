@@ -6,6 +6,7 @@ The stores keep each traced task as its stacked length buckets, so these check
 that no slicing of the buckets, no shared head evaluation, no re-trace and no
 held base rows can change a byte of what they return; and that the task-major
 solve is the group-by-group one, with models equal to the base merging to it.
+Reads in any order of groups and tasks give the plan-order bytes.
 """
 
 from __future__ import annotations
@@ -149,6 +150,24 @@ def test_blocks_do_not_depend_on_held_base_rows(case):
             assert (group.id, task) not in store.base_outputs
             store.base_rows(group, task)
             assert_same_bytes(deltas.block(group.id, task), alone, (group.id, task))
+
+
+@QUICK
+@given(case=cases(), data=st.data())
+def test_reads_in_any_order_equal_plan_order_reads(case, data):
+    # `block` and `grouped` reads of every (group, task), interleaved in a
+    # drawn order, give the plan-order reads' bytes, whatever head contexts
+    # each read finds held.
+    plan, store, deltas = stores(case)
+    want = {(g, t): deltas.block(g, t) for g in plan.group_ids() for t in range(store.n_tasks)}
+    order = data.draw(st.permutations(list(want)), label="order")
+    whole = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    for (group_id, task), grouped in zip(order, whole):
+        if grouped:
+            for t, block in enumerate(deltas.grouped(group_id)):
+                assert_same_bytes(block, want[(group_id, t)], (group_id, t))
+        else:
+            assert_same_bytes(deltas.block(group_id, task), want[(group_id, task)], (group_id, task))
 
 
 @QUICK

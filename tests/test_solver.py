@@ -244,6 +244,14 @@ class TestAssembleSystem:
         np.testing.assert_allclose(A, 2 * np.ones((2, 2)), atol=1e-12)
         np.testing.assert_allclose(b, [2.0, 2.0], atol=1e-12)
 
+    @pytest.mark.parametrize("n_tasks", [1, 3])
+    def test_one_data_task_per_model_required(self, n_tasks):
+        # Model t is fine-tuned on data task t; any other count is refused
+        # before the b[j] = sum_t B[t, j, t] contraction.
+        gram = GramTensor(np.ones((n_tasks, 2, 2)), (1,) * n_tasks, (0,) * n_tasks)
+        with pytest.raises(InputError, match=f"2 fine-tuned models need 2 data tasks, got {n_tasks}"):
+            assemble_system(gram)
+
     def test_matches_index_oracle(self):
         rng = np.random.default_rng(6)
         gram = compute_gram(random_blocks(rng, n_tasks=3, rows=5, width=4))
@@ -422,6 +430,15 @@ class TestSolvePlan:
         for g in weights.groups:
             assert g.fallback
             np.testing.assert_allclose(g.alpha, [0.5, 0.5], atol=1e-12)
+
+    def test_one_data_task_for_two_models_is_an_input_error(self, tiny_config, tiny_checkpoint):
+        model = bind_weights(tiny_checkpoint, tiny_config)
+        plan = plan_decomposition(tiny_config, Granularity.LAYER)
+        store = collect_base_features(model, [[[1, 2, 3, 4], [5, 6, 7]]], plan, sample_n=2)
+        fine_tuned = [perturbed(tiny_checkpoint, seed=s, scale=0.1) for s in (31, 32)]
+        deltas = compute_delta_outputs(store, tiny_checkpoint, fine_tuned, plan)
+        with pytest.raises(InputError, match="2 fine-tuned models need 2 data tasks, got 1"):
+            solve_plan(plan, deltas)
 
     def test_non_finite_gram_is_not_zero_signal(self, tiny_config):
         class NonFiniteDeltas:
