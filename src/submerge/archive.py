@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CoeffError, CompatError, DataError, FormatError, TruncationError
-from .errors import decode_json, io_boundary, is_integer, record_digest
+from .errors import decode_json, io_boundary, is_integer, record_digest, write_file
 
 _HEADER_PREFIX = struct.Struct("<Q")
 _DTYPE_TAG = "f32"
@@ -105,11 +105,8 @@ def archive_digest(archive: TensorArchive) -> str:
 
 
 def write_archive(archive: TensorArchive, path, digests: dict | None = None) -> None:
-    """The canonical bytes of `archive` written to `path`; `record_digest` records them."""
-    data = archive_bytes(archive)
-    with io_boundary(f"cannot write archive to {path}"), open(path, "wb") as fh:
-        fh.write(data)
-    record_digest(digests, path, data)
+    """The canonical bytes of `archive` written to `path` by `write_file`."""
+    write_file(path, archive_bytes(archive), digests, f"cannot write archive to {path}")
 
 
 def _parse_header(blob: bytes) -> tuple[dict, bytes]:

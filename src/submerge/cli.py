@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import pickle
@@ -35,7 +36,7 @@ import numpy as np
 from .archive import TaskVector, TensorArchive, read_archive, task_vector, write_archive
 from .decompose import Granularity, SubmoduleGroup, plan_decomposition
 from .errors import ConfigError, DegenerateError, SubmergeError, decode_json, io_boundary
-from .errors import is_integer, is_real, require_integer, write_json
+from .errors import is_integer, is_real, require_integer, write_file, write_json
 from .features import DeltaStore, FeatureStore, collect_base_features, compute_delta_outputs
 from .fixtures import FixtureSpec, build_fixture, read_dataset, write_fixture
 from .linearity import metric_sweep, non_linearity_score, require_n_points
@@ -88,10 +89,11 @@ JSON_TYPE_CHECKS = {
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    with io_boundary(f"cannot write {path}"), open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file(path, text.getvalue().encode("utf-8"))
 
 
 class Options:
@@ -502,11 +504,13 @@ def cmd_merge(opts: Options) -> bool:
     out = opts.out_dir()
     merged, weights = _merged(method, params, base, models, datasets)
     merged_path = out / "merged.ta"
-    write_archive(merged, merged_path, digests)
-    outputs = {"merged.ta": digests[merged_path]}
+    # Outputs are hashed into their own dict: one may replace an input (`--base
+    # out/merged.ta`), whose recorded digest stays that of the bytes read.
+    written: dict[Path, str] = {}
+    write_archive(merged, merged_path, written)
     if weights is not None:
-        write_json(out / "weights.json", weights.to_json_dict(), digests)
-        outputs["weights.json"] = digests[out / "weights.json"]
+        write_json(out / "weights.json", weights.to_json_dict(), written)
+    outputs = {path.name: digest for path, digest in written.items()}
     manifest = {
         "command": "merge",
         "method": method,

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and its boundary with the outside:
-`io_boundary` maps OS errors, `decode_json` reads JSON, `write_json` writes it,
-`record_digest` hashes the bytes a reader or writer already holds, and
-`require_integer` and `require_real` check an outside scalar.
+`io_boundary` maps OS errors, `write_file` is the one file writer, `decode_json`
+reads JSON, `write_json` writes it, `record_digest` hashes the bytes a reader or
+writer already holds, and `require_integer` and `require_real` check an outside
+scalar.
 
 Every error raised by the library derives from SubmergeError so callers
 (and the CLI) can distinguish our failures from genuine bugs.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import reprlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -96,13 +98,28 @@ def record_digest(digests: dict | None, path, data: bytes) -> None:
         digests[path] = hashlib.sha256(data).hexdigest()
 
 
-def write_json(path: str | Path, payload, digests: dict | None = None) -> None:
-    """`payload` written to `path` as indented, sorted-key JSON and a newline;
-    `record_digest` records the bytes written."""
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    with io_boundary(f"cannot write {path}"):
-        Path(path).write_bytes(data)
+def write_file(path, data: bytes, digests: dict | None = None, what: str | None = None) -> None:
+    """`data` written to `path` as a new file; `record_digest` records it. Any entry
+    already at `path` is unlinked first, so a symlink there is replaced, not followed,
+    and a hard link to it keeps the old bytes. Rewriting a file in place (a truncating
+    open, or a new file renamed over it) can wait tens of milliseconds on a filesystem
+    that flushes a replaced file's data first. An `OSError` raises `IoError` with the
+    message `what: reason`, by default `cannot write {path}: reason`."""
+    with io_boundary(what or f"cannot write {path}"):
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        with open(path, "xb") as fh:
+            fh.write(data)
     record_digest(digests, path, data)
+
+
+def write_json(path: str | Path, payload, digests: dict | None = None) -> None:
+    """`payload` written to `path` by `write_file` as indented, sorted-key JSON and
+    a newline."""
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    write_file(path, data, digests)
 
 
 def decode_json(data: bytes | str, error: type[SubmergeError], context: str):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .archive import TensorArchive, combine, write_archive
 from .errors import DataError, ParamError, decode_json, io_boundary, is_integer, record_digest
-from .errors import require_integer, require_real, write_json
+from .errors import require_integer, require_real, write_file, write_json
 from .model import BoundModel, ModelConfig, bind_weights, forward_taps
 
 DIRICHLET_CONC = 0.5
@@ -214,15 +214,13 @@ def build_fixture(spec: FixtureSpec) -> Fixture:
 def write_dataset(
     path: str | Path, task: str, sequences: Sequence[Sequence[int]], digests: dict | None = None
 ) -> None:
-    """`sequences` written to `path` as JSONL; `record_digest` records the bytes written."""
+    """`sequences` written to `path` as JSONL by `write_file`."""
     lines = [
         json.dumps({"task": task, "tokens": [int(t) for t in seq]}, sort_keys=True)
         for seq in sequences
     ]
     data = ("\n".join(lines) + "\n").encode("utf-8")
-    with io_boundary(f"cannot write dataset {path}"):
-        Path(path).write_bytes(data)
-    record_digest(digests, path, data)
+    write_file(path, data, digests, f"cannot write dataset {path}")
 
 
 def read_dataset(path: str | Path, digests: dict | None = None) -> list[list[int]]:

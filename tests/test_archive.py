@@ -5,7 +5,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import pickle
+import stat
 import struct
 
 import numpy as np
@@ -28,6 +30,7 @@ from submerge import (
     write_archive,
 )
 from submerge.archive import combine
+from submerge.cli import _write_csv
 from submerge.errors import write_json
 from submerge.fixtures import FixtureSpec, gen_fixture, read_dataset, write_dataset
 from submerge.model import ModelConfig, bind_weights, eval_cross_entropy
@@ -302,6 +305,9 @@ class TestIoBoundary:
             ("gen_fixture_below_file", "cannot create fixture dir {path}"),
             ("gen_fixture_manifest_directory", "cannot write {path}"),
             ("write_json_below_file", "cannot write {path}"),
+            ("write_archive_directory", "cannot write archive to {path}"),
+            ("write_dataset_directory", "cannot write dataset {path}"),
+            ("write_json_directory", "cannot write {path}"),
         ],
     )
     def test_os_error_becomes_io_error(self, tmp_path, case, message):
@@ -323,11 +329,66 @@ class TestIoBoundary:
                 lambda p: gen_fixture(spec, p.parent), tmp_path / "fx" / "fixture.json"
             ),
             "write_json_below_file": (lambda p: write_json(p, {}), taken / "x.json"),
+            "write_archive_directory": (lambda p: write_archive(small_archive(), p), tmp_path / "fx"),
+            "write_dataset_directory": (lambda p: write_dataset(p, "t", [[1]]), tmp_path / "fx"),
+            "write_json_directory": (lambda p: write_json(p, {}), tmp_path / "fx"),
         }[case]
         with pytest.raises(IoError) as excinfo:
             call(path)
         assert str(excinfo.value).startswith(message.format(path=path) + ": ")
         assert isinstance(excinfo.value.__cause__, OSError)
+
+
+# Each output writer, called with a path and a version number: each version
+# writes different bytes.
+WRITERS = {
+    "archive": lambda path, k: write_archive(
+        TensorArchive(tensors={"w": np.full((k,), k, np.float32)}, meta={}), path
+    ),
+    "dataset": lambda path, k: write_dataset(path, "t", [[k]] * k),
+    "json": lambda path, k: write_json(path, {"k": [k] * k}),
+    "csv": lambda path, k: _write_csv(path, ["k"], [[str(k)]] * k),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+class TestReplaceNotTruncate:
+    """Every writer unlinks what is at its path and writes a new file: it never
+    truncates, follows or reopens the old entry."""
+
+    @staticmethod
+    def fresh_bytes(tmp_path, writer, k) -> bytes:
+        path = tmp_path / f"fresh{k}"
+        writer(path, k)
+        return path.read_bytes()
+
+    def test_hard_link_to_the_old_output_keeps_its_bytes(self, tmp_path, writer):
+        path, old = tmp_path / "out", tmp_path / "old"
+        writer(path, 1)
+        os.link(path, old)
+        writer(path, 2)
+        assert old.read_bytes() == self.fresh_bytes(tmp_path, writer, 1)
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, writer, 2)
+        assert path.stat().st_nlink == old.stat().st_nlink == 1
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["target", "dangling"])
+    def test_symlink_is_replaced_and_its_target_untouched(self, tmp_path, writer, dangling):
+        path, target = tmp_path / "out", tmp_path / "target"
+        if not dangling:
+            target.write_bytes(b"keep")
+        path.symlink_to(target)
+        writer(path, 1)
+        assert not path.is_symlink()
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, writer, 1)
+        assert target.read_bytes() == b"keep" if not dangling else not target.exists()
+
+    def test_read_only_output_in_a_writable_directory_is_replaced(self, tmp_path, writer):
+        path = tmp_path / "out"
+        writer(path, 1)
+        path.chmod(0o444)
+        writer(path, 2)
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, writer, 2)
+        assert path.stat().st_mode & stat.S_IWUSR
 
 
 class TestReadOnly:

@@ -1078,14 +1078,32 @@ class TestMerge:
         assert "weights.json" in manifest["outputs"]
         assert manifest["params"]["level"] == "attn_mlp"
 
+    def test_manifest_records_the_input_bytes_read_when_an_output_replaces_them(
+        self, fixture_dir, tmp_path
+    ):
+        # A merge whose --base is the merged.ta it overwrites records the digest
+        # of the bytes it read as the input, and of the bytes it wrote as the output.
+        flags = [*io_flags(fixture_dir, datasets=False), "--method", "task_arithmetic", "--out", str(tmp_path)]
+        assert main(["merge", *flags]) == 0
+        merged = tmp_path / "merged.ta"
+        before = hashlib.sha256(merged.read_bytes()).hexdigest()
+        flags[flags.index("--base") + 1] = str(merged)
+        assert main(["merge", *flags]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["inputs"]["base"] == {"path": str(merged), "sha256": before}
+        after = hashlib.sha256(merged.read_bytes()).hexdigest()
+        assert manifest["outputs"] == {"merged.ta": after}
+        assert after != before
+
     def test_missing_method_exits_2(self, fixture_dir, tmp_path):
         rc = main(["merge", *io_flags(fixture_dir), "--out", str(tmp_path)])
         assert rc == 2
 
     @staticmethod
     def count_opens(monkeypatch):
-        """The number of times each file is opened, keyed by its path; archives
-        go through `open`, datasets and JSON outputs through `pathlib`'s `io.open`."""
+        """The number of times each file is opened, keyed by its path; archive
+        reads and every write go through `open`, dataset reads through `pathlib`'s
+        `io.open`."""
         opens: dict[str, int] = {}
         real_open = io.open
 
@@ -1144,6 +1162,45 @@ class TestMerge:
             assert main(["analyze", *io_flags(fixture_dir), *flags]) == 0
             assert_no_child_left()
             assert hashed.lines() == []
+
+
+class TestRerun:
+    """A command rerun into its own existing --out writes the same bytes as a run
+    into a fresh one: every output is replaced whole, none is left over."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gen-fixture", *FIXTURE_FLAGS],
+            ["solve", "--samples-per-task", "2"],
+            ["merge", "--method", "weight_avg"],
+            ["merge", "--method", "task_arithmetic", "--alpha", "0.3"],
+            ["merge", "--method", "dare", "--seed", "1"],
+            ["merge", "--method", "linear_solve", "--level", "head_mlp", "--samples-per-task", "2"],
+            ["analyze", "--levels", "model,attn_mlp", "--n-points", "2", "--samples-per-task", "2"],
+            ["compare", "--samples-per-task", "2"],
+            ["eval"],
+        ],
+        ids=[
+            "gen_fixture", "solve", "merge_weight_avg", "merge_task_arithmetic", "merge_dare",
+            "merge_linear_solve", "analyze", "compare", "eval",
+        ],
+    )
+    def test_rerun_into_existing_out_writes_fresh_bytes(self, fixture_dir, tmp_path, monkeypatch, command):
+        on_cpus(monkeypatch, 1)
+        if command[0] == "gen-fixture":
+            inputs = []
+        elif command[0] == "eval":
+            inputs = ["--archive", str(fixture_dir / "task0.ta"), "--dataset", str(fixture_dir / "task1.jsonl")]
+        else:
+            inputs = io_flags(fixture_dir, datasets=command[-1] not in ("weight_avg", "0.3", "1"))
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        for out in (fresh, rerun, rerun):
+            assert main([*command, *inputs, "--out", str(out)]) == 0
+        written = sorted(path.name for path in fresh.iterdir())
+        assert sorted(path.name for path in rerun.iterdir()) == written
+        for name in written:
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestEval:

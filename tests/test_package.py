@@ -1,7 +1,8 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and one function writes files."""
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,3 +25,25 @@ def test_readme_quickstart_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("embed [") and lines[-1].startswith("[")
+
+
+def test_write_file_is_the_only_file_writer():
+    """No call in `src/submerge/*.py` opens a file in a write mode (`w`, `a`, `x` or
+    `+`) or calls `write_bytes` or `write_text`, except the one in `errors.write_file`."""
+    writes = []
+    for source in sorted(Path(submerge.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            mode = call.args[1] if len(call.args) > 1 else None
+            mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), mode)
+            opened = name == "open" and not (
+                mode is None or isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+")
+            )
+            if opened or name in ("write_bytes", "write_text"):
+                owners = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+                owner = max(owners, key=lambda f: f.lineno, default=None)
+                writes.append((source.name, owner and owner.name))
+    assert writes == [("errors.py", "write_file")]
