@@ -34,6 +34,7 @@ from submerge.cli import (
     main,
 )
 from submerge.decompose import Granularity, plan_decomposition
+from submerge.errors import write_file
 from submerge.features import FeatureStore
 from submerge.fixtures import MAX_DATASET_SIZE, MAX_TASKS
 from submerge.linearity import default_alpha_grid
@@ -1460,7 +1461,7 @@ CONFIG_BYTES = json.dumps({"seed": 3, "levels": ["layer"], "d_model": 16}).encod
 @given(blob=byte_mutants(CONFIG_BYTES))
 def test_mutated_config_file_loads_or_config_error(config_path, blob):
     """A config file with bytes replaced, inserted or deleted loads or raises a SubmergeError."""
-    config_path.write_bytes(blob)
+    write_file(config_path, blob)
     try:
         Options(argparse.Namespace(config=config_path))
     except SubmergeError:
@@ -1481,6 +1482,8 @@ JSON_VALUES = st.recursive(
 
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
+    """One path that each example writes with `write_file`: a new file per example,
+    where rewriting the old one in place can wait on the disk for each example."""
     return tmp_path_factory.mktemp("config") / "run.json"
 
 
@@ -1492,7 +1495,7 @@ def config_path(tmp_path_factory):
 def test_config_value_is_of_declared_kind_or_config_error(config_path, key, value):
     """Options takes a config value of the key's declared JSON kind, or raises
     ConfigError; no other exception escapes."""
-    config_path.write_text(json.dumps({key: value}))
+    write_file(config_path, json.dumps({key: value}).encode())
     args = build_parser().parse_args(["solve", "--config", str(config_path)])
     well_typed = JSON_TYPE_CHECKS[CONFIG_TYPES[key]](value)
     try:

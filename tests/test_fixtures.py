@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from submerge import DataError, ParamError, SubmergeError, read_archive, task_vector
 from submerge.decompose import Granularity, plan_decomposition
+from submerge.errors import write_file
 from submerge.features import collect_base_features
 from submerge.fixtures import (
     MAX_DATASET_SIZE,
@@ -239,8 +240,9 @@ class TestDatasetFiles:
     @given(blob=byte_mutants(b'{"task": "t", "tokens": [1, 2, 3]}\n{"task": "t", "tokens": [4]}\n'))
     def test_mutated_file_reads_or_data_error(self, tmp_path_factory, blob):
         """A dataset with bytes replaced, inserted or deleted reads, or raises a SubmergeError."""
+        # A new file per example: rewriting one in place can wait on the disk.
         path = tmp_path_factory.getbasetemp() / "mutant.jsonl"
-        path.write_bytes(blob)
+        write_file(path, blob)
         try:
             sequences = read_dataset(path)
         except SubmergeError:

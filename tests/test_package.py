@@ -28,22 +28,25 @@ def test_readme_quickstart_runs(capsys):
 
 
 def test_write_file_is_the_only_file_writer():
-    """No call in `src/submerge/*.py` opens a file in a write mode (`w`, `a`, `x` or
-    `+`) or calls `write_bytes` or `write_text`, except the one in `errors.write_file`."""
+    """No call in `src/submerge/*.py` opens a file with a write mode literal (one
+    holding `w`, `a`, `x` or `+`), or calls `write_bytes` or `write_text`, except
+    the one in `errors.write_file`."""
     writes = []
     for source in sorted(Path(submerge.__file__).parent.glob("*.py")):
         tree = ast.parse(source.read_text(encoding="utf-8"))
         functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
         for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
-            func = call.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            mode = call.args[1] if len(call.args) > 1 else None
-            mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), mode)
-            opened = name == "open" and not (
-                mode is None or isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+")
-            )
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            literals = [
+                arg.value
+                for arg in [*call.args, *(kw.value for kw in call.keywords)]
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            ]
+            opened = name == "open" and any(re.fullmatch(r"[rbt]*[wax+][rwaxbt+]*", m) for m in literals)
             if opened or name in ("write_bytes", "write_text"):
-                owners = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
-                owner = max(owners, key=lambda f: f.lineno, default=None)
-                writes.append((source.name, owner and owner.name))
+                owner = max(
+                    (f for f in functions if f.lineno <= call.lineno <= f.end_lineno),
+                    key=lambda f: f.lineno,
+                )
+                writes.append((source.name, owner.name))
     assert writes == [("errors.py", "write_file")]
